@@ -62,8 +62,6 @@ func translateInto(t *codecache.Translation, mem *x86.Memory, pc uint32, cfg Con
 		cfg.MaxInsts = DefaultConfig.MaxInsts
 	}
 	cur := pc
-	defer func() { t.X86Bytes = int(cur - pc) }()
-
 	for n := 0; n < cfg.MaxInsts; n++ {
 		in, err := x86.DecodeMem(mem, cur)
 		if err != nil {
@@ -76,6 +74,7 @@ func translateInto(t *codecache.Translation, mem *x86.Memory, pc uint32, cfg Con
 			return fmt.Errorf("bbt: %#x: %w", cur, err)
 		}
 		t.NumX86++
+		t.Size += desc.Bytes
 
 		if !desc.Kind.IsCTI() {
 			// Mark the instruction boundary on its last micro-op.
@@ -87,65 +86,73 @@ func translateInto(t *codecache.Translation, mem *x86.Memory, pc uint32, cfg Con
 		}
 
 		appendTerminator(t, &desc, cur)
-		cur = desc.NextPC
-		finish(t)
+		finish(t, desc.NextPC)
 		return nil
 	}
 
 	// Block length cap reached: end with a synthetic fall-through exit
 	// (not an architected instruction boundary).
 	t.Exits = append(t.Exits, codecache.Exit{Kind: codecache.ExitFall, Target: cur})
-	t.Uops = append(t.Uops, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: int32(len(t.Exits) - 1), X86PC: cur})
-	finish(t)
+	appendUops(t, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: int32(len(t.Exits) - 1), X86PC: cur})
+	finish(t, cur)
 	return nil
+}
+
+// appendUops appends the block assembler's own micro-ops (the crackers'
+// are sized where they are emitted), keeping t.Size in step.
+func appendUops(t *codecache.Translation, uops ...fisa.MicroOp) {
+	for i := range uops {
+		t.Size += fisa.EncodedLen(&uops[i])
+	}
+	t.Uops = append(t.Uops, uops...)
+}
+
+// addExit appends an exit descriptor and returns its index.
+func addExit(t *codecache.Translation, e codecache.Exit) int32 {
+	t.Exits = append(t.Exits, e)
+	return int32(len(t.Exits) - 1)
 }
 
 // appendTerminator emits the exit micro-ops and exit descriptors for the
 // block-ending CTI described by desc.
 func appendTerminator(t *codecache.Translation, desc *crack.Desc, pc uint32) {
-	exitIdx := func(e codecache.Exit) int32 {
-		t.Exits = append(t.Exits, e)
-		return int32(len(t.Exits) - 1)
-	}
 	switch desc.Kind {
 	case crack.KindCondBranch:
-		fall := exitIdx(codecache.Exit{Kind: codecache.ExitFall, Target: desc.NextPC, BranchPC: pc})
-		taken := exitIdx(codecache.Exit{Kind: codecache.ExitTaken, Target: desc.Target, BranchPC: pc})
+		fall := addExit(t, codecache.Exit{Kind: codecache.ExitFall, Target: desc.NextPC, BranchPC: pc})
+		taken := addExit(t, codecache.Exit{Kind: codecache.ExitTaken, Target: desc.Target, BranchPC: pc})
 		// UBR jumps to the taken trampoline; fall-through reaches the
 		// fall trampoline immediately after it.
 		brIdx := len(t.Uops)
-		t.Uops = append(t.Uops,
+		appendUops(t,
 			fisa.MicroOp{Op: fisa.UBR, W: 4, Cond: desc.Cond, Imm: int32(brIdx + 2), X86PC: pc, Boundary: 1},
 			fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: fall, X86PC: pc},
 			fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: taken, X86PC: pc},
 		)
 	case crack.KindJump, crack.KindCall:
-		idx := exitIdx(codecache.Exit{
+		idx := addExit(t, codecache.Exit{
 			Kind: codecache.ExitTaken, Target: desc.Target, BranchPC: pc,
 			Call: desc.Kind == crack.KindCall, ReturnPC: desc.NextPC,
 		})
-		t.Uops = append(t.Uops, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, X86PC: pc, Boundary: 1})
+		appendUops(t, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, X86PC: pc, Boundary: 1})
 	case crack.KindJumpInd, crack.KindCallInd, crack.KindRet:
-		idx := exitIdx(codecache.Exit{
+		idx := addExit(t, codecache.Exit{
 			Kind: codecache.ExitIndirect, TargetReg: desc.TargetReg, BranchPC: pc,
 			Call: desc.Kind == crack.KindCallInd, ReturnPC: desc.NextPC,
 			Ret: desc.Kind == crack.KindRet,
 		})
-		t.Uops = append(t.Uops, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, Src1: desc.TargetReg, X86PC: pc, Boundary: 1})
+		appendUops(t, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, Src1: desc.TargetReg, X86PC: pc, Boundary: 1})
 	case crack.KindHalt:
-		idx := exitIdx(codecache.Exit{Kind: codecache.ExitHalt})
-		t.Uops = append(t.Uops, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, X86PC: pc, Boundary: 1})
+		idx := addExit(t, codecache.Exit{Kind: codecache.ExitHalt})
+		appendUops(t, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: idx, X86PC: pc, Boundary: 1})
 	default:
 		panic("bbt: not a CTI kind: " + desc.Kind.String())
 	}
 }
 
-// finish computes the encoded size and micro-op count of the translation.
-func finish(t *codecache.Translation) {
+// finish records the micro-op count and the architected bytes covered
+// by a block ending just before end (the encoded size has been
+// accumulated as the micro-ops were emitted).
+func finish(t *codecache.Translation, end uint32) {
 	t.NumUops = len(t.Uops)
-	size := 0
-	for i := range t.Uops {
-		size += fisa.EncodedLen(&t.Uops[i])
-	}
-	t.Size = size
+	t.X86Bytes = int(end - t.EntryPC)
 }

@@ -39,15 +39,20 @@ type Arena struct {
 	refs    span[ChainRef]
 }
 
-// Slab sizes, in elements. Sized so a typical basic block (tens of
+// Full slab sizes, in elements. Sized so a typical basic block (tens of
 // micro-ops) costs no slab allocation and a full code cache fits in a
-// handful of slabs per span.
+// handful of slabs per span. A span's first slab is 1/firstSlabDiv of
+// the full size and each next one doubles up to it, so a VM that
+// translates a few thousand blocks and exits does not pay for (and
+// zero) slabs sized for a full cache.
 const (
 	uopSlab    = 16384
 	exitSlab   = 2048
 	metaSlab   = 16384
 	refSlab    = 4096
 	structSlab = 512
+
+	firstSlabDiv = 16
 )
 
 // NewArena returns an empty arena with unbounded growth (the natural
@@ -130,14 +135,31 @@ type span[T any] struct {
 	slabs    [][]T
 	cur      int // slab being carved
 	off      int // carve cursor within slabs[cur]
-	slabSize int
+	next     int // size of the next slab to allocate (0: slabSize/firstSlabDiv)
+	slabSize int // full slab size
 	maxSlabs int // 0 = unbounded
+}
+
+// grow appends a slab of the next size in the geometric series, widened
+// to hold at least n (n <= slabSize) elements. It reports false when the
+// span is capped and full.
+func (s *span[T]) grow(n int) bool {
+	if s.maxSlabs > 0 && len(s.slabs) >= s.maxSlabs {
+		return false
+	}
+	size := max(s.next, s.slabSize/firstSlabDiv)
+	for size < n {
+		size *= 2
+	}
+	s.slabs = append(s.slabs, make([]T, size))
+	s.next = min(2*size, s.slabSize)
+	return true
 }
 
 // carve returns a length-n slice, or nil when the span is capped and
 // full. After a reset the memory retains the previous epoch's bits, so
 // callers must overwrite every element (commitSlice copies the full
-// length). Requests larger than the slab size get a dedicated slab
+// length). Requests larger than the full slab size get a dedicated slab
 // (counted against the cap).
 func (s *span[T]) carve(n int) []T {
 	if n > s.slabSize {
@@ -165,10 +187,9 @@ func (s *span[T]) carve(n int) []T {
 			s.off = 0
 			continue
 		}
-		if s.maxSlabs > 0 && len(s.slabs) >= s.maxSlabs {
+		if !s.grow(n) {
 			return nil
 		}
-		s.slabs = append(s.slabs, make([]T, s.slabSize))
 	}
 }
 
@@ -188,10 +209,9 @@ func (s *span[T]) carveOne() *T {
 			s.off = 0
 			continue
 		}
-		if s.maxSlabs > 0 && len(s.slabs) >= s.maxSlabs {
+		if !s.grow(1) {
 			return nil
 		}
-		s.slabs = append(s.slabs, make([]T, s.slabSize))
 	}
 }
 

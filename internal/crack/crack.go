@@ -70,6 +70,7 @@ func (k Kind) IsCTI() bool { return k >= KindCondBranch }
 type Desc struct {
 	Kind      Kind
 	NUops     int      // micro-ops emitted for this instruction
+	Bytes     int      // their encoded size (fisa.EncodedLen summed)
 	Cond      x86.Cond // KindCondBranch
 	Target    uint32   // static target of direct CTIs
 	NextPC    uint32   // fall-through PC
@@ -89,9 +90,10 @@ const (
 
 // emitter appends micro-ops tagged with the source PC.
 type emitter struct {
-	buf []fisa.MicroOp
-	pc  uint32
-	n   int
+	buf   []fisa.MicroOp
+	pc    uint32
+	n     int
+	bytes int // encoded size of the n micro-ops
 }
 
 func (e *emitter) emit(u fisa.MicroOp) {
@@ -99,6 +101,7 @@ func (e *emitter) emit(u fisa.MicroOp) {
 	if u.W == 0 {
 		u.W = 4
 	}
+	e.bytes += fisa.EncodedLen(&u)
 	e.buf = append(e.buf, u)
 	e.n++
 }
@@ -265,16 +268,13 @@ func Crack(buf []fisa.MicroOp, in *x86.Inst, pc uint32) ([]fisa.MicroOp, Desc, e
 		switch in.Op {
 		case x86.MUL1, x86.IMUL1:
 			e.crackWideMul(in)
-			d.NUops = e.n
-			return e.buf, d, nil
 		case x86.DIV, x86.IDIV:
 			e.crackDivide(in)
-			d.NUops = e.n
-			return e.buf, d, nil
+		default:
+			e.emit(fisa.MicroOp{Op: fisa.UCALLOUT})
+			d.Kind = KindComplex
 		}
-		e.emit(fisa.MicroOp{Op: fisa.UCALLOUT})
-		d.Kind = KindComplex
-		d.NUops = e.n
+		d.NUops, d.Bytes = e.n, e.bytes
 		return e.buf, d, nil
 	}
 
@@ -436,7 +436,7 @@ func Crack(buf []fisa.MicroOp, in *x86.Inst, pc uint32) ([]fisa.MicroOp, Desc, e
 		return e.buf, d, fmt.Errorf("crack: unsupported op %v", in.Op)
 	}
 
-	d.NUops = e.n
+	d.NUops, d.Bytes = e.n, e.bytes
 	return e.buf, d, nil
 }
 
@@ -736,31 +736,25 @@ func (e *emitter) crackShift(in *x86.Inst, w uint8) {
 	default:
 		immOp, regOp = fisa.USARI, fisa.USAR
 	}
-
-	apply := func(valReg fisa.Reg, dstWrite func(fisa.Reg)) {
-		if in.HasImm {
-			e.emit(fisa.MicroOp{Op: immOp, W: w, SetF: true, Dst: valReg, Src1: valReg, Imm: in.Imm & 31})
-		} else {
-			e.emit(fisa.MicroOp{Op: regOp, W: w, SetF: true, Dst: valReg, Src1: valReg, Src2: fisa.RECX})
-		}
-		if dstWrite != nil {
-			dstWrite(valReg)
-		}
+	// The shift works in place on val: the register itself at width 2
+	// or 4, a temporary holding the byte or the loaded memory operand
+	// otherwise, written back afterwards.
+	sh := fisa.MicroOp{Op: regOp, W: w, SetF: true, Src2: fisa.RECX}
+	if in.HasImm {
+		sh = fisa.MicroOp{Op: immOp, W: w, SetF: true, Imm: in.Imm & 31}
 	}
-
+	val := tVal
+	var base fisa.Reg
+	var disp int32
 	switch {
-	case in.Dst.Kind == x86.KindReg && w == 4:
-		apply(fisa.Reg(in.Dst.Reg), nil)
-	case in.Dst.Kind == x86.KindReg && w == 2:
-		apply(fisa.Reg(in.Dst.Reg), nil)
-	case in.Dst.Kind == x86.KindReg: // w == 1
-		rd := e.byteSrc(in.Dst.Reg)
-		if rd != tVal {
+	case in.Dst.Kind == x86.KindReg && w != 1:
+		val = fisa.Reg(in.Dst.Reg)
+	case in.Dst.Kind == x86.KindReg:
+		if rd := e.byteSrc(in.Dst.Reg); rd != tVal {
 			e.emit(fisa.MicroOp{Op: fisa.UMOV, Dst: tVal, Src1: rd})
 		}
-		apply(tVal, func(r fisa.Reg) { e.byteDst(in.Dst.Reg, r) })
 	default:
-		base, disp := e.addr(in.Dst)
+		base, disp = e.addr(in.Dst)
 		ld := fisa.ULD
 		switch w {
 		case 1:
@@ -769,9 +763,14 @@ func (e *emitter) crackShift(in *x86.Inst, w uint8) {
 			ld = fisa.ULD16Z
 		}
 		e.emit(fisa.MicroOp{Op: ld, Dst: tVal, Src1: base, Imm: disp})
-		apply(tVal, func(r fisa.Reg) {
-			e.emit(fisa.MicroOp{Op: storeOpFor(w), Src1: base, Src2: r, Imm: disp})
-		})
+	}
+	sh.Dst, sh.Src1 = val, val
+	e.emit(sh)
+	switch {
+	case in.Dst.Kind != x86.KindReg:
+		e.emit(fisa.MicroOp{Op: storeOpFor(w), Src1: base, Src2: tVal, Imm: disp})
+	case w == 1:
+		e.byteDst(in.Dst.Reg, tVal)
 	}
 }
 

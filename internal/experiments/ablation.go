@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"codesignvm/internal/fisa"
 	"codesignvm/internal/hwassist"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
@@ -147,17 +146,13 @@ func Table1(n int, seed int64) (*Table1Report, error) {
 			pc = workload.CodeBase + uint32(rng.Intn(len(prog.Code)-32))
 			continue
 		}
-		us, csr, _, err := unit.Translate(mem, pc)
+		us, csr, desc, err := unit.Translate(mem, pc)
 		if err != nil {
 			return nil, err
 		}
 		rep.Instructions++
 		ilen += float64(csr.X86ILen)
-		b := 0
-		for j := range us {
-			b += fisa.EncodedLen(&us[j])
-		}
-		uopBytes += float64(b)
+		uopBytes += float64(desc.Bytes)
 		uops += float64(len(us))
 		if csr.FlagCmplx {
 			rep.ComplexPct++

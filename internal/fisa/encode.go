@@ -44,38 +44,17 @@ const (
 	layBR
 )
 
-func layoutOf(op Op) layout {
-	switch op {
-	case UMOVI, UMOVIU, UORILO:
-		return layIMM16
-	case UBR, UJMP:
-		return layBR
-	case UADDI, USUBI, UANDI, UORI, UXORI, USHLI, USHRI, USARI, UROLI, URORI,
-		ULD, ULD8Z, ULD8S, ULD16Z, ULD16S, UST, UST8, UST16,
-		UCMPI, UTESTI, UEXIT, UCALLOUT:
-		return layRRI
-	default:
-		return layRRR
-	}
-}
+func layoutOf(op Op) layout { return opTable[op].layout }
 
-// compact op table: 16-bit encodable operations with their default SetF.
-var compactOps = [16]struct {
-	op   Op
-	setf bool
-}{
-	{UNOP, false}, {UMOV, false}, {UADD, true}, {USUB, true},
-	{UAND, true}, {UOR, true}, {UXOR, true}, {UCMP, false},
-	{UTEST, false}, {ULD, false}, {UST, false}, {UNEG, true},
-	{UNOT, false}, {UADC, true}, {USBB, true}, {UMUL, true},
-}
-
-var compactIndex = func() map[Op]uint8 {
-	m := make(map[Op]uint8, len(compactOps))
-	for i, c := range compactOps {
-		m[c.op] = uint8(i)
+// compactOps maps the 16-bit form's opcode field back to the micro-op
+// (the inverse of opTable's compact column).
+var compactOps = func() (ops [16]Op) {
+	for op := range opTable {
+		if c := opTable[op].compact; c != 0 {
+			ops[c-1] = Op(op)
+		}
 	}
-	return m
+	return ops
 }()
 
 // FitsImm11 reports whether v is encodable as the signed 11-bit immediate
@@ -90,21 +69,15 @@ func EncodedLen(u *MicroOp) int {
 	return 4
 }
 
+// compactable reports whether u fits the 16-bit form: a compact opcode
+// at width 4 with no immediate, its implied flag behaviour, and — for
+// the two-source ALU ops, which are two-address there — Dst == Src1.
 func compactable(u *MicroOp) bool {
-	idx, ok := compactIndex[u.Op]
-	if !ok {
+	d := &opTable[u.Op]
+	if d.compact == 0 || u.W != 4 || u.Imm != 0 || u.SetF != (d.bits&opCompactSetF != 0) {
 		return false
 	}
-	if u.W != 4 || u.Imm != 0 || u.SetF != compactOps[idx].setf {
-		return false
-	}
-	// Two-source compact ALU ops use a two-address form: dst must equal
-	// src1.
-	switch u.Op {
-	case UADD, USUB, UAND, UOR, UXOR, UADC, USBB, UMUL:
-		return u.Dst == u.Src1
-	}
-	return true
+	return d.bits&opTwoAddr == 0 || u.Dst == u.Src1
 }
 
 func wBits(w uint8) (uint32, error) {
@@ -133,19 +106,19 @@ func wFromBits(b uint32) uint8 {
 // Encode appends the binary encoding of u to buf and returns it.
 func Encode(buf []byte, u *MicroOp) ([]byte, error) {
 	if compactable(u) {
-		idx := compactIndex[u.Op]
+		d := &opTable[u.Op]
 		var a, b Reg
-		switch u.Op {
-		case UST:
+		switch {
+		case u.Op == UST:
 			a, b = u.Src2, u.Src1
-		case UCMP, UTEST:
+		case u.Op == UCMP || u.Op == UTEST:
 			a, b = u.Src1, u.Src2
-		case UADD, USUB, UAND, UOR, UXOR, UADC, USBB, UMUL:
-			a, b = u.Dst, u.Src2 // two-address form (dst == src1)
+		case d.bits&opTwoAddr != 0:
+			a, b = u.Dst, u.Src2 // dst == src1
 		default:
 			a, b = u.Dst, u.Src1
 		}
-		hw := uint16(idx)<<10 | uint16(a&31)<<5 | uint16(b&31)
+		hw := uint16(d.compact-1)<<10 | uint16(a&31)<<5 | uint16(b&31)
 		if u.Fused {
 			hw |= 1 << 15
 		}
@@ -215,11 +188,11 @@ func Decode(buf []byte) (MicroOp, int, error) {
 	hw := uint16(buf[0]) | uint16(buf[1])<<8
 	if hw&(1<<14) == 0 {
 		// 16-bit compact form.
-		c := compactOps[(hw>>10)&0xF]
-		u := MicroOp{Op: c.op, SetF: c.setf, W: 4, Fused: hw&(1<<15) != 0}
+		op := compactOps[(hw>>10)&0xF]
+		u := MicroOp{Op: op, SetF: opTable[op].bits&opCompactSetF != 0, W: 4, Fused: hw&(1<<15) != 0}
 		a := Reg((hw >> 5) & 31)
 		b := Reg(hw & 31)
-		switch c.op {
+		switch op {
 		case UNOP:
 		case UST:
 			u.Src2, u.Src1 = a, b

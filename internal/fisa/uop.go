@@ -229,7 +229,7 @@ func (u MicroOp) String() string {
 	case UCMPI, UTESTI:
 		return fmt.Sprintf("%s %v, %d", s, u.Src1, u.Imm)
 	}
-	if isImmALU(u.Op) {
+	if opTable[u.Op].bits&opImmALU != 0 {
 		return fmt.Sprintf("%s %v, %v, %d", s, u.Dst, u.Src1, u.Imm)
 	}
 	switch u.Op {
@@ -240,112 +240,210 @@ func (u MicroOp) String() string {
 	return fmt.Sprintf("%s %v, %v, %v", s, u.Dst, u.Src1, u.Src2)
 }
 
-func isImmALU(op Op) bool {
-	switch op {
-	case UADDI, USUBI, UANDI, UORI, UXORI, USHLI, USHRI, USARI, UROLI, URORI:
-		return true
-	}
-	return false
+// srcShape names the register fields a micro-op reads, in the order
+// Sources reports them.
+type srcShape uint8
+
+const (
+	srcNone   srcShape = iota
+	srcS1              // Src1
+	srcS1S2            // Src1, Src2
+	srcDst             // Dst: UORILO ors into its destination
+	srcS1Dst           // Src1, Dst: UCMOV keeps Dst when the condition fails
+	srcDstS1           // Dst, Src1: UINS8H merges a byte into Dst
+	srcS1AXDX          // Src1, EAX, EDX: the divide assists' implicit dividend
+	srcS1Opt           // Src1 when non-zero: UEXIT's indirect-target register
+)
+
+// LatClass selects the pipeline latency parameter a micro-op's result
+// takes (loads are not a class: their latency comes from the hierarchy).
+type LatClass uint8
+
+// Latency classes.
+const (
+	LatALU LatClass = iota
+	LatMul
+	LatDiv
+)
+
+// Per-opcode property bits. The two ...IfSetF flag bits sit two above
+// their unconditional twins so FlagUse can fold them in with one shift.
+const (
+	opReadsFlags uint16 = 1 << iota
+	opWritesFlags
+	opReadsFlagsIfSetF
+	opWritesFlagsIfSetF
+	opLoad
+	opStore
+	opBranch
+	opHasDst
+	opHead        // single-cycle ALU: may head a macro-op pair
+	opImmALU      // dst = src1 OP imm (printing only)
+	opCompactSetF // the 16-bit form implies SetF
+	opTwoAddr     // the 16-bit form needs Dst == Src1
+
+	// Flag behaviour of the opcode families.
+	flagsPlain  = opWritesFlagsIfSetF                      // writes when SetF
+	flagsCarry  = opReadsFlags | opWritesFlagsIfSetF       // ADC/SBB consume CF
+	flagsMerge  = opReadsFlagsIfSetF | opWritesFlagsIfSetF // partial update: INC/DEC keep CF, shifts and rotates may keep all
+	flagsTest   = opWritesFlags                            // compare/test always write
+	flagsCond   = opReadsFlags                             // branch/set/cmov on a condition
+	flagsOpaque = opReadsFlags | opWritesFlags             // callout: whole architected state
+)
+
+// opInfo is one opcode's row of the descriptor table: everything the
+// encoder, the fusion rules and the timing model need to know about a
+// micro-op beyond its operand values.
+type opInfo struct {
+	bits     uint16
+	src      srcShape
+	lat      LatClass
+	layout   layout
+	compact  uint8 // 1 + index of the 16-bit compact form; 0: none
+	memWidth uint8 // access width of loads and stores
+}
+
+// Row shorthands: destination-writing single-cycle ALU micro-ops.
+const (
+	alu  = opHasDst | opHead | flagsPlain
+	aluI = alu | opImmALU // dst = src1 OP imm
+)
+
+// opTable is the single place micro-op properties live. It is sized for
+// the whole uint8 opcode space so indexing it needs no bounds check;
+// rows past UXLT are zero (no sources, no destination, no flags).
+var opTable = [256]opInfo{
+	UNOP: {bits: flagsPlain, compact: 1 + 0},
+
+	UMOVI:  {bits: alu, layout: layIMM16},
+	UMOVIU: {bits: alu, layout: layIMM16},
+	UORILO: {bits: alu, src: srcDst, layout: layIMM16},
+
+	UMOV: {bits: alu, src: srcS1, compact: 1 + 1},
+	UADD: {bits: alu | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 2},
+	USUB: {bits: alu | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 3},
+	UADC: {bits: opHasDst | opHead | flagsCarry | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 13},
+	USBB: {bits: opHasDst | opHead | flagsCarry | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 14},
+	UAND: {bits: alu | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 4},
+	UOR:  {bits: alu | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 5},
+	UXOR: {bits: alu | opCompactSetF | opTwoAddr, src: srcS1S2, compact: 1 + 6},
+	USHL: {bits: opHasDst | flagsMerge, src: srcS1S2},
+	USHR: {bits: opHasDst | flagsMerge, src: srcS1S2},
+	USAR: {bits: opHasDst | flagsMerge, src: srcS1S2},
+	UROL: {bits: opHasDst | flagsMerge, src: srcS1S2},
+	UROR: {bits: opHasDst | flagsMerge, src: srcS1S2},
+	UMUL: {bits: opHasDst | flagsPlain | opCompactSetF | opTwoAddr, src: srcS1S2, lat: LatMul, compact: 1 + 15},
+	UNEG: {bits: alu | opCompactSetF, src: srcS1, compact: 1 + 11},
+	UNOT: {bits: alu, src: srcS1, compact: 1 + 12},
+	UINC: {bits: opHasDst | opHead | flagsMerge, src: srcS1},
+	UDEC: {bits: opHasDst | opHead | flagsMerge, src: srcS1},
+
+	UMULHU: {bits: opHasDst | flagsPlain, src: srcS1S2, lat: LatMul},
+	UMULHS: {bits: opHasDst | flagsPlain, src: srcS1S2, lat: LatMul},
+	UDIVQ:  {bits: opHasDst | flagsPlain, src: srcS1AXDX, lat: LatDiv},
+	UDIVR:  {bits: opHasDst | flagsPlain, src: srcS1AXDX, lat: LatDiv},
+	UIDIVQ: {bits: opHasDst | flagsPlain, src: srcS1AXDX, lat: LatDiv},
+	UIDIVR: {bits: opHasDst | flagsPlain, src: srcS1AXDX, lat: LatDiv},
+
+	UADDI: {bits: aluI, src: srcS1, layout: layRRI},
+	USUBI: {bits: aluI, src: srcS1, layout: layRRI},
+	UANDI: {bits: aluI, src: srcS1, layout: layRRI},
+	UORI:  {bits: aluI, src: srcS1, layout: layRRI},
+	UXORI: {bits: aluI, src: srcS1, layout: layRRI},
+	USHLI: {bits: aluI, src: srcS1, layout: layRRI},
+	USHRI: {bits: aluI, src: srcS1, layout: layRRI},
+	USARI: {bits: aluI, src: srcS1, layout: layRRI},
+	UROLI: {bits: opHasDst | opHead | opImmALU | flagsMerge, src: srcS1, layout: layRRI},
+	URORI: {bits: opHasDst | opHead | opImmALU | flagsMerge, src: srcS1, layout: layRRI},
+
+	UEXT8H:  {bits: alu, src: srcS1},
+	UINS8H:  {bits: alu, src: srcDstS1},
+	USEXT8:  {bits: alu, src: srcS1},
+	USEXT16: {bits: alu, src: srcS1},
+	UZEXT8:  {bits: alu, src: srcS1},
+	UZEXT16: {bits: alu, src: srcS1},
+
+	ULD:    {bits: opHasDst | opLoad | flagsPlain, src: srcS1, layout: layRRI, memWidth: 4, compact: 1 + 9},
+	ULD8Z:  {bits: opHasDst | opLoad | flagsPlain, src: srcS1, layout: layRRI, memWidth: 1},
+	ULD8S:  {bits: opHasDst | opLoad | flagsPlain, src: srcS1, layout: layRRI, memWidth: 1},
+	ULD16Z: {bits: opHasDst | opLoad | flagsPlain, src: srcS1, layout: layRRI, memWidth: 2},
+	ULD16S: {bits: opHasDst | opLoad | flagsPlain, src: srcS1, layout: layRRI, memWidth: 2},
+	UST:    {bits: opStore | flagsPlain, src: srcS1S2, layout: layRRI, memWidth: 4, compact: 1 + 10},
+	UST8:   {bits: opStore | flagsPlain, src: srcS1S2, layout: layRRI, memWidth: 1},
+	UST16:  {bits: opStore | flagsPlain, src: srcS1S2, layout: layRRI, memWidth: 2},
+
+	UCMP:   {bits: opHead | flagsTest, src: srcS1S2, compact: 1 + 7},
+	UCMPI:  {bits: opHead | flagsTest, src: srcS1, layout: layRRI},
+	UTEST:  {bits: opHead | flagsTest, src: srcS1S2, compact: 1 + 8},
+	UTESTI: {bits: opHead | flagsTest, src: srcS1, layout: layRRI},
+
+	USETC: {bits: opHasDst | flagsCond},
+	UCMOV: {bits: opHasDst | opHead | flagsCond, src: srcS1Dst},
+
+	UBR:      {bits: opBranch | flagsCond, layout: layBR},
+	UJMP:     {bits: opBranch | flagsPlain, layout: layBR},
+	UEXIT:    {bits: opBranch | flagsPlain, src: srcS1Opt, layout: layRRI},
+	UCALLOUT: {bits: opBranch | flagsOpaque, layout: layRRI},
+
+	// UXLT names no register, but the issue model has always treated it
+	// as writing Dst (r0); the bit keeps replayed timing identical.
+	UXLT: {bits: opHasDst | flagsPlain},
 }
 
 // IsLoad reports whether the micro-op reads memory.
-func (u *MicroOp) IsLoad() bool {
-	switch u.Op {
-	case ULD, ULD8Z, ULD8S, ULD16Z, ULD16S:
-		return true
-	}
-	return false
-}
+func (u *MicroOp) IsLoad() bool { return opTable[u.Op].bits&opLoad != 0 }
 
 // IsStore reports whether the micro-op writes memory.
-func (u *MicroOp) IsStore() bool {
-	switch u.Op {
-	case UST, UST8, UST16:
-		return true
-	}
-	return false
-}
+func (u *MicroOp) IsStore() bool { return opTable[u.Op].bits&opStore != 0 }
 
 // IsBranch reports whether the micro-op transfers control.
-func (u *MicroOp) IsBranch() bool {
-	switch u.Op {
-	case UBR, UJMP, UEXIT, UCALLOUT:
-		return true
-	}
-	return false
-}
+func (u *MicroOp) IsBranch() bool { return opTable[u.Op].bits&opBranch != 0 }
 
 // MemWidth returns the access width of a memory micro-op in bytes.
 func (u *MicroOp) MemWidth() uint8 {
-	switch u.Op {
-	case ULD8Z, ULD8S, UST8:
-		return 1
-	case ULD16Z, ULD16S, UST16:
-		return 2
-	default:
-		return 4
+	if w := opTable[u.Op].memWidth; w != 0 {
+		return w
 	}
+	return 4
 }
 
 // HasDst reports whether the micro-op writes a destination register.
-func (u *MicroOp) HasDst() bool {
-	switch u.Op {
-	case UNOP, UST, UST8, UST16, UCMP, UCMPI, UTEST, UTESTI, UBR, UJMP, UEXIT, UCALLOUT:
-		return false
+func (u *MicroOp) HasDst() bool { return opTable[u.Op].bits&opHasDst != 0 }
+
+// FlagUse reports whether the micro-op consumes and whether it updates
+// the condition flags, as the issue model sees them.
+func (u *MicroOp) FlagUse() (reads, writes bool) {
+	b := opTable[u.Op].bits
+	if u.SetF {
+		b |= b >> 2
 	}
-	return true
+	return b&opReadsFlags != 0, b&opWritesFlags != 0
 }
+
+// Latency returns the opcode's result-latency class.
+func (o Op) Latency() LatClass { return opTable[o].lat }
 
 // Sources appends the registers the micro-op reads to dst and returns it.
 func (u *MicroOp) Sources(dst []Reg) []Reg {
-	switch u.Op {
-	case UNOP, UMOVI, UMOVIU, UEXIT, UJMP, UBR, UCALLOUT, UXLT, USETC:
-		// UEXIT for indirect targets reads Src1; handled below.
-		if u.Op == UEXIT && u.Src1 != 0 {
-			dst = append(dst, u.Src1)
-		}
-		return dst
-	case UORILO:
-		return append(dst, u.Dst)
-	case UCMOV:
-		return append(dst, u.Src1, u.Dst)
-	case UMOV, UNEG, UNOT, UINC, UDEC, USEXT8, USEXT16, UZEXT8, UZEXT16, UEXT8H,
-		ULD, ULD8Z, ULD8S, ULD16Z, ULD16S, UCMPI, UTESTI:
+	switch opTable[u.Op].src {
+	case srcS1:
 		return append(dst, u.Src1)
-	case UINS8H:
-		return append(dst, u.Dst, u.Src1)
-	case UST, UST8, UST16, UCMP, UTEST:
+	case srcS1S2:
 		return append(dst, u.Src1, u.Src2)
-	case UDIVQ, UDIVR, UIDIVQ, UIDIVR:
+	case srcDst:
+		return append(dst, u.Dst)
+	case srcS1Dst:
+		return append(dst, u.Src1, u.Dst)
+	case srcDstS1:
+		return append(dst, u.Dst, u.Src1)
+	case srcS1AXDX:
 		return append(dst, u.Src1, REAX, REDX)
+	case srcS1Opt:
+		if u.Src1 != 0 {
+			return append(dst, u.Src1)
+		}
 	}
-	if isImmALU(u.Op) {
-		return append(dst, u.Src1)
-	}
-	// Three-register ALU.
-	return append(dst, u.Src1, u.Src2)
-}
-
-// readsFlags reports whether the micro-op consumes the condition flags.
-func (u *MicroOp) readsFlags() bool {
-	switch u.Op {
-	case UADC, USBB, UBR, USETC, UCMOV:
-		return true
-	}
-	return false
-}
-
-// singleCycleALU reports whether the micro-op is a one-cycle ALU
-// operation eligible to head a macro-op pair.
-func (u *MicroOp) singleCycleALU() bool {
-	switch u.Op {
-	case UMOV, UMOVI, UMOVIU, UORILO, UADD, USUB, UAND, UOR, UXOR,
-		UADDI, USUBI, UANDI, UORI, UXORI, USHLI, USHRI, USARI, UROLI, URORI,
-		UNEG, UNOT, UINC, UDEC, USEXT8, USEXT16, UZEXT8, UZEXT16, UEXT8H, UINS8H,
-		UCMP, UCMPI, UTEST, UTESTI, UADC, USBB, UCMOV:
-		return true
-	}
-	return false
+	return dst
 }
 
 // CanFuse reports whether head and tail may be fused into a macro-op.
@@ -358,8 +456,8 @@ func CanFuse(head, tail *MicroOp) bool {
 	if head.Fused || tail.Fused {
 		return false
 	}
-	if !head.singleCycleALU() {
-		return false
+	if opTable[head.Op].bits&opHead == 0 {
+		return false // not a single-cycle ALU micro-op
 	}
 	if tail.Op == UEXIT || tail.Op == UCALLOUT || tail.Op == UJMP || tail.Op == UXLT || tail.Op == UNOP {
 		return false

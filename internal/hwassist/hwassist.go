@@ -86,10 +86,7 @@ func (u *XLTUnit) Translate(mem *x86.Memory, pc uint32) ([]fisa.MicroOp, CSR, cr
 	if err != nil {
 		return nil, csr, desc, err
 	}
-	bytes := 0
-	for i := range uops {
-		bytes += fisa.EncodedLen(&uops[i])
-	}
+	bytes := desc.Bytes
 	if bytes > FsrcBytes {
 		// Result does not fit in Fdst: flagged complex, software handles
 		// it (the content is identical; only the cost differs).

@@ -3,6 +3,8 @@ package machine
 import (
 	"testing"
 
+	"codesignvm/internal/codecache"
+	"codesignvm/internal/fisa"
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
@@ -94,5 +96,50 @@ func TestRunConfigOverride(t *testing.T) {
 	}
 	if res.SBTTranslations != 0 {
 		t.Errorf("threshold override ignored: %d superblocks", res.SBTTranslations)
+	}
+}
+
+// TestEncodedSizesMatchEncoder: for every micro-op of every translation
+// (basic blocks and superblocks) the three benchmark applications leave
+// in the code caches, Encode produces exactly EncodedLen bytes, and the
+// running size the translators keep while emitting equals the encoded
+// image's length.
+func TestEncodedSizesMatchEncoder(t *testing.T) {
+	for _, app := range []string{"Word", "Winzip", "Project"} {
+		prog, err := workload.App(app, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm := NewVM(VMSoft, prog)
+		if _, err := vm.Run(2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		bbtC, sbtC := vm.Caches()
+		blocks, uops := 0, 0
+		for _, c := range []*codecache.Cache{bbtC, sbtC} {
+			c.ForEach(func(tr *codecache.Translation) {
+				blocks++
+				var image []byte
+				for i := range tr.Uops {
+					before := len(image)
+					var err error
+					if image, err = fisa.Encode(image, &tr.Uops[i]); err != nil {
+						t.Fatalf("%s %#x µop %d (%v): %v", app, tr.EntryPC, i, tr.Uops[i], err)
+					}
+					if got, want := len(image)-before, fisa.EncodedLen(&tr.Uops[i]); got != want {
+						t.Fatalf("%s %#x µop %d (%v): encoded %d bytes, EncodedLen %d", app, tr.EntryPC, i, tr.Uops[i], got, want)
+					}
+					uops++
+				}
+				if tr.Size != len(image) || tr.NumUops != len(tr.Uops) {
+					t.Fatalf("%s %v %#x: Size %d NumUops %d, encoded %d bytes of %d µops",
+						app, tr.Kind, tr.EntryPC, tr.Size, tr.NumUops, len(image), len(tr.Uops))
+				}
+			})
+		}
+		if sbtC.Len() == 0 || blocks < 100 {
+			t.Fatalf("%s: only %d translations (%d superblocks): the run is too short to mean anything", app, blocks, sbtC.Len())
+		}
+		t.Logf("%s: %d translations, %d µops", app, blocks, uops)
 	}
 }

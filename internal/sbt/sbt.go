@@ -132,32 +132,31 @@ func (fo *Former) Form(mem *x86.Memory, entry uint32, edges *profile.EdgeProfile
 			next++
 		}
 	}
-	for i := range body {
-		if body[i].Op == fisa.UBR {
-			body[i].Imm = pos[body[i].Imm]
-		}
-	}
-	uops := body
-	tramp := func(exitIdx int32) {
-		e := &t.Exits[exitIdx]
-		uops = append(uops, fisa.MicroOp{
-			Op: fisa.UEXIT, W: 4, Imm: exitIdx, Src1: e.TargetReg,
-		})
-	}
-	tramp(terminal)
+	uops := append(body, trampoline(t, terminal))
 	for i := range t.Exits {
 		if int32(i) != terminal {
-			tramp(int32(i))
+			uops = append(uops, trampoline(t, int32(i)))
 		}
+	}
+	// One walk patches the branches and sizes the superblock (the
+	// passes above change which micro-ops fit the 16-bit form, so the
+	// crackers' running size does not survive them).
+	size := 0
+	for i := range uops {
+		if uops[i].Op == fisa.UBR {
+			uops[i].Imm = pos[uops[i].Imm]
+		}
+		size += fisa.EncodedLen(&uops[i])
 	}
 	t.Uops = uops
 	t.NumUops = len(uops)
-	size := 0
-	for i := range t.Uops {
-		size += fisa.EncodedLen(&t.Uops[i])
-	}
 	t.Size = size
 	return t, nil
+}
+
+// trampoline is the exit micro-op for exit descriptor exitIdx of t.
+func trampoline(t *codecache.Translation, exitIdx int32) fisa.MicroOp {
+	return fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: exitIdx, Src1: t.Exits[exitIdx].TargetReg}
 }
 
 // follow walks the hot path from entry, cracking instructions into

@@ -255,7 +255,7 @@ func (e *Engine) ChargeRange(uops []fisa.MicroOp, lo, hi int) {
 					src = r
 				}
 			}
-			if readsWritesFlags(m).reads && e.flagReady > src {
+			if reads, _ := m.FlagUse(); reads && e.flagReady > src {
 				src = e.flagReady
 			}
 		}
@@ -268,10 +268,10 @@ func (e *Engine) ChargeRange(uops []fisa.MicroOp, lo, hi int) {
 		if pair != nil {
 			lat = float64(e.P.PairLatency)
 		}
-		switch {
-		case u.Op == fisa.UMUL || u.Op == fisa.UMULHU || u.Op == fisa.UMULHS:
+		switch u.Op.Latency() {
+		case fisa.LatMul:
 			lat = float64(e.P.MulLatency)
-		case u.Op == fisa.UDIVQ || u.Op == fisa.UDIVR || u.Op == fisa.UIDIVQ || u.Op == fisa.UIDIVR:
+		case fisa.LatDiv:
 			lat = float64(e.P.DivLatency)
 		}
 		consumeLoad := func(m *fisa.MicroOp) {
@@ -290,7 +290,7 @@ func (e *Engine) ChargeRange(uops []fisa.MicroOp, lo, hi int) {
 			if m.HasDst() {
 				e.regReady[m.Dst] = complete
 			}
-			if readsWritesFlags(m).writes {
+			if _, writes := m.FlagUse(); writes {
 				e.flagReady = complete
 			}
 		}
@@ -353,7 +353,8 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 			// The range cuts a fused pair after its head: the head
 			// executes as a standalone entity (rare; mirrors the
 			// i+1 <= hi pairing guard of the reference replay).
-			sm := entityMeta(&uops[i], nil, e.P)
+			var sm codecache.UopMeta
+			fillMeta(&sm, &uops[i], nil, &e.P)
 			m = &sm
 		}
 
@@ -419,63 +420,60 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 	e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 }
 
-// entityMeta computes the issue-entity shape for the micro-op u (paired
-// with pair when non-nil) under parameters p. It encodes exactly the
-// per-entity work of ChargeRange: filtered sources, flag behaviour,
+// fillMeta writes into m the issue-entity shape of the micro-op u
+// (paired with pair when non-nil) under parameters p. It encodes exactly
+// the per-entity work of ChargeRange: filtered sources, flag behaviour,
 // base latency, load/branch event consumption and destinations.
-func entityMeta(u, pair *fisa.MicroOp, p Params) codecache.UopMeta {
-	var m codecache.UopMeta
-	m.Step = 1
-	var srcBuf [3]fisa.Reg
-	add := func(mo *fisa.MicroOp) {
-		for _, s := range mo.Sources(srcBuf[:0]) {
-			if pair != nil && mo == pair && u.HasDst() && s == u.Dst {
+func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
+	*m = codecache.UopMeta{Step: 1, Lat: 1}
+	m.NSrc = uint8(len(u.Sources(m.Srcs[:0])))
+	m.Bits = eventBits(u)
+	if u.HasDst() {
+		m.Bits |= codecache.MetaHasDst1
+		m.Dst1 = u.Dst
+	}
+	if pair != nil {
+		m.Step = 2
+		m.Lat = float64(p.PairLatency)
+		var buf [3]fisa.Reg
+		for _, s := range pair.Sources(buf[:0]) {
+			if s == u.Dst && u.HasDst() {
 				continue // collapsed intra-pair dependence
 			}
 			m.Srcs[m.NSrc] = s
 			m.NSrc++
 		}
-		fe := readsWritesFlags(mo)
-		if fe.reads {
-			m.Bits |= codecache.MetaReadsFlags
-		}
-		if fe.writes {
-			m.Bits |= codecache.MetaWritesFlags
+		m.Bits |= eventBits(pair)
+		if pair.HasDst() {
+			m.Bits |= codecache.MetaHasDst2
+			m.Dst2 = pair.Dst
 		}
 	}
-	add(u)
-	if pair != nil {
-		m.Step = 2
-		add(pair)
+	switch u.Op.Latency() {
+	case fisa.LatMul:
+		m.Lat = float64(p.MulLatency)
+	case fisa.LatDiv:
+		m.Lat = float64(p.DivLatency)
 	}
+}
 
-	lat := 1.0
-	if pair != nil {
-		lat = float64(p.PairLatency)
+// eventBits returns the Meta bits one micro-op contributes to its
+// entity whichever slot it is in: flag use, load and branch events.
+func eventBits(u *fisa.MicroOp) (bits uint8) {
+	reads, writes := u.FlagUse()
+	if reads {
+		bits |= codecache.MetaReadsFlags
 	}
-	switch {
-	case u.Op == fisa.UMUL || u.Op == fisa.UMULHU || u.Op == fisa.UMULHS:
-		lat = float64(p.MulLatency)
-	case u.Op == fisa.UDIVQ || u.Op == fisa.UDIVR || u.Op == fisa.UIDIVQ || u.Op == fisa.UIDIVR:
-		lat = float64(p.DivLatency)
+	if writes {
+		bits |= codecache.MetaWritesFlags
 	}
-	m.Lat = lat
-
-	if u.IsLoad() || (pair != nil && pair.IsLoad()) {
-		m.Bits |= codecache.MetaHasLoad
+	if u.IsLoad() {
+		bits |= codecache.MetaHasLoad
 	}
-	if u.HasDst() {
-		m.Bits |= codecache.MetaHasDst1
-		m.Dst1 = u.Dst
+	if u.Op == fisa.UBR {
+		bits |= codecache.MetaIsBranch
 	}
-	if pair != nil && pair.HasDst() {
-		m.Bits |= codecache.MetaHasDst2
-		m.Dst2 = pair.Dst
-	}
-	if u.Op == fisa.UBR || (pair != nil && pair.Op == fisa.UBR) {
-		m.Bits |= codecache.MetaIsBranch
-	}
-	return m
+	return bits
 }
 
 // Serialize models a full pipeline drain: issue stops until everything
@@ -487,91 +485,28 @@ func (e *Engine) Serialize() {
 }
 
 // AnalyzeWith computes the static issue shape under explicit parameters
-// (entities, fused pairs, dependence depth, cycles-per-entity bound).
-// The dynamic model does not use CPE; it is kept for reporting and for
-// the analytical model package.
+// (entities, fused pairs, dependence depth, cycles-per-entity bound) and
+// fills the per-micro-op entity metadata ChargeBlock replays, in one
+// walk. The dynamic model does not use CPE; it is kept for reporting and
+// for the analytical model package.
 func AnalyzeWith(t *codecache.Translation, p Params) {
-	var regLevel [fisa.NumRegs]int
-	flagLevel := 0
-	depth := 0
-	entities := 0
-	pairs := 0
-
-	var srcBuf [3]fisa.Reg
 	uops := t.Uops
-	for i := 0; i < len(uops); i++ {
-		u := &uops[i]
-		entities++
-
-		var pair *fisa.MicroOp
-		if u.Fused && i+1 < len(uops) {
-			pair = &uops[i+1]
-			pairs++
-		}
-
-		ready := 0
-		consider := func(m *fisa.MicroOp) {
-			for _, s := range m.Sources(srcBuf[:0]) {
-				if pair != nil && m == pair && u.HasDst() && s == u.Dst {
-					continue
-				}
-				if int(s) < len(regLevel) && regLevel[s] > ready {
-					ready = regLevel[s]
-				}
-			}
-			fe := readsWritesFlags(m)
-			if fe.reads && flagLevel > ready {
-				ready = flagLevel
-			}
-		}
-		consider(u)
-		if pair != nil {
-			consider(pair)
-		}
-
-		lat := 1
-		if pair != nil {
-			lat = p.PairLatency
-		}
-		if u.IsLoad() || (pair != nil && pair.IsLoad()) {
-			lat = p.LoadLatency
-		}
-		if u.Op == fisa.UMUL || (pair != nil && pair.Op == fisa.UMUL) {
-			lat = p.MulLatency
-		}
-		switch u.Op {
-		case fisa.UDIVQ, fisa.UDIVR, fisa.UIDIVQ, fisa.UIDIVR:
-			lat = p.DivLatency
-		}
-		done := ready + lat
-		if done > depth {
-			depth = done
-		}
-
-		apply := func(m *fisa.MicroOp) {
-			if m.HasDst() {
-				regLevel[m.Dst] = done
-			}
-			if readsWritesFlags(m).writes {
-				flagLevel = done
-			}
-		}
-		apply(u)
-		if pair != nil {
-			apply(pair)
-			i++
-		}
-	}
-
-	// Fill the per-micro-op entity metadata consumed by ChargeBlock.
-	// Every index gets an entry — pair tails too, describing the tail as
-	// a standalone entity, which is what a replay entering mid-pair runs.
 	if cap(t.Meta) >= len(uops) {
 		t.Meta = t.Meta[:len(uops)]
 	} else {
 		t.Meta = make([]codecache.UopMeta, len(uops))
 	}
+	meta := t.Meta
+
+	// Static dependence levels, in entity latencies. Indexed through
+	// regMask (the encodable register space), so no bounds checks.
+	const regMask = fisa.NumRegs - 1
+	var regLevel [fisa.NumRegs]int
+	flagLevel := 0
+	depth, entities, pairs := 0, 0, 0
 	fast := true
+	head := 0 // index of the next entity head; pair tails are skipped
+
 	for i := range uops {
 		u := &uops[i]
 		if u.Op == fisa.UJMP {
@@ -581,11 +516,59 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 			// path. Translators emit none today.
 			fast = false
 		}
+		// Every index gets an entry — pair tails too, describing the tail
+		// as a standalone entity, which is what a replay entering
+		// mid-pair runs.
 		var pair *fisa.MicroOp
 		if u.Fused && i+1 < len(uops) {
 			pair = &uops[i+1]
 		}
-		t.Meta[i] = entityMeta(u, pair, p)
+		m := &meta[i]
+		fillMeta(m, u, pair, &p)
+		if i != head {
+			continue
+		}
+		head += int(m.Step)
+		entities++
+
+		// The depth statistic has its own latency rule: loads count at
+		// the L1 latency and only the low multiply counts as one.
+		ready := 0
+		for _, s := range m.Srcs[:m.NSrc] {
+			if l := regLevel[s&regMask]; l > ready {
+				ready = l
+			}
+		}
+		if m.Bits&codecache.MetaReadsFlags != 0 && flagLevel > ready {
+			ready = flagLevel
+		}
+		lat := 1
+		if pair != nil {
+			pairs++
+			lat = p.PairLatency
+		}
+		if m.Bits&codecache.MetaHasLoad != 0 {
+			lat = p.LoadLatency
+		}
+		if u.Op == fisa.UMUL || (pair != nil && pair.Op == fisa.UMUL) {
+			lat = p.MulLatency
+		}
+		if u.Op.Latency() == fisa.LatDiv {
+			lat = p.DivLatency
+		}
+		done := ready + lat
+		if done > depth {
+			depth = done
+		}
+		if m.Bits&codecache.MetaHasDst1 != 0 {
+			regLevel[m.Dst1&regMask] = done
+		}
+		if m.Bits&codecache.MetaHasDst2 != 0 {
+			regLevel[m.Dst2&regMask] = done
+		}
+		if m.Bits&codecache.MetaWritesFlags != 0 {
+			flagLevel = done
+		}
 	}
 	t.FastExec = fast
 
@@ -602,25 +585,6 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 	} else {
 		t.CPE = 1
 	}
-}
-
-type flagRW struct{ reads, writes bool }
-
-func readsWritesFlags(u *fisa.MicroOp) flagRW {
-	switch u.Op {
-	case fisa.UCMP, fisa.UCMPI, fisa.UTEST, fisa.UTESTI:
-		return flagRW{writes: true}
-	case fisa.UADC, fisa.USBB:
-		return flagRW{reads: true, writes: u.SetF}
-	case fisa.UINC, fisa.UDEC, fisa.USHL, fisa.USHR, fisa.USAR,
-		fisa.UROL, fisa.UROR, fisa.UROLI, fisa.URORI:
-		return flagRW{reads: u.SetF, writes: u.SetF}
-	case fisa.UBR, fisa.USETC, fisa.UCMOV:
-		return flagRW{reads: true}
-	case fisa.UCALLOUT:
-		return flagRW{reads: true, writes: true}
-	}
-	return flagRW{writes: u.SetF}
 }
 
 // FetchCycles charges the instruction fetch of size bytes at addr and

@@ -22,6 +22,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -135,8 +136,17 @@ func (p *Program) Memory() *x86.Memory {
 	mem := x86.NewMemory()
 	mem.WriteBytes(CodeBase, p.Code)
 	rng := rand.New(rand.NewSource(p.Params.Seed * 7919))
-	for off := 0; off < p.DataWS; off += 4 {
-		mem.Write32(DataBase+uint32(off), rng.Uint32())
+	// One little-endian word per four bytes of working set (a trailing
+	// partial word is written whole), staged a page at a time.
+	var buf [x86.PageSize]byte
+	words := (p.DataWS + 3) / 4
+	for done := 0; done < words; {
+		n := min(words-done, len(buf)/4)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(buf[4*i:], rng.Uint32())
+		}
+		mem.WriteBytes(DataBase+uint32(4*done), buf[:4*n])
+		done += n
 	}
 	return mem
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"codesignvm/internal/interp"
@@ -172,6 +173,23 @@ func TestMemoryLayout(t *testing.T) {
 	}
 	if zero > 30 {
 		t.Errorf("data region looks uninitialized (%d zero words)", zero)
+	}
+	// The image is defined word by word: code bytes at CodeBase, then one
+	// draw of the seeded generator per data word and nothing past them.
+	for i, b := range prog.Code {
+		if got := mem.Read8(CodeBase + uint32(i)); got != b {
+			t.Fatalf("code byte %d = %#x, want %#x", i, got, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(prog.Params.Seed * 7919))
+	for off := 0; off < prog.DataWS; off += 4 {
+		if got, want := mem.Read32(DataBase+uint32(off)), rng.Uint32(); got != want {
+			t.Fatalf("data word at +%#x = %#x, want %#x", off, got, want)
+		}
+	}
+	pages := (len(prog.Code)+x86.PageSize-1)/x86.PageSize + (prog.DataWS+x86.PageSize-1)/x86.PageSize
+	if mem.MappedPages() != pages {
+		t.Errorf("image maps %d pages, want %d", mem.MappedPages(), pages)
 	}
 	st := prog.InitState()
 	if st.EIP != prog.Entry || st.R[x86.ESP] != StackTop {

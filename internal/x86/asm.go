@@ -153,11 +153,16 @@ func sibByte(scale, index, base uint8) byte {
 	return ss<<6 | index<<3 | base
 }
 
-// aluBase maps ALU mnemonics to the base opcode of their 0x00-0x38 row.
-var aluBase = map[Op]uint8{ADD: 0x00, OR: 0x08, ADC: 0x10, SBB: 0x18, AND: 0x20, SUB: 0x28, XOR: 0x30, CMP: 0x38}
-
-// aluGroup maps ALU mnemonics to their /digit in the 0x80 group.
-var aluGroup = map[Op]uint8{ADD: 0, OR: 1, ADC: 2, SBB: 3, AND: 4, SUB: 5, XOR: 6, CMP: 7}
+// aluDigit returns an ALU mnemonic's /digit in the 0x80 group, which
+// is also the index of its 0x00-0x38 opcode row.
+func aluDigit(op Op) (uint8, bool) {
+	for digit, row := range groups[grp1] {
+		if row.op == op {
+			return uint8(digit), true
+		}
+	}
+	return 0, false
+}
 
 func (a *Asm) prefixFor(width uint8) uint8 {
 	if width == 2 {
@@ -169,11 +174,12 @@ func (a *Asm) prefixFor(width uint8) uint8 {
 // ALU emits op dst, src at the given width, where exactly one of dst and
 // src may be a memory operand.
 func (a *Asm) ALU(op Op, width uint8, dst, src Operand) {
-	base, ok := aluBase[op]
+	digit, ok := aluDigit(op)
 	if !ok {
 		a.setErr("asm: %v is not a two-operand ALU op", op)
 		return
 	}
+	base := digit << 3
 	a.prefixFor(width)
 	wbit := uint8(1)
 	if width == 1 {
@@ -193,7 +199,7 @@ func (a *Asm) ALU(op Op, width uint8, dst, src Operand) {
 
 // ALUI emits op dst, imm at the given width.
 func (a *Asm) ALUI(op Op, width uint8, dst Operand, imm int32) {
-	digit, ok := aluGroup[op]
+	digit, ok := aluDigit(op)
 	if !ok {
 		a.setErr("asm: %v is not an ALU-immediate op", op)
 		return

@@ -155,18 +155,32 @@ func (m *Memory) WriteWidth(addr uint32, v uint32, width uint8) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into dst and returns dst.
+// ReadBytes copies len(dst) bytes starting at addr into dst and returns
+// dst, one page-sized run at a time; unmapped pages read as zeros and
+// the range wraps at 2^32.
 func (m *Memory) ReadBytes(addr uint32, dst []byte) []byte {
-	for i := range dst {
-		dst[i] = m.Read8(addr + uint32(i))
+	for rest := dst; len(rest) > 0; {
+		off := addr % PageSize
+		n := min(len(rest), int(PageSize-off))
+		if p := m.lookup(addr); p != nil {
+			copy(rest[:n], p[off:])
+		} else {
+			clear(rest[:n])
+		}
+		rest = rest[n:]
+		addr += uint32(n)
 	}
 	return dst
 }
 
-// WriteBytes stores b at addr.
+// WriteBytes stores b at addr, one page-sized run at a time, allocating
+// pages on demand; the range wraps at 2^32.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
-	for i, v := range b {
-		m.Write8(addr+uint32(i), v)
+	for len(b) > 0 {
+		off := addr % PageSize
+		n := copy(m.ensure(addr)[off:], b)
+		b = b[n:]
+		addr += uint32(n)
 	}
 }
 

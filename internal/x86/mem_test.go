@@ -67,6 +67,49 @@ func TestMemoryBytes(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesMatchBytewise holds the page-run copies to the
+// byte-at-a-time definition: runs that span several pages, start and end
+// mid-page, skip over unmapped pages (zero-filled, and not mapped by
+// the read) and wrap at 2^32.
+func TestMemoryBytesMatchBytewise(t *testing.T) {
+	for _, c := range []struct {
+		addr uint32
+		n    int
+	}{
+		{0x5000, 0}, {0x5FFF, 1}, {0x5FFF, 2}, {0x5800, 3 * PageSize}, {0x5001, 2*PageSize - 2},
+		{0xFFFFFFF0, 40}, {0xFFFFF123, 2 * PageSize},
+	} {
+		data := make([]byte, c.n)
+		for i := range data {
+			data[i] = byte(i*7 + 1)
+		}
+		bulk, bytewise := NewMemory(), NewMemory()
+		bulk.WriteBytes(c.addr, data)
+		for i, v := range data {
+			bytewise.Write8(c.addr+uint32(i), v)
+		}
+		if bulk.MappedPages() != bytewise.MappedPages() {
+			t.Errorf("write %#x+%d mapped %d pages, bytewise %d", c.addr, c.n, bulk.MappedPages(), bytewise.MappedPages())
+		}
+		// Read a window one page wider on each side: its ends are unmapped.
+		from := c.addr - PageSize
+		got := bulk.ReadBytes(from, make([]byte, c.n+2*PageSize))
+		for i := range got {
+			if want := bytewise.Read8(from + uint32(i)); got[i] != want {
+				t.Fatalf("read %#x+%d: byte %d = %d, want %d", c.addr, c.n, i, got[i], want)
+			}
+		}
+		if bulk.MappedPages() != bytewise.MappedPages() {
+			t.Errorf("reading unmapped pages mapped them: %d pages, want %d", bulk.MappedPages(), bytewise.MappedPages())
+		}
+	}
+	// An unmapped read must overwrite what dst held.
+	dst := []byte{9, 9, 9}
+	if NewMemory().ReadBytes(0x1234, dst); dst[0]|dst[1]|dst[2] != 0 {
+		t.Errorf("unmapped read left %v in dst", dst)
+	}
+}
+
 func TestStateSubRegisters(t *testing.T) {
 	var s State
 	s.R[EAX] = 0xAABBCCDD

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 micro-benchmark snapshot: runs the hot-path benchmarks the CI
 # smoke-tests at 1x (end-to-end Fig. 2, the warm-start sweep, BBT
-# translation, the dispatch loop, the observability modes, and the
-# job-service submission envelope) at real benchtime, and records the
+# translation, the dispatch loop, the observability modes, the
+# job-service submission envelope, and the cold-path layers: x86
+# decode, crack, timing analysis, interpreter step) at real benchtime,
+# and records the
 # results as BENCH_PR<N>.json (schema bench.v1, with host metadata) via
 # scripts/benchjson. <N> defaults to one past the newest committed
 # snapshot, so each PR's run lands in a fresh file; committed snapshots
@@ -41,6 +43,8 @@ trap 'rm -f "$tmp"' EXIT
 	go test -run '^$' -bench 'Fig2|WarmSweep' -benchmem -benchtime 2x -count 1 .
 	go test -run '^$' -bench 'DispatchHot|ObsModes' -benchmem -benchtime 200ms -count 1 ./internal/vmm/
 	go test -run '^$' -bench 'BBTTranslate' -benchmem -benchtime 200ms -count 1 ./internal/bbt/
+	go test -run '^$' -bench 'Decode|Crack|Analyze|InterpStep' -benchmem -benchtime 200ms -count 1 \
+		./internal/x86/ ./internal/crack/ ./internal/timing/ ./internal/interp/
 	go test -run '^$' -bench 'JobSubmission' -benchmem -benchtime 200ms -count 1 ./internal/jobs/
 } | tee "$tmp"
 

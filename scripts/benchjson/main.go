@@ -67,6 +67,9 @@ type bench struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      float64 `json:"b_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Metrics holds the benchmark's own b.ReportMetric units (ns/inst,
+	// ns/uop: host time per unit of simulated work), keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -128,6 +131,7 @@ func main() {
 // parse scans `go test -bench` output for result lines:
 //
 //	BenchmarkFig2-8   5   238041153 ns/op   18516 B/op   42 allocs/op
+//	BenchmarkDecode   200   162601 ns/op   27.17 ns/inst   0 B/op   0 allocs/op
 //
 // Non-benchmark lines (ok/PASS/goos/...) pass through to stderr so the
 // run stays observable when piped.
@@ -170,6 +174,11 @@ func parse(r *os.File) (*doc, error) {
 				b.BPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[f[i+1]] = v
 			}
 		}
 		d.Benchmarks = append(d.Benchmarks, b)

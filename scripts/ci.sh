@@ -40,7 +40,18 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 # build that breaks their alloc budgets or harness wiring fails here
 # rather than in a manual perf run.
 go test -run '^$' -bench 'DispatchHot|BBTTranslate' -benchtime=1x ./internal/vmm/ ./internal/bbt/
+go test -run '^$' -bench 'Decode|Crack|Analyze|InterpStep' -benchtime=1x \
+	./internal/x86/ ./internal/crack/ ./internal/timing/ ./internal/interp/
 go test -run '^$' -bench 'Fig2' -benchtime=1x .
+
+# Inline-budget gate: the hot-path helpers (charge, segInterpAt,
+# sampleIfDue, the memory TLB probe, the decoder's byte fetch and the
+# micro-op descriptor-table accessors) must stay inlinable.
+sh scripts/inlinecheck.sh
+
+# Decoder fuzz leg: the seed corpus already ran in the suite above; this
+# spends a few seconds looking for new inputs.
+go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/x86/
 
 # Perf gate. Three checks:
 #   1. The steady-state dispatch paths (chained and disabled-obs) must
@@ -59,7 +70,7 @@ bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x 
 	awk '/BenchmarkBBTTranslateHot/ {for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}')"
 [ -n "$bbt_bop" ]
 [ "$bbt_bop" -le 600 ] || { echo "BBT translate $bbt_bop B/op exceeds 600 B/op ceiling"; exit 1; }
-go run ./scripts/benchjson -diff -fail-over 50 BENCH_PR9.json BENCH_PR10.json
+go run ./scripts/benchjson -diff -fail-over 50 BENCH_PR10.json BENCH_PR15.json
 
 # Warm-start gate (persistent translation caches; DESIGN.md §10).
 # Four checks:
@@ -215,6 +226,6 @@ rm -rf "$ci_tmp"
 # regressions compound invisibly; -trend compares the newest snapshot
 # against the median of the whole prior series and fails past 50%
 # (generous: cross-session wall clock on this host drifts ±10%).
-go run ./scripts/benchjson -check BENCH_PR9.json
 go run ./scripts/benchjson -check BENCH_PR10.json
+go run ./scripts/benchjson -check BENCH_PR15.json
 go run ./scripts/benchjson -trend -fail-over 50 BENCH_PR*.json > /dev/null

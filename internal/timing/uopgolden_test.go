@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,14 +29,47 @@ const uopGoldenFile = "testdata/uop_semantics.golden"
 var goldenParams = Params{Width: 3, MispredictPenalty: 12, Window: 128,
 	LoadLatency: 5, MulLatency: 7, DivLatency: 11, PairLatency: 2, MLP: 4}
 
-// The three adapters below are the only lines that name the functions
-// under test; the golden file was recorded from the per-opcode switch
+// The adapters below are the only lines that name the functions under
+// test; the golden file was recorded from the per-opcode switch
 // statements that preceded the fisa descriptor table (PR 15).
 func goldenFlagUse(u *fisa.MicroOp) (reads, writes bool) { return u.FlagUse() }
 
-func goldenEntityMeta(u, pair *fisa.MicroOp) (m codecache.UopMeta) {
+func goldenEntityMeta(u, pair *fisa.MicroOp) string {
+	var m codecache.UopMeta
 	fillMeta(&m, u, pair, &goldenParams)
-	return m
+	return metaSemantics(&m)
+}
+
+// metaSemantics projects an entity record onto what the issue step
+// does with it — the registers it waits for and the registers it marks
+// ready (the condition flags print as "fl"), its latency, its step and
+// its load/branch events — so the golden pins the meaning of a record
+// and not the layout of UopMeta. It is the only function here that
+// reads UopMeta's fields.
+func metaSemantics(m *codecache.UopMeta) string {
+	regs := func(rs []fisa.Reg, flags bool) string {
+		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+		var b strings.Builder
+		for _, r := range rs {
+			fmt.Fprintf(&b, "%d ", r)
+		}
+		if flags {
+			b.WriteString("fl")
+		}
+		return strings.TrimSpace(b.String())
+	}
+	srcs := append([]fisa.Reg(nil), m.Srcs[:m.NSrc]...)
+	var dsts []fisa.Reg
+	if m.Bits&codecache.MetaHasDst1 != 0 {
+		dsts = append(dsts, m.Dst1)
+	}
+	if m.Bits&codecache.MetaHasDst2 != 0 {
+		dsts = append(dsts, m.Dst2)
+	}
+	return fmt.Sprintf("{src=[%s] dst=[%s] lat=%v step=%d ld=%v br=%v}",
+		regs(srcs, m.Bits&codecache.MetaReadsFlags != 0),
+		regs(dsts, m.Bits&codecache.MetaWritesFlags != 0),
+		m.Lat, m.Step, m.Bits&codecache.MetaHasLoad != 0, m.Bits&codecache.MetaIsBranch != 0)
 }
 
 func goldenAnalyze(t *codecache.Translation) { AnalyzeWith(t, goldenParams) }
@@ -73,7 +107,7 @@ func describeSingle(b *bytes.Buffer, u *fisa.MicroOp) {
 	if err != nil {
 		encLen = -1 // immediate out of range: Encode refuses, EncodedLen still answers
 	}
-	fmt.Fprintf(b, "%s|src=%v fl=%v/%v len=%d enc=%d ld=%v st=%v br=%v dst=%v mw=%d meta=%+v\n",
+	fmt.Fprintf(b, "%s|src=%v fl=%v/%v len=%d enc=%d ld=%v st=%v br=%v dst=%v mw=%d meta=%s\n",
 		raw(u), u.Sources(buf[:0]), r, w, fisa.EncodedLen(u), encLen,
 		u.IsLoad(), u.IsStore(), u.IsBranch(), u.HasDst(), u.MemWidth(), goldenEntityMeta(u, nil))
 }
@@ -123,7 +157,7 @@ func uopSemanticsTable(dump *bytes.Buffer) string {
 	for head := fisa.UNOP; head <= fisa.UXLT; head++ {
 		for tail := fisa.UNOP; tail <= fisa.UXLT; tail++ {
 			for _, p := range pairVariants(head, tail) {
-				fmt.Fprintf(&b, "%s + %s|fuse=%v meta=%+v\n", raw(&p[0]), raw(&p[1]),
+				fmt.Fprintf(&b, "%s + %s|fuse=%v meta=%s\n", raw(&p[0]), raw(&p[1]),
 					fisa.CanFuse(&p[0], &p[1]), goldenEntityMeta(&p[0], &p[1]))
 			}
 		}
@@ -141,8 +175,12 @@ func uopSemanticsTable(dump *bytes.Buffer) string {
 		}
 		t := &codecache.Translation{Uops: uops}
 		goldenAnalyze(t)
-		fmt.Fprintf(&b, "n=%d ent=%d pairs=%d depth=%d cpe=%v fast=%v meta=%+v\n",
-			len(uops), t.Entities, t.FusedPairs, t.Depth, t.CPE, t.FastExec, t.Meta)
+		fmt.Fprintf(&b, "n=%d ent=%d pairs=%d depth=%d cpe=%v fast=%v meta=",
+			len(uops), t.Entities, t.FusedPairs, t.Depth, t.CPE, t.FastExec)
+		for i := range t.Meta {
+			b.WriteString(metaSemantics(&t.Meta[i]))
+		}
+		b.WriteByte('\n')
 	}
 	flushTo("analyze", "random")
 	return out.String()

@@ -158,6 +158,11 @@ func (c *Cache) Access(addr uint32, write bool) (hit, wroteBack bool) {
 type Hierarchy struct {
 	L1I, L1D, L2 *Cache
 	MemLatency   int // main-memory latency in CPU cycles
+
+	// lastFetch is the line (address | 1; 0: none) of the latest
+	// FetchPenalty. Every L1I access goes through FetchPenalty, so that
+	// line is resident and already the most recent of its set.
+	lastFetch uint32
 }
 
 // Table2 returns the hierarchy of the paper's machine configurations:
@@ -174,6 +179,7 @@ func Table2() *Hierarchy {
 
 // Flush empties every level.
 func (h *Hierarchy) Flush() {
+	h.lastFetch = 0
 	h.L1I.Flush()
 	h.L1D.Flush()
 	h.L2.Flush()
@@ -183,6 +189,15 @@ func (h *Hierarchy) Flush() {
 // and returns the added latency beyond the pipelined L1I access (0 on an
 // L1I hit).
 func (h *Hierarchy) FetchPenalty(addr uint32) int {
+	// A loop refetches the line it just fetched: a hit that would move
+	// nothing in the L1I but its access count (LRU order is relative,
+	// and the line is already the newest of its set).
+	line := addr>>h.L1I.setShift<<h.L1I.setShift | 1
+	if line == h.lastFetch {
+		h.L1I.stats.Accesses++
+		return 0
+	}
+	h.lastFetch = line
 	if hit, _ := h.L1I.Access(addr, false); hit {
 		return 0
 	}

@@ -119,6 +119,53 @@ func TestHierarchyFlush(t *testing.T) {
 	}
 }
 
+// TestFetchRefetchIsInvisible: answering a refetch of the latest
+// fetched line without the set lookup changes nothing a lookup would not
+// have: against a hierarchy driven through the levels directly (what
+// FetchPenalty did before it kept the memo), every penalty and every
+// counter agrees over a looping, conflicting fetch stream with data
+// traffic and a flush in it.
+func TestFetchRefetchIsInvisible(t *testing.T) {
+	ref := func(h *Hierarchy, addr uint32) int {
+		if hit, _ := h.L1I.Access(addr, false); hit {
+			return 0
+		}
+		if hit, _ := h.L2.Access(addr, false); hit {
+			return h.L2.cfg.Latency
+		}
+		return h.L2.cfg.Latency + h.MemLatency
+	}
+	got, want := Table2(), Table2()
+	rng := rand.New(rand.NewSource(16))
+	setStride := uint32(want.L1I.cfg.Size / want.L1I.cfg.Ways) // same L1I set, another tag
+	addr := uint32(0x400000)
+	for i := 0; i < 200_000; i++ {
+		switch r := rng.Intn(100); {
+		case r < 55: // stay in the line: the loop case
+			addr = addr&^63 | uint32(rng.Intn(64))
+		case r < 75:
+			addr += 64
+		case r < 95: // conflict in the set: evictions, LRU order matters
+			addr += setStride * uint32(1+rng.Intn(3))
+		case r < 99:
+			a := 0x800000 + uint32(rng.Intn(1<<16))
+			got.DataPenalty(a, r&1 == 0)
+			want.DataPenalty(a, r&1 == 0)
+			continue
+		default:
+			got.Flush()
+			want.Flush()
+		}
+		if g, w := got.FetchPenalty(addr), ref(want, addr); g != w {
+			t.Fatalf("fetch %d of %#x: penalty %d, want %d", i, addr, g, w)
+		}
+	}
+	if got.L1I.Stats() != want.L1I.Stats() || got.L2.Stats() != want.L2.Stats() || got.L1D.Stats() != want.L1D.Stats() {
+		t.Fatalf("stats diverged:\n got L1I %+v L2 %+v\nwant L1I %+v L2 %+v",
+			got.L1I.Stats(), got.L2.Stats(), want.L1I.Stats(), want.L2.Stats())
+	}
+}
+
 func TestTouchWarmsLines(t *testing.T) {
 	h := Table2()
 	h.Touch(0x700000, 200, false) // 4 lines

@@ -27,7 +27,7 @@
 // so results are shared aggressively (runcache.go): an in-process
 // memoization serves repeated requests within a sweep, and an optional
 // persistent run store (store.go; DESIGN.md §8) shares results across
-// processes via content-addressed CRUN1 records with single-flight
+// processes via content-addressed CRUN2 records with single-flight
 // locking. The (app × model) grid runs on a worker pool unless
 // Options.Sequential is set; reports are byte-identical either way.
 //

@@ -28,7 +28,7 @@
 //     aggregate view over runs); Observer.NewRun mints one Recorder
 //     per simulation run with its own Registry, whose Snapshot is
 //     attached to the run's Result and persisted with it in the run
-//     store's CRUN1 records.
+//     store's CRUN2 records.
 //
 // The cardinal rule, enforced by tests in internal/vmm: observability
 // is purely *observational*. No emission site reads back metric or

@@ -20,12 +20,11 @@ import (
 //   - cache and predictor accesses happen in the same program order
 //     (functional order) in both modes, and the issue arithmetic never
 //     touches either, so the hierarchies observe identical sequences;
-//   - the issue step below is the verbatim statement sequence of
-//     ChargeBlock (which is itself pinned to ChargeRange by
-//     TestChargeBlockMatchesChargeRange), fed the same source-ready
-//     times, latencies and bubbles — a load's latency computed inline
-//     equals the value the split path queues and pops, since the queues
-//     are empty at leg boundaries in both modes;
+//   - the issue step below is the arithmetic of ChargeBlock (which is
+//     itself pinned to ChargeRange by TestChargeBlockMatchesChargeRange),
+//     fed the same source-ready times, latencies and bubbles — a load's
+//     latency computed inline equals the value the split path queues and
+//     pops, since the queues are empty at leg boundaries in both modes;
 //   - eligibility (Translation.FastExec) requires an analyzed
 //     translation with no internal UJMP, so the executed micro-ops are
 //     exactly the charged linear ranges: the entities issued here are
@@ -37,10 +36,14 @@ import (
 // the leg's statistics. On an error the engine state reflects the
 // entities issued so far (the split path charges nothing for a faulted
 // leg; errors abort the whole run, so the difference is unobservable).
+// A load, branch or stop heading a fused pair, which fisa.CanFuse never
+// forms, is an error here.
 //
-// The functional switch mirrors fisa.Exec case for case; the two are
-// pinned together by the figure-level golden tests and the lockstep
-// test in execblock_test.go.
+// The functional switch computes what fisa.Exec computes, with the
+// micro-ops that dominate execution resolved to their 32-bit form; the
+// two are pinned together by the figure-level golden tests and the
+// lockstep tests in execblock_test.go (real BBT and SBT translations,
+// and every opcode at every width).
 func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.Translation, start int, out *fisa.ExecStats) (fisa.StopKind, int, error) {
 	uops := t.Uops
 	meta := t.Meta
@@ -52,42 +55,30 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 	var stats fisa.ExecStats
 	stats.TakenBranchIdx = -1
 
-	// Dataflow state in locals, exactly as in ChargeBlock.
-	clock, lastRetire, brStall := e.clock, e.lastRetire, e.brStall
-	ring, ringIdx := e.ring, e.ringIdx
-	invWidth := e.invWidth
-	flagReady := e.flagReady
 	regReady := &e.regReady
 
-	// Current-entity state, captured at the entity head (ChargeBlock
-	// reads the head's metadata and steps over the tail).
-	var em *codecache.UopMeta
-	entLat := 0.0 // em.Lat, overridden by a load's true hierarchy latency
-	brPen := 0.0  // misprediction bubble of the entity's branch (0 = hit)
-	inPair := false
-	brTaken := false
-	brTarget := 0
-	var stop fisa.StopKind
-	stopped := false
+	// Little is carried from one micro-op to the next — the index and
+	// whether it is a pair's tail — and the dataflow state stays in the
+	// engine, touched once per entity: the switch below contains calls,
+	// and everything live across it is spilled at every micro-op.
+	tail := false
 
 	for i := start; ; {
 		if i < 0 || i >= len(uops) {
-			e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 			*out = stats
 			return 0, 0, fmt.Errorf("timing: control flow escaped translation (index %d of %d)", i, len(uops))
 		}
 		u := &uops[i]
 		stats.Uops++
 		stats.Boundaries += int(u.Boundary)
-		if inPair {
-			inPair = false
-		} else {
-			stats.Entities++
-			em = &meta[i]
-			entLat = em.Lat
-			brPen = 0
-			inPair = u.Fused && i+1 < len(uops)
-		}
+
+		// What this micro-op hands to its entity's issue step. A load,
+		// a branch or a stop is never a pair's head (checked below), so
+		// the entity issues in the iteration that sets these.
+		loadLat := -1.0 // a load's true hierarchy latency
+		brPen := 0.0    // misprediction bubble of a UBR (0 = predicted)
+		target := -1    // taken UBR: the micro-op to continue at
+		stop := -1      // UEXIT, UCALLOUT: the fisa.StopKind
 
 		switch u.Op {
 		case fisa.UNOP:
@@ -102,25 +93,113 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 		case fisa.UMOV:
 			fisa.WriteMerged(st, u.Dst, st.R[u.Src1], u.W)
 
-		case fisa.UADD, fisa.USUB, fisa.UADC, fisa.USBB, fisa.UAND, fisa.UOR, fisa.UXOR, fisa.UMUL:
+		// The five two-operand ALU micro-ops and their immediate forms
+		// are most of what executes: each has its own case, and in it
+		// the 32-bit form comes first, with its flags from the 32-bit
+		// rule and no merge. The sub-width forms go through aluGeneric.
+		case fisa.UADD:
 			a, b := st.R[u.Src1], st.R[u.Src2]
-			if u.SetF {
-				res, fl := fisa.AluCompute(u.Op, a, b, st.Flags, u.W)
-				st.Flags = fl
-				fisa.WriteMerged(st, u.Dst, res, u.W)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsAdd32(a, b)
+				}
+				st.R[u.Dst] = a + b
 			} else {
-				fisa.WriteMerged(st, u.Dst, fisa.AluValue(u.Op, a, b, st.Flags), u.W)
+				aluGeneric(st, u, fisa.UADD, a, b)
+			}
+		case fisa.UADDI:
+			a, b := st.R[u.Src1], uint32(u.Imm)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsAdd32(a, b)
+				}
+				st.R[u.Dst] = a + b
+			} else {
+				aluGeneric(st, u, fisa.UADD, a, b)
+			}
+		case fisa.USUB:
+			a, b := st.R[u.Src1], st.R[u.Src2]
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsSub32(a, b)
+				}
+				st.R[u.Dst] = a - b
+			} else {
+				aluGeneric(st, u, fisa.USUB, a, b)
+			}
+		case fisa.USUBI:
+			a, b := st.R[u.Src1], uint32(u.Imm)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsSub32(a, b)
+				}
+				st.R[u.Dst] = a - b
+			} else {
+				aluGeneric(st, u, fisa.USUB, a, b)
+			}
+		case fisa.UAND:
+			a, b := st.R[u.Src1], st.R[u.Src2]
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a & b)
+				}
+				st.R[u.Dst] = a & b
+			} else {
+				aluGeneric(st, u, fisa.UAND, a, b)
+			}
+		case fisa.UANDI:
+			a, b := st.R[u.Src1], uint32(u.Imm)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a & b)
+				}
+				st.R[u.Dst] = a & b
+			} else {
+				aluGeneric(st, u, fisa.UAND, a, b)
+			}
+		case fisa.UOR:
+			a, b := st.R[u.Src1], st.R[u.Src2]
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a | b)
+				}
+				st.R[u.Dst] = a | b
+			} else {
+				aluGeneric(st, u, fisa.UOR, a, b)
+			}
+		case fisa.UORI:
+			a, b := st.R[u.Src1], uint32(u.Imm)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a | b)
+				}
+				st.R[u.Dst] = a | b
+			} else {
+				aluGeneric(st, u, fisa.UOR, a, b)
+			}
+		case fisa.UXOR:
+			a, b := st.R[u.Src1], st.R[u.Src2]
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a ^ b)
+				}
+				st.R[u.Dst] = a ^ b
+			} else {
+				aluGeneric(st, u, fisa.UXOR, a, b)
+			}
+		case fisa.UXORI:
+			a, b := st.R[u.Src1], uint32(u.Imm)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsLogic32(a ^ b)
+				}
+				st.R[u.Dst] = a ^ b
+			} else {
+				aluGeneric(st, u, fisa.UXOR, a, b)
 			}
 
-		case fisa.UADDI, fisa.USUBI, fisa.UANDI, fisa.UORI, fisa.UXORI:
-			a, b := st.R[u.Src1], uint32(u.Imm)
-			if u.SetF {
-				res, fl := fisa.AluCompute(fisa.ImmBase(u.Op), a, b, st.Flags, u.W)
-				st.Flags = fl
-				fisa.WriteMerged(st, u.Dst, res, u.W)
-			} else {
-				fisa.WriteMerged(st, u.Dst, fisa.AluValue(fisa.ImmBase(u.Op), a, b, st.Flags), u.W)
-			}
+		case fisa.UADC, fisa.USBB, fisa.UMUL:
+			aluGeneric(st, u, u.Op, st.R[u.Src1], st.R[u.Src2])
 
 		case fisa.USHL, fisa.USHLI, fisa.USHR, fisa.USHRI, fisa.USAR, fisa.USARI,
 			fisa.UROL, fisa.UROLI, fisa.UROR, fisa.URORI:
@@ -163,17 +242,31 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 
 		case fisa.UINC:
 			a := st.R[u.Src1]
-			if u.SetF {
-				st.Flags = x86.FlagsInc(st.Flags, a, u.W)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsInc32(st.Flags, a)
+				}
+				st.R[u.Dst] = a + 1
+			} else {
+				if u.SetF {
+					st.Flags = x86.FlagsInc(st.Flags, a, u.W)
+				}
+				fisa.WriteMerged(st, u.Dst, a+1, u.W)
 			}
-			fisa.WriteMerged(st, u.Dst, a+1, u.W)
 
 		case fisa.UDEC:
 			a := st.R[u.Src1]
-			if u.SetF {
-				st.Flags = x86.FlagsDec(st.Flags, a, u.W)
+			if u.W == 4 {
+				if u.SetF {
+					st.Flags = x86.FlagsDec32(st.Flags, a)
+				}
+				st.R[u.Dst] = a - 1
+			} else {
+				if u.SetF {
+					st.Flags = x86.FlagsDec(st.Flags, a, u.W)
+				}
+				fisa.WriteMerged(st, u.Dst, a-1, u.W)
 			}
-			fisa.WriteMerged(st, u.Dst, a-1, u.W)
 
 		case fisa.UMULHU:
 			full := uint64(st.R[u.Src1]) * uint64(st.R[u.Src2])
@@ -199,14 +292,12 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 		case fisa.UDIVQ, fisa.UDIVR:
 			divisor := uint64(st.R[u.Src1])
 			if divisor == 0 {
-				e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 				*out = stats
 				return 0, 0, fmt.Errorf("fisa: divide fault at µop %d", i)
 			}
 			dividend := uint64(st.R[fisa.REDX])<<32 | uint64(st.R[fisa.REAX])
 			q := dividend / divisor
 			if q > 0xFFFFFFFF {
-				e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 				*out = stats
 				return 0, 0, fmt.Errorf("fisa: divide overflow at µop %d", i)
 			}
@@ -219,14 +310,12 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 		case fisa.UIDIVQ, fisa.UIDIVR:
 			divisor := int64(int32(st.R[u.Src1]))
 			if divisor == 0 {
-				e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 				*out = stats
 				return 0, 0, fmt.Errorf("fisa: divide fault at µop %d", i)
 			}
 			dividend := int64(uint64(st.R[fisa.REDX])<<32 | uint64(st.R[fisa.REAX]))
 			q := dividend / divisor
 			if q > 0x7FFFFFFF || q < -0x80000000 {
-				e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 				*out = stats
 				return 0, 0, fmt.Errorf("fisa: divide overflow at µop %d", i)
 			}
@@ -254,7 +343,7 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 			stats.Loads++
 			// The split path queues this exact value (Engine.OnLoad) and
 			// pops it when the entity is charged.
-			entLat = float64(e.P.LoadLatency + e.Caches.DataPenalty(addr, false))
+			loadLat = float64(e.P.LoadLatency + e.Caches.DataPenalty(addr, false))
 			switch u.Op {
 			case fisa.ULD:
 				st.R[u.Dst] = mem.Read32(addr)
@@ -282,15 +371,29 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 			}
 
 		case fisa.UCMP:
-			st.Flags = x86.FlagsSub(st.R[u.Src1], st.R[u.Src2], u.W)
+			if a, b := st.R[u.Src1], st.R[u.Src2]; u.W == 4 {
+				st.Flags = x86.FlagsSub32(a, b)
+			} else {
+				st.Flags = x86.FlagsSub(a, b, u.W)
+			}
 		case fisa.UCMPI:
-			st.Flags = x86.FlagsSub(st.R[u.Src1], uint32(u.Imm), u.W)
+			if a, b := st.R[u.Src1], uint32(u.Imm); u.W == 4 {
+				st.Flags = x86.FlagsSub32(a, b)
+			} else {
+				st.Flags = x86.FlagsSub(a, b, u.W)
+			}
 		case fisa.UTEST:
-			mask := fisa.MaskOf(u.W)
-			st.Flags = x86.FlagsLogic(st.R[u.Src1]&st.R[u.Src2]&mask, u.W)
+			if a, b := st.R[u.Src1], st.R[u.Src2]; u.W == 4 {
+				st.Flags = x86.FlagsLogic32(a & b)
+			} else {
+				st.Flags = x86.FlagsLogic(a&b, u.W)
+			}
 		case fisa.UTESTI:
-			mask := fisa.MaskOf(u.W)
-			st.Flags = x86.FlagsLogic(st.R[u.Src1]&uint32(u.Imm)&mask, u.W)
+			if a, b := st.R[u.Src1], uint32(u.Imm); u.W == 4 {
+				st.Flags = x86.FlagsLogic32(a & b)
+			} else {
+				st.Flags = x86.FlagsLogic(a&b, u.W)
+			}
 
 		case fisa.UCMOV:
 			if u.Cond.Holds(st.Flags) {
@@ -314,87 +417,118 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 			}
 			if taken {
 				stats.TakenBranchIdx = i
-				brTaken = true
-				brTarget = int(u.Imm)
+				target = int(u.Imm)
 			}
 
 		case fisa.UEXIT:
-			stop = fisa.StopExit
-			stopped = true
+			stop = int(fisa.StopExit)
 
 		case fisa.UCALLOUT:
-			stop = fisa.StopCallout
-			stopped = true
+			stop = int(fisa.StopCallout)
 
 		default:
-			e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
 			*out = stats
 			return 0, 0, fmt.Errorf("timing: cannot fuse-execute %v", u.Op)
 		}
 
-		if !inPair {
-			// Entity complete: the issue step, verbatim from ChargeBlock.
-			m := em
-			src := 0.0
-			for k := uint8(0); k < m.NSrc; k++ {
-				if r := regReady[m.Srcs[k]]; r > src {
+		// The entity issues after its last micro-op: two register
+		// sources, the flag slot and three destinations, unconditionally
+		// (see ChargeBlock for why the padded slots leave every cycle
+		// unchanged).
+		m := &meta[i]
+		if tail {
+			m = &meta[i-1]
+			tail = false
+		} else if m.Step == 2 {
+			if u.IsLoad() || u.IsBranch() {
+				// Its hand-off would be lost here. No translator fuses
+				// one (fisa.CanFuse).
+				*out = stats
+				return 0, 0, fmt.Errorf("timing: %v heads a fused pair at µop %d", u.Op, i)
+			}
+			tail = true
+			i++
+			continue
+		}
+		stats.Entities++
+
+		src := regReady[m.Srcs[0]]
+		if r := regReady[m.Srcs[1]]; r > src {
+			src = r
+		}
+		if r := regReady[m.FlagSrc]; r > src {
+			src = r
+		}
+		if m.NSrc > 2 {
+			for _, s := range m.Srcs[2:m.NSrc] {
+				if r := regReady[s]; r > src {
 					src = r
 				}
 			}
-			if m.Bits&codecache.MetaReadsFlags != 0 && flagReady > src {
-				src = flagReady
-			}
+		}
+		lat := m.Lat
+		if loadLat >= 0 {
+			lat = loadLat
+		}
 
-			slot := clock
-			if w := ring[ringIdx]; w > slot {
-				slot = w
-			}
-			issue := slot
-			if src > issue {
-				issue = src
-			}
-			complete := issue + entLat
-			retire := complete
-			if lastRetire > retire {
-				retire = lastRetire
-			}
-			lastRetire = retire
-			ring[ringIdx] = retire
-			ringIdx++
-			if ringIdx == len(ring) {
-				ringIdx = 0
-			}
-			clock = slot + invWidth
+		// issueEntity, open-coded.
+		ring, ringIdx := e.ring, e.ringIdx
+		slot := e.clock
+		if w := ring[ringIdx]; w > slot {
+			slot = w
+		}
+		issue := slot
+		if src > issue {
+			issue = src
+		}
+		complete := issue + lat
+		retire := complete
+		if e.lastRetire > retire {
+			retire = e.lastRetire
+		}
+		e.lastRetire = retire
+		ring[ringIdx] = retire
+		ringIdx++
+		if ringIdx == len(ring) {
+			ringIdx = 0
+		}
+		e.ringIdx = ringIdx
+		clock := slot + e.invWidth
 
-			if m.Bits&codecache.MetaHasDst1 != 0 {
-				regReady[m.Dst1] = complete
-			}
-			if m.Bits&codecache.MetaHasDst2 != 0 {
-				regReady[m.Dst2] = complete
-			}
-			if m.Bits&codecache.MetaWritesFlags != 0 {
-				flagReady = complete
-			}
+		regReady[m.Dsts[0]] = complete
+		regReady[m.Dsts[1]] = complete
+		regReady[m.Dsts[2]] = complete
 
-			if m.Bits&codecache.MetaIsBranch != 0 && brPen > 0 {
-				resume := complete + brPen
-				if resume > clock {
-					brStall += resume - clock
-					clock = resume
-				}
-			}
-
-			if stopped {
-				e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
-				*out = stats
-				return stop, i, nil
-			}
-			if brTaken {
-				brTaken = false
-				i = brTarget
-				continue
+		if brPen > 0 {
+			resume := complete + brPen
+			if resume > clock {
+				e.brStall += resume - clock
+				clock = resume
 			}
 		}
+		e.clock = clock
+
+		if stop >= 0 {
+			*out = stats
+			return fisa.StopKind(stop), i, nil
+		}
 		i++
+		if target >= 0 {
+			i = target
+		}
+	}
+}
+
+// aluGeneric executes a two-operand ALU micro-op at any width through
+// the width-generic helpers: the 8- and 16-bit forms of the micro-ops
+// ExecBlock resolves at 32 bits itself, and every form of ADC, SBB and
+// MUL.
+func aluGeneric(st *fisa.NativeState, u *fisa.MicroOp, op fisa.Op, a, b uint32) {
+	if u.SetF {
+		res, fl := fisa.AluCompute(op, a, b, st.Flags, u.W)
+		st.Flags = fl
+		fisa.WriteMerged(st, u.Dst, res, u.W)
+	} else {
+		fisa.WriteMerged(st, u.Dst, fisa.AluValue(op, a, b, st.Flags), u.W)
 	}
 }

@@ -1,11 +1,16 @@
-package timing
+package timing_test
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"codesignvm/internal/bbt"
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/fisa"
+	"codesignvm/internal/machine"
+	"codesignvm/internal/timing"
 	"codesignvm/internal/workload"
 	"codesignvm/internal/x86"
 )
@@ -13,7 +18,7 @@ import (
 // splitBranchProbe is the VM's sequential-mode branch probe
 // (vmm.VM.OnBranch), reproduced here: train the predictor at
 // functional order, queue the bubble for the replay.
-type splitBranchProbe struct{ e *Engine }
+type splitBranchProbe struct{ e *timing.Engine }
 
 func (p splitBranchProbe) OnBranch(pc uint32, taken bool) {
 	pen := 0.0
@@ -23,119 +28,324 @@ func (p splitBranchProbe) OnBranch(pc uint32, taken bool) {
 	p.e.NoteBranch(pen)
 }
 
-// execBoth runs one leg of tr from µop 0 through the fused pass
-// (Engine.ExecBlock) and through the split path it replaces
-// (fisa.Exec with the engine probes, then ChargeBlock over the
-// executed ranges exactly as vmm.VM.execute segments them), on
-// independent engines and memories, and compares everything the two
-// paths produce: stop kind and index, execution statistics, the full
-// native register/flag state, the mutated memory words the leg
-// stored, and the engines' dataflow snapshots (including empty event
-// queues — the split charge must consume precisely what the probes
-// queued).
-func execBoth(t *testing.T, prog *workload.Program, tr *codecache.Translation, init *fisa.NativeState) {
-	t.Helper()
+// lockstep is the two arms of the comparison: the fused pass
+// (Engine.ExecBlock) and the split path it replaces (fisa.Exec with the
+// engine probes, then ChargeBlock over the executed ranges exactly as
+// vmm.VM.execute segments them), each with its own engine, memory and
+// native state. The engines live across legs and translations, so
+// their cache, predictor and ready-time state is whatever the sequence
+// so far left, identically on both sides.
+type lockstep struct {
+	engF, engS *timing.Engine
+	memF, memS *x86.Memory
+	stF, stS   fisa.NativeState
 
-	engF, engS := NewEngine(DefaultParams), NewEngine(DefaultParams)
-	memF, memS := prog.Memory(), prog.Memory()
-	stF, stS := *init, *init
+	legs, pairs, taken, callouts int // what the legs covered
+}
 
-	var outF, outS fisa.ExecStats
-	kindF, idxF, errF := engF.ExecBlock(&stF, memF, tr, 0, &outF)
-
-	env := fisa.Env{St: &stS, Mem: memS, Probe: engS, Branch: splitBranchProbe{engS}}
-	kindS, idxS, errS := fisa.Exec(&env, tr.Uops, 0, &outS)
-	if errS == nil {
-		if outS.TakenBranchIdx >= 0 {
-			engS.ChargeBlock(tr, 0, outS.TakenBranchIdx)
-			engS.ChargeBlock(tr, idxS, idxS)
-		} else {
-			engS.ChargeBlock(tr, 0, idxS)
-		}
-	}
-
-	if (errF != nil) != (errS != nil) {
-		t.Fatalf("block %#x: error divergence: fused=%v split=%v", tr.EntryPC, errF, errS)
-	}
-	if errF != nil {
-		return // both faulted; a faulted leg aborts the run in both modes
-	}
-	if kindF != kindS || idxF != idxS {
-		t.Fatalf("block %#x: stop divergence: fused=(%v,%d) split=(%v,%d)",
-			tr.EntryPC, kindF, idxF, kindS, idxS)
-	}
-	if outF != outS {
-		t.Fatalf("block %#x: stats divergence:\nfused = %+v\nsplit = %+v", tr.EntryPC, outF, outS)
-	}
-	if stF != stS {
-		t.Fatalf("block %#x: native state divergence:\nfused = %+v\nsplit = %+v", tr.EntryPC, stF, stS)
-	}
-	if sf, ss := snapshot(engF), snapshot(engS); sf != ss {
-		t.Fatalf("block %#x: engine state divergence:\nfused = %+v\nsplit = %+v", tr.EntryPC, sf, ss)
-	}
-	// Stores must have landed identically.
-	for i := 0; i < len(tr.Uops); i++ {
-		u := &tr.Uops[i]
-		if u.Op != fisa.UST && u.Op != fisa.UST8 && u.Op != fisa.UST16 {
-			continue
-		}
-		addr := stF.R[u.Src1] + uint32(u.Imm)
-		if a, b := memF.Read32(addr), memS.Read32(addr); a != b {
-			t.Fatalf("block %#x: memory divergence at %#x: fused=%#x split=%#x", tr.EntryPC, addr, a, b)
-		}
+func newLockstep(memF, memS *x86.Memory) *lockstep {
+	return &lockstep{
+		engF: timing.NewEngine(timing.DefaultParams), engS: timing.NewEngine(timing.DefaultParams),
+		memF: memF, memS: memS,
 	}
 }
 
-// TestExecBlockLockstep pins the fused execute+timing pass to the
-// split path it replaces (see ExecBlock's equivalence argument) over
-// real translated blocks: BFS the static CFG of a workload, and run
-// every FastExec-eligible translation through both paths under several
-// initial register states — all-zero (cold branches, null-page loads),
-// and two patterned states that point load/store bases at mapped
-// program pages so the leg exercises real hierarchy latencies.
-func TestExecBlockLockstep(t *testing.T) {
-	prog, err := workload.App("Word", 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := prog.Memory()
+// run executes tr from µop 0 through every leg (a callout ends a leg;
+// the complex instruction itself is skipped on both sides) and compares
+// everything the two paths produce after each: stop kind and index,
+// execution statistics, the full native register/flag state, the memory
+// words the leg stored to, and the engines' dataflow snapshots
+// (including empty event queues — the split charge must consume
+// precisely what the probes queued).
+func (l *lockstep) run(t *testing.T, tr *codecache.Translation, init *fisa.NativeState) {
+	t.Helper()
+	l.stF, l.stS = *init, *init
+	for start := 0; ; {
+		var outF, outS fisa.ExecStats
+		kindF, idxF, errF := l.engF.ExecBlock(&l.stF, l.memF, tr, start, &outF)
 
-	inits := make([]fisa.NativeState, 3)
+		env := fisa.Env{St: &l.stS, Mem: l.memS, Probe: l.engS, Branch: splitBranchProbe{l.engS}}
+		kindS, idxS, errS := fisa.Exec(&env, tr.Uops, start, &outS)
+		if errS == nil {
+			if outS.TakenBranchIdx >= 0 {
+				l.engS.ChargeBlock(tr, start, outS.TakenBranchIdx)
+				l.engS.ChargeBlock(tr, idxS, idxS)
+			} else {
+				l.engS.ChargeBlock(tr, start, idxS)
+			}
+		}
+
+		where := fmt.Sprintf("block %#x leg at %d", tr.EntryPC, start)
+		if (errF != nil) != (errS != nil) {
+			t.Fatalf("%s: error divergence: fused=%v split=%v", where, errF, errS)
+		}
+		if errF != nil {
+			// Both faulted; a faulted leg aborts the run in both modes and
+			// only the fused pass has charged anything. Start both arms
+			// afresh.
+			l.engF, l.engS = timing.NewEngine(timing.DefaultParams), timing.NewEngine(timing.DefaultParams)
+			return
+		}
+		if kindF != kindS || idxF != idxS {
+			t.Fatalf("%s: stop divergence: fused=(%v,%d) split=(%v,%d)", where, kindF, idxF, kindS, idxS)
+		}
+		if outF != outS {
+			t.Fatalf("%s: stats divergence:\nfused = %+v\nsplit = %+v", where, outF, outS)
+		}
+		if l.stF != l.stS {
+			t.Fatalf("%s: native state divergence:\nfused = %+v\nsplit = %+v", where, l.stF, l.stS)
+		}
+		if sf, ss := timing.Snapshot(l.engF), timing.Snapshot(l.engS); sf != ss {
+			t.Fatalf("%s: engine state divergence:\nfused = %+v\nsplit = %+v", where, sf, ss)
+		}
+		// Stores must have landed identically.
+		for i := start; i <= idxF; i++ {
+			u := &tr.Uops[i]
+			if !u.IsStore() {
+				continue
+			}
+			addr := l.stF.R[u.Src1] + uint32(u.Imm)
+			if a, b := l.memF.Read32(addr), l.memS.Read32(addr); a != b {
+				t.Fatalf("%s: memory divergence at %#x: fused=%#x split=%#x", where, addr, a, b)
+			}
+		}
+
+		l.legs++
+		l.pairs += outF.Uops - outF.Entities
+		if outF.TakenBranchIdx >= 0 {
+			l.taken++
+		}
+		if kindF != fisa.StopCallout {
+			return
+		}
+		l.callouts++
+		start = idxF + 1
+	}
+}
+
+// initStates are the register states every translation is run under:
+// all-zero (cold branches, null-page loads), and two patterned states
+// that point load/store bases at mapped program pages so the legs
+// exercise real hierarchy latencies, with different incoming flags so
+// both directions of the conditional exits are taken.
+func initStates(prog *workload.Program) []fisa.NativeState {
+	inits := make([]fisa.NativeState, 4)
 	for r := 0; r < int(fisa.NumRegs); r++ {
 		inits[1].R[r] = prog.Entry + uint32(r*64)
 		inits[2].R[r] = prog.Entry + uint32(r*4096+13)
+		inits[3].R[r] = uint32(r)
 	}
 	inits[2].Flags = x86.FlagCF | x86.FlagZF
+	inits[3].Flags = x86.FlagSF | x86.FlagOF | x86.FlagPF
+	return inits
+}
 
-	seen := map[uint32]bool{}
-	queue := []uint32{prog.Entry}
-	eligible := 0
-	for len(queue) > 0 && eligible < 60 {
-		pc := queue[0]
-		queue = queue[1:]
-		if seen[pc] {
-			continue
-		}
-		seen[pc] = true
-		tr, err := bbt.Translate(mem, pc, bbt.DefaultConfig)
+// hotTranslations runs prog on VM.soft long enough for its hot regions
+// to be optimized and returns the superblocks and basic blocks left in
+// the code caches, in address order, re-analyzed under p.
+func hotTranslations(tb testing.TB, prog *workload.Program, p timing.Params) (supers, blocks []*codecache.Translation, eng *timing.Engine) {
+	tb.Helper()
+	vm := machine.NewVM(machine.VMSoft, prog)
+	if _, err := vm.Run(1_000_000); err != nil {
+		tb.Fatal(err)
+	}
+	bbtC, sbtC := vm.Caches()
+	harvest := func(c *codecache.Cache) (out []*codecache.Translation) {
+		c.ForEach(func(t *codecache.Translation) {
+			timing.AnalyzeWith(t, p)
+			out = append(out, t)
+		})
+		sort.Slice(out, func(i, j int) bool { return out[i].EntryPC < out[j].EntryPC })
+		return out
+	}
+	return harvest(sbtC), harvest(bbtC), vm.Engine()
+}
+
+var lockstepApps = []string{"Word", "Winzip", "Project"}
+
+// TestExecBlockLockstep pins the fused execute+timing pass to the
+// split path it replaces (see ExecBlock's equivalence argument) over
+// real translations of three applications: the basic blocks a BFS of
+// the static CFG reaches, and the SBT superblocks (fused pairs,
+// side-exit trampolines, callout legs) and BBT blocks a VM.soft run
+// leaves in its code caches.
+func TestExecBlockLockstep(t *testing.T) {
+	for _, app := range lockstepApps {
+		prog, err := workload.App(app, 100)
 		if err != nil {
-			continue
+			t.Fatal(err)
 		}
-		AnalyzeWith(tr, DefaultParams)
-		for _, e := range tr.Exits {
-			if e.Kind == codecache.ExitFall || e.Kind == codecache.ExitTaken {
-				queue = append(queue, e.Target)
+		inits := initStates(prog)
+		l := newLockstep(prog.Memory(), prog.Memory())
+
+		mem := prog.Memory()
+		seen := map[uint32]bool{}
+		queue := []uint32{prog.Entry}
+		eligible := 0
+		for len(queue) > 0 && eligible < 60 {
+			pc := queue[0]
+			queue = queue[1:]
+			if seen[pc] {
+				continue
+			}
+			seen[pc] = true
+			tr, err := bbt.Translate(mem, pc, bbt.DefaultConfig)
+			if err != nil {
+				continue
+			}
+			timing.AnalyzeWith(tr, timing.DefaultParams)
+			for _, e := range tr.Exits {
+				if e.Kind == codecache.ExitFall || e.Kind == codecache.ExitTaken {
+					queue = append(queue, e.Target)
+				}
+			}
+			if !tr.FastExec {
+				continue
+			}
+			eligible++
+			for i := range inits {
+				l.run(t, tr, &inits[i])
 			}
 		}
-		if !tr.FastExec {
-			continue
+		if eligible < 10 {
+			t.Fatalf("%s: only %d FastExec-eligible blocks reached", app, eligible)
 		}
-		eligible++
-		for i := range inits {
-			execBoth(t, prog, tr, &inits[i])
+
+		supers, blocks, _ := hotTranslations(t, prog, timing.DefaultParams)
+		fused := 0
+		for _, tr := range append(supers, blocks...) {
+			if !tr.FastExec {
+				t.Fatalf("%s: translation at %#x is not FastExec", app, tr.EntryPC)
+			}
+			fused += tr.FusedPairs
+			for i := range inits {
+				l.run(t, tr, &inits[i])
+			}
+		}
+		if len(supers) == 0 || fused == 0 || l.pairs == 0 || l.taken == 0 || l.callouts == 0 {
+			t.Fatalf("%s: %d superblocks with %d fused pairs; legs executed %d pairs, %d taken exits, %d callouts: the superblock shapes were not covered",
+				app, len(supers), fused, l.pairs, l.taken, l.callouts)
+		}
+		t.Logf("%s: %d BFS blocks, %d superblocks, %d cache blocks; %d legs, %d executed pairs, %d taken exits, %d callout legs",
+			app, eligible, len(supers), len(blocks), l.legs, l.pairs, l.taken, l.callouts)
+	}
+}
+
+// matrixOperands is the operand set of the opcode matrix — the one the
+// flag-rule tests of internal/x86 use (flagOperands there): every
+// boundary of every width, then seeded random words.
+func matrixOperands() []uint32 {
+	ops := []uint32{0, 1, 2, 0xF, 0x10, 0x7F, 0x80, 0xFF, 0x100, 0x7FFF, 0x8000, 0xFFFF, 0x10000,
+		0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFE, 0xFFFFFFFF, 0xFFFFFF00, 0xFFFF0000, 0x12345678}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 60; i++ {
+		ops = append(ops, rng.Uint32())
+	}
+	return ops
+}
+
+// TestExecBlockOpcodeMatrix runs every opcode ExecBlock executes, at
+// every width, with and without SetF, over edge and seeded-random
+// operands and incoming flags, through both arms of the lockstep. The
+// 32-bit forms ExecBlock resolves itself are thereby held to the
+// generic helpers fisa.Exec still goes through, flags and merges
+// included.
+func TestExecBlockOpcodeMatrix(t *testing.T) {
+	const dataBase = 0x40000000
+	memF, memS := x86.NewMemory(), x86.NewMemory()
+	for a := uint32(0); a < 0x2000; a += 4 {
+		memF.Write32(dataBase+a, a*2654435761)
+		memS.Write32(dataBase+a, a*2654435761)
+	}
+	l := newLockstep(memF, memS)
+	operands := matrixOperands()
+	flags := []x86.Flags{0, x86.FlagCF, x86.FlagsAll, x86.FlagZF | x86.FlagPF, x86.FlagSF | x86.FlagOF}
+	rng := rand.New(rand.NewSource(16))
+
+	const dst, s1, s2 = fisa.RT0, fisa.RT1, fisa.RT2
+	tr := &codecache.Translation{EntryPC: 0x1000}
+	n := 0
+	for op := fisa.UNOP; op <= fisa.UCALLOUT; op++ {
+		if op == fisa.UJMP {
+			continue // withheld from the fused pass by FastExec
+		}
+		probe := fisa.MicroOp{Op: op}
+		memOp := probe.IsLoad() || probe.IsStore()
+		for _, w := range []uint8{1, 2, 4} {
+			for _, setf := range []bool{false, true} {
+				// Every edge against every edge would be 6 k runs per
+				// form; pair each operand with four others instead,
+				// drawn so the whole set is covered on both sides.
+				for ai, a := range operands {
+					for k := 0; k < 4; k++ {
+						b := operands[(ai*7+k*13+rng.Intn(len(operands)))%len(operands)]
+						u := fisa.MicroOp{Op: op, W: w, SetF: setf, Dst: dst, Src1: s1, Src2: s2,
+							Imm: int32(b), Cond: x86.Cond(rng.Intn(16)), X86PC: 0x1000 + uint32(n%64)*4, Boundary: 1}
+						init := fisa.NativeState{Flags: flags[rng.Intn(len(flags))]}
+						for r := range init.R {
+							init.R[r] = rng.Uint32()
+						}
+						init.R[s1], init.R[s2] = a, b
+						if memOp {
+							// Address = Src1 + Imm inside the mapped window,
+							// unaligned and page-crossing offsets included.
+							init.R[s1] = dataBase + a&0x1FFF
+							u.Imm = int32(b & 0x3F)
+						}
+						switch op {
+						case fisa.UBR:
+							u.Imm = 2 // taken: the second trampoline
+						case fisa.UDIVQ, fisa.UDIVR, fisa.UIDIVQ, fisa.UIDIVR:
+							init.R[fisa.REAX], init.R[fisa.REDX] = b, operands[(ai+k)%len(operands)]>>uint(k*8)
+						}
+						tr.Uops = append(tr.Uops[:0], u,
+							fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: 0}, fisa.MicroOp{Op: fisa.UEXIT, W: 4, Imm: 1})
+						timing.AnalyzeWith(tr, timing.DefaultParams)
+						l.run(t, tr, &init)
+						n++
+					}
+				}
+			}
 		}
 	}
-	if eligible < 10 {
-		t.Fatalf("only %d FastExec-eligible blocks reached", eligible)
+	if l.taken == 0 || l.callouts == 0 {
+		t.Fatalf("matrix took %d branches and %d callouts", l.taken, l.callouts)
+	}
+	t.Logf("%d runs, %d legs", n, l.legs)
+}
+
+// TestPseudoRegistersStayOutOfTranslations: the issue step's padding
+// is sound only while no micro-op names a pseudo-register and nothing
+// marks the always-zero slot ready. Checked over every translation a
+// run of each application leaves behind, and on the engine that ran it.
+func TestPseudoRegistersStayOutOfTranslations(t *testing.T) {
+	for _, app := range lockstepApps {
+		prog, err := workload.App(app, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		supers, blocks, eng := hotTranslations(t, prog, timing.DefaultParams)
+		for _, tr := range append(supers, blocks...) {
+			for i, u := range tr.Uops {
+				if u.Dst >= fisa.NumRegs || u.Src1 >= fisa.NumRegs || u.Src2 >= fisa.NumRegs {
+					t.Fatalf("%s: µop %d of %#x (%v) names a register past the register file", app, i, tr.EntryPC, u)
+				}
+			}
+			for i, m := range tr.Meta {
+				for _, d := range m.Dsts {
+					if d == codecache.RegZero {
+						t.Fatalf("%s: entity %d of %#x marks the zero slot", app, i, tr.EntryPC)
+					}
+				}
+				for _, s := range append(m.Srcs[:], m.FlagSrc) {
+					if s == codecache.RegSink {
+						t.Fatalf("%s: entity %d of %#x waits for the sink", app, i, tr.EntryPC)
+					}
+				}
+			}
+		}
+		if z := timing.ZeroReady(eng); z != 0 {
+			t.Fatalf("%s: the zero slot reads %v after a full run", app, z)
+		}
 	}
 }

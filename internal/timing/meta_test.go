@@ -9,11 +9,13 @@ import (
 	"codesignvm/internal/workload"
 )
 
-// engineState snapshots the dataflow state that a replay mutates.
+// engineState snapshots the dataflow state that a replay mutates: the
+// ready times (the flag slot among them; the write-only sink, which
+// only the metadata-driven replays mark, blanked), clock, retirement
+// frontier and unconsumed events.
 type engineState struct {
 	clock      float64
 	regReady   [256]float64
-	flagReady  float64
 	lastRetire float64
 	ringIdx    int
 	loadsLeft  int
@@ -21,10 +23,11 @@ type engineState struct {
 }
 
 func snapshot(e *Engine) engineState {
+	ready := e.regReady
+	ready[codecache.RegSink] = 0
 	return engineState{
 		clock:      e.clock,
-		regReady:   e.regReady,
-		flagReady:  e.flagReady,
+		regReady:   ready,
 		lastRetire: e.lastRetire,
 		ringIdx:    e.ringIdx,
 		loadsLeft:  len(e.loadLat) - e.loadHead,

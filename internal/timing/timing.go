@@ -77,11 +77,13 @@ type Engine struct {
 	// Dataflow state (absolute cycles). regReady is sized for the full
 	// uint8 register namespace rather than fisa.NumRegs: indexing it
 	// with a fisa.Reg then needs no bounds check, which matters in the
-	// block-replay loop (the simulator's hottest path).
+	// block-replay loop (the simulator's hottest path), and the slots
+	// past the register file hold the issue step's pseudo-registers
+	// (codecache.RegFlags: the condition flags; RegZero: never written,
+	// so always 0; RegSink: written, never read).
 	clock      float64 // issue-bandwidth frontier == machine time
 	invWidth   float64 // 1/Width, hoisted out of the per-entity issue step
 	regReady   [256]float64
-	flagReady  float64
 	ring       []float64 // retire times of the last Window entities
 	ringIdx    int
 	lastRetire float64
@@ -255,8 +257,8 @@ func (e *Engine) ChargeRange(uops []fisa.MicroOp, lo, hi int) {
 					src = r
 				}
 			}
-			if reads, _ := m.FlagUse(); reads && e.flagReady > src {
-				src = e.flagReady
+			if reads, _ := m.FlagUse(); reads && e.regReady[codecache.RegFlags] > src {
+				src = e.regReady[codecache.RegFlags]
 			}
 		}
 		gather(u)
@@ -291,7 +293,7 @@ func (e *Engine) ChargeRange(uops []fisa.MicroOp, lo, hi int) {
 				e.regReady[m.Dst] = complete
 			}
 			if _, writes := m.FlagUse(); writes {
-				e.flagReady = complete
+				e.regReady[codecache.RegFlags] = complete
 			}
 		}
 		apply(u)
@@ -333,19 +335,17 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 	}
 	// The issue step (issueEntity) is open-coded here with the dataflow
 	// state held in locals: this loop is the simulator's single hottest
-	// path, and keeping clock/ring cursor/retire frontier/flag frontier
-	// in registers across the block is worth ~10% of total simulation
-	// time. regReady is accessed through a pointer local and indexed by
-	// uint8 register numbers (no bounds checks — the array spans the
-	// whole namespace); meta is re-sliced to the micro-op count so the
-	// loop bound proves the indexing. The arithmetic is identical,
-	// operation for operation, to issueEntity;
+	// path, and keeping clock/ring cursor/retire frontier in registers
+	// across the block is worth ~10% of total simulation time. regReady
+	// is accessed through a pointer local and indexed by uint8 register
+	// numbers (no bounds checks — the array spans the whole namespace);
+	// meta is re-sliced to the micro-op count so the loop bound proves
+	// the indexing. The arithmetic is that of issueEntity:
 	// TestChargeBlockMatchesChargeRange pins the two together.
 	meta = meta[:len(uops)]
 	clock, lastRetire, brStall := e.clock, e.lastRetire, e.brStall
 	ring, ringIdx := e.ring, e.ringIdx
 	invWidth := e.invWidth
-	flagReady := e.flagReady
 	regReady := &e.regReady
 	for i := lo; i <= hi && i < len(meta); {
 		m := &meta[i]
@@ -358,14 +358,25 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 			m = &sm
 		}
 
-		src := 0.0
-		for k := uint8(0); k < m.NSrc; k++ {
-			if r := regReady[m.Srcs[k]]; r > src {
-				src = r
-			}
+		// Every entity gathers two register sources and the flag slot
+		// and marks three destinations, whatever it is: the record pads
+		// with RegZero and RegSink (codecache.UopMeta). Ready times are
+		// never negative and max is exact, so waiting for a slot that
+		// is always 0 leaves src — and every cycle — what the walk over
+		// only the live sources computed.
+		src := regReady[m.Srcs[0]]
+		if r := regReady[m.Srcs[1]]; r > src {
+			src = r
 		}
-		if m.Bits&codecache.MetaReadsFlags != 0 && flagReady > src {
-			src = flagReady
+		if r := regReady[m.FlagSrc]; r > src {
+			src = r
+		}
+		if m.NSrc > 2 {
+			for _, s := range m.Srcs[2:m.NSrc] {
+				if r := regReady[s]; r > src {
+					src = r
+				}
+			}
 		}
 
 		lat := m.Lat
@@ -395,15 +406,9 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 		}
 		clock = slot + invWidth
 
-		if m.Bits&codecache.MetaHasDst1 != 0 {
-			regReady[m.Dst1] = complete
-		}
-		if m.Bits&codecache.MetaHasDst2 != 0 {
-			regReady[m.Dst2] = complete
-		}
-		if m.Bits&codecache.MetaWritesFlags != 0 {
-			flagReady = complete
-		}
+		regReady[m.Dsts[0]] = complete
+		regReady[m.Dsts[1]] = complete
+		regReady[m.Dsts[2]] = complete
 
 		if m.Bits&codecache.MetaIsBranch != 0 {
 			if pen := e.popBr(); pen > 0 {
@@ -417,7 +422,7 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 
 		i += int(m.Step)
 	}
-	e.clock, e.lastRetire, e.ringIdx, e.flagReady, e.brStall = clock, lastRetire, ringIdx, flagReady, brStall
+	e.clock, e.lastRetire, e.ringIdx, e.brStall = clock, lastRetire, ringIdx, brStall
 }
 
 // fillMeta writes into m the issue-entity shape of the micro-op u
@@ -425,13 +430,14 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 // the per-entity work of ChargeRange: filtered sources, flag behaviour,
 // base latency, load/branch event consumption and destinations.
 func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
-	*m = codecache.UopMeta{Step: 1, Lat: 1}
+	// The record of nothing: no source to wait for, no destination to mark.
+	const z, sink = codecache.RegZero, codecache.RegSink
+	*m = codecache.UopMeta{Lat: 1, Step: 1, Srcs: [6]fisa.Reg{z, z, z, z, z, z}, FlagSrc: z, Dsts: [3]fisa.Reg{sink, sink, sink}}
 	m.NSrc = uint8(len(u.Sources(m.Srcs[:0])))
-	m.Bits = eventBits(u)
 	if u.HasDst() {
-		m.Bits |= codecache.MetaHasDst1
-		m.Dst1 = u.Dst
+		m.Dsts[0] = u.Dst
 	}
+	absorbEvents(m, u)
 	if pair != nil {
 		m.Step = 2
 		m.Lat = float64(p.PairLatency)
@@ -443,11 +449,10 @@ func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
 			m.Srcs[m.NSrc] = s
 			m.NSrc++
 		}
-		m.Bits |= eventBits(pair)
 		if pair.HasDst() {
-			m.Bits |= codecache.MetaHasDst2
-			m.Dst2 = pair.Dst
+			m.Dsts[1] = pair.Dst
 		}
+		absorbEvents(m, pair)
 	}
 	switch u.Op.Latency() {
 	case fisa.LatMul:
@@ -457,23 +462,22 @@ func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
 	}
 }
 
-// eventBits returns the Meta bits one micro-op contributes to its
-// entity whichever slot it is in: flag use, load and branch events.
-func eventBits(u *fisa.MicroOp) (bits uint8) {
+// absorbEvents folds into m what one micro-op contributes to its entity
+// whichever slot it is in: its flag use and its load and branch events.
+func absorbEvents(m *codecache.UopMeta, u *fisa.MicroOp) {
 	reads, writes := u.FlagUse()
 	if reads {
-		bits |= codecache.MetaReadsFlags
+		m.FlagSrc = codecache.RegFlags
 	}
 	if writes {
-		bits |= codecache.MetaWritesFlags
+		m.Dsts[2] = codecache.RegFlags
 	}
 	if u.IsLoad() {
-		bits |= codecache.MetaHasLoad
+		m.Bits |= codecache.MetaHasLoad
 	}
 	if u.Op == fisa.UBR {
-		bits |= codecache.MetaIsBranch
+		m.Bits |= codecache.MetaIsBranch
 	}
-	return bits
 }
 
 // Serialize models a full pipeline drain: issue stops until everything
@@ -499,7 +503,9 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 	meta := t.Meta
 
 	// Static dependence levels, in entity latencies. Indexed through
-	// regMask (the encodable register space), so no bounds checks.
+	// regMask (the encodable register space), so no bounds checks; a
+	// pseudo-register would alias a real one there, so this walk reads
+	// only the live sources and tests each destination slot.
 	const regMask = fisa.NumRegs - 1
 	var regLevel [fisa.NumRegs]int
 	flagLevel := 0
@@ -539,7 +545,7 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 				ready = l
 			}
 		}
-		if m.Bits&codecache.MetaReadsFlags != 0 && flagLevel > ready {
+		if m.FlagSrc == codecache.RegFlags && flagLevel > ready {
 			ready = flagLevel
 		}
 		lat := 1
@@ -560,13 +566,12 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 		if done > depth {
 			depth = done
 		}
-		if m.Bits&codecache.MetaHasDst1 != 0 {
-			regLevel[m.Dst1&regMask] = done
+		for _, d := range m.Dsts[:2] {
+			if d != codecache.RegSink {
+				regLevel[d&regMask] = done
+			}
 		}
-		if m.Bits&codecache.MetaHasDst2 != 0 {
-			regLevel[m.Dst2&regMask] = done
-		}
-		if m.Bits&codecache.MetaWritesFlags != 0 {
+		if m.Dsts[2] == codecache.RegFlags {
 			flagLevel = done
 		}
 	}

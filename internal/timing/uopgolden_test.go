@@ -60,15 +60,14 @@ func metaSemantics(m *codecache.UopMeta) string {
 	}
 	srcs := append([]fisa.Reg(nil), m.Srcs[:m.NSrc]...)
 	var dsts []fisa.Reg
-	if m.Bits&codecache.MetaHasDst1 != 0 {
-		dsts = append(dsts, m.Dst1)
-	}
-	if m.Bits&codecache.MetaHasDst2 != 0 {
-		dsts = append(dsts, m.Dst2)
+	for _, d := range m.Dsts[:2] {
+		if d != codecache.RegSink {
+			dsts = append(dsts, d)
+		}
 	}
 	return fmt.Sprintf("{src=[%s] dst=[%s] lat=%v step=%d ld=%v br=%v}",
-		regs(srcs, m.Bits&codecache.MetaReadsFlags != 0),
-		regs(dsts, m.Bits&codecache.MetaWritesFlags != 0),
+		regs(srcs, m.FlagSrc == codecache.RegFlags),
+		regs(dsts, m.Dsts[2] == codecache.RegFlags),
 		m.Lat, m.Step, m.Bits&codecache.MetaHasLoad != 0, m.Bits&codecache.MetaIsBranch != 0)
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
+
+	"codesignvm/internal/fisa"
 )
 
 // consumerLabels tags the timing-consumer goroutine in CPU profiles so
@@ -11,16 +13,21 @@ import (
 var consumerLabels = pprof.Labels("vmm", "timing-consumer")
 
 // startPipeline arms the execute/timing pipeline for one Run call: the
-// ring is (lazily, once per VM) allocated and the consumer goroutine
-// begins draining it. The producer must stop the pipeline before
-// reading any consumer-owned state (timing clock, Result cycle fields,
-// samples).
+// rings and the event buffer are (lazily, once per VM) allocated — a VM
+// that only ever runs sequentially never pays for them — and the
+// consumer goroutine begins draining. The producer must stop the
+// pipeline before reading any consumer-owned state (timing clock,
+// Result cycle fields, samples).
 func (v *VM) startPipeline() {
 	if v.ring == nil {
 		v.ring = newTraceRing(v.ringLen)
 	}
 	if v.events == nil {
 		v.events = newEventRing(0)
+	}
+	if v.evBuf == nil {
+		// Non-nil is what puts fisa.Exec in deferred-observation mode.
+		v.evBuf = make([]fisa.Event, 0, 512)
 	}
 	v.obsArmRing()
 	v.pipeDone = make(chan struct{})

@@ -70,7 +70,8 @@ type VM struct {
 	// evBuf is the deferred-observation buffer handed to fisa.Exec
 	// (Env.Events): loads, stores and branch outcomes accumulate here
 	// during the linear pass and are replayed in batch before the
-	// segment's timing charge. Producer-owned; reused every block.
+	// segment's timing charge. Producer-owned; reused every block;
+	// allocated by startPipeline, the only mode that reads it.
 	evBuf []fisa.Event
 
 	// Pipeline plumbing (nil/false in sequential mode).
@@ -136,8 +137,6 @@ func New(cfg Config, mem *x86.Memory, init *x86.State) *VM {
 		arch:       *init,
 		nextSample: 1000,
 		tlNext:     math.Inf(1),
-
-		evBuf: make([]fisa.Event, 0, 512),
 	}
 	if cfg.NoStartupSamples {
 		v.nextSample = math.Inf(1)
@@ -833,8 +832,6 @@ func (v *VM) execute(t *codecache.Translation, cat Category) error {
 		}
 		total.Uops += st.Uops
 		total.Entities += st.Entities
-		total.Loads += st.Loads
-		total.Stores += st.Stores
 		total.Boundaries += st.Boundaries
 
 		// Timing replay over the executed (linear) ranges: first the
@@ -890,8 +887,6 @@ func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 		}
 		total.Uops += st.Uops
 		total.Entities += st.Entities
-		total.Loads += st.Loads
-		total.Stores += st.Stores
 		total.Boundaries += st.Boundaries
 
 		if kind == fisa.StopCallout {

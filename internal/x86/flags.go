@@ -46,9 +46,9 @@ func (f Flags) String() string {
 	return string(b)
 }
 
-// parityTable[i] is 1 when byte i has an even number of set bits (PF
-// convention).
-var parityTable [256]uint8
+// parityTable[i] is FlagPF when byte i has an even number of set bits,
+// else 0.
+var parityTable [256]Flags
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -57,7 +57,7 @@ func init() {
 			bits += b & 1
 		}
 		if bits%2 == 0 {
-			parityTable[i] = 1
+			parityTable[i] = FlagPF
 		}
 	}
 }
@@ -78,38 +78,64 @@ func widthMask(width uint8) (mask uint32, sign uint32) {
 // szpFlags computes SF, ZF and PF of a result at the given width,
 // merging them into the non-SZP bits of old.
 func szpFlags(old Flags, res uint32, width uint8) Flags {
-	mask, sign := widthMask(width)
-	res &= mask
-	f := old &^ (FlagSF | FlagZF | FlagPF)
+	sh := widthShift(width)
+	return old&^(FlagSF|FlagZF|FlagPF) | szpAligned(res<<sh, sh)
+}
+
+// widthShift returns how far an operand of the given width in bytes
+// is shifted up to left-align it in 32 bits.
+func widthShift(width uint8) uint {
+	switch width {
+	case 1:
+		return 24
+	case 2:
+		return 16
+	default:
+		return 0
+	}
+}
+
+// The ADD, SUB and logic flag rules below are written once, for
+// operands left-aligned in 32 bits (shifted up by sh = widthShift):
+// carry, overflow, sign and zero then fall out of the 32-bit result
+// whatever the operand width, and parity and the auxiliary carry are
+// read sh bits up. They are branch-free and small enough to inline, so
+// the 32-bit forms (sh = 0, which the hot loop calls directly) fold to
+// straight-line code.
+
+// szpAligned computes SF, ZF and PF of a left-aligned result.
+func szpAligned(res uint32, sh uint) Flags {
+	f := parityTable[uint8(res>>sh)] | Flags(res>>24)&FlagSF
 	if res == 0 {
 		f |= FlagZF
-	}
-	if res&sign != 0 {
-		f |= FlagSF
-	}
-	if parityTable[res&0xFF] == 1 {
-		f |= FlagPF
 	}
 	return f
 }
 
+// addFlags is the ADD rule: the carry is bit 32 of the 64-bit sum,
+// overflow is both operands' signs differing from the result's.
+func addFlags(a, b uint32, sh uint) Flags {
+	res := a + b
+	return szpAligned(res, sh) |
+		Flags(uint32((uint64(a)+uint64(b))>>32)|(a^res)&(b^res)>>31<<11|(a^b^res)>>sh&uint32(FlagAF))
+}
+
+// subFlags is the SUB rule: the borrow is the sign of the 64-bit
+// difference, overflow is the operands' signs differing and the
+// result's differing from a's.
+func subFlags(a, b uint32, sh uint) Flags {
+	res := a - b
+	return szpAligned(res, sh) |
+		Flags(uint32((uint64(a)-uint64(b))>>63)|(a^b)&(a^res)>>31<<11|(a^b^res)>>sh&uint32(FlagAF))
+}
+
+// FlagsAdd32 computes the flags after the 32-bit a + b.
+func FlagsAdd32(a, b uint32) Flags { return addFlags(a, b, 0) }
+
 // FlagsAdd computes the flags after a + b at the given width.
 func FlagsAdd(a, b uint32, width uint8) Flags {
-	mask, sign := widthMask(width)
-	a &= mask
-	b &= mask
-	res := (a + b) & mask
-	f := szpFlags(0, res, width)
-	if res < a {
-		f |= FlagCF
-	}
-	if (a^res)&(b^res)&sign != 0 {
-		f |= FlagOF
-	}
-	if (a^b^res)&0x10 != 0 {
-		f |= FlagAF
-	}
-	return f
+	sh := widthShift(width)
+	return addFlags(a<<sh, b<<sh, sh)
 }
 
 // FlagsAdc computes the flags after a + b + carry at the given width.
@@ -136,24 +162,14 @@ func FlagsAdc(a, b uint32, carry bool, width uint8) Flags {
 	return f
 }
 
+// FlagsSub32 computes the flags after the 32-bit a - b (also CMP).
+func FlagsSub32(a, b uint32) Flags { return subFlags(a, b, 0) }
+
 // FlagsSub computes the flags after a - b at the given width (also used
 // by CMP).
 func FlagsSub(a, b uint32, width uint8) Flags {
-	mask, sign := widthMask(width)
-	a &= mask
-	b &= mask
-	res := (a - b) & mask
-	f := szpFlags(0, res, width)
-	if a < b {
-		f |= FlagCF
-	}
-	if (a^b)&(a^res)&sign != 0 {
-		f |= FlagOF
-	}
-	if (a^b^res)&0x10 != 0 {
-		f |= FlagAF
-	}
-	return f
+	sh := widthShift(width)
+	return subFlags(a<<sh, b<<sh, sh)
 }
 
 // FlagsSbb computes the flags after a - b - borrow at the given width.
@@ -179,17 +195,34 @@ func FlagsSbb(a, b uint32, borrow bool, width uint8) Flags {
 	return f
 }
 
+// FlagsLogic32 computes the flags after a 32-bit bitwise operation
+// producing res (also TEST).
+func FlagsLogic32(res uint32) Flags { return szpAligned(res, 0) }
+
 // FlagsLogic computes the flags after a bitwise operation producing res
 // at the given width (CF = OF = AF = 0 per IA-32; AF is architecturally
 // undefined, we clear it).
 func FlagsLogic(res uint32, width uint8) Flags {
-	return szpFlags(0, res, width)
+	sh := widthShift(width)
+	return szpAligned(res<<sh, sh)
+}
+
+// FlagsInc32 computes the flags after the 32-bit res = a+1; CF is
+// preserved from old.
+func FlagsInc32(old Flags, a uint32) Flags {
+	return (addFlags(a, 1, 0) &^ FlagCF) | (old & FlagCF)
 }
 
 // FlagsInc computes the flags after res = a+1; CF is preserved from old.
 func FlagsInc(old Flags, a uint32, width uint8) Flags {
 	f := FlagsAdd(a, 1, width)
 	return (f &^ FlagCF) | (old & FlagCF)
+}
+
+// FlagsDec32 computes the flags after the 32-bit res = a-1; CF is
+// preserved from old.
+func FlagsDec32(old Flags, a uint32) Flags {
+	return (subFlags(a, 1, 0) &^ FlagCF) | (old & FlagCF)
 }
 
 // FlagsDec computes the flags after res = a-1; CF is preserved from old.

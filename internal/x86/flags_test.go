@@ -206,7 +206,7 @@ func TestCondNegateProperty(t *testing.T) {
 
 func TestParityTable(t *testing.T) {
 	// Spot checks against the IA-32 definition.
-	if parityTable[0] != 1 || parityTable[1] != 0 || parityTable[3] != 1 || parityTable[7] != 0 || parityTable[0xFF] != 1 {
+	if parityTable[0] != FlagPF || parityTable[1] != 0 || parityTable[3] != FlagPF || parityTable[7] != 0 || parityTable[0xFF] != FlagPF {
 		t.Errorf("parity table wrong: %v %v %v %v %v",
 			parityTable[0], parityTable[1], parityTable[3], parityTable[7], parityTable[0xFF])
 	}

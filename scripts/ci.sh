@@ -40,13 +40,15 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 # build that breaks their alloc budgets or harness wiring fails here
 # rather than in a manual perf run.
 go test -run '^$' -bench 'DispatchHot|BBTTranslate' -benchtime=1x ./internal/vmm/ ./internal/bbt/
-go test -run '^$' -bench 'Decode|Crack|Analyze|InterpStep' -benchtime=1x \
+go test -run '^$' -bench 'Decode|Crack|Analyze|ExecBlock|InterpStep' -benchtime=1x \
 	./internal/x86/ ./internal/crack/ ./internal/timing/ ./internal/interp/
 go test -run '^$' -bench 'Fig2' -benchtime=1x .
 
 # Inline-budget gate: the hot-path helpers (charge, segInterpAt,
-# sampleIfDue, the memory TLB probe, the decoder's byte fetch and the
-# micro-op descriptor-table accessors) must stay inlinable.
+# sampleIfDue, the memory TLB probe, the decoder's byte fetch, the
+# micro-op descriptor-table accessors, and what ExecBlock and
+# ChargeBlock inline per micro-op: the 32-bit flag rules, the register
+# merge, the event-queue pops) must stay inlinable.
 sh scripts/inlinecheck.sh
 
 # Decoder fuzz leg: the seed corpus already ran in the suite above; this

@@ -17,6 +17,15 @@ want='./internal/vmm	(*VM).charge
 ./internal/vmm	(*VM).sampleIfDue
 ./internal/x86	(*Memory).lookup
 ./internal/x86	(*decoder).u8
+./internal/x86	FlagsAdd32
+./internal/x86	FlagsSub32
+./internal/x86	FlagsLogic32
+./internal/x86	FlagsInc32
+./internal/x86	FlagsDec32
+./internal/timing	(*Engine).popLoad
+./internal/timing	(*Engine).popBr
+./internal/timing	(*Engine).AdvanceClock
+./internal/fisa	WriteMerged
 ./internal/fisa	(*MicroOp).IsLoad
 ./internal/fisa	(*MicroOp).IsStore
 ./internal/fisa	(*MicroOp).IsBranch

@@ -13,7 +13,10 @@
 // access sequence as a sequential run and reaches the same state.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -38,35 +41,45 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// line is one cache line. key packs the tag with a validity bit in bit
-// 0 (key = tag<<1 | 1), so the hit loop — the memory system's hottest
-// path — is a single word compare per way; the zero value (key 0, an
-// even number) can never match. Line sizes are at least 2 bytes, so a
-// 31-bit tag always fits.
-type line struct {
-	key   uint32
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
-// Cache is one set-associative cache level. Lines are stored as one
-// contiguous array (set-major) so an access touches a single allocation.
+// Cache is one set-associative cache level, stored struct-of-arrays: the
+// hit loop — the memory system's hottest path — reads only a set's keys
+// (one word per way, contiguous), and everything else a set has is one
+// LRU word and one dirty byte.
+//
+// A key packs the tag with a validity bit in bit 0 (key = tag<<1 | 1),
+// so a way matches by a single word compare and the zero value (an even
+// number) never does. Line sizes are at least 2 bytes, so a 31-bit tag
+// always fits.
+//
+// lru[set] holds the set's exact LRU order as a permutation of its ways,
+// one byte per rank: byte 0 names the most recently used way, byte
+// ways-1 the victim. New puts way 0 last and every fill moves its way to
+// the front, so ways never filled always sit behind every way that was:
+// a miss takes them first without looking at validity, and Flush leaves
+// the order as it is (any order of all-invalid ways will do). Bytes
+// beyond ways-1 mean nothing. DESIGN.md §14 argues the order is the
+// timestamp LRU's, access for access; TestMatchesReferenceLRU checks it.
 type Cache struct {
 	cfg      Config
-	lines    []line // nSets × Ways, set-major
-	hint     []byte // per-set most-recently-hit way (purely an accelerator)
+	keys     []uint32 // nSets × ways, set-major
+	lru      []uint64 // per set: byte r = the way of LRU rank r (0 = newest)
+	dirty    []uint8  // per set: bit w = way w holds a modified line
 	ways     uint32
 	setShift uint
 	setMask  uint32
-	tick     uint64
+	lruShift uint // 8·(ways-1): where the victim's byte sits
 	stats    Stats
 }
 
+// maxWays is how many 8-bit way numbers one LRU word holds.
+const maxWays = 8
+
 // New builds a cache level from its configuration.
 func New(cfg Config) *Cache {
-	if cfg.Line < 2 || cfg.Line&(cfg.Line-1) != 0 || cfg.Ways <= 0 || cfg.Size <= 0 {
+	if cfg.Line < 2 || cfg.Line&(cfg.Line-1) != 0 || cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Size <= 0 {
 		// The index math shifts by log2(Line), which a non-power-of-two
-		// line size would silently corrupt.
+		// line size would silently corrupt; a set's LRU order is one
+		// byte per way in one word.
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
 	nSets := cfg.Size / (cfg.Line * cfg.Ways)
@@ -77,13 +90,25 @@ func New(cfg Config) *Cache {
 	for l := cfg.Line; l > 1; l >>= 1 {
 		shift++
 	}
+	// Way 0 fills first, then way 1, …: a sparsely used set keeps its
+	// lines where the way scan looks first.
+	order := uint64(0)
+	for w := 0; w < cfg.Ways; w++ {
+		order = order<<8 | uint64(w)
+	}
+	lru := make([]uint64, nSets)
+	for i := range lru {
+		lru[i] = order
+	}
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nSets*cfg.Ways),
-		hint:     make([]byte, nSets),
+		keys:     make([]uint32, nSets*cfg.Ways),
+		lru:      lru,
+		dirty:    make([]uint8, nSets),
 		ways:     uint32(cfg.Ways),
 		setShift: shift,
 		setMask:  uint32(nSets - 1),
+		lruShift: 8 * uint(cfg.Ways-1),
 	}
 }
 
@@ -96,60 +121,66 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Flush invalidates every line (used for the memory-startup scenario:
 // caches empty, program resident in memory).
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.keys)
+	clear(c.dirty)
+}
+
+// promote returns LRU word o with way w moved to the front: the ways
+// ahead of it each step back one rank, the ways behind it stay. w's rank
+// is the lowest byte of o equal to w — the lowest zero byte of o^w·0x01…,
+// which the carry trick finds exactly — and a word holds each way once
+// below byte `ways`, so whatever lies beyond is never the match.
+func promote(o uint64, w uint) uint64 {
+	const low, high = 0x0101010101010101, 0x8080808080808080
+	x := o ^ uint64(w)*low
+	ahead := uint64(1)<<(uint(bits.TrailingZeros64((x-low)&^x&high))&^7) - 1 // the bytes ranked before w
+	return o&^(ahead<<8|0xFF) | o&ahead<<8 | uint64(w)
 }
 
 // Access looks up the line containing addr; on a miss the line is filled
 // (evicting LRU). It returns hit and whether a dirty line was evicted.
 func (c *Cache) Access(addr uint32, write bool) (hit, wroteBack bool) {
-	c.tick++
 	c.stats.Accesses++
 	tag := addr >> c.setShift
 	key := tag<<1 | 1
 	set := tag & c.setMask
 	base := set * c.ways
-	lines := c.lines[base : base+c.ways]
-	// Most-recently-hit way first: accesses to a set overwhelmingly
-	// re-touch the same line, so this usually skips the way scan. The
-	// hint is only ever a guess — the key compare decides — so stale
-	// hints cost one extra compare, never correctness.
-	if h := uint32(c.hint[set]); h < uint32(len(lines)) && lines[h].key == key {
-		lines[h].used = c.tick
+	keys := c.keys[base : base+c.ways]
+	o := c.lru[set]
+	// Accesses to a set overwhelmingly re-touch its most recent line,
+	// and nothing moves on such a hit.
+	if mru := o & 0xFF; keys[mru] == key {
 		if write {
-			lines[h].dirty = true
+			c.dirty[set] |= 1 << mru
 		}
 		return true, false
 	}
-	for i := range lines {
-		if lines[i].key == key {
-			lines[i].used = c.tick
+	for w, k := range keys {
+		if k == key {
+			c.lru[set] = promote(o, uint(w))
 			if write {
-				lines[i].dirty = true
+				c.dirty[set] |= 1 << uint(w)
 			}
-			c.hint[set] = byte(i)
 			return true, false
 		}
 	}
-	// Miss: evict LRU.
+	// Miss: the last-ranked way is the victim and becomes the newest.
 	c.stats.Misses++
-	victim := 0
-	for i := 1; i < len(lines); i++ {
-		if lines[i].key == 0 {
-			victim = i
-			break
-		}
-		if lines[i].used < lines[victim].used {
-			victim = i
-		}
-	}
-	wroteBack = lines[victim].key != 0 && lines[victim].dirty
-	if wroteBack {
+	victim := o >> c.lruShift & 0xFF
+	bit := uint8(1) << victim
+	d := c.dirty[set]
+	if d&bit != 0 {
+		wroteBack = true
 		c.stats.Writebacks++
 	}
-	lines[victim] = line{key: key, dirty: write, used: c.tick}
-	c.hint[set] = byte(victim)
+	if write {
+		d |= bit
+	} else {
+		d &^= bit
+	}
+	c.dirty[set] = d
+	keys[victim] = key
+	c.lru[set] = o<<8 | victim
 	return false, wroteBack
 }
 
@@ -229,6 +260,9 @@ func (h *Hierarchy) DataPenalty(addr uint32, write bool) int {
 // translator's own memory traffic: reading architected code bytes and
 // writing translations).
 func (h *Hierarchy) Touch(addr uint32, size int, write bool) {
+	if size <= 0 {
+		return // no byte, no line: last would fall one line below first
+	}
 	lineSz := uint32(h.L1D.cfg.Line)
 	first := addr &^ (lineSz - 1)
 	last := (addr + uint32(size) - 1) &^ (lineSz - 1)

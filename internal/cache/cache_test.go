@@ -188,10 +188,67 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-power-of-two set count")
+	for name, cfg := range map[string]Config{
+		"non-power-of-two set count": {Size: 3 * 64, Ways: 1, Line: 64, Latency: 1},
+		"more ways than rank bytes":  {Size: 9 * 64, Ways: 9, Line: 64, Latency: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for %s", name)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// TestTouchZeroSize: an empty range touches nothing. With a line-aligned
+// address the last line used to come out one below the first, and the
+// walk wrapped through the whole address space.
+func TestTouchZeroSize(t *testing.T) {
+	h := Table2()
+	for _, addr := range []uint32{0x700000, 0x700001, 0} {
+		h.Touch(addr, 0, true)
+		h.Touch(addr, -4, false)
+	}
+	if n := h.L1D.Stats().Accesses + h.L2.Stats().Accesses; n != 0 {
+		t.Errorf("empty touches made %d accesses", n)
+	}
+}
+
+var sinkHit bool
+
+// BenchmarkCacheAccess is bench/layers.go's probe of one Table 2 L1D:
+// always hitting (64 lines, one per set) and always missing (a sweep of
+// 4× the capacity).
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := Table2().L1D.Config()
+	line := uint32(cfg.Line)
+	b.Run("hit", func(b *testing.B) {
+		c := New(cfg)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkHit, _ = c.Access(0x10000000+uint32(i%64)*line, false)
 		}
-	}()
-	New(Config{Size: 3 * 64, Ways: 1, Line: 64, Latency: 1})
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := New(cfg)
+		next, span := uint32(0), uint32(4*cfg.Size)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkHit, _ = c.Access(0x10000000+next, false)
+			next = (next + line) % span
+		}
+	})
+}
+
+var sinkHierarchy *Hierarchy
+
+// BenchmarkTable2 is what every vmm.New pays for its memory system.
+func BenchmarkTable2(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHierarchy = Table2()
+	}
 }

@@ -91,10 +91,10 @@ type Translation struct {
 	NumUops int    // micro-ops (excluding nothing; len(Uops))
 
 	// Issue-shape precomputation for the timing model.
-	Entities   int     // issue entities (fused pair = 1)
-	FusedPairs int     // number of macro-op pairs
-	Depth      int     // dependence critical path in issue entities
-	CPE        float64 // cycles per entity = max(1/width-bound, depth/entities)
+	Entities   int       // issue entities (fused pair = 1)
+	FusedPairs int       // number of macro-op pairs
+	Depth      int       // dependence critical path in issue entities
+	CPE        float64   // cycles per entity = max(1/width-bound, depth/entities)
 	Meta       []UopMeta // per-micro-op entity shape for the fast timing replay
 
 	X86Bytes int // architected code bytes covered (x86-mode fetch span)

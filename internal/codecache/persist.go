@@ -128,9 +128,10 @@ type SnapEntry struct {
 // Snapshot is a parsed, checksum-verified CCVM2 byte stream (one or
 // more sections): an index of every persisted translation plus the
 // still-encoded record bytes, so individual translations can be decoded
-// lazily with Decode. The underlying bytes are retained and must not be
-// mutated by the caller. A Snapshot is immutable after ParseSnapshot
-// and safe for concurrent Decode calls.
+// lazily with DecodeInto (or Decode). The underlying bytes are retained
+// and must not be mutated by the caller. A Snapshot is immutable after
+// ParseSnapshot and safe for concurrent decodes, each through a scratch
+// of its own.
 type Snapshot struct {
 	data    []byte
 	Entries []SnapEntry
@@ -149,7 +150,7 @@ func (s *Snapshot) Size() int { return len(s.data) }
 
 // ParseSnapshot validates a CCVM2 byte stream — every section's
 // structure and CRC-32C trailer — and builds the lazy-restore index.
-// It decodes no translation records; Decode does that per entry.
+// It decodes no translation records; DecodeInto does that per entry.
 func ParseSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codecache: empty snapshot")
@@ -218,33 +219,127 @@ func parseSection(sec []byte, base int) ([]SnapEntry, int, error) {
 	return entries, off + 4, nil
 }
 
-// Decode decodes entry i into a fresh heap translation, cross-checked
-// against its index entry. The caller owns the result (typically
-// re-analyzed and committed into a cache arena via Insert).
-func (s *Snapshot) Decode(i int) (*Translation, error) {
+// DecodeScratch is a reusable decode buffer, the restore path's
+// counterpart of bbt.Scratch: DecodeInto builds each translation into its
+// retained backing arrays, so decoding record after record through one
+// scratch allocates nothing once the arrays have grown to the largest
+// record. The zero value is ready for use.
+type DecodeScratch struct {
+	t Translation
+}
+
+// DecodeInto decodes entry i into sc, cross-checked against its index
+// entry. The returned translation (including its slices) is valid only
+// until sc's next DecodeInto and must be copied out before then —
+// re-analyzed and committed into a cache arena via Insert, exactly as a
+// bbt.Scratch translation is.
+func (s *Snapshot) DecodeInto(i int, sc *DecodeScratch) (*Translation, error) {
 	e := &s.Entries[i]
-	rec := s.data[e.off : e.off+e.n]
-	sr := bytes.NewReader(rec)
-	br := bufio.NewReader(sr)
-	t, err := readTranslation(br)
-	if err != nil {
+	if err := sc.decode(s.data[e.off:e.off+e.n], e); err != nil {
 		return nil, fmt.Errorf("codecache: decode %#x: %w", e.EntryPC, err)
 	}
-	if br.Buffered()+sr.Len() != 0 {
-		return nil, fmt.Errorf("codecache: decode %#x: %d trailing record bytes", e.EntryPC, br.Buffered()+sr.Len())
+	return &sc.t, nil
+}
+
+// Decode is DecodeInto on a scratch of its own: the caller owns the
+// result for as long as it likes.
+func (s *Snapshot) Decode(i int) (*Translation, error) {
+	return s.DecodeInto(i, new(DecodeScratch))
+}
+
+// Record layout, after the 7×u32 header: the micro-op code, a 5-byte
+// sidecar per micro-op (u32 architected PC, u8 boundary marker), and 15
+// bytes per exit (kind, target register, call/ret flags, then u32
+// target, branch PC, return PC).
+const (
+	sidecarSize    = 5
+	exitRecordSize = 15
+)
+
+// decode is one length-checked walk over a record's own bytes into
+// sc.t: the header's counts must account for every byte of rec before
+// any of them is indexed, and the record must be the one index entry e
+// describes.
+func (sc *DecodeScratch) decode(rec []byte, e *SnapEntry) error {
+	if len(rec) < minPersistRecord {
+		return fmt.Errorf("truncated record header (%d bytes)", len(rec))
 	}
-	if t.EntryPC != e.EntryPC || t.Kind != e.Kind || t.NumX86 != int(e.NumX86) {
-		return nil, fmt.Errorf("codecache: decode %#x: record disagrees with index (pc %#x kind %d x86 %d)",
-			e.EntryPC, t.EntryPC, t.Kind, t.NumX86)
+	le := binary.LittleEndian
+	kind, pc, numX86, x86Bytes := le.Uint32(rec), le.Uint32(rec[4:]), le.Uint32(rec[8:]), le.Uint32(rec[12:])
+	nUops, codeLen, nExits := int(le.Uint32(rec[16:])), int(le.Uint32(rec[20:])), int(le.Uint32(rec[24:]))
+	if nUops > 1<<20 || codeLen > 1<<24 || nExits > 1<<16 {
+		return fmt.Errorf("implausible sizes: %d uops, %d bytes, %d exits", nUops, codeLen, nExits)
 	}
-	return t, nil
+	if pc != e.EntryPC || kind != uint32(e.Kind) || numX86 != e.NumX86 {
+		return fmt.Errorf("record disagrees with index (pc %#x kind %d x86 %d)", pc, kind, numX86)
+	}
+	if want := minPersistRecord + codeLen + nUops*sidecarSize + nExits*exitRecordSize; len(rec) < want {
+		return fmt.Errorf("truncated record: %d bytes, header describes %d", len(rec), want)
+	} else if len(rec) > want {
+		return fmt.Errorf("%d trailing record bytes", len(rec)-want)
+	}
+	// A micro-op is 2 or 4 bytes: refuse a count the code cannot hold
+	// before sizing anything by it.
+	if codeLen < 2*nUops || codeLen > 4*nUops {
+		return fmt.Errorf("%d code bytes cannot hold %d µops", codeLen, nUops)
+	}
+
+	uops, exits := sc.t.Uops[:0], sc.t.Exits[:0]
+	if cap(uops) < nUops {
+		uops = make([]fisa.MicroOp, 0, nUops)
+	}
+	if cap(exits) < nExits {
+		exits = make([]Exit, 0, nExits)
+	}
+	code, rest := rec[minPersistRecord:minPersistRecord+codeLen], rec[minPersistRecord+codeLen:]
+	uops, err := fisa.DecodeAll(uops, code)
+	if err != nil {
+		return err
+	}
+	if len(uops) != nUops {
+		return fmt.Errorf("decoded %d µops, header says %d", len(uops), nUops)
+	}
+	for i := range uops {
+		side := rest[i*sidecarSize : (i+1)*sidecarSize]
+		uops[i].X86PC = le.Uint32(side)
+		uops[i].Boundary = side[4]
+	}
+	rest = rest[nUops*sidecarSize:]
+	exits = exits[:nExits]
+	for i := range exits {
+		x := rest[i*exitRecordSize : (i+1)*exitRecordSize]
+		exits[i] = Exit{
+			Kind:      ExitKind(x[0]),
+			TargetReg: fisa.Reg(x[1]),
+			Call:      x[2]&1 != 0,
+			Ret:       x[2]&2 != 0,
+			Target:    le.Uint32(x[3:]),
+			BranchPC:  le.Uint32(x[7:]),
+			ReturnPC:  le.Uint32(x[11:]),
+		}
+	}
+	sc.t = Translation{
+		Kind:     e.Kind,
+		EntryPC:  pc,
+		Uops:     uops,
+		Exits:    exits,
+		Size:     codeLen,
+		NumX86:   int(numX86),
+		NumUops:  nUops,
+		X86Bytes: int(x86Bytes),
+	}
+	return nil
 }
 
 // Load reads one CCVM2 section from r and eagerly inserts every
-// translation into the cache, returning how many were restored. Loaded
-// translations keep their content but receive fresh code-cache
-// addresses; the stream may hold further sections for other caches.
-func (c *Cache) Load(r io.Reader) (int, error) {
+// translation into the cache, returning how many were restored. Each
+// record goes scratch → analyze → Insert, the protocol of every other
+// translation source: analyze (nil for none) fills whatever the owner
+// precomputes per translation — the VMM's timing analysis — before the
+// commit copies it into the arena. Loaded translations keep their
+// content but receive fresh code-cache addresses; the stream may hold
+// further sections for other caches.
+func (c *Cache) Load(r io.Reader, analyze func(*Translation)) (int, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
@@ -258,11 +353,15 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("codecache: load: %w", err)
 	}
 	snap := &Snapshot{data: sec, Entries: entries}
+	var sc DecodeScratch
 	loaded := 0
 	for i := range entries {
-		t, err := snap.Decode(i)
+		t, err := snap.DecodeInto(i, &sc)
 		if err != nil {
 			return loaded, err
+		}
+		if analyze != nil {
+			analyze(t)
 		}
 		if _, _, err := c.Insert(t); err != nil {
 			return loaded, err
@@ -359,75 +458,4 @@ func writeTranslation(w *bufio.Writer, t *Translation) error {
 		}
 	}
 	return nil
-}
-
-func readTranslation(r *bufio.Reader) (*Translation, error) {
-	var hdr [7]uint32
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
-	}
-	t := &Translation{
-		Kind:     TransKind(hdr[0]),
-		EntryPC:  hdr[1],
-		NumX86:   int(hdr[2]),
-		X86Bytes: int(hdr[3]),
-	}
-	nUops, codeLen, nExits := int(hdr[4]), int(hdr[5]), int(hdr[6])
-	if nUops > 1<<20 || codeLen > 1<<24 || nExits > 1<<16 {
-		return nil, fmt.Errorf("implausible sizes: %d uops, %d bytes, %d exits", nUops, codeLen, nExits)
-	}
-	code := make([]byte, codeLen)
-	if _, err := io.ReadFull(r, code); err != nil {
-		return nil, err
-	}
-	uops, err := fisa.DecodeAll(code)
-	if err != nil {
-		return nil, err
-	}
-	if len(uops) != nUops {
-		return nil, fmt.Errorf("decoded %d µops, header says %d", len(uops), nUops)
-	}
-	for i := range uops {
-		if err := binary.Read(r, binary.LittleEndian, &uops[i].X86PC); err != nil {
-			return nil, err
-		}
-		b, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		uops[i].Boundary = b
-	}
-	t.Uops = uops
-	t.NumUops = nUops
-	t.Size = codeLen
-	t.Exits = make([]Exit, nExits)
-	for i := range t.Exits {
-		e := &t.Exits[i]
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		reg, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		e.Kind = ExitKind(kind)
-		e.TargetReg = fisa.Reg(reg)
-		e.Call = flags&1 != 0
-		e.Ret = flags&2 != 0
-		var vals [3]uint32
-		for j := range vals {
-			if err := binary.Read(r, binary.LittleEndian, &vals[j]); err != nil {
-				return nil, err
-			}
-		}
-		e.Target, e.BranchPC, e.ReturnPC = vals[0], vals[1], vals[2]
-	}
-	return t, nil
 }

@@ -126,7 +126,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 
 	dst := New("dst", 0x2000, 1<<20)
-	n, err := dst.Load(&buf)
+	n, err := dst.Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPersistManyTranslations(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New("dst", 0, 1<<20)
-	n, err := dst.Load(&buf)
+	n, err := dst.Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestPersistPropertyRoundTrip(t *testing.T) {
 			}
 		}
 		dst := New("dst", 0, 4<<20)
-		if m, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || m != n {
+		if m, err := dst.Load(bytes.NewReader(buf.Bytes()), nil); err != nil || m != n {
 			t.Fatalf("trial %d: eager load %d, %v", trial, m, err)
 		}
 	}
@@ -367,29 +367,29 @@ func TestPersistTruncationAndBitFlips(t *testing.T) {
 	}
 	// The eager loader rejects the same corruptions.
 	dst := New("dst", 0, 1<<20)
-	if _, err := dst.Load(bytes.NewReader(good[:len(good)-1])); err == nil {
+	if _, err := dst.Load(bytes.NewReader(good[:len(good)-1]), nil); err == nil {
 		t.Error("eager load accepted truncated section")
 	}
 	copy(flipped, good)
 	flipped[len(flipped)/2] ^= 0x10
-	if _, err := dst.Load(bytes.NewReader(flipped)); err == nil {
+	if _, err := dst.Load(bytes.NewReader(flipped), nil); err == nil {
 		t.Error("eager load accepted flipped section")
 	}
 }
 
 func TestPersistBadInput(t *testing.T) {
 	dst := New("dst", 0, 1<<20)
-	if _, err := dst.Load(strings.NewReader("XXXXX garbage")); err == nil {
+	if _, err := dst.Load(strings.NewReader("XXXXX garbage"), nil); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := dst.Load(strings.NewReader("CCVM1 old-format")); err == nil {
+	if _, err := dst.Load(strings.NewReader("CCVM1 old-format"), nil); err == nil {
 		t.Error("v1 magic accepted")
 	}
-	if _, err := dst.Load(strings.NewReader("CCVM2")); err == nil {
+	if _, err := dst.Load(strings.NewReader("CCVM2"), nil); err == nil {
 		t.Error("truncated header accepted")
 	}
 	// Valid magic, implausible count then EOF.
-	if _, err := dst.Load(strings.NewReader("CCVM2\xff\xff\xff\xff")); err == nil {
+	if _, err := dst.Load(strings.NewReader("CCVM2\xff\xff\xff\xff"), nil); err == nil {
 		t.Error("truncated body accepted")
 	}
 	if _, err := ParseSnapshot(nil); err == nil {

@@ -8,6 +8,7 @@ import (
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/model"
+	"codesignvm/internal/profile"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
 )
@@ -47,20 +48,22 @@ func Fig3(opt Options) (*Fig3Report, error) {
 		mem := prog.Memory()
 		st := prog.InitState()
 		m := interp.New(st, mem)
-		counts := make(map[uint32]uint64, prog.StaticInstrs*2)
+		// One allocation: the profile holds at most one key per static
+		// instruction.
+		counts := profile.NewCounters(prog.StaticInstrs)
 		for i := uint64(0); i < opt.ShortInstrs && !m.Halted; i++ {
-			counts[st.EIP]++
+			counts.Inc(uint64(st.EIP))
 			if _, err := m.Step(); err != nil {
 				return fmt.Errorf("%s: %w", app, err)
 			}
 		}
 		hot := uint64(0)
-		for _, c := range counts {
+		counts.Each(func(c uint64) {
 			if c >= rep.HotThreshold {
 				hot++
 			}
-		}
-		profiles[ai] = appProfile{hist: metrics.BuildHistogram(counts), hot: hot}
+		})
+		profiles[ai] = appProfile{hist: metrics.BuildHistogram(counts.Each), hot: hot}
 		return nil
 	})
 	if err != nil {

@@ -271,16 +271,16 @@ func EncodeAll(uops []MicroOp) (code []byte, offsets []int, err error) {
 	return code, offsets, nil
 }
 
-// DecodeAll decodes a full micro-op stream.
-func DecodeAll(code []byte) ([]MicroOp, error) {
-	var out []MicroOp
+// DecodeAll decodes a full micro-op stream, appending the micro-ops to
+// dst (which may be nil) and returning the extended slice.
+func DecodeAll(dst []MicroOp, code []byte) ([]MicroOp, error) {
 	for pos := 0; pos < len(code); {
 		u, n, err := Decode(code[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("offset %d: %w", pos, err)
 		}
-		out = append(out, u)
+		dst = append(dst, u)
 		pos += n
 	}
-	return out, nil
+	return dst, nil
 }

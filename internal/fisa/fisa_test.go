@@ -154,7 +154,7 @@ func TestEncodeAllOffsets(t *testing.T) {
 	if len(code) != 10 {
 		t.Errorf("total bytes = %d, want 10", len(code))
 	}
-	back, err := DecodeAll(code)
+	back, err := DecodeAll(nil, code)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,14 +168,16 @@ type Histogram struct {
 }
 
 // BuildHistogram aggregates per-instruction execution counts into decade
-// buckets (1+, 10+, 100+, ... 10M+).
-func BuildHistogram(counts map[uint32]uint64) Histogram {
+// buckets (1+, 10+, 100+, ... 10M+). each calls its argument once per
+// profiled instruction with that instruction's count, in any order
+// ((*profile.Counters).Each is one).
+func BuildHistogram(each func(fn func(count uint64))) Histogram {
 	const nb = 8
 	h := Histogram{Buckets: make([]uint64, nb), DynFrac: make([]float64, nb)}
 	dyn := make([]uint64, nb)
-	for _, c := range counts {
+	each(func(c uint64) {
 		if c == 0 {
-			continue
+			return
 		}
 		b := 0
 		for v := c; v >= 10 && b < nb-1; v /= 10 {
@@ -185,7 +187,7 @@ func BuildHistogram(counts map[uint32]uint64) Histogram {
 		dyn[b] += c
 		h.Total++
 		h.DynTotal += c
-	}
+	})
 	for i := range dyn {
 		if h.DynTotal > 0 {
 			h.DynFrac[i] = float64(dyn[i]) / float64(h.DynTotal)

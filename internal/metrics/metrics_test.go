@@ -170,7 +170,11 @@ func TestHistogram(t *testing.T) {
 		7: 12345,    // bucket 4 (10K+)
 		8: 20000000, // bucket 7 (10M+, clamped)
 	}
-	h := BuildHistogram(counts)
+	h := BuildHistogram(func(fn func(uint64)) {
+		for _, c := range counts {
+			fn(c)
+		}
+	})
 	if h.Total != 8 {
 		t.Errorf("total = %d", h.Total)
 	}

@@ -16,81 +16,38 @@
 // entry has been executed HotThreshold times (Eq. 2 of the paper).
 package profile
 
-// Detector is the common hotspot-detection interface.
-type Detector interface {
-	// RecordEntry notes one execution of the region entered at pc with
-	// the given instruction count, returning true when the region has
-	// just crossed the hot threshold (exactly once per region).
-	RecordEntry(pc uint32, instrs int) bool
-	// Count returns the accumulated execution count for pc.
-	Count(pc uint32) uint64
-}
-
 // Software is the embedded-counter detector. The VM keeps the per-block
-// counter in the translation itself; this type tracks the hot-crossing
-// bookkeeping and per-PC counts. Each PC resolves to one heap entry so
-// the per-block-execution cost is a single map lookup, not one hash per
-// counter operation (RecordEntry runs on every dispatch of cold code).
+// counter in the translation itself; this type tracks per-PC entry
+// counts in one flat counter table, so the per-block-execution cost is a
+// single probe (RecordEntry runs on every dispatch of cold code). Counts
+// only grow until Clear, so a region crosses the threshold on exactly
+// one entry and no "already reported" mark is kept.
 type Software struct {
 	Threshold uint64
-	regions   map[uint32]*swRegion
-	// chunk carves region entries in blocks: entry pointers must stay
-	// stable (the map holds them), so the full chunk is allocated up
-	// front and a fresh one replaces it when exhausted, costing one
-	// allocation per swChunk regions instead of one per region.
-	chunk []swRegion
-}
-
-// swChunk is the region-entry carve block size (a detector covers one
-// program's touched static blocks — typically hundreds to thousands).
-const swChunk = 1024
-
-type swRegion struct {
-	count    uint64
-	reported bool
+	counts    *Counters
 }
 
 // NewSoftware returns a software detector with the given hot threshold
 // (in region entries).
 func NewSoftware(threshold uint64) *Software {
-	return &Software{
-		Threshold: threshold,
-		regions:   make(map[uint32]*swRegion, swChunk),
-	}
+	// A detector covers one program's touched static blocks — typically
+	// hundreds to thousands.
+	return &Software{Threshold: threshold, counts: NewCounters(1024)}
 }
 
-// RecordEntry implements Detector.
+// RecordEntry notes one execution of the region entered at pc with the
+// given instruction count, returning true when the region has just
+// crossed the hot threshold (exactly once per region).
 func (s *Software) RecordEntry(pc uint32, instrs int) bool {
-	r := s.regions[pc]
-	if r == nil {
-		if len(s.chunk) == cap(s.chunk) {
-			s.chunk = make([]swRegion, 0, swChunk)
-		}
-		s.chunk = append(s.chunk, swRegion{})
-		r = &s.chunk[len(s.chunk)-1]
-		s.regions[pc] = r
-	}
-	r.count++
-	if r.count >= s.Threshold && !r.reported {
-		r.reported = true
-		return true
-	}
-	return false
+	return s.counts.Inc(uint64(pc)) == max(s.Threshold, 1)
 }
 
-// Count implements Detector.
-func (s *Software) Count(pc uint32) uint64 {
-	if r := s.regions[pc]; r != nil {
-		return r.count
-	}
-	return 0
-}
+// Count returns the accumulated execution count for pc.
+func (s *Software) Count(pc uint32) uint64 { return s.counts.Get(uint64(pc)) }
 
-// Reset forgets a region (used after code-cache flushes so re-translated
-// regions can become hot again).
-func (s *Software) Reset(pc uint32) {
-	delete(s.regions, pc)
-}
+// Clear forgets every region (used after superblock-cache flushes so
+// re-translated regions can become hot again).
+func (s *Software) Clear() { s.counts.Clear() }
 
 // BBB is the Merten-style hardware branch behavior buffer: a
 // direct-mapped, tagged table of saturating execution counters indexed by
@@ -107,9 +64,9 @@ type BBB struct {
 	Evictions uint64
 }
 
-type bbbEntry struct {
-	tag   uint32
+type bbbEntry struct { // 16 bytes: the wide field first
 	count uint64
+	tag   uint32
 	valid bool
 }
 
@@ -133,7 +90,7 @@ func (b *BBB) index(pc uint32) uint32 {
 	return (h >> 1) & b.mask
 }
 
-// RecordEntry implements Detector.
+// RecordEntry is Software.RecordEntry for the hardware table.
 func (b *BBB) RecordEntry(pc uint32, instrs int) bool {
 	e := &b.entries[b.index(pc)]
 	if !e.valid || e.tag != pc {
@@ -152,7 +109,7 @@ func (b *BBB) RecordEntry(pc uint32, instrs int) bool {
 	return false
 }
 
-// Count implements Detector.
+// Count returns the execution count the table holds for pc.
 func (b *BBB) Count(pc uint32) uint64 {
 	e := &b.entries[b.index(pc)]
 	if e.valid && e.tag == pc {
@@ -161,23 +118,19 @@ func (b *BBB) Count(pc uint32) uint64 {
 	return 0
 }
 
-// Reset forgets a region.
-func (b *BBB) Reset(pc uint32) {
-	e := &b.entries[b.index(pc)]
-	if e.valid && e.tag == pc {
-		e.valid = false
-		e.count = 0
-	}
-	delete(b.reported, pc)
+// Clear empties the table and forgets which regions were reported.
+func (b *BBB) Clear() {
+	clear(b.entries)
+	clear(b.reported)
 }
 
 // EdgeProfile records taken counts of control-flow edges between
 // architected basic blocks. The superblock translator uses it to follow
 // the dominant path when forming superblocks. Edges are keyed by a
-// packed (from,to) word so recording — which happens on every exit from
-// cold code — stays on the runtime's fast integer-map path.
+// packed (from,to) word in one flat counter table: recording happens on
+// every exit from cold code.
 type EdgeProfile struct {
-	edges map[uint64]uint64
+	edges *Counters
 }
 
 func edgeKey(from, to uint32) uint64 {
@@ -186,27 +139,11 @@ func edgeKey(from, to uint32) uint64 {
 
 // NewEdgeProfile returns an empty edge profile.
 func NewEdgeProfile() *EdgeProfile {
-	return &EdgeProfile{edges: make(map[uint64]uint64)}
+	return &EdgeProfile{edges: NewCounters(512)}
 }
 
 // Record adds one traversal of the edge from→to.
-func (p *EdgeProfile) Record(from, to uint32) {
-	p.edges[edgeKey(from, to)]++
-}
+func (p *EdgeProfile) Record(from, to uint32) { p.edges.Inc(edgeKey(from, to)) }
 
 // Count returns the traversal count of from→to.
-func (p *EdgeProfile) Count(from, to uint32) uint64 {
-	return p.edges[edgeKey(from, to)]
-}
-
-// Bias returns the fraction of traversals out of `from` (given the two
-// possible successors) that went to `to`. Returns 0.5 when nothing is
-// known.
-func (p *EdgeProfile) Bias(from, to, other uint32) float64 {
-	a := float64(p.edges[edgeKey(from, to)])
-	b := float64(p.edges[edgeKey(from, other)])
-	if a+b == 0 {
-		return 0.5
-	}
-	return a / (a + b)
-}
+func (p *EdgeProfile) Count(from, to uint32) uint64 { return p.edges.Get(edgeKey(from, to)) }

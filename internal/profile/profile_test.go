@@ -21,18 +21,40 @@ func TestSoftwareThreshold(t *testing.T) {
 	}
 }
 
-func TestSoftwareReset(t *testing.T) {
-	d := NewSoftware(2)
-	pc := uint32(0x1)
-	d.RecordEntry(pc, 1)
-	d.RecordEntry(pc, 1)
-	d.Reset(pc)
-	if d.Count(pc) != 0 {
-		t.Error("reset did not clear the count")
+// TestSoftwareThresholdZero: a zero threshold means hot on first entry,
+// reported once like any other.
+func TestSoftwareThresholdZero(t *testing.T) {
+	d := NewSoftware(0)
+	if !d.RecordEntry(7, 1) {
+		t.Fatal("threshold 0 did not fire on the first entry")
 	}
-	d.RecordEntry(pc, 1)
-	if !d.RecordEntry(pc, 1) {
-		t.Error("region cannot re-fire after reset")
+	if d.RecordEntry(7, 1) {
+		t.Fatal("fired twice for the same region")
+	}
+}
+
+// TestDetectorsClear: after Clear a detector has no counts and its
+// regions can cross the threshold again (the superblock-cache flush).
+func TestDetectorsClear(t *testing.T) {
+	type detector interface {
+		RecordEntry(pc uint32, instrs int) bool
+		Count(pc uint32) uint64
+		Clear()
+	}
+	for name, d := range map[string]detector{"software": NewSoftware(2), "bbb": NewBBB(16, 2)} {
+		pc := uint32(0x1)
+		d.RecordEntry(pc, 1)
+		if !d.RecordEntry(pc, 1) {
+			t.Fatalf("%s: did not fire at the threshold", name)
+		}
+		d.Clear()
+		if d.Count(pc) != 0 {
+			t.Errorf("%s: clear kept the count", name)
+		}
+		d.RecordEntry(pc, 1)
+		if !d.RecordEntry(pc, 1) {
+			t.Errorf("%s: region cannot re-fire after clear", name)
+		}
 	}
 }
 
@@ -87,10 +109,11 @@ func TestEdgeProfile(t *testing.T) {
 	if p.Count(1, 2) != 2 || p.Count(1, 3) != 1 || p.Count(9, 9) != 0 {
 		t.Errorf("counts wrong: %d %d %d", p.Count(1, 2), p.Count(1, 3), p.Count(9, 9))
 	}
-	if b := p.Bias(1, 2, 3); b < 0.66 || b > 0.67 {
-		t.Errorf("bias = %f, want 2/3", b)
-	}
-	if b := p.Bias(5, 6, 7); b != 0.5 {
-		t.Errorf("unknown edge bias = %f, want 0.5", b)
+	// Edges are directed, and an edge into or out of address 0 is an
+	// edge like any other.
+	p.Record(2, 1)
+	p.Record(0, 0)
+	if p.Count(2, 1) != 1 || p.Count(1, 2) != 2 || p.Count(0, 0) != 1 {
+		t.Errorf("counts wrong: %d %d %d", p.Count(2, 1), p.Count(1, 2), p.Count(0, 0))
 	}
 }

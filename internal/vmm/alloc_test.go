@@ -1,6 +1,9 @@
 package vmm
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // steadyStateVM builds a VM, warms it past translation and chaining,
 // and returns it together with the warmed cycle budget. Subsequent
@@ -66,3 +69,29 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		t.Errorf("disabled-obs steady state: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestNewVMAllocCeiling bounds what building a VM allocates, strategy by
+// strategy: every run of every sweep starts with one, and nearly all of
+// it is the cache hierarchy's arrays (≈ 183 KiB of Table 2 state; the
+// array-of-structs hierarchy made it ≈ 690 KiB in all).
+func TestNewVMAllocCeiling(t *testing.T) {
+	const ceiling = 400 << 10
+	code := buildHotLoop(false)
+	for _, strat := range []Strategy{StratRef, StratSoft, StratBE, StratFE, StratInterp} {
+		mem, init := freshMemory(code, 1), initState()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const builds = 8
+		for i := 0; i < builds; i++ {
+			sinkVM = New(DefaultConfig(strat), mem, init)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > ceiling {
+			t.Errorf("%v: New allocates %d KiB, ceiling %d KiB", strat, per>>10, ceiling>>10)
+		} else {
+			t.Logf("%v: New allocates %d KiB", strat, per>>10)
+		}
+	}
+}
+
+var sinkVM *VM

@@ -180,27 +180,16 @@ func (v *VM) SaveTranslations(w io.Writer) error {
 // translated from.
 func (v *VM) LoadTranslations(r io.Reader) (int, error) {
 	br := bufio.NewReader(r) // one buffered view across both sections
-	nb, err := v.bbtCache.Load(br)
+	nb, err := v.bbtCache.Load(br, v.analyze)
 	if err != nil {
 		return nb, err
 	}
-	ns, err := v.sbtCache.Load(br)
-	if err != nil {
-		return nb + ns, err
-	}
-	for _, c := range []*codecache.Cache{v.bbtCache, v.sbtCache} {
-		c.ForEach(func(t *codecache.Translation) {
-			timing.AnalyzeWith(t, v.Cfg.Timing)
-		})
-	}
-	return nb + ns, nil
+	ns, err := v.sbtCache.Load(br, v.analyze)
+	return nb + ns, err
 }
 
 // Caches exposes the code caches for inspection.
 func (v *VM) Caches() (bbtC, sbtC *codecache.Cache) { return v.bbtCache, v.sbtCache }
-
-// DetectorCount returns the profiled entry count for a region.
-func (v *VM) DetectorCount(pc uint32) uint64 { return v.det.Count(pc) }
 
 // OnBranch implements fisa.BranchProbe for the sequential mode (and the
 // opBranch apply case): conditional branches inside translations train
@@ -774,7 +763,7 @@ func (v *VM) onSBTFlush() {
 		t.Invalid = false
 	}
 	v.invalidated = v.invalidated[:0]
-	v.det = newDetector(&v.Cfg)
+	v.det.Clear()
 	if v.prevT != nil && v.prevT.Kind == codecache.KindSBT {
 		v.prevT = nil // see onBBTFlush
 	}

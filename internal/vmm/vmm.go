@@ -380,10 +380,15 @@ func (r *Result) HotspotCoverage() float64 {
 	return float64(r.SBTInstrs) / float64(r.Instrs)
 }
 
-// detector abstracts the two hotspot-detection mechanisms.
+// detector abstracts the two hotspot-detection mechanisms
+// (profile.Software and profile.BBB).
 type detector interface {
+	// RecordEntry notes one execution of the region entered at pc with
+	// the given instruction count, returning true when the region has
+	// just crossed the hot threshold (exactly once per region).
 	RecordEntry(pc uint32, instrs int) bool
-	Count(pc uint32) uint64
+	// Clear forgets every region.
+	Clear()
 }
 
 // newDetector builds the right detector for the strategy.

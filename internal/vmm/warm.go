@@ -41,6 +41,10 @@ type warmState struct {
 	// target cache. Entries are deleted as they materialize or poison.
 	bbt map[uint32]int
 	sbt map[uint32]int
+	// scratch is where every record of the run is decoded: materialize
+	// analyzes the translation there and Insert commits it, as
+	// translateBBT does with bbt.Scratch.
+	scratch codecache.DecodeScratch
 }
 
 // Restore attaches a parsed translation snapshot according to
@@ -58,10 +62,18 @@ func (v *VM) Restore(snap *codecache.Snapshot) (int, error) {
 	if v.instrs != 0 {
 		return 0, fmt.Errorf("vmm: Restore after Run")
 	}
+	// Both pending maps are sized up front: growing them entry by entry
+	// was most of what a lazy Restore costs the host.
+	nSBT := 0
+	for i := range snap.Entries {
+		if snap.Entries[i].Kind == codecache.KindSBT {
+			nSBT++
+		}
+	}
 	w := &warmState{
 		snap: snap,
-		bbt:  make(map[uint32]int),
-		sbt:  make(map[uint32]int),
+		bbt:  make(map[uint32]int, snap.Len()-nSBT),
+		sbt:  make(map[uint32]int, nSBT),
 	}
 	for i := range snap.Entries {
 		e := &snap.Entries[i]
@@ -149,7 +161,7 @@ func hottestEntries(snap *codecache.Snapshot, fraction float64) []int {
 // translation and its simulated bulk restore cost.
 func (v *VM) materialize(i int) (*codecache.Translation, float64, error) {
 	e := &v.warm.snap.Entries[i]
-	t, err := v.warm.snap.Decode(i)
+	t, err := v.warm.snap.DecodeInto(i, &v.warm.scratch)
 	if err != nil {
 		return nil, 0, err
 	}

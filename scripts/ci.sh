@@ -10,6 +10,9 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Format gate: gofmt -l prints the files it would rewrite (.bench_build/
+# is bench/run.sh's build directory, not source).
+test -z "$(gofmt -l . | grep -v '^\.bench_build/')"
 go build ./...
 go test -race -timeout 1800s ./...
 
@@ -42,24 +45,34 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 go test -run '^$' -bench 'DispatchHot|BBTTranslate' -benchtime=1x ./internal/vmm/ ./internal/bbt/
 go test -run '^$' -bench 'Decode|Crack|Analyze|ExecBlock|InterpStep' -benchtime=1x \
 	./internal/x86/ ./internal/crack/ ./internal/timing/ ./internal/interp/
+# The warm-start decode leg (ns and B per translation through one
+# scratch), the cache level's hit and miss paths and what a hierarchy
+# costs to build (B/op), the profilers' counter increment.
+go test -run '^$' -bench 'SnapshotDecode|CacheAccess|Table2|CountersInc' -benchmem -benchtime=1x \
+	./internal/codecache/ ./internal/cache/ ./internal/profile/
 go test -run '^$' -bench 'Fig2' -benchtime=1x .
 
 # Inline-budget gate: the hot-path helpers (charge, segInterpAt,
 # sampleIfDue, the memory TLB probe, the decoder's byte fetch, the
-# micro-op descriptor-table accessors, and what ExecBlock and
-# ChargeBlock inline per micro-op: the 32-bit flag rules, the register
-# merge, the event-queue pops) must stay inlinable.
+# micro-op descriptor-table accessors, what ExecBlock and ChargeBlock
+# inline per micro-op: the 32-bit flag rules, the register merge, the
+# event-queue pops; the counter table's probe and the cache's LRU
+# promote) must stay inlinable.
 sh scripts/inlinecheck.sh
 
-# Decoder fuzz leg: the seed corpus already ran in the suite above; this
-# spends a few seconds looking for new inputs.
+# Fuzz legs: the seed corpora already ran in the suite above; these
+# spend a few seconds each looking for new inputs — to the x86 decoder,
+# and to the CCVM2 record decoder behind a re-sealed section CRC.
 go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/x86/
+go test -run '^$' -fuzz 'FuzzSnapshotRecord' -fuzztime 10s ./internal/codecache/
 
 # Perf gate. Three checks:
 #   1. The steady-state dispatch paths (chained and disabled-obs) must
 #      allocate exactly nothing per op — asserted by the ZeroAlloc
 #      tests via testing.AllocsPerRun, which is exact, unlike one
-#      -benchtime=1x benchmark iteration.
+#      -benchtime=1x benchmark iteration — and building a VM must stay
+#      under its byte ceiling (TestNewVMAllocCeiling: the cache
+#      hierarchy's arrays are most of it).
 #   2. BBT translation must stay within its recorded byte ceiling per
 #      op (scratch-and-commit leaves only the arena's amortized slab
 #      growth; the ceiling has ~3x headroom over the recorded value).
@@ -67,7 +80,7 @@ go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/x86/
 #      more than 50% against any same-named benchmark in BENCH_PR7.json
 #      (generous threshold: wall-clock on shared CI hosts is noisy;
 #      the A/B minima in EXPERIMENTS.md are the precise record).
-go test -race -count=1 -run 'ZeroAlloc' ./internal/vmm/
+go test -race -count=1 -run 'ZeroAlloc|AllocCeiling' ./internal/vmm/
 bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x ./internal/bbt/ |
 	awk '/BenchmarkBBTTranslateHot/ {for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}')"
 [ -n "$bbt_bop" ]

@@ -35,7 +35,9 @@ want='./internal/vmm	(*VM).charge
 ./internal/fisa	(*MicroOp).Sources
 ./internal/fisa	Op.Latency
 ./internal/fisa	EncodedLen
-./internal/fisa	compactable'
+./internal/fisa	compactable
+./internal/profile	(*Counters).probe
+./internal/cache	promote'
 
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
@@ -40,52 +38,40 @@ type PersistReport struct {
 
 // PersistentStartup measures startup with and without preloaded
 // translations (the FX!32 strategy of §1.2 applied to the co-designed
-// VM).
+// VM). Its three arms are cached runs like any figure's: the cold arm
+// is Fig. 2's VM.soft run, and the preloaded arm is the eager warm start
+// (warmstart.go) with restoring made free, restored from the snapshot
+// the warm-start figure builds for the same app — FX!32's translations
+// are simply there when the program starts.
 func PersistentStartup(opt Options) (*PersistReport, error) {
 	opt = opt.withDefaults()
 	rep := &PersistReport{Opt: opt, PerApp: map[string]PersistRow{}}
-	var mu sync.Mutex
-	err := opt.forEachApp(func(app string) error {
-		prog, err := workload.App(app, opt.Scale)
+	cold := opt.configFor(machine.VMSoft)
+	preloaded := cold
+	preloaded.WarmStart = vmm.WarmEager
+	preloaded.RestoreCyclesPerInst, preloaded.RestoreFaultCycles = 0, 0
+	arms := []vmm.Config{opt.configFor(machine.Ref), cold, preloaded}
+	na := len(arms)
+	flat := make([]*vmm.Result, len(opt.Apps)*na)
+	err := opt.forEachTask(len(flat), func(i int) error {
+		app, cfg := opt.Apps[i/na], arms[i%na]
+		res, err := opt.runAppWarm(cfg, app, opt.LongInstrs, opt.snapshotFor(cold, app, opt.LongInstrs))
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", app, err)
 		}
-		cfg := opt.configFor(machine.VMSoft)
-
-		// The Ref run is shared with the startup-curve harnesses via
-		// the result cache.
-		ref, err := opt.runApp(opt.configFor(machine.Ref), app, opt.LongInstrs)
-		if err != nil {
-			return err
-		}
-
-		// Cold run; save its translations.
-		vmCold := vmm.New(cfg, prog.Memory(), prog.InitState())
-		cold, err := vmCold.Run(opt.LongInstrs)
-		if err != nil {
-			return err
-		}
-		var saved bytes.Buffer
-		if err := vmCold.SaveTranslations(&saved); err != nil {
-			return err
-		}
-
-		// Preloaded run.
-		vmWarm := vmm.New(cfg, prog.Memory(), prog.InitState())
-		n, err := vmWarm.LoadTranslations(&saved)
-		if err != nil {
-			return err
-		}
-		warm, err := vmWarm.Run(opt.LongInstrs)
-		if err != nil {
-			return err
-		}
-
+		flat[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ai, app := range opt.Apps {
+		ref, cold, warm := flat[ai*na], flat[ai*na+1], flat[ai*na+2]
 		row := PersistRow{
 			ColdCycles:   cold.Cycles,
 			WarmCycles:   warm.Cycles,
 			RefCycles:    ref.Cycles,
-			Translations: n,
+			Translations: int(warm.RestoredTranslations),
 		}
 		if be, ok := metrics.Breakeven(ref.Samples, cold.Samples); ok {
 			row.ColdBreakeven = be
@@ -93,13 +79,7 @@ func PersistentStartup(opt Options) (*PersistReport, error) {
 		if be, ok := metrics.Breakeven(ref.Samples, warm.Samples); ok {
 			row.WarmBreakeven = be
 		}
-		mu.Lock()
 		rep.PerApp[app] = row
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rep, nil
 }

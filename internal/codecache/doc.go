@@ -35,9 +35,9 @@
 // # Persistence
 //
 // persist.go serializes a cache's translations to the CCVM2 binary
-// format (CRC-32C-guarded, versioned) and reads them back either
-// eagerly (Load) or through a lazy-restore index that the VM monitor
-// faults translations in from on dispatch misses — the warm-start
+// format (CRC-32C-guarded, versioned) and reads them back through a
+// restore index (ParseSnapshot) whose records the VM monitor decodes
+// and inserts up front or faults in on dispatch misses — the warm-start
 // machinery of DESIGN.md §10 (the lazy/hybrid/eager policy itself
 // lives in internal/vmm). Translation bodies round-trip through the
 // real fisa encoding, so a restored cache is byte-identical to the

@@ -148,6 +148,10 @@ func (s *Snapshot) Len() int { return len(s.Entries) }
 // Size returns the snapshot's encoded size in bytes.
 func (s *Snapshot) Size() int { return len(s.data) }
 
+// Bytes returns the CCVM2 stream the snapshot was parsed from, for
+// persisting it. It is the retained buffer, not a copy: read-only.
+func (s *Snapshot) Bytes() []byte { return s.data }
+
 // ParseSnapshot validates a CCVM2 byte stream — every section's
 // structure and CRC-32C trailer — and builds the lazy-restore index.
 // It decodes no translation records; DecodeInto does that per entry.
@@ -329,81 +333,6 @@ func (sc *DecodeScratch) decode(rec []byte, e *SnapEntry) error {
 		X86Bytes: int(x86Bytes),
 	}
 	return nil
-}
-
-// Load reads one CCVM2 section from r and eagerly inserts every
-// translation into the cache, returning how many were restored. Each
-// record goes scratch → analyze → Insert, the protocol of every other
-// translation source: analyze (nil for none) fills whatever the owner
-// precomputes per translation — the VMM's timing analysis — before the
-// commit copies it into the arena. Loaded translations keep their
-// content but receive fresh code-cache addresses; the stream may hold
-// further sections for other caches.
-func (c *Cache) Load(r io.Reader, analyze func(*Translation)) (int, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	sec, err := readSectionBytes(br)
-	if err != nil {
-		return 0, err
-	}
-	entries, _, err := parseSection(sec, 0)
-	if err != nil {
-		return 0, fmt.Errorf("codecache: load: %w", err)
-	}
-	snap := &Snapshot{data: sec, Entries: entries}
-	var sc DecodeScratch
-	loaded := 0
-	for i := range entries {
-		t, err := snap.DecodeInto(i, &sc)
-		if err != nil {
-			return loaded, err
-		}
-		if analyze != nil {
-			analyze(t)
-		}
-		if _, _, err := c.Insert(t); err != nil {
-			return loaded, err
-		}
-		loaded++
-	}
-	return loaded, nil
-}
-
-// readSectionBytes consumes exactly one CCVM2 section from the stream
-// (sized by its header and index) and returns its raw bytes.
-func readSectionBytes(br *bufio.Reader) ([]byte, error) {
-	hdr := len(persistMagic) + 4
-	buf := make([]byte, hdr)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	if string(buf[:len(persistMagic)]) != persistMagic {
-		return nil, fmt.Errorf("codecache: bad magic %q", buf[:len(persistMagic)])
-	}
-	count := int(binary.LittleEndian.Uint32(buf[len(persistMagic):]))
-	if count > maxPersistCount {
-		return nil, fmt.Errorf("codecache: implausible translation count %d", count)
-	}
-	idx := make([]byte, count*indexEntrySize)
-	if _, err := io.ReadFull(br, idx); err != nil {
-		return nil, err
-	}
-	buf = append(buf, idx...)
-	body := 0
-	for i := 0; i < count; i++ {
-		n := int(binary.LittleEndian.Uint32(idx[i*indexEntrySize+20:]))
-		if n < minPersistRecord || n > maxPersistRecord || body > maxPersistCount*maxPersistRecord-n {
-			return nil, fmt.Errorf("codecache: entry %d: implausible record length %d", i, n)
-		}
-		body += n
-	}
-	rest := make([]byte, body+4) // records + CRC trailer
-	if _, err := io.ReadFull(br, rest); err != nil {
-		return nil, err
-	}
-	return append(buf, rest...), nil
 }
 
 func writeTranslation(w *bufio.Writer, t *Translation) error {

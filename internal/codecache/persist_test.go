@@ -3,7 +3,6 @@ package codecache
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"codesignvm/internal/fisa"
@@ -112,6 +111,27 @@ func comparePersisted(t *testing.T, want, got *Translation) {
 	}
 }
 
+// restoreAll is the restore path production uses (vmm.Restore, eager):
+// parse the stream, decode every record through one scratch, commit each
+// into dst. Returns how many translations were restored.
+func restoreAll(dst *Cache, data []byte) (int, error) {
+	snap, err := ParseSnapshot(data)
+	if err != nil {
+		return 0, err
+	}
+	var sc DecodeScratch
+	for i := range snap.Entries {
+		t, err := snap.DecodeInto(i, &sc)
+		if err != nil {
+			return i, err
+		}
+		if _, _, err := dst.Insert(t); err != nil {
+			return i, err
+		}
+	}
+	return snap.Len(), nil
+}
+
 func TestPersistRoundTrip(t *testing.T) {
 	src := New("src", 0x1000, 1<<20)
 	tr := persistFixture()
@@ -126,7 +146,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 
 	dst := New("dst", 0x2000, 1<<20)
-	n, err := dst.Load(&buf, nil)
+	n, err := restoreAll(dst, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +179,7 @@ func TestPersistManyTranslations(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New("dst", 0, 1<<20)
-	n, err := dst.Load(&buf, nil)
+	n, err := restoreAll(dst, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +252,7 @@ func TestPersistSortedDeterministic(t *testing.T) {
 
 // TestSnapshotLazyIndex checks the warm-start index: entries sorted by
 // entry PC, carrying kind/size/retirement metadata, each lazily
-// decodable to the translation the eager Load would produce.
+// decodable to the translation an eager restore would commit.
 func TestSnapshotLazyIndex(t *testing.T) {
 	src := New("src", 0, 1<<20)
 	want := map[uint32]*Translation{}
@@ -278,7 +298,8 @@ func TestSnapshotLazyIndex(t *testing.T) {
 
 // TestPersistPropertyRoundTrip is the randomized round-trip property
 // test: arbitrary valid translation sets survive Save → ParseSnapshot →
-// Decode and Save → Load bit-equivalently on their persisted surface.
+// Decode, and restore into a second cache, bit-equivalently on their
+// persisted surface.
 func TestPersistPropertyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -321,8 +342,15 @@ func TestPersistPropertyRoundTrip(t *testing.T) {
 			}
 		}
 		dst := New("dst", 0, 4<<20)
-		if m, err := dst.Load(bytes.NewReader(buf.Bytes()), nil); err != nil || m != n {
-			t.Fatalf("trial %d: eager load %d, %v", trial, m, err)
+		if m, err := restoreAll(dst, buf.Bytes()); err != nil || m != n || dst.Len() != n {
+			t.Fatalf("trial %d: restored %d (len %d), %v", trial, m, dst.Len(), err)
+		}
+		for pc, w := range want {
+			got := dst.Lookup(pc)
+			if got == nil {
+				t.Fatalf("trial %d: %#x not restored", trial, pc)
+			}
+			comparePersisted(t, w, got)
 		}
 	}
 }
@@ -365,34 +393,30 @@ func TestPersistTruncationAndBitFlips(t *testing.T) {
 			}
 		}
 	}
-	// The eager loader rejects the same corruptions.
+	// A rejected stream restores nothing.
 	dst := New("dst", 0, 1<<20)
-	if _, err := dst.Load(bytes.NewReader(good[:len(good)-1]), nil); err == nil {
-		t.Error("eager load accepted truncated section")
+	if n, err := restoreAll(dst, good[:len(good)-1]); err == nil || n != 0 || dst.Len() != 0 {
+		t.Errorf("truncated section restored %d translations (len %d), err %v", n, dst.Len(), err)
 	}
 	copy(flipped, good)
 	flipped[len(flipped)/2] ^= 0x10
-	if _, err := dst.Load(bytes.NewReader(flipped), nil); err == nil {
-		t.Error("eager load accepted flipped section")
+	if n, err := restoreAll(dst, flipped); err == nil || n != 0 || dst.Len() != 0 {
+		t.Errorf("flipped section restored %d translations (len %d), err %v", n, dst.Len(), err)
 	}
 }
 
 func TestPersistBadInput(t *testing.T) {
-	dst := New("dst", 0, 1<<20)
-	if _, err := dst.Load(strings.NewReader("XXXXX garbage"), nil); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := dst.Load(strings.NewReader("CCVM1 old-format"), nil); err == nil {
-		t.Error("v1 magic accepted")
-	}
-	if _, err := dst.Load(strings.NewReader("CCVM2"), nil); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Valid magic, implausible count then EOF.
-	if _, err := dst.Load(strings.NewReader("CCVM2\xff\xff\xff\xff"), nil); err == nil {
-		t.Error("truncated body accepted")
-	}
-	if _, err := ParseSnapshot(nil); err == nil {
-		t.Error("empty snapshot accepted")
+	for _, tc := range []struct{ name, in string }{
+		{"bad magic", "XXXXX garbage"},
+		{"v1 magic", "CCVM1 old-format"},
+		{"truncated header", "CCVM2"},
+		// Valid magic, implausible count then EOF.
+		{"truncated body", "CCVM2\xff\xff\xff\xff"},
+		{"empty snapshot", ""},
+	} {
+		dst := New("dst", 0, 1<<20)
+		if n, err := restoreAll(dst, []byte(tc.in)); err == nil || n != 0 || dst.Len() != 0 {
+			t.Errorf("%s accepted: restored %d, err %v", tc.name, n, err)
+		}
 	}
 }

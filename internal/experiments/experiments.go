@@ -183,13 +183,6 @@ func (o Options) forEachTask(n int, fn func(i int) error) error {
 	return nil
 }
 
-// forEachApp runs fn for every app on the bounded pool.
-func (o Options) forEachApp(fn func(app string) error) error {
-	return o.forEachTask(len(o.Apps), func(i int) error {
-		return fn(o.Apps[i])
-	})
-}
-
 // sampleAt linearly interpolates an arbitrary cumulative field of the
 // sample series at the given cycle count.
 func sampleAt(samples []vmm.Sample, cycles float64, get func(vmm.Sample) float64) float64 {

@@ -196,12 +196,14 @@ func RunExperiment(name string, opt Options, app string) (string, error) {
 	return "", fmt.Errorf("unknown experiment %q", name)
 }
 
-// ResetRunCacheForTest clears the process-wide simulation memoization
-// so tests outside this package (the job-service store-dedupe e2e)
-// can force disk-store reads or fresh simulations. Test hook only;
-// never call it from production paths — concurrent sweeps rely on the
-// cache's single-flight slots for exactly-once simulation.
+// ResetRunCacheForTest clears the process-wide memoizations — runs,
+// snapshots and interpreter profiles — so tests outside this package
+// (the job-service store-dedupe e2e, the repo benchmark) can force
+// disk-store reads or fresh simulations. Test hook only; never call it
+// from production paths — concurrent sweeps rely on the memos'
+// single-flight slots for exactly-once simulation.
 func ResetRunCacheForTest() {
-	resetRunCacheForTest()
-	resetSnapCacheForTest()
+	runCache.reset()
+	snapCache.reset()
+	profCache.reset()
 }

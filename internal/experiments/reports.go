@@ -25,6 +25,92 @@ type Fig3Report struct {
 	PerApp     map[string]metrics.Histogram
 }
 
+// appProfile is one application's share of Fig. 3: the execution-
+// frequency histogram of its short trace and how many static
+// instructions reached the hot threshold. It depends on the workload
+// alone — no machine configuration enters — and is the store's third
+// cached artifact (<key>.prof, store.go).
+type appProfile struct {
+	hist metrics.Histogram
+	hot  uint64
+}
+
+// profKey identifies one profile: the workload, the trace length and
+// the threshold the hot count was taken at.
+type profKey struct {
+	app            string
+	scale          int
+	instrs, hotThr uint64
+}
+
+// fileKey derives the profile's disk-store key; the "prof" prefix
+// separates the namespace from run and snapshot keys.
+func (k profKey) fileKey() string {
+	return hashKey("prof v%d\n%s\n%d\n%d\n%d\n", runSchema, k.app, k.scale, k.instrs, k.hotThr)
+}
+
+// profCache memoizes interpreter profiles process-wide, as runCache
+// does simulations: Sec32Overhead repeats Fig3's profiles exactly.
+var profCache memo[profKey, appProfile]
+
+// profile returns one application's interpreter profile, cached like a
+// run: memoized in-process unless FreshRuns, then from the disk store
+// when enabled and warm, otherwise interpreted (single-flighted across
+// processes) and published back. Callers receive private copies of the
+// histogram slices.
+func (o Options) profile(app string, hotThr uint64) (appProfile, error) {
+	key := profKey{app, o.Scale, o.ShortInstrs, hotThr}
+	fill := func() (appProfile, error) {
+		return fetch(o, artifact[appProfile]{
+			key:    key.fileKey,
+			ext:    ".prof",
+			tag:    func() string { return "profile/" + app },
+			decode: decodeProfile,
+			encode: encodeProfile,
+			build:  func() (appProfile, error) { return o.interpretProfile(app, hotThr) },
+		})
+	}
+	if o.FreshRuns {
+		return fill()
+	}
+	p, err := profCache.get(key, fill)
+	p.hist.Buckets = append([]uint64(nil), p.hist.Buckets...)
+	p.hist.DynFrac = append([]float64(nil), p.hist.DynFrac...)
+	return p, err
+}
+
+// interpretProfile computes a profile: the interpreter steps through
+// the short trace counting executions per instruction address.
+func (o Options) interpretProfile(app string, hotThr uint64) (appProfile, error) {
+	prog, err := workload.App(app, o.Scale)
+	if err != nil {
+		return appProfile{}, err
+	}
+	mem := prog.Memory()
+	st := prog.InitState()
+	m := interp.New(st, mem)
+	// One allocation: the profile holds at most one key per static
+	// instruction.
+	counts := profile.NewCounters(prog.StaticInstrs)
+	steps := uint64(0)
+	for ; steps < o.ShortInstrs && !m.Halted; steps++ {
+		counts.Inc(uint64(st.EIP))
+		if _, err := m.Step(); err != nil {
+			return appProfile{}, fmt.Errorf("%s: %w", app, err)
+		}
+	}
+	if o.Obs != nil {
+		o.Obs.Proc.Counter("profile.instrs", "instrs").Add(steps)
+	}
+	hot := uint64(0)
+	counts.Each(func(c uint64) {
+		if c >= hotThr {
+			hot++
+		}
+	})
+	return appProfile{hist: metrics.BuildHistogram(counts.Each), hot: hot}, nil
+}
+
 // Fig3 profiles per-instruction execution frequencies over the
 // short (100M-equivalent) traces, averaged across the suite.
 func Fig3(opt Options) (*Fig3Report, error) {
@@ -34,37 +120,11 @@ func Fig3(opt Options) (*Fig3Report, error) {
 		thr = opt.HotThreshold
 	}
 	rep := &Fig3Report{Opt: opt, HotThreshold: thr, PerApp: map[string]metrics.Histogram{}}
-	type appProfile struct {
-		hist metrics.Histogram
-		hot  uint64
-	}
 	profiles := make([]appProfile, len(opt.Apps))
 	err := opt.forEachTask(len(opt.Apps), func(ai int) error {
-		app := opt.Apps[ai]
-		prog, err := workload.App(app, opt.Scale)
-		if err != nil {
-			return err
-		}
-		mem := prog.Memory()
-		st := prog.InitState()
-		m := interp.New(st, mem)
-		// One allocation: the profile holds at most one key per static
-		// instruction.
-		counts := profile.NewCounters(prog.StaticInstrs)
-		for i := uint64(0); i < opt.ShortInstrs && !m.Halted; i++ {
-			counts.Inc(uint64(st.EIP))
-			if _, err := m.Step(); err != nil {
-				return fmt.Errorf("%s: %w", app, err)
-			}
-		}
-		hot := uint64(0)
-		counts.Each(func(c uint64) {
-			if c >= rep.HotThreshold {
-				hot++
-			}
-		})
-		profiles[ai] = appProfile{hist: metrics.BuildHistogram(counts.Each), hot: hot}
-		return nil
+		var err error
+		profiles[ai], err = opt.profile(opt.Apps[ai], thr)
+		return err
 	})
 	if err != nil {
 		return nil, err

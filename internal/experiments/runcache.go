@@ -38,12 +38,39 @@ func newRunKey(cfg vmm.Config, app string, scale int, instrs uint64, attribKey s
 // request must not be served (and vice versa).
 func (o Options) attribKey() string { return o.Obs.AttribKey() }
 
-// runEntry is a once-guarded cache slot: concurrent requests for the
-// same simulation run it exactly once and the rest share the result.
-type runEntry struct {
+// memo is a process-wide once-guarded memoization table: concurrent
+// requests for one key run its fill exactly once and share the value.
+// Only values are kept. A fill that fails hands its error to the
+// callers already waiting on it and drops the slot, so the next request
+// fills afresh — a store-lock wait cancelled through one request's
+// context must not fail every later request for the same key.
+type memo[K comparable, V any] struct {
+	slots sync.Map // K -> *memoSlot[V]
+}
+
+type memoSlot[V any] struct {
 	once sync.Once
-	res  *vmm.Result
+	val  V
 	err  error
+}
+
+func (m *memo[K, V]) get(key K, fill func() (V, error)) (V, error) {
+	e, _ := m.slots.LoadOrStore(key, new(memoSlot[V]))
+	slot := e.(*memoSlot[V])
+	slot.once.Do(func() {
+		if slot.val, slot.err = fill(); slot.err != nil {
+			m.slots.CompareAndDelete(key, slot)
+		}
+	})
+	return slot.val, slot.err
+}
+
+// reset empties the table, so the next request for any key fills again.
+func (m *memo[K, V]) reset() {
+	m.slots.Range(func(k, _ any) bool {
+		m.slots.Delete(k)
+		return true
+	})
 }
 
 // runCache memoizes simulation results process-wide. Simulations are
@@ -53,16 +80,11 @@ type runEntry struct {
 // runs, and the ablation baseline is Fig. 10's VM.soft run. In a sweep
 // that removes whole figures from the critical path. Options.Store
 // extends the cache across processes via the disk store (store.go).
-var runCache sync.Map // runKey -> *runEntry
+var runCache memo[runKey, *vmm.Result]
 
 // resetRunCacheForTest clears the in-process memoization so tests can
 // force disk-store reads or fresh simulations.
-func resetRunCacheForTest() {
-	runCache.Range(func(k, _ any) bool {
-		runCache.Delete(k)
-		return true
-	})
-}
+func resetRunCacheForTest() { runCache.reset() }
 
 // runApp simulates cfg over a named application, memoized unless
 // opt.FreshRuns is set. Callers receive a private shallow copy with
@@ -87,85 +109,36 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 		scale = 1 // match workload.App's clamp so keys do not split
 	}
 	if o.FreshRuns {
-		prog, err := workload.App(app, scale)
-		if err != nil {
-			return nil, err
-		}
-		res, err := o.runObserved(cfg, prog, app, instrs, snapFn)
-		if err == nil {
-			if s := o.store(); s != nil {
-				// Fresh runs skip store reads but still publish: a later
-				// process can reuse the work.
-				s.save(runFileKey(cfg, app, scale, instrs, o.attribKey()), res)
-			}
-		}
-		return res, err
+		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
 	}
-	e, _ := runCache.LoadOrStore(newRunKey(cfg, app, scale, instrs, o.attribKey()), new(runEntry))
-	entry := e.(*runEntry)
-	entry.once.Do(func() {
-		entry.res, entry.err = o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
+	res, err := runCache.get(newRunKey(cfg, app, scale, instrs, o.attribKey()), func() (*vmm.Result, error) {
+		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
 	})
-	if entry.err != nil {
-		return nil, entry.err
-	}
-	return cloneResult(entry.res), nil
-}
-
-// simulateOrLoad fills one cache slot: from the disk store when
-// enabled and warm, otherwise by simulating (single-flighted across
-// processes through the store's heartbeat-refreshed lock file, and
-// published back). Every store failure mode degrades to simulating;
-// only workload errors and context cancellation propagate.
-func (o Options) simulateOrLoad(cfg vmm.Config, app string, scale int, instrs uint64, snapFn snapFunc) (*vmm.Result, error) {
-	s := o.store()
-	var key string
-	if s != nil {
-		key = runFileKey(cfg, app, scale, instrs, o.attribKey())
-		if res, _ := s.load(key); res != nil {
-			o.obsStore(true, cfg, app)
-			return res, nil
-		}
-		o.obsStore(false, cfg, app)
-	}
-	prog, err := workload.App(app, scale)
 	if err != nil {
 		return nil, err
 	}
-	if s == nil {
-		return o.runObserved(cfg, prog, app, instrs, snapFn)
-	}
-	for attempt := 0; ; attempt++ {
-		release, won, err := s.acquire(key, s.runPath(key))
-		if err != nil {
-			return nil, err // cancelled mid-wait
-		}
-		if !won {
-			// Another process finished this run while we waited.
-			if res, _ := s.load(key); res != nil {
-				o.obsStore(true, cfg, app)
-				return res, nil
+	return cloneResult(res), nil
+}
+
+// simulateOrLoad fills one cache slot: from the disk store when enabled
+// and warm, otherwise by simulating, single-flighted across processes
+// and published back (fetch). Only workload errors and context
+// cancellation propagate.
+func (o Options) simulateOrLoad(cfg vmm.Config, app string, scale int, instrs uint64, snapFn snapFunc) (*vmm.Result, error) {
+	return fetch(o, artifact[*vmm.Result]{
+		key:    func() string { return runFileKey(cfg, app, scale, instrs, o.attribKey()) },
+		ext:    ".run",
+		tag:    func() string { return o.obsTag(cfg, app) },
+		decode: decodeResult,
+		encode: encodeResult,
+		build: func() (*vmm.Result, error) {
+			prog, err := workload.App(app, scale)
+			if err != nil {
+				return nil, err
 			}
-			if attempt < 2 {
-				continue // result vanished (cleaned store?); re-contend
-			}
-			// The result keeps disappearing under us (aggressive GC,
-			// flaky storage): stop trusting the store and simulate.
-			release = func() {}
-		} else if res, _ := s.load(key); res != nil {
-			// Double-check under the lock: the result may have been
-			// published between our miss and winning a just-freed lock.
-			release()
-			o.obsStore(true, cfg, app)
-			return res, nil
-		}
-		res, err := o.runObserved(cfg, prog, app, instrs, snapFn)
-		if err == nil {
-			s.save(key, res) // best-effort publication
-		}
-		release()
-		return res, err
-	}
+			return o.runObserved(cfg, prog, app, instrs, snapFn)
+		},
+	})
 }
 
 // obsTag labels a run's events and recorder: "model/app".
@@ -199,17 +172,18 @@ func (o Options) runObserved(cfg vmm.Config, prog *workload.Program, app string,
 	return res, err
 }
 
-// obsStore reports one disk-store lookup outcome.
-func (o Options) obsStore(hit bool, cfg vmm.Config, app string) {
+// obsStore reports one disk-store lookup outcome; tag names what was
+// looked up and is evaluated only with an observer attached.
+func (o Options) obsStore(hit bool, tag func() string) {
 	if o.Obs == nil {
 		return
 	}
 	if hit {
 		o.Obs.Proc.Counter("store.hits", "loads").Inc()
-		o.Obs.Emit(obs.EvStoreHit, o.obsTag(cfg, app), 0, 0, 0, 0)
+		o.Obs.Emit(obs.EvStoreHit, tag(), 0, 0, 0, 0)
 	} else {
 		o.Obs.Proc.Counter("store.misses", "loads").Inc()
-		o.Obs.Emit(obs.EvStoreMiss, o.obsTag(cfg, app), 0, 0, 0, 0)
+		o.Obs.Emit(obs.EvStoreMiss, tag(), 0, 0, 0, 0)
 	}
 }
 

@@ -21,19 +21,24 @@ import (
 
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/experiments/faultfs"
+	"codesignvm/internal/metrics"
 	"codesignvm/internal/obs"
 	"codesignvm/internal/obs/attrib"
 	"codesignvm/internal/vmm"
 )
 
-// Persistent run store: the process-wide run-result cache (runcache.go)
+// Persistent run store: the process-wide memoizations (runcache.go)
 // spilled to disk, so a warm sweep in a *fresh process* is near-free.
-// Each finished simulation is written to <dir>/<hash>.run, keyed by a
-// content hash over (schema version, normalized machine configuration,
-// application, scale, instruction budget). Records are CRC-guarded
-// (`CRUN2`): a Castagnoli CRC-32 trailer over the whole payload plus a
-// trailing-EOF check reject truncated, bit-flipped or extended files;
-// corrupt entries are quarantined to a `.bad` sidecar and re-simulated.
+// Three kinds of artifact live in it, each under a content-hash key:
+// finished simulations (<hash>.run, keyed by schema version, normalized
+// machine configuration, application, scale, instruction budget),
+// translation snapshots (<hash>.ccvm, warmstart.go) and Fig. 3
+// interpreter profiles (<hash>.prof, reports.go). All three go through
+// one path — fetch below: read, else single-flight, build and publish.
+// Records are CRC-guarded (`CRUN2`, `CPRF1`: a Castagnoli CRC-32 trailer
+// over the whole payload plus an exact-length check reject truncated,
+// bit-flipped or extended files; CCVM2 sections carry their own);
+// corrupt entries are quarantined to a `.bad` sidecar and rebuilt.
 //
 // Concurrent processes single-flight through a <hash>.lock file
 // (O_CREATE|O_EXCL) whose owner refreshes its mtime from a heartbeat
@@ -42,8 +47,8 @@ import (
 // through a marker-arbitrated rename, so exactly one waiter wins a
 // steal. docs/runstore.md specifies the full protocol. Store failures
 // of any kind (read-only dir, full disk, corrupt or vanished files,
-// hung peers, cancelled context) degrade to simulating — persistence
-// is an accelerator, never a correctness dependency.
+// hung peers) degrade to computing — persistence is an accelerator,
+// never a correctness dependency; only a cancelled context propagates.
 //
 // All filesystem access goes through a faultfs.FS seam so the fault-
 // injection suite (storefault_test.go) can simulate kill-mid-write,
@@ -77,7 +82,8 @@ type storeTuning struct {
 	// heartbeat refreshes the mtime well inside this window, so live
 	// owners are never stolen from, however long they simulate.
 	lockStale time.Duration
-	// heartbeat is the owner-side mtime refresh period.
+	// heartbeat is the owner-side mtime refresh period, and how long a
+	// lock may sit without its owner's token before it is stolen (stale).
 	heartbeat time.Duration
 	// pollMin/pollMax bound the waiter's exponential backoff between
 	// checks for the owner's published result.
@@ -89,10 +95,10 @@ type storeTuning struct {
 	// gcTmpAge is how old an orphaned .tmp* or .steal.* file must be
 	// before GC collects it.
 	gcTmpAge time.Duration
-	// maxBytes caps the total size of .run/.bad records; GC evicts
-	// least-recently-used records (by access time, maintained with an
-	// explicit touch on every hit so noatime mounts behave) until the
-	// store fits. 0 = uncapped.
+	// maxBytes caps the total size of the records, quarantined ones
+	// included; GC evicts least-recently-used records (by access time,
+	// maintained with an explicit touch on every hit so noatime mounts
+	// behave) until the store fits. 0 = uncapped.
 	maxBytes int64
 }
 
@@ -187,66 +193,146 @@ func (o Options) ctx() context.Context {
 func runFileKey(cfg vmm.Config, app string, scale int, instrs uint64, attribKey string) string {
 	cfg.Pipeline = false
 	cfg.NoThreadedDispatch = false
+	return hashKey("v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, cfg, app, scale, instrs, attribKey)
+}
+
+// hashKey derives a store key: 32 hex digits of the SHA-256 of the
+// formatted identity. Every kind of key hashes runSchema behind a
+// prefix of its own (run keys: none), so the kinds cannot collide.
+func hashKey(format string, identity ...any) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, cfg, app, scale, instrs, attribKey)
+	fmt.Fprintf(h, format, identity...)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-func (s *runStore) runPath(key string) string  { return filepath.Join(s.dir, key+".run") }
-func (s *runStore) lockPath(key string) string { return filepath.Join(s.dir, key+".lock") }
-func (s *runStore) snapPath(key string) string { return filepath.Join(s.dir, key+".ccvm") }
+// path places one of a key's files — record, lock, sidecar — in the
+// store directory.
+func (s *runStore) path(key, ext string) string { return filepath.Join(s.dir, key+ext) }
+func (s *runStore) runPath(key string) string   { return s.path(key, ".run") }
+func (s *runStore) lockPath(key string) string  { return s.path(key, ".lock") }
 
-// load reads a previously persisted result, returning (nil, nil) on
-// any miss — absent file, failed checksum, truncation — so callers
-// fall back to simulating. Corrupt entries are quarantined to a .bad
-// sidecar (never re-read, kept for diagnosis); hits are touched so the
-// size-cap GC evicts least-recently-used records.
-func (s *runStore) load(key string) (*vmm.Result, error) {
-	path := s.runPath(key)
+// artifact is one kind of record as the store's one lookup path (fetch)
+// sees it. Run results, translation snapshots and interpreter profiles
+// are its three typed clients.
+type artifact[T any] struct {
+	// key derives the content hash that names the record, its lock and
+	// its quarantine sidecar. A func, like tag: neither is computed for
+	// a run that never touches a store (or an observer).
+	key func() string
+	// ext is the record's file extension: ".run", ".ccvm" or ".prof".
+	ext string
+	// tag identifies the lookup on store-hit/store-miss events.
+	tag func() string
+	// decode verifies a record's bytes and only then reads them; an
+	// error quarantines the record. encode is its inverse.
+	decode func([]byte) (T, error)
+	encode func(T) []byte
+	// build computes the value when the store cannot supply it.
+	build func() (T, error)
+}
+
+// fetch returns an artifact's value: read from the options' store when
+// the record is there, otherwise computed by exactly one process — the
+// miss contends for the key's lock (acquire), re-reads under it (the
+// record may have been published between the miss and winning a just-
+// freed lock, or by the owner this process waited for), builds,
+// publishes and releases. Every store failure degrades to building;
+// only build errors and a cancelled wait propagate. FreshRuns skips the
+// reads and the lock but still publishes: a later process can reuse the
+// work.
+func fetch[T any](o Options, a artifact[T]) (T, error) {
+	s := o.store()
+	if s == nil {
+		return a.build()
+	}
+	key := a.key()
+	path := s.path(key, a.ext)
+	build := func() (T, error) {
+		v, err := a.build()
+		if err == nil {
+			s.publish(key, path, a.encode(v)) // best-effort
+		}
+		return v, err
+	}
+	if o.FreshRuns {
+		return build()
+	}
+	if v, ok := readRecord(s, key, path, a.decode); ok {
+		o.obsStore(true, a.tag)
+		return v, nil
+	}
+	o.obsStore(false, a.tag)
+	for attempt := 0; ; attempt++ {
+		release, won, err := s.acquire(key, path)
+		if err != nil {
+			return *new(T), err // cancelled mid-wait
+		}
+		if !won {
+			release = func() {}
+		}
+		if v, ok := readRecord(s, key, path, a.decode); ok {
+			release()
+			o.obsStore(true, a.tag)
+			return v, nil
+		}
+		if !won && attempt < 2 {
+			continue // the record the wait ended on vanished (cleaned store?): re-contend
+		}
+		// Won, or the record keeps disappearing under us (aggressive GC,
+		// flaky storage) and the store is no longer trusted: build.
+		v, err := build()
+		release()
+		return v, err
+	}
+}
+
+// readRecord is the store's one read path: absent, unreadable or
+// corrupt records are all a miss, so callers fall back to building.
+// Corrupt records are quarantined to a .bad sidecar (never re-read,
+// kept for diagnosis); hits are touched so the size-cap GC evicts
+// least-recently-used records.
+func readRecord[T any](s *runStore, key, path string, decode func([]byte) (T, error)) (T, bool) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
-		return nil, nil
+		return *new(T), false
 	}
-	res, derr := decodeResult(data)
-	if derr != nil {
-		s.quarantine(key, path, len(data), derr)
-		return nil, nil
+	v, err := decode(data)
+	if err != nil {
+		s.quarantine(key, path, len(data), err)
+		return *new(T), false
 	}
 	storeHits.Add(1)
 	now := time.Now()
 	s.fs.Chtimes(path, now, now) // LRU touch; best-effort
-	return res, nil
+	return v, true
 }
 
-// loadSnapshot reads a persisted translation snapshot (<key>.ccvm),
-// returning nil on any miss so callers rebuild from a cold run. The
-// snapshot's own CRC-32C sections are the integrity check; a file that
-// fails to parse — or does not hold exactly the two sections
-// vmm.SaveTranslations writes (a stream truncated at a section boundary
-// is section-wise valid) — is quarantined like a corrupt run record.
-func (s *runStore) loadSnapshot(key string) *codecache.Snapshot {
-	path := s.snapPath(key)
-	data, err := s.fs.ReadFile(path)
+// save persists a finished run result.
+func (s *runStore) save(key string, res *vmm.Result) error {
+	return s.publish(key, s.runPath(key), encodeResult(res))
+}
+
+// decodeSnapshot is the .ccvm record check. The snapshot's own CRC-32C
+// sections are the integrity check; a stream that does not hold exactly
+// the two sections vmm.SaveTranslations writes is rejected too (one
+// truncated at a section boundary is section-wise valid).
+func decodeSnapshot(data []byte) (*codecache.Snapshot, error) {
+	snap, err := codecache.ParseSnapshot(data)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	snap, perr := codecache.ParseSnapshot(data)
-	if perr == nil && snap.Sections != 2 {
-		perr = fmt.Errorf("experiments: snapshot has %d sections, want 2", snap.Sections)
+	if snap.Sections != 2 {
+		return nil, fmt.Errorf("experiments: snapshot has %d sections, want 2", snap.Sections)
 	}
-	if perr != nil {
-		s.quarantine(key, path, len(data), perr)
-		return nil
-	}
-	storeHits.Add(1)
-	now := time.Now()
-	s.fs.Chtimes(path, now, now) // LRU touch; best-effort
-	return snap
+	return snap, nil
 }
 
-// saveSnapshot persists one translation snapshot atomically (temp file
-// + rename, like save). Best-effort for callers.
-func (s *runStore) saveSnapshot(key string, data []byte) error {
+// publish is the store's one writer: the record lands under a temp name
+// and is renamed into place, so concurrent readers never observe a
+// partial file. Errors are returned for logging but callers treat them
+// as non-fatal; a failed write removes its temp file (best-effort — a
+// killed process leaves an orphan for GC).
+func (s *runStore) publish(key, path string, data []byte) error {
 	if err := s.fs.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
@@ -262,7 +348,7 @@ func (s *runStore) saveSnapshot(key string, data []byte) error {
 		s.fs.Remove(tmp.Name())
 		return err
 	}
-	return s.fs.Rename(tmp.Name(), s.snapPath(key))
+	return s.fs.Rename(tmp.Name(), path)
 }
 
 // quarantine moves a corrupt record aside as <key>.bad so it is never
@@ -271,35 +357,11 @@ func (s *runStore) saveSnapshot(key string, data []byte) error {
 // rename fails (read-only store) the entry simply stays a miss.
 func (s *runStore) quarantine(key, path string, size int, reason error) {
 	storeCorrupt.Add(1)
-	s.fs.Rename(path, filepath.Join(s.dir, key+".bad"))
+	s.fs.Rename(path, s.path(key, ".bad"))
 	if s.obs != nil {
 		s.obs.Proc.Counter("store.corrupt", "records").Inc()
 		s.obs.Emit(obs.EvStoreCorrupt, key, 0, uint64(size), 0, 0)
 	}
-}
-
-// save persists a finished result atomically (temp file + rename, so
-// concurrent readers never observe a partial record). Errors are
-// returned for logging but callers treat them as non-fatal; a failed
-// write removes its temp file (best-effort — a killed process leaves
-// an orphan for GC).
-func (s *runStore) save(key string, res *vmm.Result) error {
-	if err := s.fs.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := s.fs.CreateTemp(s.dir, key+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(encodeResult(res))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	return s.fs.Rename(tmp.Name(), s.runPath(key))
 }
 
 // acquire tries to become the single flight for key across processes.
@@ -307,7 +369,7 @@ func (s *runStore) save(key string, res *vmm.Result) error {
 // produce the artifact (release is a no-op if the wait degraded),
 // won=false after another process's artifact appeared at the given
 // path (the caller re-reads the store), or err when the context was
-// cancelled mid-wait. Run results and translation snapshots share the
+// cancelled mid-wait. Every artifact kind and the sweep units share the
 // protocol; the artifact path is what waiters poll for.
 func (s *runStore) acquire(key, artifact string) (release func(), won bool, err error) {
 	if err := s.fs.MkdirAll(s.dir, 0o755); err != nil {
@@ -330,7 +392,7 @@ func (s *runStore) acquire(key, artifact string) (release func(), won bool, err 
 		}
 		// Another process is simulating this key: wait for its result,
 		// stealing the lock if its heartbeat goes stale (owner crashed).
-		if st, serr := s.fs.Stat(lock); serr == nil && time.Since(st.ModTime()) > s.tun.lockStale {
+		if st, serr := s.fs.Stat(lock); serr == nil && s.tun.stale(st) {
 			if s.steal(lock, key, st) {
 				continue // corpse cleared; re-contend immediately
 			}
@@ -357,6 +419,17 @@ func (s *runStore) acquire(key, artifact string) (release func(), won bool, err 
 			return nil, false, nil
 		}
 	}
+}
+
+// stale reports whether a lock's owner is presumed dead: its heartbeat
+// has not refreshed the mtime for lockStale, or the lock is still empty
+// one heartbeat after it was created. A live owner writes its token
+// microseconds after creating the file (and withdraws the lock when the
+// write fails), so an empty lock that old is a process killed in between
+// — one ReapDeadLocks cannot attribute, having no pid to read.
+func (t storeTuning) stale(lock os.FileInfo) bool {
+	age := time.Since(lock.ModTime())
+	return age > t.lockStale || (lock.Size() == 0 && age > t.heartbeat)
 }
 
 // tryLock attempts the O_CREATE|O_EXCL lock creation. ok means the
@@ -464,11 +537,10 @@ func (s *runStore) steal(lock, key string, st os.FileInfo) bool {
 // process per directory, at first use; it is advisory and every step
 // is best-effort.
 //
-// Eviction is per key, never per file: a run record and its sibling
-// artifacts (the <key>.ccvm warm-start snapshot, a .bad quarantine, a
-// .unit done marker) leave or stay together, so GC can never orphan a
-// snapshot whose run record is gone (or vice versa). A key whose .lock
-// is currently live (mtime within lockStale — a heartbeating owner) is
+// Eviction is per key, never per file: a key's record (.run, .ccvm,
+// .prof or a .unit done marker) and its .bad quarantine leave or stay
+// together, so GC can never orphan a sibling. A key whose .lock is
+// currently live (not stale: a heartbeating owner) is
 // skipped entirely: GC must not delete a record out from under an
 // in-flight writer or a waiter about to load it.
 func (s *runStore) gc() {
@@ -518,7 +590,7 @@ func (s *runStore) gc() {
 			}
 		case strings.HasSuffix(name, ".lock"):
 			key := strings.TrimSuffix(name, ".lock")
-			if age > s.tun.lockStale {
+			if s.tun.stale(fi) {
 				if s.steal(path, key, fi) {
 					removed++
 				}
@@ -526,7 +598,8 @@ func (s *runStore) gc() {
 				live[key] = true
 			}
 		case strings.HasSuffix(name, ".run") || strings.HasSuffix(name, ".bad") ||
-			strings.HasSuffix(name, ".ccvm") || strings.HasSuffix(name, ".unit"):
+			strings.HasSuffix(name, ".ccvm") || strings.HasSuffix(name, ".prof") ||
+			strings.HasSuffix(name, ".unit"):
 			key := name[:strings.LastIndexByte(name, '.')]
 			g := groups[key]
 			if g == nil {
@@ -582,20 +655,34 @@ func (s *runStore) gc() {
 // hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeResult renders one record: the CRUN2 magic and payload
-// (writeResult), then a little-endian CRC-32C trailer over everything
-// before it. Any truncation, extension or bit flip of the file breaks
-// the trailer.
+// seal appends the little-endian CRC-32C trailer over everything before
+// it. Any truncation, extension or bit flip of the file breaks it.
+func seal(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, crcTable))
+}
+
+// unseal verifies a record's trailer and returns the payload it guards;
+// decoders read nothing before it has passed.
+func unseal(data []byte, magic string) ([]byte, error) {
+	if len(data) < len(magic)+4 {
+		return nil, fmt.Errorf("experiments: %s record too short (%d bytes)", magic, len(data))
+	}
+	payload, trailer := data[:len(data)-4], data[len(data)-4:]
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
+		return nil, fmt.Errorf("experiments: %s record checksum mismatch (got %08x, want %08x)", magic, got, want)
+	}
+	return payload, nil
+}
+
+// encodeResult renders one run record: the CRUN2 magic and payload
+// (writeResult), sealed.
 func encodeResult(r *vmm.Result) []byte {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	if err := writeResult(bw, r); err == nil {
 		bw.Flush()
 	}
-	sum := crc32.Checksum(buf.Bytes(), crcTable)
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sum)
-	return append(buf.Bytes(), trailer[:]...)
+	return seal(buf.Bytes())
 }
 
 // decodeResult verifies and decodes what encodeResult produced: the
@@ -604,12 +691,9 @@ func encodeResult(r *vmm.Result) []byte {
 // a record truncated at a section boundary or with appended bytes is
 // rejected even before the checksum existed.
 func decodeResult(data []byte) (*vmm.Result, error) {
-	if len(data) < len(runMagic)+4 {
-		return nil, fmt.Errorf("experiments: run record too short (%d bytes)", len(data))
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("experiments: run record checksum mismatch (got %08x, want %08x)", got, want)
+	payload, err := unseal(data, runMagic)
+	if err != nil {
+		return nil, err
 	}
 	br := bufio.NewReader(bytes.NewReader(payload))
 	res, err := readResult(br)
@@ -620,6 +704,60 @@ func decodeResult(data []byte) (*vmm.Result, error) {
 		return nil, fmt.Errorf("experiments: trailing bytes after run record")
 	}
 	return res, nil
+}
+
+// Profile record (`CPRF1`), fixed length: the magic, the histogram's
+// eight bucket counts, its eight dynamic shares as IEEE-754 bits, Total,
+// DynTotal and the hot-instruction count — nineteen little-endian u64 —
+// sealed.
+const (
+	profMagic     = "CPRF1"
+	profBuckets   = 8
+	profRecordLen = len(profMagic) + (2*profBuckets+3)*8 + 4
+)
+
+func encodeProfile(p appProfile) []byte {
+	le := binary.LittleEndian
+	rec := append(make([]byte, 0, profRecordLen), profMagic...)
+	for _, n := range p.hist.Buckets {
+		rec = le.AppendUint64(rec, n)
+	}
+	for _, f := range p.hist.DynFrac {
+		rec = le.AppendUint64(rec, math.Float64bits(f))
+	}
+	for _, n := range []uint64{p.hist.Total, p.hist.DynTotal, p.hot} {
+		rec = le.AppendUint64(rec, n)
+	}
+	return seal(rec)
+}
+
+// decodeProfile accepts exactly what encodeProfile wrote: the length,
+// then the trailer, then the magic, and only then the fields.
+func decodeProfile(data []byte) (appProfile, error) {
+	if len(data) != profRecordLen {
+		return appProfile{}, fmt.Errorf("experiments: profile record is %d bytes, want %d", len(data), profRecordLen)
+	}
+	payload, err := unseal(data, profMagic)
+	if err != nil {
+		return appProfile{}, err
+	}
+	if string(payload[:len(profMagic)]) != profMagic {
+		return appProfile{}, fmt.Errorf("experiments: bad profile magic %q", payload[:len(profMagic)])
+	}
+	var w [2*profBuckets + 3]uint64
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(payload[len(profMagic)+8*i:])
+	}
+	hist := metrics.Histogram{
+		Buckets:  append([]uint64(nil), w[:profBuckets]...),
+		DynFrac:  make([]float64, profBuckets),
+		Total:    w[2*profBuckets],
+		DynTotal: w[2*profBuckets+1],
+	}
+	for i := range hist.DynFrac {
+		hist.DynFrac[i] = math.Float64frombits(w[profBuckets+i])
+	}
+	return appProfile{hist: hist, hot: w[2*profBuckets+2]}, nil
 }
 
 // writeResult encodes one vmm.Result. Field order is fixed; floats are

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,6 +39,16 @@ func testStore(t *testing.T) *runStore {
 		ctx: context.Background(),
 	}
 }
+
+// load reads one run record through the store's read path, (nil, nil)
+// on any miss; snapPath and profPath place the other two record kinds.
+// Production code reaches all three only through fetch.
+func (s *runStore) load(key string) (*vmm.Result, error) {
+	res, _ := readRecord(s, key, s.runPath(key), decodeResult)
+	return res, nil
+}
+func (s *runStore) snapPath(key string) string { return s.path(key, ".ccvm") }
+func (s *runStore) profPath(key string) string { return s.path(key, ".prof") }
 
 // sampleResult builds a fully populated Result so the round-trip test
 // covers every encoded field with a distinct value.
@@ -624,6 +632,210 @@ func TestRunStoreLockWaitCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelledWaitIsNotMemoized: a lock wait cancelled through one
+// request's context fails that request only. The memo keeps values,
+// never errors: the next request for the same run — fresh context, the
+// peer's lock gone — must simulate and succeed, not be handed the stale
+// "context canceled".
+func TestCancelledWaitIsNotMemoized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	opt := detOpt().withDefaults()
+	opt.FreshRuns = false
+	opt.Store = t.TempDir()
+	tun := testTuning()
+	tun.lockStale = time.Minute // the held lock must outlive the wait, not be stolen
+	opt.storeTun = &tun
+	opt.storeFS = faultfs.Disk{}
+	cfg := opt.configFor(machine.VMSoft)
+	ResetRunCacheForTest()
+
+	// A peer process holds the run's lock.
+	s := opt.store()
+	key := runFileKey(cfg, "Word", opt.Scale, opt.ShortInstrs, "")
+	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	first := opt
+	first.Ctx = ctx
+	done := make(chan error, 1)
+	go func() {
+		_, err := first.runApp(cfg, "Word", opt.ShortInstrs)
+		done <- err
+	}()
+	time.Sleep(30 * time.Millisecond) // let it reach the wait; cancelling earlier ends it the same way
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter did not return")
+	}
+	if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
+		t.Fatal("the cancelled request published a record")
+	}
+
+	// The peer goes away without publishing; the same process asks again.
+	if err := os.Remove(s.lockPath(key)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
+	if err != nil {
+		t.Fatalf("request after the cancelled one failed: %v", err)
+	}
+	if res == nil || res.Instrs == 0 {
+		t.Fatalf("request after the cancelled one returned %+v", res)
+	}
+	if _, err := os.Stat(s.runPath(key)); err != nil {
+		t.Fatalf("request after the cancelled one did not simulate and publish: %v", err)
+	}
+}
+
+// TestCancelledWaitSnapshotNotMemoized: the snapshot memo has the same
+// shape and the same rule.
+func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	opt := detOpt().withDefaults()
+	opt.FreshRuns = false
+	opt.Store = t.TempDir()
+	tun := testTuning()
+	tun.lockStale = time.Minute
+	opt.storeTun = &tun
+	opt.storeFS = faultfs.Disk{}
+	cold := opt.configFor(machine.VMSoft)
+	ResetRunCacheForTest()
+
+	s := opt.store()
+	key := snapFileKey(cold, "Word", opt.Scale, opt.ShortInstrs)
+	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	first := opt
+	first.Ctx = ctx
+	if _, err := first.snapshot(cold, "Word", opt.ShortInstrs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
+	}
+	if err := os.Remove(s.lockPath(key)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := opt.snapshot(cold, "Word", opt.ShortInstrs)
+	if err != nil || snap == nil || snap.Len() == 0 {
+		t.Fatalf("request after the cancelled one: snapshot %v, err %v", snap, err)
+	}
+}
+
+// emptyLock plants a 0-byte lock file of the given age: what a process
+// SIGKILLed between creating its lock and writing its token leaves.
+func emptyLock(t *testing.T, s *runStore, key string, age time.Duration) {
+	t.Helper()
+	if err := os.WriteFile(s.lockPath(key), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mtime := time.Now().Add(-age)
+	if err := os.Chtimes(s.lockPath(key), mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEmptyLockStolenOnce: an empty lock older than one heartbeat is a
+// dead owner's — no live owner leaves its token unwritten that long —
+// and goes through the normal steal arbitration well inside lockStale:
+// of N waiters exactly one steals, exactly one builds.
+func TestEmptyLockStolenOnce(t *testing.T) {
+	s := testStore(t)
+	s.tun.lockStale = time.Minute // only the empty-lock rule can fire
+	key := "e0e0e0"
+	emptyLock(t, s, key, 4*s.tun.heartbeat)
+
+	stealsBefore := storeSteals.Load()
+	const waiters = 8
+	wins := make(chan bool, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			release, won, err := s.acquire(key, s.runPath(key))
+			if err != nil {
+				t.Error(err)
+				wins <- false
+				return
+			}
+			if won {
+				time.Sleep(20 * time.Millisecond)
+				if err := s.save(key, sampleResult()); err != nil {
+					t.Error(err)
+				}
+				release()
+			}
+			wins <- won
+		}()
+	}
+	winners := 0
+	for i := 0; i < waiters; i++ {
+		select {
+		case won := <-wins:
+			if won {
+				winners++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("waiters sat out an empty lock")
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("want exactly 1 winner after the empty-lock steal, got %d", winners)
+	}
+	if got := storeSteals.Load() - stealsBefore; got != 1 {
+		t.Fatalf("want exactly 1 steal, got %d", got)
+	}
+	if _, err := os.Stat(s.lockPath(key)); !os.IsNotExist(err) {
+		t.Fatal("lock file left behind after steal + release")
+	}
+
+	// GC applies the same rule.
+	emptyLock(t, s, "e1e1e1", 4*s.tun.heartbeat)
+	s.gc()
+	if _, err := os.Stat(s.lockPath("e1e1e1")); !os.IsNotExist(err) {
+		t.Fatal("GC left an empty lock older than a heartbeat")
+	}
+}
+
+// TestEmptyLockFreshUntouched: an empty lock younger than a heartbeat
+// may be a live owner about to write its token. Waiters wait on it —
+// here until their deadline — and neither they nor GC remove it.
+func TestEmptyLockFreshUntouched(t *testing.T) {
+	s := testStore(t)
+	s.tun.heartbeat = time.Minute
+	s.tun.lockStale = 10 * time.Minute
+	s.tun.waitMax = 200 * time.Millisecond
+	key := "f2e5f2e5"
+	emptyLock(t, s, key, 0)
+
+	stealsBefore := storeSteals.Load()
+	timeoutsBefore := storeTimeouts.Load()
+	s.gc()
+	release, won, err := s.acquire(key, s.runPath(key))
+	if err != nil || !won {
+		t.Fatalf("waiter on a fresh empty lock: won=%v err=%v, want the deadline's degraded win", won, err)
+	}
+	release()
+	if storeTimeouts.Load() != timeoutsBefore+1 {
+		t.Error("waiter did not wait out its deadline")
+	}
+	if storeSteals.Load() != stealsBefore {
+		t.Error("a fresh empty lock was stolen")
+	}
+	if fi, err := os.Stat(s.lockPath(key)); err != nil || fi.Size() != 0 {
+		t.Fatalf("fresh empty lock disturbed: %v", err)
+	}
+}
+
 // TestSweepCancellation: Options.Ctx cancellation propagates out of a
 // sweep (the grid stops picking up tasks and lock waits abort).
 func TestSweepCancellation(t *testing.T) {
@@ -641,9 +853,5 @@ func TestSweepCancellation(t *testing.T) {
 // encodeTrailer appends a valid CRC-32C trailer to an arbitrary
 // payload (test helper for trailing-garbage cases).
 func encodeTrailer(payload []byte) []byte {
-	rec := make([]byte, len(payload), len(payload)+4)
-	copy(rec, payload)
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(payload, crcTable))
-	return append(rec, trailer[:]...)
+	return seal(append(make([]byte, 0, len(payload)+4), payload...))
 }

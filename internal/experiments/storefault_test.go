@@ -13,6 +13,7 @@ import (
 
 	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
+	"codesignvm/internal/vmm"
 )
 
 // faultStore builds a runStore over a temp dir whose filesystem is an
@@ -28,37 +29,61 @@ func faultStore(t *testing.T, faults ...*faultfs.Fault) (*runStore, *faultfs.Inj
 	}, in
 }
 
+// sealedRecords are the store's two CRC-sealed record formats as the
+// corruption, write-fault and GC cases below see them: a golden record,
+// where it lives, and whether the read path serves it.
+var sealedRecords = []struct {
+	name, ext string
+	golden    func() []byte
+	served    func(s *runStore, key string) bool
+}{
+	{"run", ".run", func() []byte { return encodeResult(sampleResult()) },
+		func(s *runStore, key string) bool {
+			res, err := s.load(key)
+			return res != nil || err != nil
+		}},
+	{"prof", ".prof", func() []byte { return encodeProfile(sampleProfile()) },
+		func(s *runStore, key string) bool {
+			_, ok := readRecord(s, key, s.profPath(key), decodeProfile)
+			return ok
+		}},
+}
+
 // TestRunStoreCorruptionEveryTruncation: a golden record truncated at
-// EVERY byte offset must read as a miss (nil, nil) and be quarantined —
-// no offset may decode, panic or return a wrong result.
+// EVERY byte offset must read as a miss and be quarantined — no offset
+// may decode, panic or return a wrong result.
 func TestRunStoreCorruptionEveryTruncation(t *testing.T) {
-	s := testStore(t)
-	key := "truncate"
-	golden := encodeResult(sampleResult())
+	for _, rec := range sealedRecords {
+		t.Run(rec.name, func(t *testing.T) {
+			s := testStore(t)
+			key := "truncate"
+			path := s.path(key, rec.ext)
+			golden := rec.golden()
 
-	for n := 0; n < len(golden); n++ {
-		if err := os.WriteFile(s.runPath(key), golden[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.load(key)
-		if res != nil || err != nil {
-			t.Fatalf("truncation at %d/%d bytes: want (nil, nil), got (%v, %v)", n, len(golden), res, err)
-		}
-		if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
-			t.Fatalf("truncation at %d bytes: corrupt record not quarantined", n)
-		}
-		// Quarantine leaves a .bad sidecar; clear it so the next
-		// iteration's rename target is free.
-		os.Remove(filepath.Join(s.dir, key+".bad"))
-	}
+			for n := 0; n < len(golden); n++ {
+				if err := os.WriteFile(path, golden[:n], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if rec.served(s, key) {
+					t.Fatalf("truncation at %d/%d bytes was served", n, len(golden))
+				}
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("truncation at %d bytes: corrupt record not quarantined", n)
+				}
+				// Quarantine leaves a .bad sidecar; clear it so the next
+				// iteration's rename target is free.
+				os.Remove(filepath.Join(s.dir, key+".bad"))
+			}
 
-	// The untruncated record still decodes (the loop did not damage the
-	// decoder's state or the store).
-	if err := os.WriteFile(s.runPath(key), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := s.load(key); res == nil || err != nil {
-		t.Fatalf("golden record after sweep: want result, got (%v, %v)", res, err)
+			// The untruncated record still decodes (the loop did not damage
+			// the decoder's state or the store).
+			if err := os.WriteFile(path, golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !rec.served(s, key) {
+				t.Fatal("golden record after sweep: not served")
+			}
+		})
 	}
 }
 
@@ -66,21 +91,25 @@ func TestRunStoreCorruptionEveryTruncation(t *testing.T) {
 // record (every 7th bit, covering every byte position over successive
 // primes' worth of offsets) must all be rejected by the CRC trailer.
 func TestRunStoreCorruptionEveryBitFlipStride(t *testing.T) {
-	s := testStore(t)
-	key := "bitflip1"
-	golden := encodeResult(sampleResult())
+	for _, rec := range sealedRecords {
+		t.Run(rec.name, func(t *testing.T) {
+			s := testStore(t)
+			key := "bitflip1"
+			golden := rec.golden()
 
-	bits := int64(len(golden)) * 8
-	for bit := int64(0); bit < bits; bit += 7 {
-		rec := append([]byte(nil), golden...)
-		rec[bit/8] ^= 1 << (bit % 8)
-		if err := os.WriteFile(s.runPath(key), rec, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := s.load(key); res != nil || err != nil {
-			t.Fatalf("bit flip at %d: want (nil, nil), got (%v, %v)", bit, res, err)
-		}
-		os.Remove(filepath.Join(s.dir, key+".bad"))
+			bits := int64(len(golden)) * 8
+			for bit := int64(0); bit < bits; bit += 7 {
+				flipped := append([]byte(nil), golden...)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				if err := os.WriteFile(s.path(key, rec.ext), flipped, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if rec.served(s, key) {
+					t.Fatalf("bit flip at %d was served", bit)
+				}
+				os.Remove(filepath.Join(s.dir, key+".bad"))
+			}
+		})
 	}
 }
 
@@ -115,24 +144,28 @@ func TestRunStoreBitFlipViaInjector(t *testing.T) {
 // TestRunStoreSaveENOSPC: a full disk mid-write fails the save, leaves
 // no partial .run record, and removes its temp file.
 func TestRunStoreSaveENOSPC(t *testing.T) {
-	s, _ := faultStore(t, &faultfs.Fault{
-		Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 64, Err: syscall.ENOSPC,
-	})
-	key := "n05pace"
-	if err := s.save(key, sampleResult()); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("want ENOSPC from save, got %v", err)
-	}
-	if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
-		t.Fatal("a failed save left a .run record")
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("failed save left temp file %s", e.Name())
-		}
+	for _, rec := range sealedRecords {
+		t.Run(rec.name, func(t *testing.T) {
+			s, _ := faultStore(t, &faultfs.Fault{
+				Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 64, Err: syscall.ENOSPC,
+			})
+			key := "n05pace"
+			if err := s.publish(key, s.path(key, rec.ext), rec.golden()); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("want ENOSPC from publish, got %v", err)
+			}
+			if _, err := os.Stat(s.path(key, rec.ext)); !os.IsNotExist(err) {
+				t.Fatal("a failed publish left a record")
+			}
+			ents, err := os.ReadDir(s.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if strings.Contains(e.Name(), ".tmp") {
+					t.Fatalf("failed publish left temp file %s", e.Name())
+				}
+			}
+		})
 	}
 }
 
@@ -179,54 +212,59 @@ func TestRunStoreMkdirFailure(t *testing.T) {
 // temp file (it could not clean up) but never a readable partial
 // record; GC later collects the orphan once it ages past gcTmpAge.
 func TestRunStoreKillMidWrite(t *testing.T) {
-	s, in := faultStore(t, &faultfs.Fault{
-		Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true,
-	})
-	key := "k9mid"
-	if err := s.save(key, sampleResult()); !errors.Is(err, faultfs.ErrKilled) {
-		t.Fatalf("want ErrKilled from save, got %v", err)
-	}
-	if !in.Dead() {
-		t.Fatal("injector should be dead after the kill")
-	}
-	if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
-		t.Fatal("killed writer published a record")
-	}
-	var orphan string
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".tmp") {
-			orphan = filepath.Join(s.dir, e.Name())
-		}
-	}
-	if orphan == "" {
-		t.Fatal("killed writer left no orphan temp file (fault did not take the write path)")
-	}
+	for _, rec := range sealedRecords {
+		t.Run(rec.name, func(t *testing.T) {
+			s, in := faultStore(t, &faultfs.Fault{
+				Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true,
+			})
+			key := "k9mid"
+			if err := s.publish(key, s.path(key, rec.ext), rec.golden()); !errors.Is(err, faultfs.ErrKilled) {
+				t.Fatalf("want ErrKilled from publish, got %v", err)
+			}
+			if !in.Dead() {
+				t.Fatal("injector should be dead after the kill")
+			}
+			if _, err := os.Stat(s.path(key, rec.ext)); !os.IsNotExist(err) {
+				t.Fatal("killed writer published a record")
+			}
+			var orphan string
+			ents, err := os.ReadDir(s.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if strings.Contains(e.Name(), ".tmp") {
+					orphan = filepath.Join(s.dir, e.Name())
+				}
+			}
+			if orphan == "" {
+				t.Fatal("killed writer left no orphan temp file (fault did not take the write path)")
+			}
 
-	// A later, healthy process never reads the orphan (it was never
-	// renamed into place)…
-	s2 := &runStore{dir: s.dir, fs: faultfs.Disk{}, tun: testTuning(), ctx: context.Background()}
-	if res, err := s2.load(key); res != nil || err != nil {
-		t.Fatalf("partial temp file served a result: (%v, %v)", res, err)
-	}
-	// …and its GC collects the debris once it is old enough.
-	old := time.Now().Add(-2 * s2.tun.gcTmpAge)
-	if err := os.Chtimes(orphan, old, old); err != nil {
-		t.Fatal(err)
-	}
-	s2.gc()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("GC left the aged orphan temp file")
+			// A later, healthy process never reads the orphan (it was never
+			// renamed into place)…
+			s2 := &runStore{dir: s.dir, fs: faultfs.Disk{}, tun: testTuning(), ctx: context.Background()}
+			if rec.served(s2, key) {
+				t.Fatal("partial temp file served a value")
+			}
+			// …and its GC collects the debris once it is old enough.
+			old := time.Now().Add(-2 * s2.tun.gcTmpAge)
+			if err := os.Chtimes(orphan, old, old); err != nil {
+				t.Fatal(err)
+			}
+			s2.gc()
+			if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+				t.Fatal("GC left the aged orphan temp file")
+			}
+		})
 	}
 }
 
-// TestRunStoreFaultsDegradeToSimulation: end-to-end through
-// simulateOrLoad — under every injected store fault the sweep must
-// still produce results byte-identical to a storeless run. Persistence
-// is an accelerator, never a correctness dependency.
+// TestRunStoreFaultsDegradeToSimulation: end-to-end through fetch — under
+// every injected store fault a run must still produce a result, and an
+// interpreter profile a histogram, byte-identical to the storeless
+// computation. Persistence is an accelerator, never a correctness
+// dependency.
 func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -234,55 +272,103 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 	opt := detOpt().withDefaults()
 	opt.FreshRuns = false
 	cfg := opt.configFor(machine.VMSoft)
+	const hotThr = 8000
 
-	// Reference: no store at all.
-	resetRunCacheForTest()
-	want, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
-	if err != nil {
-		t.Fatal(err)
+	// The two artifact kinds with a sealed record: what computes one
+	// through the store, where a valid record of it goes, and the read
+	// fault that corrupts it. (Snapshots: TestWarmSnapshotCorruptionDegrades.)
+	kinds := []struct {
+		prefix, ext string
+		compute     func(o Options) (any, error)
+		record      func(o Options, v any) (key string, data []byte)
+	}{
+		{"", ".run",
+			func(o Options) (any, error) { return o.runApp(cfg, "Word", o.ShortInstrs) },
+			func(o Options, v any) (string, []byte) {
+				return runFileKey(cfg, "Word", o.Scale, o.ShortInstrs, ""), encodeResult(v.(*vmm.Result))
+			}},
+		{"prof-", ".prof",
+			func(o Options) (any, error) { return o.profile("Word", hotThr) },
+			func(o Options, v any) (string, []byte) {
+				return profKey{"Word", o.Scale, o.ShortInstrs, hotThr}.fileKey(), encodeProfile(v.(appProfile))
+			}},
 	}
 
 	tun := testTuning()
 	cases := []struct {
 		name   string
-		faults []*faultfs.Fault
+		faults func(ext string) []*faultfs.Fault
 	}{
-		{"enospc-on-save", []*faultfs.Fault{
-			{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 32, Err: syscall.ENOSPC}}},
-		{"readonly-store", []*faultfs.Fault{
-			{Op: faultfs.OpMkdir, Err: syscall.EROFS},
-			{Op: faultfs.OpMkdir, Err: syscall.EROFS},
-			{Op: faultfs.OpCreate, Err: syscall.EROFS},
-			{Op: faultfs.OpCreate, Err: syscall.EROFS}}},
-		{"kill-mid-write", []*faultfs.Fault{
-			{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true}}},
-		{"corrupt-read", []*faultfs.Fault{
-			{Op: faultfs.OpRead, Path: ".run", FlipBit: 200}}},
+		{"enospc-on-save", func(string) []*faultfs.Fault {
+			return []*faultfs.Fault{
+				{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 32, Err: syscall.ENOSPC}}
+		}},
+		{"readonly-store", func(string) []*faultfs.Fault {
+			return []*faultfs.Fault{
+				{Op: faultfs.OpMkdir, Err: syscall.EROFS},
+				{Op: faultfs.OpMkdir, Err: syscall.EROFS},
+				{Op: faultfs.OpCreate, Err: syscall.EROFS},
+				{Op: faultfs.OpCreate, Err: syscall.EROFS}}
+		}},
+		{"kill-mid-write", func(string) []*faultfs.Fault {
+			return []*faultfs.Fault{
+				{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true}}
+		}},
+		{"corrupt-read", func(ext string) []*faultfs.Fault {
+			return []*faultfs.Fault{
+				{Op: faultfs.OpRead, Path: ext, FlipBit: 200}}
+		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resetRunCacheForTest()
-			fopt := opt
-			fopt.Store = t.TempDir()
-			fopt.storeFS = faultfs.NewInjector(faultfs.Disk{}, tc.faults...)
-			fopt.storeTun = &tun
-			if tc.name == "corrupt-read" {
-				// Pre-populate a valid record so the faulted read has
-				// something to corrupt.
-				pre := fopt
-				pre.storeFS = faultfs.Disk{}
-				if err := pre.store().save(runFileKey(cfg, "Word", fopt.Scale, fopt.ShortInstrs, ""), want); err != nil {
-					t.Fatal(err)
+	for _, kind := range kinds {
+		// Reference: no store at all.
+		ResetRunCacheForTest()
+		want, err := kind.compute(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			t.Run(kind.prefix+tc.name, func(t *testing.T) {
+				ResetRunCacheForTest()
+				fopt := opt
+				fopt.Store = t.TempDir()
+				fopt.storeFS = faultfs.NewInjector(faultfs.Disk{}, tc.faults(kind.ext)...)
+				fopt.storeTun = &tun
+				corrupt := storeCorrupt.Load()
+				var key string
+				if tc.name == "corrupt-read" {
+					// Pre-populate a valid record so the faulted read has
+					// something to corrupt.
+					pre := fopt
+					pre.storeFS = faultfs.Disk{}
+					var data []byte
+					key, data = kind.record(fopt, want)
+					if err := pre.store().publish(key, pre.store().path(key, kind.ext), data); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			got, err := fopt.runApp(cfg, "Word", fopt.ShortInstrs)
-			if err != nil {
-				t.Fatalf("store fault leaked into the sweep: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("result under store faults differs from the storeless simulation")
-			}
-		})
+				got, err := kind.compute(fopt)
+				if err != nil {
+					t.Fatalf("store fault leaked into the sweep: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("value under store faults differs from the storeless computation")
+				}
+				if tc.name != "corrupt-read" {
+					return
+				}
+				// The damaged record was never read as a value: it was
+				// quarantined, and the recomputed one republished over it.
+				if n := storeCorrupt.Load() - corrupt; n != 1 {
+					t.Errorf("want exactly 1 quarantined record, got %d", n)
+				}
+				if _, err := os.Stat(filepath.Join(fopt.Store, key+".bad")); err != nil {
+					t.Errorf("corrupt record not quarantined to .bad: %v", err)
+				}
+				if _, err := os.Stat(filepath.Join(fopt.Store, key+kind.ext)); err != nil {
+					t.Errorf("recomputed record not republished: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -314,6 +400,7 @@ func TestRunStoreGCSweep(t *testing.T) {
 	staleLock := mk("ddd.lock", old, []byte("corpse\n"))
 	lruRun := mk("evict1.run", older, rec)
 	midRun := mk("evict2.run", old, rec)
+	lruProf := mk("evict3.prof", older, encodeProfile(sampleProfile()))
 	hotRun := mk("keep.run", time.Now(), rec)
 
 	// Cap so only one record fits.
@@ -321,7 +408,7 @@ func TestRunStoreGCSweep(t *testing.T) {
 	evBefore := storeGCEvictions.Load()
 	s.gc()
 
-	for _, gone := range []string{oldTmp, oldMarker, staleLock, lruRun, midRun} {
+	for _, gone := range []string{oldTmp, oldMarker, staleLock, lruRun, midRun, lruProf} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("GC left %s behind", filepath.Base(gone))
 		}
@@ -331,8 +418,8 @@ func TestRunStoreGCSweep(t *testing.T) {
 			t.Errorf("GC removed %s (should keep): %v", filepath.Base(kept), err)
 		}
 	}
-	if got := storeGCEvictions.Load() - evBefore; got != 2 {
-		t.Errorf("want 2 evictions counted, got %d", got)
+	if got := storeGCEvictions.Load() - evBefore; got != 3 {
+		t.Errorf("want 3 evictions counted, got %d", got)
 	}
 }
 
@@ -357,26 +444,31 @@ func TestRunStoreGCPairedEviction(t *testing.T) {
 		return path
 	}
 
-	// Cold group: record + snapshot + unit marker, all stale.
+	// Cold group: record + snapshot + profile + unit marker, all stale.
 	coldRun := mk("cold.run", older, rec)
 	coldSnap := mk("cold.ccvm", older, []byte("snapshot payload")) // sibling artifact
+	coldProf := mk("cold.prof", older, encodeProfile(sampleProfile()))
 	coldUnit := mk("cold.unit", older, []byte("unit fig2/Word\n"))
 	// Hot group: stale record whose snapshot was touched just now — the
 	// fresh member must keep its stale sibling alive (group atime is the
 	// newest member's).
 	hotRun := mk("hot.run", older, rec)
 	hotSnap := mk("hot.ccvm", time.Now(), []byte("snapshot payload"))
+	// A quarantined profile whose recomputed record is in use: the fresh
+	// .prof keeps its stale .bad sidecar.
+	hotBad := mk("warm.bad", older, []byte("damaged profile"))
+	hotProf := mk("warm.prof", time.Now(), encodeProfile(sampleProfile()))
 
-	// Cap fits the hot group only.
-	s.tun.maxBytes = int64(len(rec) + 32)
+	// Cap fits the two hot groups only.
+	s.tun.maxBytes = int64(len(rec) + 32 + profRecordLen + 32)
 	s.gc()
 
-	for _, gone := range []string{coldRun, coldSnap, coldUnit} {
+	for _, gone := range []string{coldRun, coldSnap, coldProf, coldUnit} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("GC left %s: the cold group must be evicted whole", filepath.Base(gone))
 		}
 	}
-	for _, kept := range []string{hotRun, hotSnap} {
+	for _, kept := range []string{hotRun, hotSnap, hotBad, hotProf} {
 		if _, err := os.Stat(kept); err != nil {
 			t.Errorf("GC evicted %s: one fresh member must keep its group: %v", filepath.Base(kept), err)
 		}
@@ -394,11 +486,12 @@ func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 
 	run := filepath.Join(s.dir, "busy.run")
 	snap := filepath.Join(s.dir, "busy.ccvm")
+	prof := filepath.Join(s.dir, "busy.prof")
 	lock := filepath.Join(s.dir, "busy.lock")
 	for _, f := range []struct {
 		path string
 		data []byte
-	}{{run, rec}, {snap, []byte("snapshot payload")}} {
+	}{{run, rec}, {snap, []byte("snapshot payload")}, {prof, encodeProfile(sampleProfile())}} {
 		if err := os.WriteFile(f.path, f.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +506,7 @@ func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 
 	s.tun.maxBytes = 1 // everything is over budget
 	s.gc()
-	for _, kept := range []string{run, snap} {
+	for _, kept := range []string{run, snap, prof} {
 		if _, err := os.Stat(kept); err != nil {
 			t.Fatalf("GC evicted %s out from under a live lock: %v", filepath.Base(kept), err)
 		}
@@ -426,7 +519,7 @@ func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.gc()
-	for _, gone := range []string{run, snap, lock} {
+	for _, gone := range []string{run, snap, prof, lock} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("GC left %s after the lock went stale", filepath.Base(gone))
 		}

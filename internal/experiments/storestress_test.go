@@ -92,8 +92,8 @@ func TestRunStoreStressChild(t *testing.T) {
 			if err := s.save(key, sampleResult()); err != nil {
 				t.Fatalf("save: %v", err)
 			}
-			if err := s.saveSnapshot(key, []byte("stress sibling snapshot payload")); err != nil {
-				t.Fatalf("saveSnapshot: %v", err)
+			if err := s.publish(key, s.snapPath(key), []byte("stress sibling snapshot payload")); err != nil {
+				t.Fatalf("publish snapshot: %v", err)
 			}
 			if owner := os.Getenv("RUNSTORE_OWNER_FILE"); owner != "" {
 				if err := os.WriteFile(owner, []byte(strconv.Itoa(os.Getpid())), 0o644); err != nil {

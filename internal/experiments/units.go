@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,14 +111,12 @@ func ExpandUnits(name string, opt Options, app string) []Unit {
 // and the budget-shaping options.
 func unitKey(opt Options, u Unit) string {
 	opt = opt.withDefaults()
-	h := sha256.New()
-	fmt.Fprintf(h, "unit v%d\n%s\n%s\n%d\n%d\n%d\n%d\n",
-		runSchema, u.Exp, u.App, opt.Scale, opt.LongInstrs, opt.ShortInstrs, opt.HotThreshold)
-	return "u" + hex.EncodeToString(h.Sum(nil))[:31]
+	return "u" + hashKey("unit v%d\n%s\n%s\n%d\n%d\n%d\n%d\n",
+		runSchema, u.Exp, u.App, opt.Scale, opt.LongInstrs, opt.ShortInstrs, opt.HotThreshold)[:31]
 }
 
 // unitPath is the done-marker path of a unit in the options' store.
-func (s *runStore) unitPath(key string) string { return filepath.Join(s.dir, key+".unit") }
+func (s *runStore) unitPath(key string) string { return s.path(key, ".unit") }
 
 // UnitDone reports whether a unit's done marker is present in the
 // options' store. Requires Options.Store.
@@ -169,19 +165,7 @@ func FinishUnit(opt Options, u Unit) error {
 		return fmt.Errorf("FinishUnit: no store configured")
 	}
 	key := unitKey(opt, u)
-	tmp, err := s.fs.CreateTemp(s.dir, key+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write([]byte("unit " + u.String() + "\n"))
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		s.fs.Remove(tmp.Name())
-		return werr
-	}
-	return s.fs.Rename(tmp.Name(), s.unitPath(key))
+	return s.publish(key, s.unitPath(key), []byte("unit "+u.String()+"\n"))
 }
 
 // RunUnit executes one work unit: the unit's experiment restricted to

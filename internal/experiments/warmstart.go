@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/machine"
@@ -23,50 +20,23 @@ import (
 // their startup curves are compared against the cold VM and the Ref
 // superscalar.
 //
-// Snapshots are cached at three levels, mirroring run results: an
-// in-process memoization (snapCache), the cross-process disk store
-// (<key>.ccvm records, single-flighted through the same lock protocol
-// as runs), and — because producing a snapshot requires a complete
-// cold simulation — the producer's cold Result is published into the
-// run caches so the figure's cold arm never re-simulates it.
+// Snapshots are cached exactly as run results are: an in-process
+// memoization (snapCache) over the cross-process disk store (<key>.ccvm
+// records, through the same fetch path as runs). Because producing a
+// snapshot requires a complete cold simulation, the producer's cold
+// Result is published into the run caches as well, so the figure's cold
+// arm never re-simulates it.
 
-// snapKey identifies one snapshot: the cold producer configuration
-// plus workload identity and budget. Host-side execution modes are
-// normalized out, as in runKey: they cannot affect the simulated
-// translations, so all host modes share one snapshot.
-type snapKey struct {
-	cfg    vmm.Config
-	app    string
-	scale  int
-	instrs uint64
-}
-
-func newSnapKey(cfg vmm.Config, app string, scale int, instrs uint64) snapKey {
-	cfg.Pipeline = false
-	cfg.NoThreadedDispatch = false
-	return snapKey{cfg, app, scale, instrs}
-}
-
-// snapEntry is a once-guarded snapshot cache slot.
-type snapEntry struct {
-	once sync.Once
-	snap *codecache.Snapshot
-	err  error
-}
-
-// snapCache memoizes parsed snapshots process-wide. Unlike runCache it
-// is consulted even under FreshRuns: FreshRuns forces re-simulation of
-// *measured* runs, but the snapshot is an input artifact — rebuilding
-// it per arm would triple the sweep for no measurement benefit.
-var snapCache sync.Map // snapKey -> *snapEntry
+// snapCache memoizes parsed snapshots process-wide, keyed like the cold
+// producer run (attribution aside: it cannot change the translations).
+// Unlike runCache it is consulted even under FreshRuns: FreshRuns forces
+// re-simulation of *measured* runs, but the snapshot is an input
+// artifact — rebuilding it per arm would triple the sweep for no
+// measurement benefit.
+var snapCache memo[runKey, *codecache.Snapshot]
 
 // resetSnapCacheForTest clears the in-process snapshot memoization.
-func resetSnapCacheForTest() {
-	snapCache.Range(func(k, _ any) bool {
-		snapCache.Delete(k)
-		return true
-	})
-}
+func resetSnapCacheForTest() { snapCache.reset() }
 
 // snapFileKey derives the disk-store key of a snapshot artifact. The
 // "ccvm2" prefix separates the namespace from run-result keys (the
@@ -74,9 +44,7 @@ func resetSnapCacheForTest() {
 func snapFileKey(cfg vmm.Config, app string, scale int, instrs uint64) string {
 	cfg.Pipeline = false
 	cfg.NoThreadedDispatch = false
-	h := sha256.New()
-	fmt.Fprintf(h, "ccvm2 v%d\n%#v\n%s\n%d\n%d\n", runSchema, cfg, app, scale, instrs)
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	return hashKey("ccvm2 v%d\n%#v\n%s\n%d\n%d\n", runSchema, cfg, app, scale, instrs)
 }
 
 // snapshotFor returns the lazy snapshot source for one (cold config,
@@ -89,69 +57,28 @@ func (o Options) snapshotFor(cold vmm.Config, app string, instrs uint64) snapFun
 }
 
 // snapshot produces (or reuses) the translation snapshot of one cold
-// run, memoized in-process.
+// run: memoized in-process, then from the disk store when enabled and
+// warm, otherwise by running the cold producer, single-flighted across
+// processes and published back (fetch). Store corruption, truncation or
+// any other store failure degrades to rebuilding — a warm run never
+// restores from a questionable artifact.
 func (o Options) snapshot(cold vmm.Config, app string, instrs uint64) (*codecache.Snapshot, error) {
 	scale := o.Scale
 	if scale < 1 {
 		scale = 1
 	}
-	e, _ := snapCache.LoadOrStore(newSnapKey(cold, app, scale, instrs), new(snapEntry))
-	entry := e.(*snapEntry)
-	entry.once.Do(func() {
-		entry.snap, entry.err = o.snapshotOrLoad(cold, app, scale, instrs)
+	return snapCache.get(newRunKey(cold, app, scale, instrs, ""), func() (*codecache.Snapshot, error) {
+		return fetch(o, artifact[*codecache.Snapshot]{
+			key:    func() string { return snapFileKey(cold, app, scale, instrs) },
+			ext:    ".ccvm",
+			tag:    func() string { return o.obsTag(cold, app) + " snapshot" },
+			decode: decodeSnapshot,
+			encode: (*codecache.Snapshot).Bytes,
+			build: func() (*codecache.Snapshot, error) {
+				return o.buildSnapshot(cold, app, scale, instrs)
+			},
+		})
 	})
-	return entry.snap, entry.err
-}
-
-// snapshotOrLoad fills one snapshot cache slot: from the disk store
-// when enabled and warm, otherwise by running the cold producer
-// (single-flighted across processes through the store's lock file).
-// Store corruption, truncation or any other store failure degrades to
-// rebuilding — a warm run never restores from a questionable artifact.
-func (o Options) snapshotOrLoad(cold vmm.Config, app string, scale int, instrs uint64) (*codecache.Snapshot, error) {
-	s := o.store()
-	var key string
-	if s != nil {
-		key = snapFileKey(cold, app, scale, instrs)
-		if !o.FreshRuns {
-			if snap := s.loadSnapshot(key); snap != nil {
-				return snap, nil
-			}
-		}
-	}
-	if s == nil || o.FreshRuns {
-		snap, data, err := o.buildSnapshot(cold, app, scale, instrs)
-		if err == nil && s != nil {
-			s.saveSnapshot(key, data) // best-effort publication
-		}
-		return snap, err
-	}
-	for attempt := 0; ; attempt++ {
-		release, won, err := s.acquire(key, s.snapPath(key))
-		if err != nil {
-			return nil, err // cancelled mid-wait
-		}
-		if !won {
-			// Another process published the snapshot while we waited.
-			if snap := s.loadSnapshot(key); snap != nil {
-				return snap, nil
-			}
-			if attempt < 2 {
-				continue // artifact vanished (cleaned store?); re-contend
-			}
-			release = func() {}
-		} else if snap := s.loadSnapshot(key); snap != nil {
-			// Double-check under the lock.
-			release()
-			return snap, nil
-		}
-		snap, data, err := o.buildSnapshot(cold, app, scale, instrs)
-		if err == nil {
-			s.saveSnapshot(key, data) // best-effort publication
-		}
-		release()
-		return snap, err
-	}
 }
 
 // buildSnapshot runs the cold producer and serializes its translation
@@ -159,10 +86,10 @@ func (o Options) snapshotOrLoad(cold vmm.Config, app string, scale int, instrs u
 // simulation, so its Result is published to the run store and seeded
 // into the in-process run cache: the figure's cold arm (and any peer
 // process) reuses it instead of re-simulating.
-func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs uint64) (*codecache.Snapshot, []byte, error) {
+func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs uint64) (*codecache.Snapshot, error) {
 	prog, err := workload.App(app, scale)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	vm := vmm.New(cold, prog.Memory(), prog.InitState())
 	if o.Obs != nil {
@@ -171,18 +98,18 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 	}
 	res, err := vm.Run(instrs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if o.Obs != nil {
 		o.Obs.Proc.Counter("runs.done", "runs").Inc()
 	}
 	var buf bytes.Buffer
 	if err := vm.SaveTranslations(&buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	snap, err := codecache.ParseSnapshot(buf.Bytes())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s := o.store(); s != nil {
 		s.save(runFileKey(cold, app, scale, instrs, o.attribKey()), res) // best-effort
@@ -191,11 +118,11 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 		// Seed under the same attribution key the runs above used: the
 		// producer's recorder came from the same observer, so its result
 		// carries exactly the payload that key promises.
-		e, _ := runCache.LoadOrStore(newRunKey(cold, app, scale, instrs, o.attribKey()), new(runEntry))
-		entry := e.(*runEntry)
-		entry.once.Do(func() { entry.res = res })
+		runCache.get(newRunKey(cold, app, scale, instrs, o.attribKey()), func() (*vmm.Result, error) {
+			return res, nil
+		})
 	}
-	return snap, buf.Bytes(), nil
+	return snap, nil
 }
 
 // warmArms defines the figure's arms in display order: the reference

@@ -253,7 +253,7 @@ func TestWarmSnapshotTruncationAtSectionBoundary(t *testing.T) {
 	if err := os.WriteFile(s.snapPath(key), data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.loadSnapshot(key); got != nil {
+	if got, ok := readRecord(s, key, s.snapPath(key), decodeSnapshot); ok || got != nil {
 		t.Fatal("section-boundary truncation served a snapshot")
 	}
 	if _, err := os.Stat(filepath.Join(s.dir, key+".bad")); err != nil {

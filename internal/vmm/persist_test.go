@@ -1,11 +1,19 @@
 package vmm
 
 import (
-	"bytes"
 	"testing"
 
 	"codesignvm/internal/x86"
 )
+
+// preloaded is the FX!32 machine of the persist experiment: every saved
+// translation resident before the first instruction, at no simulated
+// cost — the eager warm start with restoring made free.
+func preloaded(cfg Config) Config {
+	cfg.WarmStart = WarmEager
+	cfg.RestoreCyclesPerInst, cfg.RestoreFaultCycles = 0, 0
+	return cfg
+}
 
 // TestPersistentTranslationsEquivalence: a VM preloaded with the
 // translations of an earlier run must produce exactly the same
@@ -19,26 +27,15 @@ func TestPersistentTranslationsEquivalence(t *testing.T) {
 	cfg.HotThreshold = 12
 
 	// First run: translate everything, save the code caches.
-	vm1 := New(cfg, freshMemory(code, seed), initState())
-	res1, err := vm1.Run(goldenN + 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res1.Halted {
-		t.Fatal("first run did not halt")
-	}
-	var saved bytes.Buffer
-	if err := vm1.SaveTranslations(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if saved.Len() == 0 {
+	snap, res1 := warmSnapshot(t, cfg, code, seed, goldenN+1000)
+	if snap.Size() == 0 {
 		t.Fatal("nothing saved")
 	}
 
 	// Second run: preload, then execute.
 	mem2 := freshMemory(code, seed)
-	vm2 := New(cfg, mem2, initState())
-	n, err := vm2.LoadTranslations(bytes.NewReader(saved.Bytes()))
+	vm2 := New(preloaded(cfg), mem2, initState())
+	n, err := vm2.Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +74,8 @@ func TestPersistentTranslationsEquivalence(t *testing.T) {
 	}
 }
 
-// TestPersistAcrossStrategies: translations saved from VM.soft load into
-// VM.be (content is strategy-independent).
+// TestPersistAcrossStrategies: translations saved from VM.soft restore
+// into VM.be (content is strategy-independent).
 func TestPersistAcrossStrategies(t *testing.T) {
 	seed := int64(33)
 	code := buildProgram(seed)
@@ -86,19 +83,12 @@ func TestPersistAcrossStrategies(t *testing.T) {
 
 	cfg := DefaultConfig(StratSoft)
 	cfg.HotThreshold = 12
-	vm1 := New(cfg, freshMemory(code, seed), initState())
-	if _, err := vm1.Run(goldenN + 1000); err != nil {
-		t.Fatal(err)
-	}
-	var saved bytes.Buffer
-	if err := vm1.SaveTranslations(&saved); err != nil {
-		t.Fatal(err)
-	}
+	snap, _ := warmSnapshot(t, cfg, code, seed, goldenN+1000)
 
 	cfgBE := DefaultConfig(StratBE)
 	cfgBE.HotThreshold = 12
-	vm2 := New(cfgBE, freshMemory(code, seed), initState())
-	if _, err := vm2.LoadTranslations(bytes.NewReader(saved.Bytes())); err != nil {
+	vm2 := New(preloaded(cfgBE), freshMemory(code, seed), initState())
+	if _, err := vm2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	res, err := vm2.Run(goldenN + 1000)

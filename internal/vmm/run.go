@@ -1,7 +1,6 @@
 package vmm
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -171,21 +170,6 @@ func (v *VM) SaveTranslations(w io.Writer) error {
 		return err
 	}
 	return v.sbtCache.Save(w)
-}
-
-// LoadTranslations restores previously saved translations into the code
-// caches before (or during) a run, returning how many were loaded.
-// Restored translations are re-analyzed for this machine's pipeline
-// parameters; the architected binary must be the same one they were
-// translated from.
-func (v *VM) LoadTranslations(r io.Reader) (int, error) {
-	br := bufio.NewReader(r) // one buffered view across both sections
-	nb, err := v.bbtCache.Load(br, v.analyze)
-	if err != nil {
-		return nb, err
-	}
-	ns, err := v.sbtCache.Load(br, v.analyze)
-	return nb + ns, err
 }
 
 // Caches exposes the code caches for inspection.

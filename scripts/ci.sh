@@ -29,14 +29,21 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 1800s -run 'Pipeline|RunStore' \
 # Store-fault gate: the run store's crash-safety contract. The fault-
 # injection suite (faultfs + storefault_test.go) proves every injected
 # failure — kill-mid-write, truncation at every byte, bit flips,
-# ENOSPC, EROFS — degrades to a correct re-simulation with corrupt
-# entries quarantined; the multi-process stress tests re-exec the test
-# binary and SIGKILL lock holders to prove exactly-once simulation and
-# no orphaned locks across real process deaths. Run narrow and
-# uncached so the gate cannot be satisfied by a stale pass.
+# ENOSPC, EROFS — degrades to a correct recomputation with corrupt
+# entries quarantined, for run records and interpreter profiles alike;
+# the multi-process stress tests re-exec the test binary and SIGKILL
+# lock holders to prove exactly-once simulation and no orphaned locks
+# across real process deaths. With them, what the one fetch path
+# promises every artifact kind: a warm pass computes nothing
+# (TestWarmPassComputesNothing), profiles are store records like runs
+# (TestProfile*, TestFig3Units*), a cancelled lock wait is not memoized
+# (TestCancelledWait*), and an empty lock — its owner killed before
+# writing a token — is stolen after one heartbeat, exactly once
+# (TestEmptyLock*). Run narrow and uncached so the gate cannot be
+# satisfied by a stale pass.
 go test -race -count=1 ./internal/experiments/faultfs/
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess' \
+	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess|TestWarmPassComputesNothing|TestProfile|TestFig3Units|TestCancelledWait|TestEmptyLock' \
 	./internal/experiments/
 
 # Benchmark smoke: one iteration each of the hot-path benchmarks, so a
@@ -90,20 +97,24 @@ go run ./scripts/benchjson -diff -fail-over 50 BENCH_PR10.json BENCH_PR15.json
 # Warm-start gate (persistent translation caches; DESIGN.md §10).
 # Four checks:
 #   1. Snapshot integrity: the CCVM2 property/truncation/bit-flip sweep
-#      in codecache plus the store-level corruption-degradation tests —
-#      a damaged snapshot must quarantine to .bad and rebuild, never
-#      feed a VM.
+#      in codecache, through ParseSnapshot + DecodeInto + Insert — the
+#      one restore path there is — plus the store-level corruption-
+#      degradation tests: a damaged snapshot must quarantine to .bad
+#      and rebuild, never feed a VM.
 #   2. Warm-mode determinism: every restore policy byte-identical
 #      across threaded/unthreaded × sequential/pipelined hosts, under
 #      race instrumentation on two procs, including a per-arm snapshot
 #      rebuild of the whole figure.
-#   3. FX!32 persist determinism: Cache.Save is sorted, so the persist
-#      and warmstart reports now ride the golden figure sweep below.
+#   3. The persist report is two cached runs per app — fig2's cold
+#      VM.soft run and an eager restore at zero simulated cost from
+#      warmstart's snapshot — so it has no determinism of its own to
+#      gate: like warmstart it rides TestGoldenReportsAcrossDispatchModes
+#      below, and vmm's TestPersist* pin the zero-cost restore itself.
 #   4. Wall-clock: a lazy warm-start sweep iteration must not run more
 #      than 25% slower than the cold iteration it replaces (it should
 #      be faster; the honest A/B minima live in EXPERIMENTS.md).
-go test -race -count=1 -run 'TestPersist|TestSnapshot' ./internal/codecache/
-GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestWarmModes|TestWarmSnapshot|TestGoldenWarmStartRebuild' \
+go test -race -count=1 -run 'TestPersist|TestSnapshot|TestDecodeInto' ./internal/codecache/
+GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestWarmModes|TestPersist|TestWarmSnapshot|TestGoldenWarmStartRebuild' \
 	./internal/vmm/ ./internal/experiments/
 warm_tmp="${TMPDIR:-/tmp}/warmsweep.$$"
 WARMSTART_BENCH_MODE=cold go test -run '^$' -bench 'WarmSweep' -benchtime 2x -count 1 . |

@@ -12,6 +12,16 @@ import (
 	codesignvm "codesignvm"
 )
 
+// Client timeouts of the introspection server. A client that never
+// finishes its request header is cut off after readHeaderTimeout and an
+// idle keep-alive connection after idleTimeout, so stalled clients
+// cannot pin sockets and goroutines. There is deliberately no write
+// timeout: /debug/pprof/profile streams for 30 s by default.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // startIntrospection serves the live introspection endpoints on an
 // already-bound listener (bound during flag validation so an occupied
 // port fails before any simulation starts):
@@ -45,7 +55,7 @@ func startIntrospection(ln net.Listener, o *codesignvm.Observer) (stop func() er
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan struct{})
 	var serveErr error // written before close(done), read after <-done
 	go func() {

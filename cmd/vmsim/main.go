@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -93,9 +92,6 @@ var (
 	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every simulated run to this file on exit; enables attribution on all runs")
 	httpFlag     = flag.String("http", "", "serve live introspection on this address (/metrics /runs /healthz /debug/pprof; -exp serve adds /jobs)")
 	progressFlag = flag.Duration("progress", 0, "print a progress line to stderr at this interval during sweeps (0: disabled; requires a terminal on stderr)")
-
-	workersFlag = flag.Int("workers", 0, "distribute the experiment across N worker processes sharing -store, then merge (0: single-process; requires -store; see docs/ARCHITECTURE.md)")
-	workerFlag  = flag.String("worker", "", "internal: run as distributed-sweep worker SHARD/COUNT (spawned by -workers; not for direct use)")
 
 	jobsWorkers  = flag.Int("jobs-workers", 2, "worker-pool size of the -exp serve job service")
 	jobsQueue    = flag.Int("jobs-queue", 16, "bounded queue depth of the job service (full queue: 429 + Retry-After)")
@@ -182,46 +178,6 @@ func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) 
 	if *progressFlag > 0 {
 		if fi, serr := os.Stderr.Stat(); serr == nil && fi.Mode()&os.ModeCharDevice == 0 {
 			return fail("-progress needs a terminal on stderr (it rewrites a status line); use -http %s for live introspection instead", "ADDR")
-		}
-	}
-	// Distributed sweeps coordinate exclusively through the shared run
-	// store, and the merge pass must be able to hit every prefilled
-	// record — so flag combinations that bypass or pollute the store
-	// fail here with one line, before any worker is spawned.
-	if *workersFlag < 0 {
-		return fail("-workers must be >= 0, got %d", *workersFlag)
-	}
-	if *workersFlag > 0 {
-		if *workerFlag != "" {
-			return fail("-workers and -worker are mutually exclusive (-worker is the internal child mode)")
-		}
-		if *storeFlag == "" {
-			return fail("-workers requires -store DIR: workers coordinate and publish results through the shared run store")
-		}
-		switch *expFlag {
-		case "run", "dump", "serve":
-			return fail("-workers only applies to report experiments, not -exp %s", *expFlag)
-		}
-		if *freshFlag {
-			return fail("-workers is incompatible with -fresh: the merge pass must read the workers' store records")
-		}
-		if *timelineFlag != "" {
-			return fail("-workers is incompatible with -timeline (it implies -fresh; only fresh simulations sample a timeline)")
-		}
-		if *flameFlag != "" {
-			return fail("-workers is incompatible with -flamegraph: attribution recorders live in the worker processes, so the merged profile would be empty")
-		}
-	}
-	if *workerFlag != "" {
-		if _, _, err := parseShard(*workerFlag); err != nil {
-			return fail("-worker: %v", err)
-		}
-		if *storeFlag == "" {
-			return fail("-worker requires -store DIR (the coordinator always passes it)")
-		}
-		switch *expFlag {
-		case "run", "dump", "serve":
-			return fail("-worker only applies to report experiments, not -exp %s", *expFlag)
 		}
 	}
 	// The job service needs both a front door and the run store: jobs
@@ -537,19 +493,6 @@ func run() error {
 	if *expFlag == "serve" {
 		return serveJobs()
 	}
-	if *workerFlag != "" {
-		return runWorker()
-	}
-	if *workersFlag > 0 {
-		// Distributed prefill: N worker processes split the grid's
-		// units and fill the shared store. The normal report loop below
-		// then runs unchanged as the merge pass — every simulation
-		// hits, so the output is byte-identical to a single-process
-		// sweep by construction.
-		if err := runDistributed(); err != nil {
-			return err
-		}
-	}
 	// "sweep" and "all" expand through the shared registry ("sweep":
 	// the paper's figures in one process — fig8/fig9/fig11 share
 	// their long-trace runs and fig10's VM.soft run seeds the
@@ -591,93 +534,6 @@ func runOne(exp string) error {
 	}
 	fmt.Print(txt)
 	return nil
-}
-
-// parseShard parses the -worker SHARD/COUNT value.
-func parseShard(s string) (shard, workers int, err error) {
-	if n, _ := fmt.Sscanf(s, "%d/%d", &shard, &workers); n != 2 {
-		return 0, 0, fmt.Errorf("want SHARD/COUNT (e.g. 0/4), got %q", s)
-	}
-	if workers < 1 || shard < 0 || shard >= workers {
-		return 0, 0, fmt.Errorf("shard %d out of range for %d workers", shard, workers)
-	}
-	return shard, workers, nil
-}
-
-// runWorker is the -worker child mode: fill the shared store with this
-// shard's units (plus any it steals) and exit. Protocol lines go to
-// stdout, where the spawning coordinator parses them.
-func runWorker() error {
-	shard, workers, err := parseShard(*workerFlag)
-	if err != nil {
-		return err
-	}
-	return codesignvm.RunSweepWorker(shard, workers, *expFlag, *appFlag, options(), os.Stdout)
-}
-
-// runDistributed spawns the -workers N worker fleet and waits for it.
-// Worker failures are warnings, not errors: the merge pass re-simulates
-// anything a failed worker left missing.
-func runDistributed() error {
-	kill := -1
-	if v := os.Getenv("VMSIM_COORD_KILL_WORKER"); v != "" {
-		// Crash-recovery seam for tests and the CI gate: SIGKILL this
-		// shard after its first completed unit and let the survivors
-		// reclaim its work.
-		if _, err := fmt.Sscanf(v, "%d", &kill); err != nil {
-			return fmt.Errorf("VMSIM_COORD_KILL_WORKER=%q: %v", v, err)
-		}
-	}
-	st, err := codesignvm.RunDistributedSweep(codesignvm.SweepConfig{
-		Exp:        *expFlag,
-		App:        *appFlag,
-		Opt:        options(),
-		Workers:    *workersFlag,
-		Command:    workerCmd,
-		Log:        os.Stderr,
-		KillWorker: kill,
-	})
-	if err != nil {
-		return err
-	}
-	for _, werr := range st.WorkerErrs {
-		fmt.Fprintf(os.Stderr, "vmsim: warning: %v (merge pass will fill the gap)\n", werr)
-	}
-	return nil
-}
-
-// workerCmd re-execs this binary as one distributed-sweep worker,
-// forwarding the grid-shaping flags. Each worker gets an even share of
-// the host's cores (unless the user pinned GOMAXPROCS), so N workers
-// do not oversubscribe the machine N-fold.
-func workerCmd(shard, workers int) *exec.Cmd {
-	self, err := os.Executable()
-	if err != nil {
-		self = os.Args[0]
-	}
-	args := []string{
-		"-worker", fmt.Sprintf("%d/%d", shard, workers),
-		"-exp", *expFlag,
-		"-app", *appFlag,
-		"-scale", fmt.Sprint(*scaleFlag),
-		"-store", *storeFlag,
-	}
-	if *appsFlag != "" {
-		args = append(args, "-apps", *appsFlag)
-	}
-	if *instrsFlag > 0 {
-		args = append(args, "-instrs", fmt.Sprint(*instrsFlag))
-	}
-	cmd := exec.Command(self, args...)
-	cmd.Stderr = os.Stderr
-	if os.Getenv("GOMAXPROCS") == "" {
-		per := runtime.NumCPU() / workers
-		if per < 1 {
-			per = 1
-		}
-		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", per))
-	}
-	return cmd
 }
 
 // serveJobs is -exp serve: the process becomes a long-running job

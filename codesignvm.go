@@ -40,7 +40,6 @@ import (
 
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/experiments"
-	"codesignvm/internal/experiments/coordinator"
 	"codesignvm/internal/jobs"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
@@ -467,41 +466,6 @@ func ExpandExperiment(name string) []string { return experiments.ExpandExperimen
 // (pressure, ctxswitch, deltasweep); empty selects "Word".
 func RunExperiment(name string, opt Options, app string) (string, error) {
 	return experiments.RunExperiment(name, opt, app)
-}
-
-// Distributed sweeps (internal/experiments/coordinator): shard an
-// experiment's grid across N worker processes over the shared run
-// store; see docs/ARCHITECTURE.md for the quick start.
-
-type (
-	// SweepUnit is one schedulable cell of an experiment's grid
-	// (experiment × app).
-	SweepUnit = experiments.Unit
-	// SweepConfig parameterizes one distributed sweep.
-	SweepConfig = coordinator.Config
-	// SweepStats summarizes a distributed sweep's outcome.
-	SweepStats = coordinator.Stats
-)
-
-// ExpandSweepUnits expands an experiment name (composites included)
-// into the work units a distributed sweep schedules.
-func ExpandSweepUnits(name string, opt Options, app string) []SweepUnit {
-	return experiments.ExpandUnits(name, opt, app)
-}
-
-// RunDistributedSweep spawns cfg.Workers worker processes that split
-// the experiment's units over the shared run store, and blocks until
-// they exit. Merge afterwards by running the experiment normally with
-// the same store: every cell hits, so the report is byte-identical to
-// the single-process sweep.
-func RunDistributedSweep(cfg SweepConfig) (SweepStats, error) { return coordinator.Run(cfg) }
-
-// RunSweepWorker is the worker-process side of a distributed sweep
-// (vmsim's -worker mode): claim units through the store's lock
-// protocol, run them, publish done markers, and print protocol lines
-// to out.
-func RunSweepWorker(shard, workers int, exp, app string, opt Options, out io.Writer) error {
-	return coordinator.RunWorker(shard, workers, exp, app, opt, out)
 }
 
 // Async job service (internal/jobs; HTTP reference in docs/api.md).

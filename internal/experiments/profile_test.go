@@ -300,17 +300,19 @@ func TestWarmPassComputesNothing(t *testing.T) {
 	}
 }
 
-// TestFig3UnitsFeedTheMerge: distributed fig3 and overhead units leave
-// their profiles in the store, so each app is interpreted once however
-// many units ask for it and the merging process interprets nothing.
-func TestFig3UnitsFeedTheMerge(t *testing.T) {
+// TestFig3ProfilesInterpretedOnce: fig3 and overhead both ask for every
+// app's interpreter profile. Run as two processes over one store — the
+// memos reset in between — each app is interpreted once in total, the
+// later process interprets nothing, and Fig. 3 is byte-identical to the
+// storeless report.
+func TestFig3ProfilesInterpretedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
 	ref := detOpt()
 	ref.FreshRuns = false
 	ResetRunCacheForTest()
-	refRep, err := Fig3(ref)
+	want, err := RunExperiment("fig3", ref, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,31 +321,20 @@ func TestFig3UnitsFeedTheMerge(t *testing.T) {
 	opt := ref
 	opt.Store = t.TempDir()
 	opt.Obs = o
-	interpreted := o.Proc.Counter("profile.instrs", "instrs")
-	units := append(ExpandUnits("fig3", opt, ""), ExpandUnits("overhead", opt, "")...)
-	if len(units) != 2*len(opt.Apps) {
-		t.Fatalf("want %d units, got %v", 2*len(opt.Apps), units)
-	}
-	for _, u := range units {
-		// Every unit is a worker process of its own.
-		ResetRunCacheForTest()
-		if err := RunUnit(u, opt); err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
-	}
-	if got, want := interpreted.Value(), uint64(len(opt.Apps))*opt.ShortInstrs; got != want {
-		t.Errorf("units interpreted %d instructions, want %d (each app once)", got, want)
-	}
-
 	ResetRunCacheForTest()
-	merged, err := Fig3(opt)
+	got, err := RunExperiment("fig3", opt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := interpreted.Value(), uint64(len(opt.Apps))*opt.ShortInstrs; got != want {
-		t.Errorf("the merge interpreted %d instructions", got-want)
+	ResetRunCacheForTest()
+	if _, err := RunExperiment("overhead", opt, ""); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := FormatFig3(merged), FormatFig3(refRep); got != want {
-		t.Errorf("merged report differs from the storeless one\n--- storeless ---\n%s--- merged ---\n%s", want, got)
+	once := uint64(len(opt.Apps)) * opt.ShortInstrs
+	if n := o.Proc.Counter("profile.instrs", "instrs").Value(); n != once {
+		t.Errorf("fig3 then overhead interpreted %d instructions, want %d (each app once)", n, once)
+	}
+	if got != want {
+		t.Errorf("store-backed Fig. 3 differs from the storeless one\n--- storeless ---\n%s--- store ---\n%s", want, got)
 	}
 }

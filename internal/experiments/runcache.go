@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -34,10 +35,14 @@ func (o Options) attribKey() string { return o.Obs.AttribKey() }
 // Only values are kept. A fill that fails hands its error to the
 // callers already waiting on it and drops the slot, so the next request
 // fills afresh — a store-lock wait cancelled through one request's
-// context must not fail every later request for the same key.
+// context must not fail every later request for the same key. A fill
+// that panics counts as failed the same way (the job service recovers
+// the panic and goes on serving), so its slot never serves a zero value.
 type memo[K comparable, V any] struct {
 	slots sync.Map // K -> *memoSlot[V]
 }
+
+var errFillPanicked = errors.New("memo: fill panicked")
 
 type memoSlot[V any] struct {
 	once sync.Once
@@ -49,9 +54,13 @@ func (m *memo[K, V]) get(key K, fill func() (V, error)) (V, error) {
 	e, _ := m.slots.LoadOrStore(key, new(memoSlot[V]))
 	slot := e.(*memoSlot[V])
 	slot.once.Do(func() {
-		if slot.val, slot.err = fill(); slot.err != nil {
-			m.slots.CompareAndDelete(key, slot)
-		}
+		slot.err = errFillPanicked // overwritten unless fill panics
+		defer func() {
+			if slot.err != nil {
+				m.slots.CompareAndDelete(key, slot)
+			}
+		}()
+		slot.val, slot.err = fill()
 	})
 	return slot.val, slot.err
 }

@@ -274,10 +274,11 @@ func fetch[T any](o Options, a artifact[T]) (T, error) {
 			continue // the record the wait ended on vanished (cleaned store?): re-contend
 		}
 		// Won, or the record keeps disappearing under us (aggressive GC,
-		// flaky storage) and the store is no longer trusted: build.
-		v, err := build()
-		release()
-		return v, err
+		// flaky storage) and the store is no longer trusted: build. The
+		// lock goes even if build panics, or its heartbeat would hold it
+		// for as long as the process lives.
+		defer release()
+		return build()
 	}
 }
 
@@ -364,8 +365,8 @@ func (s *runStore) quarantine(key, path string, size int, reason error) {
 // produce the artifact (release is a no-op if the wait degraded),
 // won=false after another process's artifact appeared at the given
 // path (the caller re-reads the store), or err when the context was
-// cancelled mid-wait. Every artifact kind and the sweep units share the
-// protocol; the artifact path is what waiters poll for.
+// cancelled mid-wait. Every artifact kind shares the protocol; the
+// artifact path is what waiters poll for.
 func (s *runStore) acquire(key, artifact string) (release func(), won bool, err error) {
 	if err := s.fs.MkdirAll(s.dir, 0o755); err != nil {
 		return func() {}, true, nil // can't lock: just simulate
@@ -420,8 +421,7 @@ func (s *runStore) acquire(key, artifact string) (release func(), won bool, err 
 // has not refreshed the mtime for lockStale, or the lock is still empty
 // one heartbeat after it was created. A live owner writes its token
 // microseconds after creating the file (and withdraws the lock when the
-// write fails), so an empty lock that old is a process killed in between
-// — one ReapDeadLocks cannot attribute, having no pid to read.
+// write fails), so an empty lock that old is a process killed in between.
 func (t storeTuning) stale(lock os.FileInfo) bool {
 	age := time.Since(lock.ModTime())
 	return age > t.lockStale || (lock.Size() == 0 && age > t.heartbeat)
@@ -532,11 +532,10 @@ func (s *runStore) steal(lock, key string, st os.FileInfo) bool {
 // process per directory, at first use; it is advisory and every step
 // is best-effort.
 //
-// Eviction is per key, never per file: a key's record (.run, .ccvm,
-// .prof or a .unit done marker) and its .bad quarantine leave or stay
-// together, so GC can never orphan a sibling. A key whose .lock is
-// currently live (not stale: a heartbeating owner) is
-// skipped entirely: GC must not delete a record out from under an
+// Eviction is per key, never per file: a key's record (.run, .ccvm or
+// .prof) and its .bad quarantine leave or stay together, so GC can
+// never orphan a sibling. A key whose .lock is currently live (not
+// stale: a heartbeating owner) is skipped entirely: GC must not delete a record out from under an
 // in-flight writer or a waiter about to load it.
 func (s *runStore) gc() {
 	ents, err := s.fs.ReadDir(s.dir)
@@ -593,8 +592,7 @@ func (s *runStore) gc() {
 				live[key] = true
 			}
 		case strings.HasSuffix(name, ".run") || strings.HasSuffix(name, ".bad") ||
-			strings.HasSuffix(name, ".ccvm") || strings.HasSuffix(name, ".prof") ||
-			strings.HasSuffix(name, ".unit"):
+			strings.HasSuffix(name, ".ccvm") || strings.HasSuffix(name, ".prof"):
 			key := name[:strings.LastIndexByte(name, '.')]
 			g := groups[key]
 			if g == nil {

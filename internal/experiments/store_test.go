@@ -726,6 +726,43 @@ func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
 	}
 }
 
+// TestPanickingBuildLeavesNoTrace: a store-backed memo fill whose build
+// panics leaves neither its lock (the heartbeat would hold it for the
+// life of the process) nor its memo slot (which would serve a zero value
+// as a success). The job service recovers such a panic and keeps
+// serving, so the next request for the key must build afresh.
+func TestPanickingBuildLeavesNoTrace(t *testing.T) {
+	tun := testTuning()
+	opt := Options{Store: t.TempDir(), storeFS: faultfs.Disk{}, storeTun: &tun}
+	var m memo[string, []byte]
+	get := func(build func() ([]byte, error)) ([]byte, error) {
+		return m.get("k", func() ([]byte, error) {
+			return fetch(opt, artifact[[]byte]{
+				key:    func() string { return "feedface" },
+				ext:    ".run",
+				tag:    func() string { return "panic" },
+				decode: func(b []byte) ([]byte, error) { return b, nil },
+				encode: func(b []byte) []byte { return b },
+				build:  build,
+			})
+		})
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the build's panic did not reach the caller")
+			}
+		}()
+		get(func() ([]byte, error) { panic("simulated fault") })
+	}()
+	if _, err := os.Stat(filepath.Join(opt.Store, "feedface.lock")); !os.IsNotExist(err) {
+		t.Fatalf("the panicking build left its lock behind (stat: %v)", err)
+	}
+	if v, err := get(func() ([]byte, error) { return []byte("ok"), nil }); err != nil || string(v) != "ok" {
+		t.Fatalf("request after the panic = %q, %v; want a fresh build", v, err)
+	}
+}
+
 // emptyLock plants a 0-byte lock file of the given age: what a process
 // SIGKILLed between creating its lock and writing its token leaves.
 func emptyLock(t *testing.T, s *runStore, key string, age time.Duration) {

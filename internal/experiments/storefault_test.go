@@ -444,11 +444,10 @@ func TestRunStoreGCPairedEviction(t *testing.T) {
 		return path
 	}
 
-	// Cold group: record + snapshot + profile + unit marker, all stale.
+	// Cold group: record + snapshot + profile, all stale.
 	coldRun := mk("cold.run", older, rec)
 	coldSnap := mk("cold.ccvm", older, []byte("snapshot payload")) // sibling artifact
 	coldProf := mk("cold.prof", older, encodeProfile(sampleProfile()))
-	coldUnit := mk("cold.unit", older, []byte("unit fig2/Word\n"))
 	// Hot group: stale record whose snapshot was touched just now — the
 	// fresh member must keep its stale sibling alive (group atime is the
 	// newest member's).
@@ -463,7 +462,7 @@ func TestRunStoreGCPairedEviction(t *testing.T) {
 	s.tun.maxBytes = int64(len(rec) + 32 + profRecordLen + 32)
 	s.gc()
 
-	for _, gone := range []string{coldRun, coldSnap, coldProf, coldUnit} {
+	for _, gone := range []string{coldRun, coldSnap, coldProf} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("GC left %s: the cold group must be evicted whole", filepath.Base(gone))
 		}

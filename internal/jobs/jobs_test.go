@@ -168,6 +168,48 @@ func TestJobFailure(t *testing.T) {
 	}
 }
 
+// TestPanickingJobIsContained: a runner that panics fails its own job
+// ("panic: …", counted and evented as failed) and the worker that ran
+// it goes on to finish the next job.
+func TestPanickingJobIsContained(t *testing.T) {
+	sink := obs.NewCollectSink()
+	o := obs.NewObserver(sink)
+	m := newTestManager(t, Config{Workers: 1, Obs: o, Runner: func(_ context.Context, spec Spec, _ *obs.Observer) (string, error) {
+		if spec.Exp == "fig2" {
+			panic("simulated fault")
+		}
+		return "report for " + spec.Exp + "\n", nil
+	}})
+	bad, _, err := m.Submit(Spec{Exp: "fig2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-bad.Done()
+	if _, errText, state := bad.Result(); state != StateFailed || errText != "panic: simulated fault" {
+		t.Fatalf("panicking job = %v/%q, want failed/\"panic: simulated fault\"", state, errText)
+	}
+	good, _, err := m.Submit(Spec{Exp: "table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-good.Done()
+	if report, _, state := good.Result(); state != StateDone || report != "report for table2\n" {
+		t.Fatalf("job after the panic = %v/%q, want done", state, report)
+	}
+	if n := o.Proc.Counter("jobs.failed", "jobs").Value(); n != 1 {
+		t.Fatalf("jobs.failed = %d, want 1", n)
+	}
+	failed := 0
+	for _, e := range sink.Events() {
+		if e.Kind == obs.EvJobDone && e.A == 1 {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("job-done events with state 1 = %d, want 1", failed)
+	}
+}
+
 func TestIdempotentSubmissionAndForce(t *testing.T) {
 	r, started, release := blockingRunner()
 	m := newTestManager(t, Config{Workers: 1, QueueDepth: 8, Runner: r})

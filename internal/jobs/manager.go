@@ -335,7 +335,7 @@ func (m *Manager) runJob(j *Job) {
 	m.emit(obs.EvJobStart, j.id+" "+j.spec.Exp, uint64(len(m.queue)), 0, 0)
 
 	start := time.Now()
-	report, err := m.runner(ctx, j.spec, j.obsv)
+	report, panicked, err := m.run(ctx, j)
 	wall := time.Since(start)
 
 	j.mu.Lock()
@@ -344,6 +344,10 @@ func (m *Manager) runJob(j *Job) {
 	case err == nil:
 		j.state = StateDone
 		j.result = report
+	case panicked:
+		j.state = StateFailed
+		j.errText = err.Error()
+		terminal = 1
 	case j.cancelled || ctx.Err() != nil:
 		j.state = StateCancelled
 		j.errText = fmt.Sprintf("cancelled: %v", err)
@@ -372,6 +376,19 @@ func (m *Manager) runJob(j *Job) {
 		m.count("jobs.cancelled")
 	}
 	m.emit(obs.EvJobDone, j.id+" "+j.spec.Exp, terminal, uint64(resultBytes), uint64(wall.Nanoseconds()))
+}
+
+// run calls the runner with a panic turned into the job's error, so
+// one bad run fails its own job instead of the process and every other
+// accepted job with it.
+func (m *Manager) run(ctx context.Context, j *Job) (report string, panicked bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked, err = true, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	report, err = m.runner(ctx, j.spec, j.obsv)
+	return report, false, err
 }
 
 // retire drops the job's active-dedupe entry (the job stays in the

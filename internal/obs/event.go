@@ -90,17 +90,6 @@ const (
 	// "id exp", a = the job's state when cancelled (0 queued,
 	// 1 running).
 	EvJobCancel
-	// EvSweepWorker is a distributed-sweep worker lifecycle transition
-	// on the coordinator: tag = experiment, a = worker shard index,
-	// b = phase (0 spawned, 1 exited ok, 2 exited with error,
-	// 3 killed by signal).
-	EvSweepWorker
-	// EvSweepUnit closes one distributed-sweep work unit on the
-	// coordinator: tag = the unit ("exp/app"), a = the shard that ran
-	// it, b = outcome (0 done, 1 skipped — already marked done,
-	// 2 failed), c = 1 when the unit was stolen from another worker's
-	// initial shard.
-	EvSweepUnit
 	NumEventKinds
 )
 
@@ -129,8 +118,6 @@ var kindInfo = [NumEventKinds]struct {
 	EvJobDone:      {"job-done", "", "state", "bytes", "wall_ns"},
 	EvJobReject:    {"job-reject", "", "reason", "", ""},
 	EvJobCancel:    {"job-cancel", "", "state", "", ""},
-	EvSweepWorker:  {"sweep-worker", "", "shard", "phase", ""},
-	EvSweepUnit:    {"sweep-unit", "", "shard", "outcome", "stole"},
 }
 
 func (k EventKind) String() string {

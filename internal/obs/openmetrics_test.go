@@ -123,8 +123,6 @@ func TestGoldenJSONLEventSchema(t *testing.T) {
 		`{"seq":19,"t":0,"ev":"job-done","tag":"VM.soft/Word","state":1,"bytes":2,"wall_ns":3}`,
 		`{"seq":20,"t":0,"ev":"job-reject","tag":"VM.soft/Word","reason":1}`,
 		`{"seq":21,"t":0,"ev":"job-cancel","tag":"VM.soft/Word","state":1}`,
-		`{"seq":22,"t":0,"ev":"sweep-worker","tag":"VM.soft/Word","shard":1,"phase":2}`,
-		`{"seq":23,"t":0,"ev":"sweep-unit","tag":"VM.soft/Word","shard":1,"outcome":2,"stole":3}`,
 	}
 	if int(NumEventKinds) != len(golden) {
 		t.Fatalf("event kinds = %d, golden lines = %d — new kinds need a golden line here", NumEventKinds, len(golden))

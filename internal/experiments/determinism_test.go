@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +112,42 @@ func TestForEachTaskRunsConcurrently(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachTaskRecoversPanic: a task that panics on a pool goroutine
+// fails the call with a "panic:" error instead of ending the process,
+// and the pool still runs every other task. The sequential loop reports
+// a panic the same way.
+func TestForEachTaskRecoversPanic(t *testing.T) {
+	if old := runtime.GOMAXPROCS(2); old != 2 {
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+	const n = 6
+	var ran [n]atomic.Bool
+	err := Options{Sequential: false}.forEachTask(n, func(i int) error {
+		ran[i].Store(true)
+		if i == 1 {
+			panic("task 1 fault")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic:") {
+		t.Fatalf("pooled forEachTask returned %v, want a panic: error", err)
+	}
+	for i := range ran {
+		if !ran[i].Load() {
+			t.Errorf("task %d never ran", i)
+		}
+	}
+	err = Options{Sequential: true}.forEachTask(n, func(i int) error {
+		if i == 1 {
+			panic("task 1 fault")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic:") {
+		t.Fatalf("sequential forEachTask returned %v, want a panic: error", err)
 	}
 }
 

@@ -115,7 +115,9 @@ func (o Options) withDefaults() Options {
 // pool (GOMAXPROCS workers; inline when Sequential) and returns the
 // lowest-indexed error. Workers pull indices from a shared counter, so
 // callers must write results into index-addressed slots — never
-// append in completion order — to keep reductions deterministic.
+// append in completion order — to keep reductions deterministic. A task
+// that panics fails with a "panic: …" error rather than ending the
+// process: a pool goroutine is out of reach of any caller's recover.
 func (o Options) forEachTask(n int, fn func(i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -127,7 +129,7 @@ func (o Options) forEachTask(n int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := runTask(fn, i); err != nil {
 				return err
 			}
 		}
@@ -151,7 +153,7 @@ func (o Options) forEachTask(n int, fn func(i int) error) error {
 					errs[i] = err
 					continue
 				}
-				errs[i] = fn(i)
+				errs[i] = runTask(fn, i)
 			}
 		}()
 	}
@@ -162,6 +164,16 @@ func (o Options) forEachTask(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// runTask calls fn(i), turning a panic into the task's error.
+func runTask(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn(i)
 }
 
 // sampleAt linearly interpolates an arbitrary cumulative field of the

@@ -73,7 +73,7 @@ func (o Options) profile(app string, hotThr uint64) (appProfile, error) {
 	if o.FreshRuns {
 		return fill()
 	}
-	p, err := profCache.get(key, fill)
+	p, err := profCache.get(o.ctx(), key, fill)
 	p.hist.Buckets = append([]uint64(nil), p.hist.Buckets...)
 	p.hist.DynFrac = append([]float64(nil), p.hist.DynFrac...)
 	return p, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,9 +36,12 @@ func (o Options) attribKey() string { return o.Obs.AttribKey() }
 // Only values are kept. A fill that fails hands its error to the
 // callers already waiting on it and drops the slot, so the next request
 // fills afresh — a store-lock wait cancelled through one request's
-// context must not fail every later request for the same key. A fill
-// that panics counts as failed the same way (the job service recovers
-// the panic and goes on serving), so its slot never serves a zero value.
+// context must not fail every later request for the same key. A waiter
+// handed such a context error while its own context (ctx) is live
+// fills again instead: cancelling one job must not fail a concurrent
+// job that shares a run with it. A fill that panics counts as failed
+// the same way (the job service recovers the panic and goes on
+// serving), so its slot never serves a zero value.
 type memo[K comparable, V any] struct {
 	slots sync.Map // K -> *memoSlot[V]
 }
@@ -50,19 +54,27 @@ type memoSlot[V any] struct {
 	err  error
 }
 
-func (m *memo[K, V]) get(key K, fill func() (V, error)) (V, error) {
-	e, _ := m.slots.LoadOrStore(key, new(memoSlot[V]))
-	slot := e.(*memoSlot[V])
-	slot.once.Do(func() {
-		slot.err = errFillPanicked // overwritten unless fill panics
-		defer func() {
-			if slot.err != nil {
-				m.slots.CompareAndDelete(key, slot)
-			}
-		}()
-		slot.val, slot.err = fill()
-	})
-	return slot.val, slot.err
+func (m *memo[K, V]) get(ctx context.Context, key K, fill func() (V, error)) (V, error) {
+	for {
+		e, _ := m.slots.LoadOrStore(key, new(memoSlot[V]))
+		slot := e.(*memoSlot[V])
+		filled := false
+		slot.once.Do(func() {
+			filled = true
+			slot.err = errFillPanicked // overwritten unless fill panics
+			defer func() {
+				if slot.err != nil {
+					m.slots.CompareAndDelete(key, slot)
+				}
+			}()
+			slot.val, slot.err = fill()
+		})
+		if !filled && ctx.Err() == nil &&
+			(errors.Is(slot.err, context.Canceled) || errors.Is(slot.err, context.DeadlineExceeded)) {
+			continue // another request's cancellation; its slot is gone
+		}
+		return slot.val, slot.err
+	}
 }
 
 // reset empties the table, so the next request for any key fills again.
@@ -111,7 +123,7 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 	if o.FreshRuns {
 		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
 	}
-	res, err := runCache.get(runKey{cfg, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
+	res, err := runCache.get(o.ctx(), runKey{cfg, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
 		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
 	})
 	if err != nil {

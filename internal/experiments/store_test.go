@@ -689,6 +689,78 @@ func TestCancelledWaitIsNotMemoized(t *testing.T) {
 	}
 }
 
+// TestCancelledFillWaitersRetry: a request blocked on another request's
+// fill of the same run is not failed by that request's cancellation.
+// The first request fills (and waits on a peer's lock); the second joins
+// its slot; cancelling the first must leave the second to fill under its
+// own live context, simulate once the lock is gone, and publish.
+func TestCancelledFillWaitersRetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	opt := detOpt().withDefaults()
+	opt.FreshRuns = false
+	opt.Store = t.TempDir()
+	tun := testTuning()
+	tun.lockStale = time.Minute
+	opt.storeTun = &tun
+	opt.storeFS = faultfs.Disk{}
+	cfg := opt.configFor(machine.VMSoft)
+	ResetRunCacheForTest()
+
+	s := opt.store()
+	key := runFileKey(cfg, "Word", opt.Scale, opt.ShortInstrs, "")
+	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		res *vmm.Result
+		err error
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	first := opt
+	first.Ctx = ctx
+	firstDone := make(chan outcome, 1)
+	go func() {
+		res, err := first.runApp(cfg, "Word", opt.ShortInstrs)
+		firstDone <- outcome{res, err}
+	}()
+	time.Sleep(30 * time.Millisecond) // the first request is now the filler, waiting on the lock
+	secondDone := make(chan outcome, 1)
+	go func() {
+		res, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
+		secondDone <- outcome{res, err}
+	}()
+	time.Sleep(30 * time.Millisecond) // the second request is now blocked on the first's fill
+	cancel()
+	select {
+	case o := <-firstDone:
+		if !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("cancelled request returned %v, want context.Canceled", o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled request did not return")
+	}
+	if err := os.Remove(s.lockPath(key)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case o := <-secondDone:
+		if o.err != nil {
+			t.Fatalf("live request sharing the cancelled fill failed: %v", o.err)
+		}
+		if o.res == nil || o.res.Instrs == 0 {
+			t.Fatalf("live request returned %+v", o.res)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("live request did not return")
+	}
+	if _, err := os.Stat(s.runPath(key)); err != nil {
+		t.Fatalf("live request did not simulate and publish: %v", err)
+	}
+}
+
 // TestCancelledWaitSnapshotNotMemoized: the snapshot memo has the same
 // shape and the same rule.
 func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
@@ -736,7 +808,7 @@ func TestPanickingBuildLeavesNoTrace(t *testing.T) {
 	opt := Options{Store: t.TempDir(), storeFS: faultfs.Disk{}, storeTun: &tun}
 	var m memo[string, []byte]
 	get := func(build func() ([]byte, error)) ([]byte, error) {
-		return m.get("k", func() ([]byte, error) {
+		return m.get(context.Background(), "k", func() ([]byte, error) {
 			return fetch(opt, artifact[[]byte]{
 				key:    func() string { return "feedface" },
 				ext:    ".run",

@@ -65,7 +65,7 @@ func (o Options) snapshot(cold vmm.Config, app string, instrs uint64) (*codecach
 	if scale < 1 {
 		scale = 1
 	}
-	return snapCache.get(runKey{cold, app, scale, instrs, ""}, func() (*codecache.Snapshot, error) {
+	return snapCache.get(o.ctx(), runKey{cold, app, scale, instrs, ""}, func() (*codecache.Snapshot, error) {
 		return fetch(o, artifact[*codecache.Snapshot]{
 			key:    func() string { return snapFileKey(cold, app, scale, instrs) },
 			ext:    ".ccvm",
@@ -116,7 +116,7 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 		// Seed under the same attribution key the runs above used: the
 		// producer's recorder came from the same observer, so its result
 		// carries exactly the payload that key promises.
-		runCache.get(runKey{cold, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
+		runCache.get(o.ctx(), runKey{cold, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
 			return res, nil
 		})
 	}

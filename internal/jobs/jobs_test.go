@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"codesignvm/internal/experiments"
 	"codesignvm/internal/obs"
 )
 
@@ -461,5 +463,51 @@ func TestRateLimiterBoundedUnderUniqueKeys(t *testing.T) {
 	// (plus the kept caller bucket), never toward the 10k keys seen.
 	if maxBuckets > pruneEvery+1 {
 		t.Fatalf("bucket table peaked at %d entries (prune interval %d): accept-path prune not bounding it", maxBuckets, pruneEvery)
+	}
+}
+
+// TestFinishedJobsRetainNoMachines: the job table and the run cache it
+// fills keep each finished job's report and Results, never the
+// simulated machines behind them. A cold fig8 job runs four VMs of
+// ≈ 650 KiB each; a Result that pinned its VM would leave them all
+// live for the life of the service.
+func TestFinishedJobsRetainNoMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	const (
+		jobs    = 6
+		ceiling = 256 << 10 // retained bytes per finished job
+	)
+	experiments.ResetRunCacheForTest()
+	t.Cleanup(experiments.ResetRunCacheForTest)
+	m := newTestManager(t, Config{Workers: 1, Store: t.TempDir(), Sequential: true})
+	run := func(instrs uint64) {
+		t.Helper()
+		j, _, err := m.Submit(Spec{Exp: "fig8", Apps: []string{"Winzip"}, Scale: 400, Instrs: instrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if _, errText, state := j.Result(); state != StateDone {
+			t.Fatalf("job %s ended %v: %s", j.ID(), state, errText)
+		}
+	}
+	// One job first, so the program image and the store's first-use
+	// state are in the baseline rather than charged to the measured jobs.
+	run(49_999)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := 0; k < jobs; k++ {
+		run(50_000 + uint64(k)) // distinct budgets: every job is cold
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / jobs
+	if per > ceiling {
+		t.Errorf("each finished job retains %d KiB, ceiling %d KiB: finished jobs pin their machines", per>>10, ceiling>>10)
+	} else {
+		t.Logf("each finished job retains %d KiB", per>>10)
 	}
 }

@@ -3,6 +3,8 @@ package vmm
 import (
 	"runtime"
 	"testing"
+
+	"codesignvm/internal/workload"
 )
 
 // steadyStateVM builds a VM, warms it past translation and chaining,
@@ -93,3 +95,42 @@ func TestNewVMAllocCeiling(t *testing.T) {
 }
 
 var sinkVM *VM
+
+// TestResultDoesNotPinVM: a kept Result must not keep its machine
+// alive. The experiment run cache memoizes Results for the life of the
+// process; a Result that pointed into its VM would retain the cache
+// hierarchy, code-cache arenas and program image (≈ 650 KiB a run
+// here) with it. A finalizer cannot observe this — the interpreter's
+// pointer to the VM's architected state is a cycle — so the probe is
+// the live heap after a GC.
+func TestResultDoesNotPinVM(t *testing.T) {
+	const (
+		runs    = 8
+		ceiling = 64 << 10 // retained bytes per kept Result
+	)
+	prog, err := workload.App("Winzip", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrs := uint64(50_000)
+	kept := make([]*Result, 0, runs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		res, err := New(DefaultConfig(StratSoft), prog.Memory(), prog.InitState()).Run(instrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, res)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / runs
+	if per > ceiling {
+		t.Errorf("each kept Result retains %d KiB, ceiling %d KiB: it pins its VM", per>>10, ceiling>>10)
+	} else {
+		t.Logf("each kept Result retains %d KiB", per>>10)
+	}
+	runtime.KeepAlive(kept)
+}

@@ -72,8 +72,14 @@ type VM struct {
 	dmd        *hwassist.DualModeDecoder
 	cycles     float64
 	spanStart  float64 // attribution span opened by blockStart
-	res        Result
 	nextSample float64
+
+	// res is the run's Result, a separate allocation rather than a
+	// field: callers keep Results (the experiment run cache memoizes
+	// them process-wide), and a pointer into the VM would keep the
+	// whole machine — cache hierarchy, code-cache arenas, profiles,
+	// program image — alive with it.
+	res *Result
 
 	// Interval sampler (see obs.go). tlNext is +Inf when sampling is
 	// off, so the disabled cost is the single float compare guarding
@@ -110,6 +116,7 @@ func New(cfg Config, mem *x86.Memory, init *x86.State) *VM {
 		arch:       *init,
 		nextSample: 1000,
 		tlNext:     math.Inf(1),
+		res:        &Result{},
 	}
 	if cfg.NoStartupSamples {
 		v.nextSample = math.Inf(1)
@@ -242,6 +249,11 @@ func (v *VM) snapshot() Sample {
 // the VM's lifetime) have retired or the program halts. It may be called
 // again with a larger budget to continue the same machine — e.g. after
 // flushing the caches to study the code-cache-warm startup scenario.
+//
+// Every call returns the same *Result, a live view the next Run keeps
+// updating (so a continued run allocates nothing). The Result is its own
+// allocation and references nothing in the VM: keeping it does not keep
+// the machine alive.
 func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 	if v.obs != nil {
 		v.obsRunStart(maxInstrs)
@@ -249,10 +261,10 @@ func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 	for !v.halted && v.instrs < maxInstrs {
 		t, cat, err := v.dispatch()
 		if err != nil {
-			return &v.res, err
+			return v.res, err
 		}
 		if err := v.execute(t, cat); err != nil {
-			return &v.res, err
+			return v.res, err
 		}
 		v.sampleIfDue()
 		if v.cycles >= v.tlNext {
@@ -277,7 +289,7 @@ func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 	if v.obs != nil {
 		v.obsRunEnd()
 	}
-	return &v.res, nil
+	return v.res, nil
 }
 
 // dispatch resolves the next unit of execution for v.pc. The fast path

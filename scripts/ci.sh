@@ -17,14 +17,15 @@ go test -race -timeout 1800s ./...
 
 # What is concurrent must also hold on two OS threads whatever the CI
 # host has: the experiment grid's worker pool (TestForEachTaskRunsConcurrently
-# fails if the pool runs its tasks one at a time; the parallel reports,
-# warm-start snapshot rebuilds and phase attributions included, must
-# equal the sequential ones), the run store's lock protocol, and the
-# job service. (-count=1: GOMAXPROCS is not part of the test cache key,
-# so a cached pass from the full run above would otherwise satisfy
-# these lines.)
+# fails if the pool runs its tasks one at a time, and
+# TestForEachTaskRecoversPanic if a panicking task on a pool goroutine
+# ends the process; the parallel reports, warm-start snapshot rebuilds
+# and phase attributions included, must equal the sequential ones), the
+# run store's lock protocol, and the job service. (-count=1: GOMAXPROCS
+# is not part of the test cache key, so a cached pass from the full run
+# above would otherwise satisfy these lines.)
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestParallelReportsMatchSequential|TestParallelCurvesBitIdentical|TestForEachTaskRunsConcurrently|AcrossHostModes|RunStore' \
+	-run 'TestParallelReportsMatchSequential|TestParallelCurvesBitIdentical|TestForEachTaskRunsConcurrently|TestForEachTaskRecoversPanic|AcrossHostModes|RunStore' \
 	./internal/experiments/
 GOMAXPROCS=2 go test -race -count=1 ./internal/jobs/
 
@@ -39,14 +40,16 @@ GOMAXPROCS=2 go test -race -count=1 ./internal/jobs/
 # promises every artifact kind: a warm pass computes nothing
 # (TestWarmPassComputesNothing), profiles are store records like runs
 # (TestProfile*, TestFig3Profiles*), a cancelled lock wait is not
-# memoized (TestCancelledWait*), a panicking build leaves neither its
-# lock nor its memo slot behind (TestPanickingBuild*), and an empty
-# lock — its owner killed before writing a token — is stolen after one
-# heartbeat, exactly once (TestEmptyLock*). Run narrow and uncached so the gate cannot be
+# memoized (TestCancelledWait*) nor handed to a request sharing the
+# fill, which fills again under its own context (TestCancelledFill*),
+# a panicking build leaves neither its lock nor its memo slot behind
+# (TestPanickingBuild*), and an empty lock — its owner killed before
+# writing a token — is stolen after one heartbeat, exactly once
+# (TestEmptyLock*). Run narrow and uncached so the gate cannot be
 # satisfied by a stale pass.
 go test -race -count=1 ./internal/experiments/faultfs/
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess|TestWarmPassComputesNothing|TestProfile|TestFig3Profiles|TestPanickingBuild|TestCancelledWait|TestEmptyLock' \
+	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess|TestWarmPassComputesNothing|TestProfile|TestFig3Profiles|TestPanickingBuild|TestCancelledWait|TestCancelledFill|TestEmptyLock' \
 	./internal/experiments/
 
 # Benchmark smoke: one iteration each of the hot-path benchmarks, so a

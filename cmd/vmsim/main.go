@@ -28,9 +28,8 @@
 // Observability (see OBSERVABILITY.md):
 //
 //	vmsim -exp fig2 -metrics table           # aggregate metric table
-//	vmsim -exp run -events events.jsonl      # JSONL lifecycle events
 //	vmsim -exp run -trace run.trace.json     # Chrome trace (Perfetto)
-//	vmsim -exp run -timeline tl.csv          # interval-sampled timelines
+//	vmsim -exp fig2 -timeline tl.csv         # interval-sampled timelines
 //	vmsim -exp sweep -http 127.0.0.1:890     # live introspection server
 //	vmsim -exp sweep -progress 10s           # periodic progress line
 //
@@ -53,11 +52,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -84,12 +81,9 @@ var (
 	gotraceFile = flag.String("gotrace", "", "write a Go runtime execution trace to this file")
 
 	metricsFlag  = flag.String("metrics", "", "print aggregate observability metrics on exit: \"table\" or \"json\"")
-	eventsFlag   = flag.String("events", "", "write the VM lifecycle-event trace to this file (JSON Lines)")
 	traceFlag    = flag.String("trace", "", "write the lifecycle-event stream as Chrome trace-event JSON to this file (view in Perfetto)")
-	timelineFlag = flag.String("timeline", "", "sample per-run startup timelines and write them to this file on exit (.json: JSON, otherwise CSV); implies -fresh")
-	tlInterval   = flag.Float64("timeline-interval", codesignvm.DefaultTimelineInterval, "initial timeline slice width in simulated cycles")
-	tlSlices     = flag.Int("timeline-slices", codesignvm.DefaultTimelineSlices, "max timeline slices per run (full timelines coalesce, doubling the interval)")
-	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every simulated run to this file on exit; enables attribution on all runs")
+	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs")
+	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs")
 	httpFlag     = flag.String("http", "", "serve live introspection on this address (/metrics /runs /healthz /debug/pprof; -exp serve adds /jobs)")
 	progressFlag = flag.Duration("progress", 0, "print a progress line to stderr at this interval during sweeps (0: disabled; requires a terminal on stderr)")
 
@@ -141,22 +135,12 @@ func main() {
 	}
 }
 
-// multiSink fans one event stream out to several sinks (-events and
-// -trace together).
-type multiSink []codesignvm.EventSink
-
-func (m multiSink) Emit(e codesignvm.Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// validateObsFlags checks the observability flag set up front, so a bad
+// validateFlags checks the flag set up front, so a bad value or
 // combination fails with one clear line before any simulation starts,
 // never mid-sweep. Output files are created here (catching unwritable
 // paths), and the -http listener is bound here (catching occupied
 // ports).
-func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) {
+func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 	fail := func(format string, args ...any) (map[string]*os.File, net.Listener, error) {
 		for _, f := range files {
 			f.Close()
@@ -166,14 +150,13 @@ func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) 
 		}
 		return nil, nil, fmt.Errorf(format, args...)
 	}
+	// The job spec's range: a divisor below 1 is no workload at all,
+	// and beyond the maximum the traces collapse to a few instructions.
+	if *scaleFlag < 1 || *scaleFlag > codesignvm.MaxScale {
+		return fail("-scale must be in [1, %d], got %d", codesignvm.MaxScale, *scaleFlag)
+	}
 	if *metricsFlag != "" && *metricsFlag != "table" && *metricsFlag != "json" {
 		return fail("-metrics must be \"table\" or \"json\", got %q", *metricsFlag)
-	}
-	if *tlInterval <= 0 {
-		return fail("-timeline-interval must be positive, got %g", *tlInterval)
-	}
-	if *tlSlices < 2 {
-		return fail("-timeline-slices must be at least 2, got %d", *tlSlices)
 	}
 	if *progressFlag > 0 {
 		if fi, serr := os.Stderr.Stat(); serr == nil && fi.Mode()&os.ModeCharDevice == 0 {
@@ -192,9 +175,6 @@ func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) 
 		if *freshFlag {
 			return fail("-exp serve is incompatible with -fresh: bypassing store reads would break the job service's exactly-once dedupe")
 		}
-		if *timelineFlag != "" {
-			return fail("-exp serve is incompatible with -timeline (it implies -fresh); use GET /jobs/{id} for live job progress")
-		}
 		if *jobsWorkers < 1 {
 			return fail("-jobs-workers must be at least 1, got %d", *jobsWorkers)
 		}
@@ -204,8 +184,7 @@ func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) 
 	}
 	files = map[string]*os.File{}
 	for _, out := range []struct{ flag, path string }{
-		{"-events", *eventsFlag}, {"-trace", *traceFlag}, {"-timeline", *timelineFlag},
-		{"-flamegraph", *flameFlag},
+		{"-trace", *traceFlag}, {"-timeline", *timelineFlag}, {"-flamegraph", *flameFlag},
 	} {
 		if out.path == "" {
 			continue
@@ -226,12 +205,12 @@ func validateObsFlags() (files map[string]*os.File, ln net.Listener, err error) 
 }
 
 // setupObservability builds the process observer from the -metrics,
-// -events, -trace, -timeline, -http and -progress flags. The returned
-// finish function stops the progress printer, prints the aggregate
-// metrics, flushes the event and trace files and writes the timeline
-// export; it must run after the experiments complete.
+// -trace, -timeline, -flamegraph, -http and -progress flags. The
+// returned finish function stops the progress printer, prints the
+// aggregate metrics, flushes the trace and writes the timeline and
+// flamegraph exports; it must run after the experiments complete.
 func setupObservability() (finish func() error, err error) {
-	files, ln, err := validateObsFlags()
+	files, ln, err := validateFlags()
 	if err != nil {
 		return nil, err
 	}
@@ -239,46 +218,20 @@ func setupObservability() (finish func() error, err error) {
 		return func() error { return nil }, nil
 	}
 
-	var sinks multiSink
-	var jsonl *codesignvm.JSONLSink
+	var sink codesignvm.EventSink
 	var tracer *codesignvm.TraceSink
-	if f := files["-events"]; f != nil {
-		jsonl = codesignvm.NewJSONLSink(f)
-		sinks = append(sinks, jsonl)
-	}
 	if f := files["-trace"]; f != nil {
 		tracer = codesignvm.NewTraceSink(f)
-		sinks = append(sinks, tracer)
-	}
-	var sink codesignvm.EventSink
-	switch len(sinks) {
-	case 0:
-	case 1:
-		sink = sinks[0]
-	default:
-		sink = sinks
+		sink = tracer
 	}
 	obsv = codesignvm.NewObserver(sink)
 	if *flameFlag != "" {
 		// Attribution milestones follow the effective instruction budget,
 		// matching the options() / withDefaults derivation.
-		budget := *instrsFlag
-		if budget == 0 && *scaleFlag > 0 {
-			budget = 500_000_000 / uint64(*scaleFlag)
-		}
-		obsv.EnableAttrib(codesignvm.DefaultAttribSpec(budget))
+		obsv.EnableAttrib(codesignvm.DefaultAttribSpec(longBudget()))
 	}
 	if *timelineFlag != "" {
-		obsv.EnableTimeline(codesignvm.TimelineSpec{
-			IntervalCycles: *tlInterval,
-			MaxSlices:      *tlSlices,
-		})
-		// Cached and store-loaded results carry no timeline — only a
-		// fresh simulation samples one — so -timeline forces -fresh
-		// (options() honors this); store writes still happen.
-		if !*freshFlag {
-			fmt.Fprintln(os.Stderr, "vmsim: -timeline implies -fresh (only fresh simulations sample a timeline)")
-		}
+		obsv.EnableTimeline()
 	}
 	if *expFlag == "serve" {
 		// The manager must exist before the server starts so the /jobs
@@ -322,48 +275,23 @@ func setupObservability() (finish func() error, err error) {
 				firstErr = err
 			}
 		}
-		if jsonl != nil {
-			keep(jsonl.Flush())
-			fmt.Fprintf(os.Stderr, "vmsim: wrote %d events to %s\n", obsv.EventsEmitted(), *eventsFlag)
-			keep(files["-events"].Close())
-		}
 		if tracer != nil {
 			keep(tracer.Flush())
 			fmt.Fprintf(os.Stderr, "vmsim: wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *traceFlag)
 			keep(files["-trace"].Close())
 		}
+		// Both exports render the Results the reports consumed (cache
+		// and store hits included), deduplicated, in tag-then-key order.
 		if f := files["-timeline"]; f != nil {
-			runs := obsv.Runs()
-			if strings.EqualFold(filepath.Ext(*timelineFlag), ".json") {
-				keep(codesignvm.WriteTimelinesJSON(f, runs))
-			} else {
-				keep(codesignvm.WriteTimelinesCSV(f, runs))
-			}
-			fmt.Fprintf(os.Stderr, "vmsim: wrote %d run timelines to %s\n", len(runs), *timelineFlag)
+			n, err := obsv.WriteTimelines(f)
+			keep(err)
+			fmt.Fprintf(os.Stderr, "vmsim: wrote %d run timelines to %s\n", n, *timelineFlag)
 			keep(f.Close())
 		}
 		if f := files["-flamegraph"]; f != nil {
-			// Merge in tag order, not run-completion order, so the merged
-			// counts do not depend on pool scheduling. Cache and store
-			// hits mint no recorder, so only freshly simulated runs
-			// contribute (use -fresh for a complete profile).
-			type tagged struct {
-				tag  string
-				snap *codesignvm.AttribSnapshot
-			}
-			var snaps []tagged
-			for _, r := range obsv.Runs() {
-				if s := r.AttribSnapshot(); s != nil {
-					snaps = append(snaps, tagged{r.Tag(), s})
-				}
-			}
-			sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].tag < snaps[j].tag })
-			ordered := make([]*codesignvm.AttribSnapshot, len(snaps))
-			for i, t := range snaps {
-				ordered[i] = t.snap
-			}
-			keep(codesignvm.MergeAttrib(ordered...).WriteCollapsed(f))
-			fmt.Fprintf(os.Stderr, "vmsim: wrote collapsed-stack attribution of %d runs to %s\n", len(snaps), *flameFlag)
+			n, err := obsv.WriteFlamegraph(f)
+			keep(err)
+			fmt.Fprintf(os.Stderr, "vmsim: wrote collapsed-stack attribution of %d runs to %s\n", n, *flameFlag)
 			keep(f.Close())
 		}
 		keep(stopHTTP())
@@ -473,7 +401,7 @@ func options() codesignvm.Options {
 	opt := codesignvm.Options{
 		Scale:         *scaleFlag,
 		Sequential:    *seqFlag,
-		FreshRuns:     *freshFlag || *timelineFlag != "",
+		FreshRuns:     *freshFlag,
 		Store:         *storeFlag,
 		StoreMaxBytes: *storeMax,
 		Obs:           obsv,
@@ -487,6 +415,14 @@ func options() codesignvm.Options {
 		opt.ShortInstrs = *instrsFlag / 5
 	}
 	return opt
+}
+
+// longBudget is the long-trace instruction budget: -instrs, or 500M/scale.
+func longBudget() uint64 {
+	if *instrsFlag > 0 {
+		return *instrsFlag
+	}
+	return 500_000_000 / uint64(*scaleFlag)
 }
 
 func run() error {
@@ -564,10 +500,7 @@ func runSingle(opt codesignvm.Options) error {
 	if err != nil {
 		return err
 	}
-	budget := *instrsFlag
-	if budget == 0 {
-		budget = 500_000_000 / uint64(*scaleFlag)
-	}
+	budget := longBudget()
 	warmMode, err := codesignvm.ParseWarmStart(*warmFlag)
 	if err != nil {
 		return err
@@ -576,12 +509,15 @@ func runSingle(opt codesignvm.Options) error {
 	cfg := codesignvm.DefaultConfig(m)
 	start := time.Now()
 	// NewRun on a nil observer returns a nil recorder: observability off.
+	tag := fmt.Sprintf("%v/%s", m, *appFlag)
 	vm := codesignvm.NewConfiguredVM(cfg, prog)
-	vm.SetObserver(obsv.NewRun(fmt.Sprintf("%v/%s", m, *appFlag)))
+	vm.SetObserver(obsv.NewRun(tag))
 	res, err := vm.Run(budget)
 	if err != nil {
 		return err
 	}
+	// One or two runs, told apart by their tags: no run key needed.
+	obsv.Note(tag, "", res.Attrib, res.Timeline)
 	el := time.Since(start)
 	fmt.Printf("retired %d instructions in %.4g cycles (IPC %.3f) — %.1fM instrs/s wall\n",
 		res.Instrs, res.Cycles, res.IPC(), float64(res.Instrs)/el.Seconds()/1e6)
@@ -599,11 +535,12 @@ func runSingle(opt codesignvm.Options) error {
 		wcfg := cfg
 		wcfg.WarmStart = warmMode
 		wstart := time.Now()
-		wres, err := codesignvm.RunConfigWarm(wcfg, prog, budget,
-			obsv.NewRun(fmt.Sprintf("%v/%s/warm-%v", m, *appFlag, warmMode)), snap)
+		wtag := fmt.Sprintf("%s/warm-%v", tag, warmMode)
+		wres, err := codesignvm.RunConfigWarm(wcfg, prog, budget, obsv.NewRun(wtag), snap)
 		if err != nil {
 			return err
 		}
+		obsv.Note(wtag, "", wres.Attrib, wres.Timeline)
 		wel := time.Since(wstart)
 		fmt.Printf("warm-%v: %.4g cycles (cold %.4g, %.2fx), restored %d translations (%d x86 instrs) of %d snapshotted (%d bytes), %d BBT re-translations — %v wall (cold %v)\n",
 			warmMode, wres.Cycles, res.Cycles, res.Cycles/wres.Cycles,

@@ -174,57 +174,24 @@ type (
 	EventKind = obs.EventKind
 	// EventSink receives emitted events.
 	EventSink = obs.Sink
-	// JSONLSink renders events as self-describing JSON Lines.
-	JSONLSink = obs.JSONLSink
-	// CollectSink captures events in memory (tests, tooling).
-	CollectSink = obs.CollectSink
 	// TraceSink renders the event stream as Chrome trace-event JSON
 	// viewable in Perfetto; call Flush when done.
 	TraceSink = obs.TraceSink
-	// TimelineSpec configures interval sampling (Observer.EnableTimeline).
-	TimelineSpec = obs.TimelineSpec
 	// Timeline is one run's allocation-bounded sequence of interval
 	// snapshots (Recorder.Timeline).
 	Timeline = obs.Timeline
 	// TimeSlice is one cumulative timeline snapshot.
 	TimeSlice = obs.TimeSlice
-	// TimelineRow is one exported per-interval timeline row.
-	TimelineRow = obs.TimelineRow
-)
-
-// Timeline sampling defaults (TimelineSpec zero values select these).
-const (
-	DefaultTimelineInterval = obs.DefaultTimelineInterval
-	DefaultTimelineSlices   = obs.DefaultTimelineSlices
 )
 
 // NewObserver returns an observer emitting to sink (nil sink: metrics
 // only, no event stream).
 func NewObserver(sink EventSink) *Observer { return obs.NewObserver(sink) }
 
-// NewJSONLSink returns an event sink writing JSON Lines to w; call
-// Flush when done.
-func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
-
-// NewCollectSink returns an in-memory event sink.
-func NewCollectSink() *CollectSink { return obs.NewCollectSink() }
-
 // NewTraceSink returns an event sink writing one Chrome trace-event
 // JSON document to w (load in ui.perfetto.dev or chrome://tracing);
 // call Flush when done — the output is valid JSON only after Flush.
 func NewTraceSink(w io.Writer) *TraceSink { return obs.NewTraceSink(w) }
-
-// WriteTimelinesCSV renders the timelines of the given runs (skipping
-// runs without one) as one CSV table; see OBSERVABILITY.md for the
-// column reference.
-func WriteTimelinesCSV(w io.Writer, runs []*Recorder) error {
-	return obs.WriteTimelinesCSV(w, runs)
-}
-
-// WriteTimelinesJSON renders the same timelines as JSON.
-func WriteTimelinesJSON(w io.Writer, runs []*Recorder) error {
-	return obs.WriteTimelinesJSON(w, runs)
-}
 
 // NewIntrospectionHandler returns an http.Handler serving the
 // observer's live introspection endpoints (/metrics OpenMetrics text,
@@ -308,15 +275,6 @@ type (
 // NumAttribCategories is the size of the attribution taxonomy.
 const NumAttribCategories = attrib.NumCategories
 
-// ParseAttribCategory resolves an attribution category by name
-// ("interpret", "bbt-translate", …).
-func ParseAttribCategory(s string) (AttribCategory, bool) { return attrib.ParseCategory(s) }
-
-// MergeAttrib merges attribution snapshots of the same spec (summing
-// categories, regions and phase rows); pass runs in a fixed order for
-// deterministic floating-point accumulation.
-func MergeAttrib(snaps ...*AttribSnapshot) *AttribSnapshot { return attrib.Merge(snaps...) }
-
 // DefaultAttribSpec returns the attribution spec the phases figure
 // uses: workload code-segment regions and milestones at fixed
 // fractions of the given instruction budget.
@@ -388,73 +346,15 @@ func XLTCharacterization(n int, seed int64) (*experiments.Table1Report, error) {
 	return experiments.Table1(n, seed)
 }
 
-// PersistentStartupExperiment measures FX!32-style translation reuse
-// (extension experiment; see DESIGN.md).
-func PersistentStartupExperiment(opt Options) (*experiments.PersistReport, error) {
-	return experiments.PersistentStartup(opt)
-}
-
-// WarmStartCurves is the warm-start startup-figure report type.
-type WarmStartCurves = experiments.WarmStartCurves
-
-// WarmStartExperiment runs the warm-start startup figure: cold VM.soft
-// vs lazy/hybrid/eager persistent-cache restore vs Ref (DESIGN.md §10).
-func WarmStartExperiment(opt Options) (*WarmStartCurves, error) {
-	return experiments.WarmStartFig(opt)
-}
-
-// PhasesCurves is the phase-attribution figure's report type.
-type PhasesCurves = experiments.PhasesCurves
-
-// PhasesExperiment runs the phase-attribution figure: the startup
-// transient of cold vs warm-started VM.soft decomposed by attribution
-// category at each instruction milestone (OBSERVABILITY.md).
-func PhasesExperiment(opt Options) (*PhasesCurves, error) {
-	return experiments.PhasesFig(opt)
-}
-
-// CodeCachePressureExperiment sweeps code-cache capacities (extension
-// experiment quantifying the paper's §1.1 multitasking concern).
-func CodeCachePressureExperiment(opt Options, app string, sizes []uint32) (*experiments.PressureReport, error) {
-	return experiments.CodeCachePressure(opt, app, sizes)
-}
-
 // DumpTranslations renders the hottest translations of a short run as
 // annotated x86→micro-op listings (inspection tooling).
 func DumpTranslations(app string, m Model, scale int, instrs uint64, top int) (string, error) {
 	return experiments.DumpTranslations(app, m, scale, instrs, top)
 }
 
-// ColdStartExperiment runs the OS-boot-like workload across all machine
-// models (§1.1 motivation: cold-code-dominated phases).
-func ColdStartExperiment(opt Options) (*experiments.ColdStartReport, error) {
-	return experiments.ColdStart(opt)
-}
-
-// ContextSwitchExperiment sweeps context-switch frequency (§1.1
-// motivation: multitasking server-like systems).
-func ContextSwitchExperiment(opt Options, app string, periods []uint64) (*experiments.SwitchReport, error) {
-	return experiments.ContextSwitch(opt, app, periods)
-}
-
-// StagedComparisonExperiment compares emulation-staging strategies:
-// interpretation+SBT, three-stage interp→BBT→SBT, and two-stage BBT+SBT.
-func StagedComparisonExperiment(opt Options) (*StartupCurves, error) {
-	return experiments.StagedComparison(opt)
-}
-
-// DeltaBBTSweepExperiment varies the BBT translation cost between the
-// software and fully-assisted values.
-func DeltaBBTSweepExperiment(opt Options, app string, deltas []float64) (*experiments.DeltaReport, error) {
-	return experiments.DeltaBBTSweep(opt, app, deltas)
-}
-
 // Named experiment registry: the dispatch table shared by cmd/vmsim's
 // -exp flag and the async job service, so both produce byte-identical
 // reports for the same request.
-
-// ExperimentNames lists every report experiment runnable by name.
-func ExperimentNames() []string { return experiments.ExperimentNames() }
 
 // ExpandExperiment resolves the composites: "sweep" → the six paper
 // figures, "all" → every report experiment; other names pass through.
@@ -496,30 +396,18 @@ type (
 // return; stop it with Manager.Drain.
 func NewJobManager(cfg JobManagerConfig) (*JobManager, error) { return jobs.NewManager(cfg) }
 
+// MaxScale bounds the workload scale divisor of a job spec (and of
+// vmsim -scale).
+const MaxScale = jobs.MaxScale
+
 // NewJobAPI wraps a job manager with the HTTP surface (POST/GET/DELETE
 // /jobs…; docs/api.md). rate/burst configure per-client submission
 // token buckets; mount it with Register on the introspection mux.
 func NewJobAPI(m *JobManager, rate, burst float64) *JobAPI { return jobs.NewAPI(m, rate, burst) }
 
-// Report formatters (text tables matching the paper's presentation).
-var (
-	FormatStartup   = experiments.FormatStartup
-	FormatFig3      = experiments.FormatFig3
-	FormatFig9      = experiments.FormatFig9
-	FormatFig10     = experiments.FormatFig10
-	FormatFig11     = experiments.FormatFig11
-	FormatOverhead  = experiments.FormatOverhead
-	FormatAblation  = experiments.FormatAblation
-	FormatTable1    = experiments.FormatTable1
-	FormatTable2    = experiments.FormatTable2
-	FormatPersist   = experiments.FormatPersist
-	FormatWarmStart = experiments.FormatWarmStart
-	FormatPressure  = experiments.FormatPressure
-	FormatColdStart = experiments.FormatColdStart
-	FormatSwitch    = experiments.FormatSwitch
-	FormatDelta     = experiments.FormatDelta
-	FormatPhases    = experiments.FormatPhases
-)
+// FormatStartup renders a startup-curve report (Figure2, Figure8) as a
+// text table; RunExperiment returns every report already formatted.
+var FormatStartup = experiments.FormatStartup
 
 // Low-level access for tooling: the architected ISA package types needed
 // to construct custom programs.

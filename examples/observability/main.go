@@ -1,4 +1,4 @@
-// Observability: attach a metrics recorder and a JSONL event sink to a
+// Observability: attach a metrics recorder and a Chrome trace sink to a
 // simulation, print the per-run metric snapshot, aggregate across runs,
 // and show the structured lifecycle-event stream. OBSERVABILITY.md
 // documents every metric and event kind shown here.
@@ -15,14 +15,15 @@ import (
 
 func main() {
 	// One process-wide observer; its sink receives every lifecycle
-	// event from every run, tagged with the run's identity. A JSONL
-	// sink streams them to disk as self-describing JSON Lines.
-	f, err := os.CreateTemp("", "codesignvm-events-*.jsonl")
+	// event from every run, tagged with the run's identity. A trace
+	// sink streams them to disk as Chrome trace-event JSON (open it in
+	// ui.perfetto.dev), each run on its own pair of lanes.
+	f, err := os.CreateTemp("", "codesignvm-trace-*.json")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.Remove(f.Name())
-	sink := codesignvm.NewJSONLSink(f)
+	sink := codesignvm.NewTraceSink(f)
 	obsv := codesignvm.NewObserver(sink)
 
 	// Simulate two machine models under observation. Each run gets its
@@ -60,9 +61,10 @@ func main() {
 		fmt.Printf("total SBT promotions:   %.0f\n", m.Value)
 	}
 
-	// The event stream: flush the sink and show the first few lines.
-	// Each line carries the global sequence number, the event kind, the
-	// run tag and per-kind payload fields (see OBSERVABILITY.md).
+	// The event stream: flush the sink (which closes the JSON document)
+	// and show the first few lines. Each line is one event on its run's
+	// lane, stamped with the run's retired-instruction clock, with the
+	// kind's payload fields as args (see OBSERVABILITY.md).
 	if err := sink.Flush(); err != nil {
 		log.Fatal(err)
 	}

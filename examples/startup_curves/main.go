@@ -1,8 +1,9 @@
 // startup_curves regenerates the paper's headline figures (Fig. 2 and
 // Fig. 8): normalized aggregate-IPC startup curves for all machine
 // configurations, printed as CSV suitable for plotting. With -timeline
-// it also samples a fine-grained per-run timeline (per-interval IPC and
-// instruction mix by translation stage) and writes it alongside.
+// it also writes a fine-grained per-run timeline (per-interval IPC and
+// instruction mix by translation stage) of every run the figures used,
+// as CSV.
 package main
 
 import (
@@ -10,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	codesignvm "codesignvm"
@@ -20,7 +20,7 @@ var (
 	scale    = flag.Int("scale", 50, "workload scale divisor")
 	apps     = flag.String("apps", "Word,Excel,Winzip", "benchmarks to average over")
 	csv      = flag.Bool("csv", false, "emit raw CSV instead of tables")
-	timeline = flag.String("timeline", "", "also write interval-sampled per-run timelines to this file (.json: JSON, otherwise CSV)")
+	timeline = flag.String("timeline", "", "also write interval-sampled per-run timelines to this CSV file")
 )
 
 func main() {
@@ -31,12 +31,11 @@ func main() {
 	}
 	var obs *codesignvm.Observer
 	if *timeline != "" {
-		// Timelines are sampled only by fresh simulations, so disable
-		// the in-process result cache for this run.
+		// Timeline runs key apart from plain ones, so the result cache
+		// serves Fig. 8 the Fig. 2 runs it shares, timelines included.
 		obs = codesignvm.NewObserver(nil)
-		obs.EnableTimeline(codesignvm.TimelineSpec{})
+		obs.EnableTimeline()
 		opt.Obs = obs
-		opt.FreshRuns = true
 	}
 
 	fig2, err := codesignvm.Figure2(opt)
@@ -72,17 +71,12 @@ func writeTimelines(obs *codesignvm.Observer, path string) error {
 	if err != nil {
 		return err
 	}
-	runs := obs.Runs()
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		err = codesignvm.WriteTimelinesJSON(f, runs)
-	} else {
-		err = codesignvm.WriteTimelinesCSV(f, runs)
-	}
+	runs, err := obs.WriteTimelines(f)
 	if err != nil {
 		f.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d run timelines to %s\n", len(runs), path)
+	fmt.Fprintf(os.Stderr, "wrote %d run timelines to %s\n", runs, path)
 	return f.Close()
 }
 

@@ -147,11 +147,12 @@ func CodeCachePressure(opt Options, app string, sizes []uint32) (*PressureReport
 		cfg := opt.configFor(machine.VMSoft)
 		cfg.BBTCacheSize = size
 		cfg.SBTCacheSize = size
-		vm := vmm.New(cfg, prog.Memory(), prog.InitState())
+		vm := opt.newVM(cfg, prog, opt.obsTag(cfg, app))
 		res, err := vm.Run(opt.LongInstrs)
 		if err != nil {
 			return nil, fmt.Errorf("size %d: %w", size, err)
 		}
+		opt.ranVM(opt.key(cfg, app, opt.Scale, opt.LongInstrs), "", res)
 		bbtC, sbtC := vm.Caches()
 		rep.Rows = append(rep.Rows, PressureRow{
 			CacheBytes: size,

@@ -130,26 +130,31 @@ func ContextSwitch(opt Options, app string, periods []uint64) (*SwitchReport, er
 	rep := &SwitchReport{Opt: opt, App: app}
 
 	runWithSwitches := func(m machine.Model, period uint64) (float64, error) {
-		vm := vmm.New(opt.configFor(m), prog.Memory(), prog.InitState())
+		cfg := opt.configFor(m)
 		total := opt.ShortInstrs
-		if period == 0 || period >= total {
-			res, err := vm.Run(total)
-			if err != nil {
-				return 0, err
-			}
-			return res.Cycles, nil
+		// A switching run is not the run its key names: its note and
+		// recorder carry the period.
+		suffix := ""
+		if period != 0 && period < total {
+			suffix = fmt.Sprintf("/switch-%d", period)
 		}
+		vm := opt.newVM(cfg, prog, opt.obsTag(cfg, app)+suffix)
 		var res *vmm.Result
-		for done := uint64(0); done < total; done += period {
-			res, err = vm.Run(done + period)
-			if err != nil {
-				return 0, err
+		if suffix == "" {
+			res, err = vm.Run(total)
+		} else {
+			for done := uint64(0); err == nil && done < total; done += period {
+				res, err = vm.Run(done + period)
+				// The context switch: another task evicted the caches and
+				// polluted the predictors; translations survive in memory.
+				vm.Engine().Caches.Flush()
+				vm.Engine().Pred.Reset()
 			}
-			// The context switch: another task evicted the caches and
-			// polluted the predictors; translations survive in memory.
-			vm.Engine().Caches.Flush()
-			vm.Engine().Pred.Reset()
 		}
+		if err != nil {
+			return 0, err
+		}
+		opt.ranVM(opt.key(cfg, app, opt.Scale, total), suffix, res)
 		return res.Cycles, nil
 	}
 

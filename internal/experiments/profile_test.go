@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"sort"
@@ -190,39 +191,57 @@ func (fs *readCountingFS) ReadFile(name string) ([]byte, error) {
 // a later process's pass is store reads and formatting — it starts no
 // run, builds (or even reads) no snapshot, interprets no instruction and
 // misses nothing — and a pass after that, in the same process, does not
-// touch the store at all. Every report stays byte-identical.
+// touch the store at all. Every report stays byte-identical, and so do
+// the flamegraph and timeline exports: each pass observes with
+// attribution and timelines on, and both files are written from the
+// Results the reports consumed, however they were served.
 func TestWarmPassComputesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
 	exps := []string{"fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "overhead", "persist", "warmstart"}
-	o := obs.NewObserver(nil)
 	fs := &readCountingFS{}
 	opt := detOpt()
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
-	opt.Obs = o
 	opt.storeFS = fs
-	pass := func() map[string]string {
+	type counts struct{ runs, instrs, hits, misses uint64 }
+	type passOut struct {
+		reports         map[string]string
+		counts          counts
+		flame, timeline string
+	}
+	// Each pass is one process's worth of observation: its own observer.
+	pass := func() passOut {
 		t.Helper()
-		out := map[string]string{}
+		o := obs.NewObserver(nil)
+		o.EnableAttrib(DefaultAttribSpec(opt.LongInstrs))
+		o.EnableTimeline()
+		opt := opt
+		opt.Obs = o
+		out := passOut{reports: map[string]string{}}
 		for _, exp := range exps {
 			txt, err := RunExperiment(exp, opt, "")
 			if err != nil {
 				t.Fatalf("%s: %v", exp, err)
 			}
-			out[exp] = txt
+			out.reports[exp] = txt
 		}
-		return out
-	}
-	type counts struct{ runs, instrs, hits, misses uint64 }
-	read := func() counts {
-		return counts{
+		out.counts = counts{
 			o.Proc.Counter("runs.started", "runs").Value(),
 			o.Proc.Counter("profile.instrs", "instrs").Value(),
 			o.Proc.Counter("store.hits", "loads").Value(),
 			o.Proc.Counter("store.misses", "loads").Value(),
 		}
+		var flame, timeline bytes.Buffer
+		if n, err := o.WriteFlamegraph(&flame); err != nil || n == 0 {
+			t.Fatalf("flamegraph of %d runs: %v", n, err)
+		}
+		if n, err := o.WriteTimelines(&timeline); err != nil || n == 0 {
+			t.Fatalf("timelines of %d runs: %v", n, err)
+		}
+		out.flame, out.timeline = flame.String(), timeline.String()
+		return out
 	}
 	files := func() []string {
 		ents, err := os.ReadDir(opt.Store)
@@ -239,9 +258,8 @@ func TestWarmPassComputesNothing(t *testing.T) {
 
 	ResetRunCacheForTest()
 	cold := pass()
-	afterCold := read()
-	if afterCold.runs == 0 || afterCold.instrs == 0 || afterCold.misses == 0 {
-		t.Fatalf("cold pass did not compute: %+v", afterCold)
+	if c := cold.counts; c.runs == 0 || c.instrs == 0 || c.misses == 0 {
+		t.Fatalf("cold pass did not compute: %+v", c)
 	}
 	stored := files()
 	for _, ext := range []string{".run", ".ccvm", ".prof"} {
@@ -260,18 +278,9 @@ func TestWarmPassComputesNothing(t *testing.T) {
 	ResetRunCacheForTest()
 	snapReads := fs.snapReads.Load()
 	warm := pass()
-	afterWarm := read()
-	if d := afterWarm.runs - afterCold.runs; d != 0 {
-		t.Errorf("warm pass started %d runs", d)
-	}
-	if d := afterWarm.instrs - afterCold.instrs; d != 0 {
-		t.Errorf("warm pass interpreted %d instructions", d)
-	}
-	if d := afterWarm.misses - afterCold.misses; d != 0 {
-		t.Errorf("warm pass missed the store %d times", d)
-	}
-	if afterWarm.hits == afterCold.hits {
-		t.Error("warm pass counted no store hit")
+	if c := warm.counts; c.runs != 0 || c.instrs != 0 || c.misses != 0 || c.hits == 0 {
+		t.Errorf("warm pass computed: started %d runs, interpreted %d instructions, missed the store %d times, hit it %d times",
+			c.runs, c.instrs, c.misses, c.hits)
 	}
 	if d := fs.snapReads.Load() - snapReads; d != 0 {
 		t.Errorf("warm pass read %d snapshots: a served run needs none", d)
@@ -286,16 +295,24 @@ func TestWarmPassComputesNothing(t *testing.T) {
 	if d := fs.reads.Load() - reads; d != 0 {
 		t.Errorf("memoized pass read %d files", d)
 	}
-	if afterAgain := read(); afterAgain != afterWarm {
-		t.Errorf("memoized pass moved the counters: %+v -> %+v", afterWarm, afterAgain)
+	if again.counts != (counts{}) {
+		t.Errorf("memoized pass moved the counters: %+v", again.counts)
 	}
 
 	for _, exp := range exps {
-		if warm[exp] != cold[exp] {
-			t.Errorf("%s: store-served report differs\n--- cold ---\n%s--- warm ---\n%s", exp, cold[exp], warm[exp])
+		if warm.reports[exp] != cold.reports[exp] {
+			t.Errorf("%s: store-served report differs\n--- cold ---\n%s--- warm ---\n%s", exp, cold.reports[exp], warm.reports[exp])
 		}
-		if again[exp] != cold[exp] {
-			t.Errorf("%s: memo-served report differs\n--- cold ---\n%s--- again ---\n%s", exp, cold[exp], again[exp])
+		if again.reports[exp] != cold.reports[exp] {
+			t.Errorf("%s: memo-served report differs\n--- cold ---\n%s--- again ---\n%s", exp, cold.reports[exp], again.reports[exp])
+		}
+	}
+	for name, p := range map[string]passOut{"warm": warm, "memoized": again} {
+		if p.flame != cold.flame {
+			t.Errorf("%s pass flamegraph differs from the cold pass's", name)
+		}
+		if p.timeline != cold.timeline {
+			t.Errorf("%s pass timelines differ from the cold pass's", name)
 		}
 	}
 }

@@ -17,19 +17,25 @@ import (
 // configuration plus the workload identity and instruction budget.
 // vmm.Config is a flat value type, so the key is comparable.
 type runKey struct {
-	cfg    vmm.Config
-	app    string
-	scale  int
-	instrs uint64
-	attrib string // attribution-spec key; "" when attribution is off
+	cfg      vmm.Config
+	app      string
+	scale    int
+	instrs   uint64
+	attrib   string // attribution-spec key; "" when attribution is off
+	timeline bool   // the run samples a timeline
 }
 
 // attribKey returns the canonical attribution-spec string of the
-// options' observer ("" when attribution is off). It participates in
-// the run-cache and store keys: attribution never changes simulated
-// timing, but an attributing result carries extra payload a plain
-// request must not be served (and vice versa).
+// options' observer ("" when attribution is off).
 func (o Options) attribKey() string { return o.Obs.AttribKey() }
+
+// key returns the run-cache key of one simulation under these options.
+// The observer's attribution spec and timeline bit join it: neither
+// changes simulated timing, but an observing result carries extra
+// payload a plain request must not be served (and vice versa).
+func (o Options) key(cfg vmm.Config, app string, scale int, instrs uint64) runKey {
+	return runKey{cfg, app, scale, instrs, o.attribKey(), o.Obs.TimelineEnabled()}
+}
 
 // memo is a process-wide once-guarded memoization table: concurrent
 // requests for one key run its fill exactly once and share the value.
@@ -120,35 +126,52 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 	if scale < 1 {
 		scale = 1 // match workload.App's clamp so keys do not split
 	}
+	k := o.key(cfg, app, scale, instrs)
 	if o.FreshRuns {
-		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
+		res, err := o.simulateOrLoad(k, snapFn)
+		if err == nil {
+			o.note(k, "", res)
+		}
+		return res, err
 	}
-	res, err := runCache.get(o.ctx(), runKey{cfg, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
-		return o.simulateOrLoad(cfg, app, scale, instrs, snapFn)
+	res, err := runCache.get(o.ctx(), k, func() (*vmm.Result, error) {
+		return o.simulateOrLoad(k, snapFn)
 	})
 	if err != nil {
 		return nil, err
 	}
+	o.note(k, "", res)
 	return cloneResult(res), nil
+}
+
+// note records a Result a report consumed on the options' observer,
+// under its store key, for the -flamegraph and -timeline exports
+// (obs.Observer.Note). suffix tells apart runs that a harness drives
+// past what the key names (the context-switch sweep's periods).
+func (o Options) note(k runKey, suffix string, res *vmm.Result) {
+	if !o.Obs.Noting() {
+		return
+	}
+	o.Obs.Note(o.obsTag(k.cfg, k.app)+suffix, k.fileKey()+suffix, res.Attrib, res.Timeline)
 }
 
 // simulateOrLoad fills one cache slot: from the disk store when enabled
 // and warm, otherwise by simulating, single-flighted across processes
 // and published back (fetch). Only workload errors and context
 // cancellation propagate.
-func (o Options) simulateOrLoad(cfg vmm.Config, app string, scale int, instrs uint64, snapFn snapFunc) (*vmm.Result, error) {
+func (o Options) simulateOrLoad(k runKey, snapFn snapFunc) (*vmm.Result, error) {
 	return fetch(o, artifact[*vmm.Result]{
-		key:    func() string { return runFileKey(cfg, app, scale, instrs, o.attribKey()) },
+		key:    k.fileKey,
 		ext:    ".run",
-		tag:    func() string { return o.obsTag(cfg, app) },
+		tag:    func() string { return o.obsTag(k.cfg, k.app) },
 		decode: decodeResult,
 		encode: encodeResult,
 		build: func() (*vmm.Result, error) {
-			prog, err := workload.App(app, scale)
+			prog, err := workload.App(k.app, k.scale)
 			if err != nil {
 				return nil, err
 			}
-			return o.runObserved(cfg, prog, app, instrs, snapFn)
+			return o.runObserved(k.cfg, prog, k.app, k.instrs, snapFn)
 		},
 	})
 }
@@ -184,6 +207,28 @@ func (o Options) runObserved(cfg vmm.Config, prog *workload.Program, app string,
 	return res, err
 }
 
+// newVM builds a VM for a harness that drives one directly instead of
+// through runApp (the warm-start producer, the pressure and
+// context-switch sweeps), with a recorder minted from the options'
+// observer under tag. ranVM closes such a run.
+func (o Options) newVM(cfg vmm.Config, prog *workload.Program, tag string) *vmm.VM {
+	vm := vmm.New(cfg, prog.Memory(), prog.InitState())
+	if o.Obs != nil {
+		o.Obs.Proc.Counter("runs.started", "runs").Inc()
+		vm.SetObserver(o.Obs.NewRun(tag))
+	}
+	return vm
+}
+
+// ranVM counts a newVM run done and notes its Result under k (and
+// suffix; see note).
+func (o Options) ranVM(k runKey, suffix string, res *vmm.Result) {
+	if o.Obs != nil {
+		o.Obs.Proc.Counter("runs.done", "runs").Inc()
+	}
+	o.note(k, suffix, res)
+}
+
 // obsStore reports one disk-store lookup outcome; tag names what was
 // looked up and is evaluated only with an observer attached.
 func (o Options) obsStore(hit bool, tag func() string) {
@@ -200,8 +245,9 @@ func (o Options) obsStore(hit bool, tag func() string) {
 }
 
 // cloneResult copies a result deeply enough to hand out: Samples and
-// Metrics are the reference-typed fields. (Metric bucket slices and
-// the attribution snapshot are shared — both are immutable once taken.)
+// Metrics are the reference-typed fields. (Metric bucket slices, the
+// attribution snapshot and the timeline are shared — all are immutable
+// once taken.)
 func cloneResult(r *vmm.Result) *vmm.Result {
 	c := *r
 	c.Samples = append([]vmm.Sample(nil), r.Samples...)

@@ -70,7 +70,11 @@ const (
 	//     cycle-attribution section (Result.Attrib); keys additionally
 	//     hash the attribution-spec string, so attributing and plain
 	//     runs occupy distinct entries.
-	runSchema = 5
+	// v6: the timeline section (Result.Timeline) after the attribution
+	//     section; the old attribution flag became a section bit set,
+	//     so a plain record is as long as at v5. Keys additionally hash
+	//     the timeline bit.
+	runSchema = 6
 )
 
 // storeTuning groups the lock-protocol and GC time/size constants so
@@ -182,13 +186,17 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// runFileKey derives the content-hash key of one simulation. attribKey
-// is the canonical attribution-spec string ("" when attribution is
-// off): attribution never changes the simulated cycles, but an
-// attributing result carries extra payload a plain request must not be
-// served (and vice versa), so the two key separately.
-func runFileKey(cfg vmm.Config, app string, scale int, instrs uint64, attribKey string) string {
-	return hashKey("v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, cfg, app, scale, instrs, attribKey)
+// fileKey derives the content-hash key of one simulation's record. The
+// attribution-spec string and the timeline bit join it: neither changes
+// the simulated cycles, but an observing result carries extra payload
+// a plain request must not be served (and vice versa), so they key
+// separately.
+func (k runKey) fileKey() string {
+	observe := k.attrib // spec keys hold no newline
+	if k.timeline {
+		observe += "\ntimeline"
+	}
+	return hashKey("v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, k.cfg, k.app, k.scale, k.instrs, observe)
 }
 
 // hashKey derives a store key: 32 hex digits of the SHA-256 of the
@@ -848,48 +856,77 @@ func writeResult(w *bufio.Writer, r *vmm.Result) error {
 			}
 		}
 	}
-	// Cycle-attribution section (schema v5): a presence flag, then the
-	// snapshot — category cycles, reconciliation totals, region-grid
-	// geometry, the non-empty regions and the milestone phases.
-	if r.Attrib == nil {
-		return le(0)
+	// Observation sections: a bit set saying which follow (schema v6;
+	// v5 had the attribution bit alone), then each present section.
+	// The attribution snapshot (schema v5): category cycles,
+	// reconciliation totals, region-grid geometry, the non-empty regions
+	// and the milestone phases. The timeline (schema v6): the slice
+	// count, then each slice's fields in declaration order.
+	var sections uint64
+	if r.Attrib != nil {
+		sections |= sectionAttrib
 	}
-	a := r.Attrib
-	if err := le(1); err != nil {
+	if r.Timeline != nil {
+		sections |= sectionTimeline
+	}
+	if err := le(sections); err != nil {
 		return err
 	}
-	if err := le(fbits(a.Cat[:]...)...); err != nil {
-		return err
-	}
-	if err := le(fbits(a.TotalCycles, a.Residual)...); err != nil {
-		return err
-	}
-	if err := le(uint64(a.RegionBase), uint64(a.RegionShift), uint64(len(a.Regions))); err != nil {
-		return err
-	}
-	for i := range a.Regions {
-		rg := &a.Regions[i]
-		if err := le(uint64(rg.Slot)); err != nil {
+	if a := r.Attrib; a != nil {
+		if err := le(fbits(a.Cat[:]...)...); err != nil {
 			return err
 		}
-		if err := le(fbits(rg.Cat[:]...)...); err != nil {
+		if err := le(fbits(a.TotalCycles, a.Residual)...); err != nil {
 			return err
 		}
+		if err := le(uint64(a.RegionBase), uint64(a.RegionShift), uint64(len(a.Regions))); err != nil {
+			return err
+		}
+		for i := range a.Regions {
+			rg := &a.Regions[i]
+			if err := le(uint64(rg.Slot)); err != nil {
+				return err
+			}
+			if err := le(fbits(rg.Cat[:]...)...); err != nil {
+				return err
+			}
+		}
+		if err := le(uint64(len(a.Phases))); err != nil {
+			return err
+		}
+		for i := range a.Phases {
+			ph := &a.Phases[i]
+			if err := le(ph.Milestone, ph.Instrs, math.Float64bits(ph.Cycles)); err != nil {
+				return err
+			}
+			if err := le(fbits(ph.Cat[:]...)...); err != nil {
+				return err
+			}
+		}
 	}
-	if err := le(uint64(len(a.Phases))); err != nil {
+	if r.Timeline == nil {
+		return nil
+	}
+	slices := r.Timeline.Slices()
+	if err := le(uint64(len(slices))); err != nil {
 		return err
 	}
-	for i := range a.Phases {
-		ph := &a.Phases[i]
-		if err := le(ph.Milestone, ph.Instrs, math.Float64bits(ph.Cycles)); err != nil {
-			return err
-		}
-		if err := le(fbits(ph.Cat[:]...)...); err != nil {
+	for i := range slices {
+		ts := &slices[i]
+		if err := le(math.Float64bits(ts.EndCycles), ts.Instrs, ts.InterpInstrs, ts.BBTInstrs, ts.SBTInstrs, ts.X86Instrs,
+			math.Float64bits(ts.VMMCycles), math.Float64bits(ts.XlateCycles), math.Float64bits(ts.EmuCycles),
+			uint64(ts.BBTUsed), uint64(ts.SBTUsed)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// The observation-section bits of a run record (schema v6).
+const (
+	sectionAttrib   = 1 << 0
+	sectionTimeline = 1 << 1
+)
 
 // readResult decodes what writeResult wrote.
 func readResult(br *bufio.Reader) (*vmm.Result, error) {
@@ -1018,15 +1055,15 @@ func readResult(br *bufio.Reader) (*vmm.Result, error) {
 		}
 		r.Metrics = append(r.Metrics, m)
 	}
-	var hasAttrib uint64
-	read64(&hasAttrib)
+	var sections uint64
+	read64(&sections)
 	if err != nil {
 		return nil, err
 	}
-	if hasAttrib > 1 {
-		return nil, fmt.Errorf("experiments: bad attribution flag %d", hasAttrib)
+	if sections&^(sectionAttrib|sectionTimeline) != 0 {
+		return nil, fmt.Errorf("experiments: bad section bits %#x", sections)
 	}
-	if hasAttrib == 1 {
+	if sections&sectionAttrib != 0 {
 		a := &attrib.Snapshot{}
 		for i := range a.Cat {
 			readf(&a.Cat[i])
@@ -1073,6 +1110,32 @@ func readResult(br *bufio.Reader) (*vmm.Result, error) {
 			a.Phases = append(a.Phases, ph)
 		}
 		r.Attrib = a
+	}
+	if sections&sectionTimeline != 0 {
+		var nSlices uint64
+		read64(&nSlices)
+		if err != nil {
+			return nil, err
+		}
+		if nSlices > obs.TimelineSlices {
+			return nil, fmt.Errorf("experiments: implausible timeline slice count %d", nSlices)
+		}
+		slices := make([]obs.TimeSlice, nSlices)
+		for i := range slices {
+			ts := &slices[i]
+			var bbtUsed, sbtUsed uint64
+			readf(&ts.EndCycles)
+			for _, dst := range []*uint64{&ts.Instrs, &ts.InterpInstrs, &ts.BBTInstrs, &ts.SBTInstrs, &ts.X86Instrs} {
+				read64(dst)
+			}
+			readf(&ts.VMMCycles)
+			readf(&ts.XlateCycles)
+			readf(&ts.EmuCycles)
+			read64(&bbtUsed)
+			read64(&sbtUsed)
+			ts.BBTUsed, ts.SBTUsed = uint32(bbtUsed), uint32(sbtUsed)
+		}
+		r.Timeline = obs.TimelineOf(slices)
 	}
 	if err != nil {
 		return nil, err

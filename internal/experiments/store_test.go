@@ -105,6 +105,10 @@ func sampleResult() *vmm.Result {
 	r.Attrib.Regions[0].Cat[attrib.Chain] = 7.5
 	r.Attrib.Regions[1].Cat[attrib.BBTExec] = 11.75
 	r.Attrib.Phases[1].Cat[attrib.Interpret] = 99.5
+	r.Timeline = obs.TimelineOf([]obs.TimeSlice{
+		{EndCycles: 10000, Instrs: 31, InterpInstrs: 1, BBTInstrs: 30, VMMCycles: 0.5, XlateCycles: 900.25, EmuCycles: 99.75, BBTUsed: 512},
+		{EndCycles: 14500.5, Instrs: 90, BBTInstrs: 40, SBTInstrs: 20, X86Instrs: 30, VMMCycles: 1.5, EmuCycles: 7, BBTUsed: 1024, SBTUsed: 1 << 31},
+	})
 	return r
 }
 
@@ -122,37 +126,55 @@ func TestRunStoreRoundTrip(t *testing.T) {
 }
 
 // TestRunStoreRoundTripNoAttrib: a result without an attribution
-// snapshot (the common case) round-trips with Attrib nil, not a zero
-// snapshot.
+// snapshot or a timeline (the common case) round-trips with them nil,
+// not zero values — each section on its own, and neither.
 func TestRunStoreRoundTripNoAttrib(t *testing.T) {
-	want := sampleResult()
-	want.Attrib = nil
-	got, err := decodeResult(encodeResult(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Attrib != nil {
-		t.Fatalf("nil Attrib decoded as %+v", got.Attrib)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round-trip mismatch\nwant: %+v\ngot:  %+v", want, got)
+	for _, drop := range []struct{ attrib, timeline bool }{{true, false}, {false, true}, {true, true}} {
+		want := sampleResult()
+		if drop.attrib {
+			want.Attrib = nil
+		}
+		if drop.timeline {
+			want.Timeline = nil
+		}
+		got, err := decodeResult(encodeResult(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got.Attrib == nil) != drop.attrib || (got.Timeline == nil) != drop.timeline {
+			t.Fatalf("%+v: decoded Attrib %v, Timeline %v", drop, got.Attrib, got.Timeline)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: round-trip mismatch\nwant: %+v\ngot:  %+v", drop, want, got)
+		}
 	}
 }
 
-// TestRunStoreAttribKeySplits: attribution never changes simulated
-// timing, but it changes the result payload — so the attribution-spec
-// key must split the store key (runKey, the in-process cache key,
-// carries it as a field), while two identical specs must share.
+// TestRunStoreAttribKeySplits: attribution and timeline sampling never
+// change simulated timing, but they change the result payload — so the
+// attribution-spec key and the timeline bit must split the store key
+// (runKey, the in-process cache key, carries both as fields), while two
+// identical specs must share.
 func TestRunStoreAttribKeySplits(t *testing.T) {
 	opt := detOpt().withDefaults()
 	cfg := opt.configFor(machine.VMSoft)
 	spec := DefaultAttribSpec(1000)
 
-	if runFileKey(cfg, "Word", 25, 1000, "") == runFileKey(cfg, "Word", 25, 1000, spec.Key()) {
+	if (runKey{cfg, "Word", 25, 1000, "", false}).fileKey() == (runKey{cfg, "Word", 25, 1000, spec.Key(), false}).fileKey() {
 		t.Error("attribution spec did not split the store key")
 	}
-	if runFileKey(cfg, "Word", 25, 1000, spec.Key()) != runFileKey(cfg, "Word", 25, 1000, spec.Key()) {
+	if (runKey{cfg, "Word", 25, 1000, spec.Key(), false}).fileKey() != (runKey{cfg, "Word", 25, 1000, spec.Key(), false}).fileKey() {
 		t.Error("identical attribution specs split the store key")
+	}
+	keys := map[string]bool{}
+	for _, k := range []runKey{
+		{cfg, "Word", 25, 1000, "", false}, {cfg, "Word", 25, 1000, "", true},
+		{cfg, "Word", 25, 1000, spec.Key(), false}, {cfg, "Word", 25, 1000, spec.Key(), true},
+	} {
+		keys[k.fileKey()] = true
+	}
+	if len(keys) != 4 {
+		t.Error("the timeline bit did not split the store key")
 	}
 
 	// Options plumbing: attribKey follows the observer's state.
@@ -166,6 +188,13 @@ func TestRunStoreAttribKeySplits(t *testing.T) {
 	opt.Obs.EnableAttrib(spec)
 	if got := opt.attribKey(); got != spec.Key() {
 		t.Errorf("attribKey = %q, want %q", got, spec.Key())
+	}
+	if opt.key(cfg, "Word", 25, 1000).timeline {
+		t.Error("timeline bit set with timelines off")
+	}
+	opt.Obs.EnableTimeline()
+	if k := opt.key(cfg, "Word", 25, 1000); !k.timeline || k.attrib != spec.Key() {
+		t.Errorf("run key %+v does not follow the observer", k)
 	}
 }
 
@@ -227,15 +256,15 @@ func TestRunStoreKeyNormalization(t *testing.T) {
 	opt := detOpt().withDefaults()
 	cfg := opt.configFor(machine.VMSoft)
 
-	if runFileKey(cfg, "Word", 25, 1000, "") != runFileKey(opt.configFor(machine.VMSoft), "Word", 25, 1000, "") {
+	if (runKey{cfg, "Word", 25, 1000, "", false}).fileKey() != (runKey{opt.configFor(machine.VMSoft), "Word", 25, 1000, "", false}).fileKey() {
 		t.Error("equal configurations split the store key")
 	}
-	if runFileKey(cfg, "Word", 25, 1000, "") == runFileKey(cfg, "Excel", 25, 1000, "") {
+	if (runKey{cfg, "Word", 25, 1000, "", false}).fileKey() == (runKey{cfg, "Excel", 25, 1000, "", false}).fileKey() {
 		t.Error("app name did not affect the store key")
 	}
 	other := cfg
 	other.HotThreshold++
-	if runFileKey(cfg, "Word", 25, 1000, "") == runFileKey(other, "Word", 25, 1000, "") {
+	if (runKey{cfg, "Word", 25, 1000, "", false}).fileKey() == (runKey{other, "Word", 25, 1000, "", false}).fileKey() {
 		t.Error("config change did not affect the store key")
 	}
 }
@@ -646,7 +675,7 @@ func TestCancelledWaitIsNotMemoized(t *testing.T) {
 
 	// A peer process holds the run's lock.
 	s := opt.store()
-	key := runFileKey(cfg, "Word", opt.Scale, opt.ShortInstrs, "")
+	key := (runKey{cfg, "Word", opt.Scale, opt.ShortInstrs, "", false}).fileKey()
 	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +738,7 @@ func TestCancelledFillWaitersRetry(t *testing.T) {
 	ResetRunCacheForTest()
 
 	s := opt.store()
-	key := runFileKey(cfg, "Word", opt.Scale, opt.ShortInstrs, "")
+	key := (runKey{cfg, "Word", opt.Scale, opt.ShortInstrs, "", false}).fileKey()
 	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 		{"", ".run",
 			func(o Options) (any, error) { return o.runApp(cfg, "Word", o.ShortInstrs) },
 			func(o Options, v any) (string, []byte) {
-				return runFileKey(cfg, "Word", o.Scale, o.ShortInstrs, ""), encodeResult(v.(*vmm.Result))
+				return (runKey{cfg, "Word", o.Scale, o.ShortInstrs, "", false}).fileKey(), encodeResult(v.(*vmm.Result))
 			}},
 		{"prof-", ".prof",
 			func(o Options) (any, error) { return o.profile("Word", hotThr) },

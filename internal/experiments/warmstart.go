@@ -65,7 +65,7 @@ func (o Options) snapshot(cold vmm.Config, app string, instrs uint64) (*codecach
 	if scale < 1 {
 		scale = 1
 	}
-	return snapCache.get(o.ctx(), runKey{cold, app, scale, instrs, ""}, func() (*codecache.Snapshot, error) {
+	return snapCache.get(o.ctx(), runKey{cold, app, scale, instrs, "", false}, func() (*codecache.Snapshot, error) {
 		return fetch(o, artifact[*codecache.Snapshot]{
 			key:    func() string { return snapFileKey(cold, app, scale, instrs) },
 			ext:    ".ccvm",
@@ -89,18 +89,13 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 	if err != nil {
 		return nil, err
 	}
-	vm := vmm.New(cold, prog.Memory(), prog.InitState())
-	if o.Obs != nil {
-		o.Obs.Proc.Counter("runs.started", "runs").Inc()
-		vm.SetObserver(o.Obs.NewRun(o.obsTag(cold, app)))
-	}
+	k := o.key(cold, app, scale, instrs)
+	vm := o.newVM(cold, prog, o.obsTag(cold, app))
 	res, err := vm.Run(instrs)
 	if err != nil {
 		return nil, err
 	}
-	if o.Obs != nil {
-		o.Obs.Proc.Counter("runs.done", "runs").Inc()
-	}
+	o.ranVM(k, "", res)
 	var buf bytes.Buffer
 	if err := vm.SaveTranslations(&buf); err != nil {
 		return nil, err
@@ -110,13 +105,13 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 		return nil, err
 	}
 	if s := o.store(); s != nil {
-		s.save(runFileKey(cold, app, scale, instrs, o.attribKey()), res) // best-effort
+		s.save(k.fileKey(), res) // best-effort
 	}
 	if !o.FreshRuns {
-		// Seed under the same attribution key the runs above used: the
+		// Seed under the same observation key the runs above used: the
 		// producer's recorder came from the same observer, so its result
 		// carries exactly the payload that key promises.
-		runCache.get(o.ctx(), runKey{cold, app, scale, instrs, o.attribKey()}, func() (*vmm.Result, error) {
+		runCache.get(o.ctx(), k, func() (*vmm.Result, error) {
 			return res, nil
 		})
 	}

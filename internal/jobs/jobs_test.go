@@ -82,7 +82,7 @@ func TestSpecValidate(t *testing.T) {
 		{"run rejected", Spec{Exp: "run"}, false, "interactive CLI mode"},
 		{"dump rejected", Spec{Exp: "dump"}, false, "interactive CLI mode"},
 		{"bad scale", Spec{Exp: "fig2", Scale: -3}, false, "scale"},
-		{"huge scale", Spec{Exp: "fig2", Scale: maxScale + 1}, false, "scale"},
+		{"huge scale", Spec{Exp: "fig2", Scale: MaxScale + 1}, false, "scale"},
 		{"huge instrs", Spec{Exp: "fig2", Instrs: maxInstrs + 1}, false, "instrs"},
 		{"bad app", Spec{Exp: "pressure", App: "NotAnApp"}, false, "app"},
 		{"bad apps", Spec{Exp: "fig2", Apps: []string{"Word", "Nope"}}, false, "apps"},

@@ -44,9 +44,10 @@ type Spec struct {
 	Force bool `json:"force,omitempty"`
 }
 
-// maxScale bounds the scale divisor: beyond this the traces collapse
-// to a handful of instructions and the reports are meaningless.
-const maxScale = 100000
+// MaxScale bounds the scale divisor (here and in vmsim -scale): beyond
+// this the traces collapse to a handful of instructions and the reports
+// are meaningless.
+const MaxScale = 100000
 
 // maxInstrs bounds the instruction budget at the paper-sized trace
 // length: one job may not ask for more simulation than -scale 1 does.
@@ -72,8 +73,8 @@ func (s Spec) Validate() (Spec, error) {
 	if s.Scale == 0 {
 		s.Scale = 25
 	}
-	if s.Scale < 1 || s.Scale > maxScale {
-		return s, fmt.Errorf("spec: scale %d out of range [1, %d]", s.Scale, maxScale)
+	if s.Scale < 1 || s.Scale > MaxScale {
+		return s, fmt.Errorf("spec: scale %d out of range [1, %d]", s.Scale, MaxScale)
 	}
 	if s.Instrs > maxInstrs {
 		return s, fmt.Errorf("spec: instrs %d exceeds the paper-sized budget %d", s.Instrs, maxInstrs)

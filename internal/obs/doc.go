@@ -19,15 +19,19 @@
 //     operations on registered metrics do not.
 //   - Event / EventKind / Sink — typed lifecycle records (BBT
 //     translate, SBT promotion, chain/unchain, cache flush, shadow
-//     eviction, JTLB epoch summaries, run-store hits/misses) pushed to a pluggable sink. JSONLSink
-//     renders self-describing JSON Lines; CollectSink captures events
-//     in memory for tests.
+//     eviction, JTLB epoch summaries, run-store hits/misses) pushed to
+//     a pluggable sink. TraceSink renders Chrome trace-event JSON;
+//     CollectSink captures events in memory for tests.
 //   - Observer / Recorder — the wiring layer. An Observer is
 //     process-wide (one event sink, process-level counters, an
 //     aggregate view over runs); Observer.NewRun mints one Recorder
 //     per simulation run with its own Registry, whose Snapshot is
 //     attached to the run's Result and persisted with it in the run
 //     store's CRUN2 records.
+//   - Timeline — interval sampling of a run (timeline.go), left on the
+//     run's Result and persisted with it.
+//   - Observer.Note — the Results the reports consumed, from which the
+//     flamegraph and timeline exports are written (notes.go).
 //
 // The cardinal rule, enforced by tests in internal/vmm: observability
 // is purely *observational*. No emission site reads back metric or
@@ -37,6 +41,6 @@
 //
 // OBSERVABILITY.md at the repository root documents every metric and
 // event kind — name, unit, emission site, and cost when enabled and
-// disabled — and the cmd/vmsim flags (-metrics, -events, -progress)
-// that drive this package from the CLI.
+// disabled — and the cmd/vmsim flags (-metrics, -trace, -timeline,
+// -flamegraph, -progress, -http) that drive this package from the CLI.
 package obs

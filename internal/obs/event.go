@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +9,8 @@ import (
 
 // EventKind enumerates the VM lifecycle events. OBSERVABILITY.md
 // documents each kind's emission site and payload semantics; the
-// payload field names below (pcName/aName/bName/cName) are what the
-// JSONL sink writes, so traces are self-describing.
+// payload field names in kindInfo are the args keys the trace sink
+// writes, so traces are self-describing.
 type EventKind uint8
 
 // Lifecycle event kinds.
@@ -178,72 +175,6 @@ func (s *CollectSink) Events() []Event {
 	return append([]Event(nil), s.evs...)
 }
 
-// JSONLSink renders events as self-describing JSON Lines:
-//
-//	{"seq":17,"ev":"bbt-translate","tag":"VM.soft/Word","pc":4198409,"x86":9,"uops":17,"bytes":58}
-//
-// Field names come from the event kind, so a trace is greppable by
-// meaning (jq '.ev=="cache-flush"'). Writes share one buffered writer
-// behind a mutex; the line is assembled in a reused scratch buffer, so
-// steady-state emission does not allocate.
-type JSONLSink struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	buf []byte
-}
-
-// NewJSONLSink returns a sink writing JSON Lines to w. Call Flush when
-// done (the sink buffers).
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 256)}
-}
-
-// Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
-	info := &kindInfo[e.Kind]
-	s.mu.Lock()
-	b := s.buf[:0]
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, e.Seq, 10)
-	b = append(b, `,"t":`...)
-	b = strconv.AppendUint(b, e.T, 10)
-	b = append(b, `,"ev":`...)
-	b = strconv.AppendQuote(b, info.name)
-	if e.Tag != "" {
-		b = append(b, `,"tag":`...)
-		b = strconv.AppendQuote(b, e.Tag)
-	}
-	if info.pc != "" {
-		b = append(b, `,"`...)
-		b = append(b, info.pc...)
-		b = append(b, `":`...)
-		b = strconv.AppendUint(b, uint64(e.PC), 10)
-	}
-	for _, f := range [3]struct {
-		name string
-		v    uint64
-	}{{info.a, e.A}, {info.b, e.B}, {info.c, e.C}} {
-		if f.name == "" {
-			continue
-		}
-		b = append(b, `,"`...)
-		b = append(b, f.name...)
-		b = append(b, `":`...)
-		b = strconv.AppendUint(b, f.v, 10)
-	}
-	b = append(b, "}\n"...)
-	s.w.Write(b)
-	s.buf = b[:0]
-	s.mu.Unlock()
-}
-
-// Flush drains the buffered writer.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
-}
-
 // Observer is the process-wide observability root: the (optional)
 // event sink shared by every run, process-level counters for live
 // progress reporting, and the set of per-run registries it can
@@ -260,10 +191,12 @@ type Observer struct {
 
 	mu       sync.Mutex
 	runs     []*Recorder
-	tlSpec   TimelineSpec
 	tlOn     bool
 	atSpec   attrib.Spec
 	attribOn bool
+	// notes holds the Results reports consumed (notes.go), kept only
+	// while attribution or timelines are on.
+	notes map[noteID]note
 }
 
 // NewObserver returns an observer emitting to sink (nil: metrics only,
@@ -294,15 +227,15 @@ func (o *Observer) Emit(k EventKind, tag string, pc uint32, a, b, c uint64) {
 }
 
 // EnableTimeline turns on interval sampling: every Recorder minted by
-// a subsequent NewRun carries a Timeline with this spec, and any VM the
-// recorder is attached to samples into it. No-op on a nil observer.
+// a subsequent NewRun carries a Timeline (TimelineInterval,
+// TimelineSlices), and any VM the recorder is attached to samples into
+// it and leaves the slices on its Result. No-op on a nil observer.
 // Call before the sweep starts; already-minted recorders are unchanged.
-func (o *Observer) EnableTimeline(spec TimelineSpec) {
+func (o *Observer) EnableTimeline() {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	o.tlSpec = spec.withDefaults()
 	o.tlOn = true
 	o.mu.Unlock()
 }
@@ -384,7 +317,7 @@ func (o *Observer) NewRun(tag string) *Recorder {
 	r := &Recorder{Reg: NewRegistry(), obs: o, tag: tag}
 	o.mu.Lock()
 	if o.tlOn {
-		r.timeline = NewTimeline(o.tlSpec)
+		r.timeline = newTimeline(TimelineInterval, TimelineSlices)
 	}
 	if o.attribOn {
 		r.attrib = attrib.New(o.atSpec)
@@ -395,7 +328,7 @@ func (o *Observer) NewRun(tag string) *Recorder {
 }
 
 // Runs returns a copy of every run recorder minted so far, in minting
-// order (the timeline exporters and the /runs endpoint iterate it).
+// order (the /runs endpoint iterates it).
 func (o *Observer) Runs() []*Recorder {
 	if o == nil {
 		return nil

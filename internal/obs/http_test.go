@@ -81,7 +81,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	o := NewObserver(nil)
-	o.EnableTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	o.EnableTimeline()
 	o.Proc.Counter("runs.started", "runs").Add(2)
 	o.Proc.Counter("runs.done", "runs").Add(1)
 	r := o.NewRun("VM.soft/Word")

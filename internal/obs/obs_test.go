@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -104,37 +101,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestJSONLSinkShape(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	o := NewObserver(sink)
-	rec := o.NewRun("VM.soft/Word")
-	rec.Emit(EvBBTTranslate, 0x401000, 9, 17, 58)
-	o.Emit(EvStoreHit, "VM.soft/Word", 0, 0, 0, 0)
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("line 0 is not valid JSON: %v\n%s", err, lines[0])
-	}
-	for k, want := range map[string]float64{"seq": 1, "pc": 0x401000, "x86": 9, "uops": 17, "bytes": 58} {
-		if first[k] != want {
-			t.Fatalf("field %q = %v, want %v (%s)", k, first[k], want, lines[0])
-		}
-	}
-	if first["ev"] != "bbt-translate" || first["tag"] != "VM.soft/Word" {
-		t.Fatalf("ev/tag wrong: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"ev":"store-hit"`) || !strings.Contains(lines[1], `"seq":2`) {
-		t.Fatalf("second line wrong: %s", lines[1])
-	}
-}
-
 func TestCollectSinkAndAggregate(t *testing.T) {
 	sink := NewCollectSink()
 	o := NewObserver(sink)
@@ -182,15 +148,15 @@ func TestHotPathAllocFree(t *testing.T) {
 	c := r.Counter("c", "n")
 	h := r.Histogram("h", "n", BucketsPow2(1, 8))
 	var nilRec *Recorder
-	sink := NewJSONLSink(&discard{})
+	sink := NewTraceSink(&discard{})
 	o := NewObserver(sink)
 	rec := o.NewRun("t")
-	rec.Emit(EvBBTTranslate, 1, 2, 3, 4) // warm the sink's scratch buffer
+	rec.Emit(EvBBTTranslate, 1, 2, 3, 4) // assign the tag's lanes, warm the scratch buffer
 	for name, fn := range map[string]func(){
 		"counter-inc":       func() { c.Inc() },
 		"histogram-observe": func() { h.Observe(37) },
 		"nil-recorder-emit": func() { nilRec.Emit(EvBBTTranslate, 1, 2, 3, 4) },
-		"jsonl-emit":        func() { rec.Emit(EvBBTTranslate, 1, 2, 3, 4) },
+		"trace-emit":        func() { rec.Emit(EvBBTTranslate, 1, 2, 3, 4) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
@@ -212,8 +178,8 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkJSONLEmit(b *testing.B) {
-	rec := NewRecorder("bench", NewJSONLSink(&discard{}))
+func BenchmarkTraceEmit(b *testing.B) {
+	rec := NewRecorder("bench", NewTraceSink(&discard{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec.Emit(EvBBTTranslate, 0x401000, 9, 17, 58)

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -16,45 +14,24 @@ import (
 // slice whenever its clock crosses the next boundary.
 //
 // Memory is bounded by construction: the slice array is allocated once
-// at NewTimeline and never grows. When a run outlives its capacity the
-// timeline coalesces — every pair of slices collapses into its second
-// member and the sampling interval doubles — so an arbitrarily long run
-// costs the same memory at half the resolution, and a short run keeps
-// full resolution. Appends allocate nothing.
+// when the timeline is made and never grows. When a run outlives its
+// capacity the timeline coalesces — every pair of slices collapses into
+// its second member and the sampling interval doubles — so an
+// arbitrarily long run costs the same memory at half the resolution,
+// and a short run keeps full resolution. Appends allocate nothing.
 
-// TimelineSpec configures interval sampling.
-type TimelineSpec struct {
-	// IntervalCycles is the initial slice width in simulated cycles
-	// (the effective width doubles each time the timeline coalesces).
-	// <= 0 selects DefaultTimelineInterval.
-	IntervalCycles float64
-	// MaxSlices bounds the timeline's memory: the slice array is
-	// preallocated at this capacity and never grows. < 2 selects
-	// DefaultTimelineSlices.
-	MaxSlices int
-}
-
-// Timeline sampling defaults: 10k-cycle slices, 512 of them. The
-// defaults cover a 5.12M-cycle run at full resolution; longer runs
-// coalesce (a 500M-cycle run ends at ~2M-cycle slices).
+// The timeline spec is a constant: 10k-cycle slices, 512 of them. It
+// covers a 5.12M-cycle run at full resolution; longer runs coalesce (a
+// 500M-cycle run ends at ~2M-cycle slices). A settable spec would have
+// to join the run-store key, since a timeline is persisted with its run.
 const (
-	DefaultTimelineInterval = 10_000
-	DefaultTimelineSlices   = 512
+	TimelineInterval = 10_000
+	TimelineSlices   = 512
 )
-
-func (s TimelineSpec) withDefaults() TimelineSpec {
-	if s.IntervalCycles <= 0 {
-		s.IntervalCycles = DefaultTimelineInterval
-	}
-	if s.MaxSlices < 2 {
-		s.MaxSlices = DefaultTimelineSlices
-	}
-	return s
-}
 
 // TimeSlice is one cumulative snapshot at a slice boundary. All fields
 // except the cache-occupancy gauges are cumulative since the run began;
-// per-interval deltas are derived at export (Rows).
+// per-interval deltas are derived at export (TimelineRows).
 type TimeSlice struct {
 	// EndCycles is the boundary's position on the simulated-cycle axis.
 	EndCycles float64
@@ -88,16 +65,22 @@ type Timeline struct {
 	max      int
 }
 
-// NewTimeline returns an empty timeline with the spec's (defaulted)
-// interval and capacity.
-func NewTimeline(spec TimelineSpec) *Timeline {
-	spec = spec.withDefaults()
+// newTimeline returns an empty timeline with the given initial
+// interval and capacity (TimelineInterval and TimelineSlices outside
+// tests).
+func newTimeline(interval float64, max int) *Timeline {
 	return &Timeline{
-		interval: spec.IntervalCycles,
-		next:     spec.IntervalCycles,
-		slices:   make([]TimeSlice, 0, spec.MaxSlices),
-		max:      spec.MaxSlices,
+		interval: interval,
+		next:     interval,
+		slices:   make([]TimeSlice, 0, max),
+		max:      max,
 	}
+}
+
+// TimelineOf returns a finished timeline holding slices: a run's
+// timeline read back from the run store. Nothing appends to it.
+func TimelineOf(slices []TimeSlice) *Timeline {
+	return &Timeline{slices: slices, max: len(slices)}
 }
 
 // Append records the snapshot for the boundary at s.EndCycles and
@@ -107,16 +90,7 @@ func NewTimeline(spec TimelineSpec) *Timeline {
 func (t *Timeline) Append(s TimeSlice) (nextBoundary float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.slices) == t.max {
-		n := 0
-		for i := 1; i < len(t.slices); i += 2 {
-			t.slices[n] = t.slices[i]
-			n++
-		}
-		t.slices = t.slices[:n]
-		t.interval *= 2
-	}
-	t.slices = append(t.slices, s)
+	t.push(s)
 	t.next = s.EndCycles + t.interval
 	return t.next
 }
@@ -132,6 +106,13 @@ func (t *Timeline) AppendFinal(s TimeSlice) {
 	if n := len(t.slices); n > 0 && t.slices[n-1].EndCycles >= s.EndCycles {
 		return
 	}
+	t.push(s)
+}
+
+// push appends s, first coalescing a full timeline: pairs collapse
+// into their second member and the interval doubles. Called with mu
+// held.
+func (t *Timeline) push(s TimeSlice) {
 	if len(t.slices) == t.max {
 		n := 0
 		for i := 1; i < len(t.slices); i += 2 {
@@ -142,13 +123,6 @@ func (t *Timeline) AppendFinal(s TimeSlice) {
 		t.interval *= 2
 	}
 	t.slices = append(t.slices, s)
-}
-
-// Interval returns the current (post-coalescing) slice width.
-func (t *Timeline) Interval() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.interval
 }
 
 // NextBoundary returns the cycle count the next Append is due at.
@@ -192,28 +166,27 @@ func (t *Timeline) LastIntervalIPC() (float64, bool) {
 
 // TimelineRow is one exported interval: the derived per-interval view
 // of a slice (deltas against its predecessor plus the point-in-time
-// gauges). This is the shape both the CSV and JSON exports use.
+// gauges), one CSV line of the -timeline export.
 type TimelineRow struct {
-	EndCycles    float64 `json:"end_cycles"`
-	Cycles       float64 `json:"cycles"` // interval width
-	Instrs       uint64  `json:"instrs"` // retired in the interval
-	IPC          float64 `json:"ipc"`    // interval IPC
-	AggIPC       float64 `json:"agg_ipc"`
-	InterpInstrs uint64  `json:"interp_instrs"`
-	BBTInstrs    uint64  `json:"bbt_instrs"`
-	SBTInstrs    uint64  `json:"sbt_instrs"`
-	X86Instrs    uint64  `json:"x86_instrs"`
-	VMMCycles    float64 `json:"vmm_cycles"`
-	XlateCycles  float64 `json:"xlate_cycles"`
-	EmuCycles    float64 `json:"emu_cycles"`
-	BBTUsed      uint32  `json:"bbt_cache_bytes"`
-	SBTUsed      uint32  `json:"sbt_cache_bytes"`
+	EndCycles    float64
+	Cycles       float64 // interval width
+	Instrs       uint64  // retired in the interval
+	IPC          float64 // interval IPC
+	AggIPC       float64
+	InterpInstrs uint64
+	BBTInstrs    uint64
+	SBTInstrs    uint64
+	X86Instrs    uint64
+	VMMCycles    float64
+	XlateCycles  float64
+	EmuCycles    float64
+	BBTUsed      uint32
+	SBTUsed      uint32
 }
 
-// Rows derives the per-interval export rows from the cumulative
-// slices.
-func (t *Timeline) Rows() []TimelineRow {
-	slices := t.Slices()
+// TimelineRows derives the per-interval export rows from a run's
+// cumulative slices (Result.Timeline).
+func TimelineRows(slices []TimeSlice) []TimelineRow {
 	rows := make([]TimelineRow, len(slices))
 	var prev TimeSlice
 	for i, s := range slices {
@@ -250,10 +223,10 @@ const timelineCSVHeader = "tag,slice,end_cycles,cycles,instrs,ipc,agg_ipc," +
 	"interp_instrs,bbt_instrs,sbt_instrs,x86_instrs," +
 	"vmm_cycles,xlate_cycles,emu_cycles,bbt_cache_bytes,sbt_cache_bytes"
 
-// writeCSVRows renders the timeline's rows, one line per interval,
+// writeTimelineCSV renders one run's rows, one line per interval,
 // prefixed with the run tag.
-func (t *Timeline) writeCSVRows(w io.Writer, tag string) error {
-	for i, r := range t.Rows() {
+func writeTimelineCSV(w io.Writer, tag string, slices []TimeSlice) error {
+	for i, r := range TimelineRows(slices) {
 		_, err := fmt.Fprintf(w, "%s,%d,%g,%g,%d,%.6g,%.6g,%d,%d,%d,%d,%.6g,%.6g,%.6g,%d,%d\n",
 			tag, i, r.EndCycles, r.Cycles, r.Instrs, r.IPC, r.AggIPC,
 			r.InterpInstrs, r.BBTInstrs, r.SBTInstrs, r.X86Instrs,
@@ -263,47 +236,4 @@ func (t *Timeline) writeCSVRows(w io.Writer, tag string) error {
 		}
 	}
 	return nil
-}
-
-// WriteTimelinesCSV renders every run's timeline (runs without one are
-// skipped) as one CSV table with a leading tag column, in the given
-// run order.
-func WriteTimelinesCSV(w io.Writer, runs []*Recorder) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, timelineCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range runs {
-		tl := r.Timeline()
-		if tl == nil {
-			continue
-		}
-		if err := tl.writeCSVRows(bw, r.Tag()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// timelineJSON is the JSON export shape of one run's timeline.
-type timelineJSON struct {
-	Tag      string        `json:"tag"`
-	Interval float64       `json:"interval_cycles"`
-	Rows     []TimelineRow `json:"intervals"`
-}
-
-// WriteTimelinesJSON renders every run's timeline as a JSON array of
-// {tag, interval_cycles, intervals}, in the given run order.
-func WriteTimelinesJSON(w io.Writer, runs []*Recorder) error {
-	out := make([]timelineJSON, 0, len(runs))
-	for _, r := range runs {
-		tl := r.Timeline()
-		if tl == nil {
-			continue
-		}
-		out = append(out, timelineJSON{Tag: r.Tag(), Interval: tl.Interval(), Rows: tl.Rows()})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

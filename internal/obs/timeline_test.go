@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -13,22 +12,25 @@ func slice(end float64, n uint64) TimeSlice {
 	return TimeSlice{EndCycles: end, Instrs: n, BBTInstrs: n}
 }
 
+// TestTimelineSpecDefaults: a recorder's timeline samples at the
+// constant spec — the one every persisted timeline was taken at.
 func TestTimelineSpecDefaults(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{})
-	if got := tl.Interval(); got != DefaultTimelineInterval {
-		t.Fatalf("default interval = %g, want %d", got, DefaultTimelineInterval)
+	o := NewObserver(nil)
+	o.EnableTimeline()
+	tl := o.NewRun("m/a").Timeline()
+	if got := tl.interval; got != TimelineInterval {
+		t.Fatalf("interval = %g, want %d", got, TimelineInterval)
 	}
-	if got := tl.NextBoundary(); got != DefaultTimelineInterval {
-		t.Fatalf("first boundary = %g, want %d", got, DefaultTimelineInterval)
+	if got := tl.NextBoundary(); got != TimelineInterval {
+		t.Fatalf("first boundary = %g, want %d", got, TimelineInterval)
 	}
-	tl = NewTimeline(TimelineSpec{IntervalCycles: 500, MaxSlices: 8})
-	if got := tl.Interval(); got != 500 {
-		t.Fatalf("interval = %g, want 500", got)
+	if got := cap(tl.slices); got != TimelineSlices {
+		t.Fatalf("capacity = %d, want %d", got, TimelineSlices)
 	}
 }
 
 func TestTimelineAppendAdvancesBoundary(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	tl := newTimeline(100, 8)
 	next := tl.Append(slice(100, 10))
 	if next != 200 {
 		t.Fatalf("next boundary after first append = %g, want 200", next)
@@ -49,17 +51,17 @@ func TestTimelineAppendAdvancesBoundary(t *testing.T) {
 // surviving slices are the pair-end (even-boundary) snapshots with
 // cumulative values intact.
 func TestTimelineCoalesce(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{IntervalCycles: 10, MaxSlices: 4})
+	tl := newTimeline(10, 4)
 	for i := 1; i <= 4; i++ {
 		tl.Append(slice(float64(10*i), uint64(100*i)))
 	}
-	if tl.Interval() != 10 {
-		t.Fatalf("interval before overflow = %g, want 10", tl.Interval())
+	if tl.interval != 10 {
+		t.Fatalf("interval before overflow = %g, want 10", tl.interval)
 	}
 	// The 5th append first collapses {10,20,30,40} -> {20,40}.
 	next := tl.Append(slice(50, 500))
-	if tl.Interval() != 20 {
-		t.Fatalf("interval after coalesce = %g, want 20", tl.Interval())
+	if tl.interval != 20 {
+		t.Fatalf("interval after coalesce = %g, want 20", tl.interval)
 	}
 	if next != 70 {
 		t.Fatalf("next boundary = %g, want 50+20=70", next)
@@ -87,7 +89,7 @@ func TestTimelineCoalesce(t *testing.T) {
 }
 
 func TestTimelineAppendFinal(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	tl := newTimeline(100, 8)
 	tl.Append(slice(100, 10))
 	// Run ends mid-interval: partial slice recorded, boundary clock
 	// untouched (a later Run on the same VM resumes the grid).
@@ -104,7 +106,7 @@ func TestTimelineAppendFinal(t *testing.T) {
 }
 
 func TestTimelineLastIntervalIPC(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	tl := newTimeline(100, 8)
 	if _, ok := tl.LastIntervalIPC(); ok {
 		t.Fatal("IPC reported with no slices")
 	}
@@ -120,10 +122,10 @@ func TestTimelineLastIntervalIPC(t *testing.T) {
 }
 
 func TestTimelineRows(t *testing.T) {
-	tl := NewTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	tl := newTimeline(100, 8)
 	tl.Append(TimeSlice{EndCycles: 100, Instrs: 50, InterpInstrs: 50, VMMCycles: 10, BBTUsed: 64})
 	tl.Append(TimeSlice{EndCycles: 200, Instrs: 250, InterpInstrs: 50, BBTInstrs: 200, VMMCycles: 15, BBTUsed: 96})
-	rows := tl.Rows()
+	rows := TimelineRows(tl.Slices())
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -139,17 +141,22 @@ func TestTimelineRows(t *testing.T) {
 	}
 }
 
+// TestWriteTimelines: the export renders the noted runs' timelines,
+// one CSV table with a leading tag column; a run without a timeline
+// contributes no rows.
 func TestWriteTimelines(t *testing.T) {
 	o := NewObserver(nil)
-	o.EnableTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
-	r1 := o.NewRun("m/a")
-	r1.Timeline().Append(slice(100, 120))
-	r1.Timeline().Append(slice(200, 300))
-	r2 := o.NewRun("m/b") // timeline left empty: still exported (no rows)
+	o.EnableTimeline()
+	o.Note("m/a", "k1", nil, TimelineOf([]TimeSlice{slice(100, 120), slice(200, 300)}))
+	o.Note("m/b", "k2", nil, nil)
 
 	var csv bytes.Buffer
-	if err := WriteTimelinesCSV(&csv, o.Runs()); err != nil {
+	n, err := o.WriteTimelines(&csv)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("wrote %d runs, want 1", n)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 {
@@ -161,24 +168,6 @@ func TestWriteTimelines(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "m/a,0,100,100,120,1.2,1.2,") {
 		t.Fatalf("CSV row = %q", lines[1])
 	}
-
-	var js bytes.Buffer
-	if err := WriteTimelinesJSON(&js, o.Runs()); err != nil {
-		t.Fatal(err)
-	}
-	var out []struct {
-		Tag      string          `json:"tag"`
-		Interval float64         `json:"interval_cycles"`
-		Rows     []TimelineRow   `json:"intervals"`
-		Extra    json.RawMessage `json:"-"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &out); err != nil {
-		t.Fatalf("JSON export invalid: %v", err)
-	}
-	if len(out) != 2 || out[0].Tag != "m/a" || len(out[0].Rows) != 2 || out[0].Interval != 100 {
-		t.Fatalf("JSON export shape wrong: %+v", out)
-	}
-	_ = r2
 }
 
 // TestObserverTimelinePlumbing: EnableTimeline affects only recorders
@@ -190,7 +179,7 @@ func TestObserverTimelinePlumbing(t *testing.T) {
 	if o.TimelineEnabled() {
 		t.Fatal("timeline enabled before EnableTimeline")
 	}
-	o.EnableTimeline(TimelineSpec{IntervalCycles: 100, MaxSlices: 8})
+	o.EnableTimeline()
 	if !o.TimelineEnabled() {
 		t.Fatal("TimelineEnabled false after EnableTimeline")
 	}
@@ -216,5 +205,5 @@ func TestObserverTimelinePlumbing(t *testing.T) {
 	if _, ok := nilObs.LiveIntervalIPC(); ok {
 		t.Fatal("nil observer reports live IPC")
 	}
-	nilObs.EnableTimeline(TimelineSpec{}) // must not panic
+	nilObs.EnableTimeline() // must not panic
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -149,5 +150,90 @@ func TestTraceSinkConcurrentTags(t *testing.T) {
 	}
 	if len(tids) != 4 {
 		t.Fatalf("want 4 distinct lanes (2 runs × main+xlate), got %v", tids)
+	}
+}
+
+// TestTraceSinkEventPayloads sends every event kind through the sink
+// and finds it in the trace under its name and phase, on its run's
+// lane, at its run clock, with every payload field (pc/a/b/c) as a
+// named arg — one golden row per kind, so the trace carries everything
+// an event does except the host-global Seq, which only records arrival
+// order. A new kind needs a row here; renaming a kind or an arg is a
+// consumer-visible schema change (OBSERVABILITY.md).
+func TestTraceSinkEventPayloads(t *testing.T) {
+	const pc = 0x401000
+	golden := []struct {
+		kind     EventKind
+		name, ph string
+		args     map[string]float64
+	}{
+		{EvRunStart, "run", "B", map[string]float64{"budget": 1}},
+		{EvRunEnd, "run", "E", map[string]float64{"instrs": 1, "cycles": 2}},
+		{EvBBTTranslate, "bbt-translate", "X", map[string]float64{"pc": pc, "x86": 1, "uops": 2, "bytes": 3}},
+		{EvSBTPromote, "sbt-promote", "X", map[string]float64{"pc": pc, "x86": 1, "uops": 2, "bytes": 3}},
+		{EvChain, "chain", "i", map[string]float64{"pc": pc, "from": 1, "to": 2}},
+		{EvUnchain, "unchain", "i", map[string]float64{"pc": pc, "epoch": 1}},
+		{EvCacheFlush, "cache-flush", "i", map[string]float64{"cache": 1, "epoch": 2, "flushes": 3}},
+		{EvShadowEvict, "shadow-evict", "i", map[string]float64{"pc": pc, "resident": 1}},
+		{EvJTLBEpoch, "jtlb", "C", map[string]float64{"hits": 1, "misses": 2}},
+		{EvStoreHit, "store-hit", "i", nil},
+		{EvStoreMiss, "store-miss", "i", nil},
+		{EvStoreCorrupt, "store-corrupt", "i", map[string]float64{"bytes": 1}},
+		{EvStoreSteal, "store-steal", "i", map[string]float64{"stale_ns": 1}},
+		{EvStoreGC, "store-gc", "i", map[string]float64{"debris": 1, "evicted": 2}},
+		{EvRestore, "restore", "i", map[string]float64{"entries": 1, "preloaded": 2, "x86": 3}},
+		{EvRestoreFault, "restore-fault", "i", map[string]float64{"pc": pc, "x86": 1, "bytes": 2}},
+		{EvJobSubmit, "job-submit", "i", map[string]float64{"queued": 1}},
+		{EvJobStart, "job-start", "i", map[string]float64{"queued": 1}},
+		{EvJobDone, "job-done", "i", map[string]float64{"state": 1, "bytes": 2, "wall_ns": 3}},
+		{EvJobReject, "job-reject", "i", map[string]float64{"reason": 1}},
+		{EvJobCancel, "job-cancel", "i", map[string]float64{"state": 1}},
+	}
+	if int(NumEventKinds) != len(golden) {
+		t.Fatalf("event kinds = %d, golden rows = %d: a new kind needs a row here", NumEventKinds, len(golden))
+	}
+	var buf bytes.Buffer
+	s := NewTraceSink(&buf)
+	o := NewObserver(s)
+	// One run per kind, so each event has lanes of its own; the clock
+	// is distinct per kind and increasing, so no episode span is pushed
+	// off its instant by the lane cursor.
+	for i, g := range golden {
+		o.NewRun(g.kind.String()).EmitAt(g.kind, pc, uint64(100*(i+1)), 1, 2, 3)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	evs := decodeTrace(t, &buf)
+	lane := map[uint64]string{}
+	for _, e := range evs {
+		if e.Ph == "M" {
+			lane[e.Tid] = e.Args["name"].(string)
+		}
+	}
+	for i, g := range golden {
+		var got *traceEvent
+		for j := range evs {
+			e := &evs[j]
+			if e.Ph != "M" && strings.TrimSuffix(lane[e.Tid], " xlate") == g.kind.String() {
+				got = e
+				break
+			}
+		}
+		if got == nil {
+			t.Errorf("%v: no event on its run's lanes", g.kind)
+			continue
+		}
+		if got.Name != g.name || got.Ph != g.ph || got.Ts != uint64(100*(i+1)) {
+			t.Errorf("%v: got %s/%s at %d, want %s/%s at %d", g.kind, got.Name, got.Ph, got.Ts, g.name, g.ph, 100*(i+1))
+		}
+		if len(got.Args) != len(g.args) {
+			t.Errorf("%v: args %v, want %v", g.kind, got.Args, g.args)
+		}
+		for k, want := range g.args {
+			if got.Args[k] != want {
+				t.Errorf("%v: arg %q = %v, want %v", g.kind, k, got.Args[k], want)
+			}
+		}
 	}
 }

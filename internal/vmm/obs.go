@@ -53,9 +53,10 @@ type vmObs struct {
 //
 // When the recorder carries a Timeline (Observer.EnableTimeline), the
 // interval sampler is armed as well: Run captures a slice at each
-// interval boundary.
+// interval boundary; Result.Timeline is that timeline.
 func (v *VM) SetObserver(rec *obs.Recorder) {
 	v.tl = rec.Timeline()
+	v.res.Timeline = v.tl
 	v.prof = rec.Attrib()
 	if v.tl != nil {
 		v.tlNext = v.tl.NextBoundary()

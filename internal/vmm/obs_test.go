@@ -40,16 +40,13 @@ func observedRun(t *testing.T, cfg Config, seed int64, budget uint64, o *obs.Obs
 	return res, rec
 }
 
-// testTimeline is the interval-sampler spec of the observation tests.
-var testTimeline = obs.TimelineSpec{IntervalCycles: 5_000, MaxSlices: 64}
-
 // armAll enables everything on o that the *AcrossModes tests toggle —
 // timeline sampling and cycle attribution — and returns o. Comparing a
 // run under it with a run under a plainer observer checks that arming
 // one part of the observability layer changes nothing another part
 // reports.
 func armAll(o *obs.Observer, budget uint64) *obs.Observer {
-	o.EnableTimeline(testTimeline)
+	o.EnableTimeline()
 	o.EnableAttrib(attrib.Spec{RegionBase: tCodeBase, Milestones: []uint64{budget / 10, budget / 2, budget}})
 	return o
 }
@@ -184,7 +181,7 @@ func TestObsDisabledAllocFree(t *testing.T) {
 }
 
 // BenchmarkObsModes compares steady-state simulation with observability
-// disabled, metrics-only, and with a live JSONL event stream. Run
+// disabled, metrics-only, and with a live Chrome trace stream. Run
 // manually (or at 1x from ci.sh) to see the per-mode cost.
 func BenchmarkObsModes(b *testing.B) {
 	modes := []struct {
@@ -193,7 +190,7 @@ func BenchmarkObsModes(b *testing.B) {
 	}{
 		{"disabled", func() *obs.Recorder { return nil }},
 		{"metrics", func() *obs.Recorder { return obs.NewRecorder("bench", nil) }},
-		{"jsonl", func() *obs.Recorder { return obs.NewRecorder("bench", obs.NewJSONLSink(discardWriter{})) }},
+		{"trace", func() *obs.Recorder { return obs.NewRecorder("bench", obs.NewTraceSink(discardWriter{})) }},
 	}
 	code := buildHotLoop(false)
 	for _, m := range modes {

@@ -337,6 +337,12 @@ type Result struct {
 	// profile (Observer.EnableAttrib); its categories sum exactly to
 	// Cycles.
 	Attrib *attrib.Snapshot
+
+	// Timeline is the run's interval-sampled timeline — the attached
+	// recorder's, or one read back from the run store — and nil unless
+	// the recorder carried one (Observer.EnableTimeline). A pointer, so
+	// a plain Result stays in its allocation size class.
+	Timeline *obs.Timeline
 }
 
 // IPC returns the aggregate x86 IPC of the run.

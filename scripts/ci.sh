@@ -126,11 +126,11 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestReportDigests' \
 # EXPERIMENTS.md). The Timeline/Trace tests are the determinism
 # goldens for the interval sampler and the Chrome trace export (the
 # export of a run is byte-identical with the rest of the layer armed). The 1x ObsModes smoke keeps the
-# disabled/metrics/jsonl benchmark harness itself from bit-rotting.
+# disabled/metrics/trace benchmark harness itself from bit-rotting.
 go build -o "${TMPDIR:-/tmp}/obs-example.$$" ./examples/observability
 go build -o "${TMPDIR:-/tmp}/curves-example.$$" ./examples/startup_curves
 rm -f "${TMPDIR:-/tmp}/obs-example.$$" "${TMPDIR:-/tmp}/curves-example.$$"
-go test -count=1 -run 'Obs|HotPathAllocFree|Timeline|Trace|OpenMetrics|JSONL|Label' ./internal/vmm/ ./internal/obs/
+go test -count=1 -run 'Obs|HotPathAllocFree|Timeline|Trace|OpenMetrics|Label|Note' ./internal/vmm/ ./internal/obs/
 go test -run '^$' -bench 'ObsModes' -benchtime=1x ./internal/vmm/
 
 # Cycle-attribution gate (DESIGN.md §11). The attrib unit suite pins
@@ -145,12 +145,24 @@ go test -race -count=1 \
 	-run 'TestAttribExactSum|TestPhasesFigInvariants|TestDefaultAttribSpec' \
 	./internal/vmm/ ./internal/experiments/
 
+# Observation from Results: -flamegraph and -timeline are written from
+# the Results the reports consumed, so a warm pass over the store the
+# cold pass filled (a second process that simulates nothing) must write
+# byte-identical files.
+ci_tmp="${TMPDIR:-/tmp}/vmsim-ci.$$"
+mkdir -p "$ci_tmp/obsstore"
+go build -o "$ci_tmp/vmsim" ./cmd/vmsim
+for pass in cold warm; do
+	"$ci_tmp/vmsim" -exp fig2 -scale 200 -apps Word,Winzip -store "$ci_tmp/obsstore" \
+		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" >/dev/null
+done
+cmp "$ci_tmp/flame.cold" "$ci_tmp/flame.warm"
+cmp "$ci_tmp/tl.cold" "$ci_tmp/tl.warm"
+[ -s "$ci_tmp/flame.cold" ] && [ "$(wc -l <"$ci_tmp/tl.cold")" -gt 1 ]
+
 # Live-introspection smoke: start a short sweep with -http on an
 # ephemeral port, then check /healthz answers and /metrics serves
 # terminated OpenMetrics while the sweep runs.
-ci_tmp="${TMPDIR:-/tmp}/vmsim-ci.$$"
-mkdir -p "$ci_tmp"
-go build -o "$ci_tmp/vmsim" ./cmd/vmsim
 "$ci_tmp/vmsim" -exp fig2 -scale 200 -http 127.0.0.1:0 \
 	>"$ci_tmp/out.log" 2>"$ci_tmp/err.log" &
 vmsim_pid=$!

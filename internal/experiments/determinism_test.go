@@ -151,7 +151,7 @@ func TestForEachTaskRecoversPanic(t *testing.T) {
 	}
 }
 
-// reportAcrossGridModes renders the named report harness with the
+// reportAcrossGridModes renders the named report experiment with the
 // grid's (app × arm) tasks run sequentially and on the parallel pool,
 // each arm from cleared in-process caches so it builds its own
 // warm-start snapshots, and fails unless the two reports are
@@ -163,17 +163,11 @@ func reportAcrossGridModes(t *testing.T, name string, o Options) {
 		runtime.GOMAXPROCS(2)
 		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	}
-	var run func(Options) (string, error)
-	for _, h := range reportHarnesses {
-		if h.name == name {
-			run = h.run
-		}
-	}
 	var reports [2]string
 	for i, seq := range []bool{true, false} {
 		ResetRunCacheForTest()
 		o.Sequential = seq
-		txt, err := run(o)
+		txt, err := RunExperiment(name, o, "")
 		if err != nil {
 			t.Fatalf("%s (sequential=%v): %v", name, seq, err)
 		}

@@ -338,25 +338,52 @@ func TestColdStartSmoke(t *testing.T) {
 	}
 }
 
+// TestContextSwitchSmoke runs the sweep over a budget that no period
+// divides: every switching run must still retire its budget — exactly
+// what the model's plain run retires, the budget plus the last block —
+// and frequent switches must cost cycles.
 func TestContextSwitchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
 	opt := tinyOpt()
-	rep, err := ContextSwitch(opt, "Word", []uint64{0, 200_000})
+	opt.ShortInstrs = 2_100_001
+	rep, err := ContextSwitch(opt, "Word")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log("\n" + FormatSwitch(rep))
-	if len(rep.Rows) != 2 {
+	if len(rep.Rows) != len(switchPeriods) {
 		t.Fatal("missing rows")
 	}
-	none, freq := rep.Rows[0], rep.Rows[1]
+	none, freq := rep.Rows[0], rep.Rows[len(rep.Rows)-1]
 	if freq.RefCycles <= none.RefCycles {
 		t.Error("context switches should slow Ref down too (cold caches)")
 	}
 	if freq.SoftCycles <= none.SoftCycles {
 		t.Error("context switches should slow VM.soft down")
+	}
+	for _, m := range switchModels {
+		plain, err := opt.runApp(opt.configFor(m), "Word", opt.ShortInstrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Instrs < opt.ShortInstrs {
+			t.Fatalf("%v: plain run retired %d of %d", m, plain.Instrs, opt.ShortInstrs)
+		}
+		for _, period := range switchPeriods[1:] {
+			cfg := opt.switchConfig(m, period)
+			if cfg.SwitchPeriod != period {
+				t.Fatalf("%v: period %d does not switch over %d", m, period, opt.ShortInstrs)
+			}
+			res, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Instrs != plain.Instrs {
+				t.Errorf("%v, period %d: retired %d instrs, the plain run %d", m, period, res.Instrs, plain.Instrs)
+			}
+		}
 	}
 }
 

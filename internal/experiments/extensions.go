@@ -7,7 +7,6 @@ import (
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/vmm"
-	"codesignvm/internal/workload"
 )
 
 // Extension experiments beyond the paper's evaluation section, following
@@ -112,8 +111,8 @@ type PressureRow struct {
 	CacheBytes uint32 // capacity of each code cache (BBT and SBT)
 	Cycles     float64
 	IPC        float64
-	BBTFlushes uint64
-	SBTFlushes uint64
+	BBTFlushes uint32
+	SBTFlushes uint32
 	BBTXlate   uint64 // block translations (re-translations included)
 	SBTXlate   uint64 // superblock translations (re-translations included)
 	Coverage   float64
@@ -132,38 +131,31 @@ type PressureReport struct {
 // transient indefinitely.
 func CodeCachePressure(opt Options, app string, sizes []uint32) (*PressureReport, error) {
 	opt = opt.withDefaults()
-	if app == "" {
-		app = "Word"
-	}
 	if len(sizes) == 0 {
 		sizes = []uint32{1 << 10, 4 << 10, 16 << 10, 64 << 10, 4 << 20}
 	}
-	prog, err := workload.App(app, opt.Scale)
-	if err != nil {
-		return nil, err
-	}
-	rep := &PressureReport{Opt: opt, App: app}
-	for _, size := range sizes {
+	rep := &PressureReport{Opt: opt, App: app, Rows: make([]PressureRow, len(sizes))}
+	err := opt.forEachTask(len(sizes), func(i int) error {
 		cfg := opt.configFor(machine.VMSoft)
-		cfg.BBTCacheSize = size
-		cfg.SBTCacheSize = size
-		vm := opt.newVM(cfg, prog, opt.obsTag(cfg, app))
-		res, err := vm.Run(opt.LongInstrs)
+		cfg.BBTCacheSize, cfg.SBTCacheSize = sizes[i], sizes[i]
+		res, err := opt.runApp(cfg, app, opt.LongInstrs)
 		if err != nil {
-			return nil, fmt.Errorf("size %d: %w", size, err)
+			return fmt.Errorf("size %d: %w", sizes[i], err)
 		}
-		opt.ranVM(opt.key(cfg, app, opt.Scale, opt.LongInstrs), "", res)
-		bbtC, sbtC := vm.Caches()
-		rep.Rows = append(rep.Rows, PressureRow{
-			CacheBytes: size,
+		rep.Rows[i] = PressureRow{
+			CacheBytes: sizes[i],
 			Cycles:     res.Cycles,
 			IPC:        res.IPC(),
-			BBTFlushes: bbtC.Stats().Flushes,
-			SBTFlushes: sbtC.Stats().Flushes,
+			BBTFlushes: res.BBTFlushes,
+			SBTFlushes: res.SBTFlushes,
 			BBTXlate:   res.BBTTranslations,
 			SBTXlate:   res.SBTTranslations,
 			Coverage:   res.HotspotCoverage(),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(rep.Rows, func(i, j int) bool { return rep.Rows[i].CacheBytes < rep.Rows[j].CacheBytes })
 	return rep, nil

@@ -108,70 +108,59 @@ type SwitchReport struct {
 	Rows []SwitchRow
 }
 
+// switchPeriods are the context-switch sweep's rows, in instructions
+// between switches; 0 never switches.
+var switchPeriods = []uint64{0, 2_000_000, 500_000, 100_000}
+
+// switchModels are the sweep's columns.
+var switchModels = []machine.Model{machine.Ref, machine.VMSoft, machine.VMFE}
+
+// switchConfig is model m switching every period instructions of a
+// ShortInstrs-long run. A period the budget does not exceed never
+// fires, so it is the plain run, under the plain run's key.
+func (o Options) switchConfig(m machine.Model, period uint64) vmm.Config {
+	cfg := o.configFor(m)
+	if period < o.ShortInstrs {
+		cfg.SwitchPeriod = period
+	}
+	return cfg
+}
+
 // ContextSwitch emulates frequent context switches among
 // resource-competing tasks (§1.1): at each switch the processor caches
 // and predictors are wiped (another task ran) while translations stay
-// resident in concealed memory. With smaller periods, the conventional
-// processor and the VM both re-warm their caches — but the VM's startup
-// overhead has already been paid once, so its *relative* behaviour shows
-// how the transient phases accumulate.
-func ContextSwitch(opt Options, app string, periods []uint64) (*SwitchReport, error) {
+// resident in concealed memory (vmm.Config.SwitchPeriod). With smaller
+// periods, the conventional processor and the VM both re-warm their
+// caches — but the VM's startup overhead has already been paid once,
+// so its *relative* behaviour shows how the transient phases
+// accumulate.
+func ContextSwitch(opt Options, app string) (*SwitchReport, error) {
 	opt = opt.withDefaults()
-	if app == "" {
-		app = "Outlook"
-	}
-	if len(periods) == 0 {
-		periods = []uint64{0, 2_000_000, 500_000, 100_000}
-	}
-	prog, err := workload.App(app, opt.Scale)
+	nm := len(switchModels)
+	cycles := make([]float64, len(switchPeriods)*nm)
+	err := opt.forEachTask(len(cycles), func(i int) error {
+		m, period := switchModels[i%nm], switchPeriods[i/nm]
+		res, err := opt.runApp(opt.switchConfig(m, period), app, opt.ShortInstrs)
+		if err != nil {
+			return fmt.Errorf("%v, period %d: %w", m, period, err)
+		}
+		cycles[i] = res.Cycles
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	rep := &SwitchReport{Opt: opt, App: app}
-
-	runWithSwitches := func(m machine.Model, period uint64) (float64, error) {
-		cfg := opt.configFor(m)
-		total := opt.ShortInstrs
-		// A switching run is not the run its key names: its note and
-		// recorder carry the period.
-		suffix := ""
-		if period != 0 && period < total {
-			suffix = fmt.Sprintf("/switch-%d", period)
-		}
-		vm := opt.newVM(cfg, prog, opt.obsTag(cfg, app)+suffix)
-		var res *vmm.Result
-		if suffix == "" {
-			res, err = vm.Run(total)
-		} else {
-			for done := uint64(0); err == nil && done < total; done += period {
-				res, err = vm.Run(done + period)
-				// The context switch: another task evicted the caches and
-				// polluted the predictors; translations survive in memory.
-				vm.Engine().Caches.Flush()
-				vm.Engine().Pred.Reset()
-			}
-		}
-		if err != nil {
-			return 0, err
-		}
-		opt.ranVM(opt.key(cfg, app, opt.Scale, total), suffix, res)
-		return res.Cycles, nil
-	}
-
-	for _, period := range periods {
-		row := SwitchRow{PeriodInstrs: period}
-		if row.RefCycles, err = runWithSwitches(machine.Ref, period); err != nil {
-			return nil, err
-		}
-		if row.SoftCycles, err = runWithSwitches(machine.VMSoft, period); err != nil {
-			return nil, err
-		}
-		if row.FECycles, err = runWithSwitches(machine.VMFE, period); err != nil {
-			return nil, err
-		}
-		row.SoftSlowdown = row.SoftCycles / row.RefCycles
-		row.FESlowdown = row.FECycles / row.RefCycles
-		rep.Rows = append(rep.Rows, row)
+	for pi, period := range switchPeriods {
+		ref, soft, fe := cycles[pi*nm], cycles[pi*nm+1], cycles[pi*nm+2]
+		rep.Rows = append(rep.Rows, SwitchRow{
+			PeriodInstrs: period,
+			RefCycles:    ref,
+			SoftCycles:   soft,
+			FECycles:     fe,
+			SoftSlowdown: soft / ref,
+			FESlowdown:   fe / ref,
+		})
 	}
 	return rep, nil
 }

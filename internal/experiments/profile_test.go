@@ -187,11 +187,11 @@ func (fs *readCountingFS) ReadFile(name string) ([]byte, error) {
 	return fs.Disk.ReadFile(name)
 }
 
-// TestWarmPassComputesNothing: once a store holds a pass of the figures,
-// a later process's pass is store reads and formatting — it starts no
-// run, builds (or even reads) no snapshot, interprets no instruction and
-// misses nothing — and a pass after that, in the same process, does not
-// touch the store at all. Every report stays byte-identical, and so do
+// TestWarmPassComputesNothing: once a store holds a pass of every named
+// experiment, a later process's pass is store reads and formatting — it
+// starts no run, builds (or even reads) no snapshot, interprets no
+// instruction and misses nothing — and a pass after that, in the same
+// process, does not touch the store at all. Every report stays byte-identical, and so do
 // the flamegraph and timeline exports: each pass observes with
 // attribution and timelines on, and both files are written from the
 // Results the reports consumed, however they were served.
@@ -199,7 +199,6 @@ func TestWarmPassComputesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	exps := []string{"fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "overhead", "persist", "warmstart"}
 	fs := &readCountingFS{}
 	opt := detOpt()
 	opt.FreshRuns = false
@@ -220,7 +219,7 @@ func TestWarmPassComputesNothing(t *testing.T) {
 		opt := opt
 		opt.Obs = o
 		out := passOut{reports: map[string]string{}}
-		for _, exp := range exps {
+		for _, exp := range ExperimentNames() {
 			txt, err := RunExperiment(exp, opt, "")
 			if err != nil {
 				t.Fatalf("%s: %v", exp, err)
@@ -299,7 +298,7 @@ func TestWarmPassComputesNothing(t *testing.T) {
 		t.Errorf("memoized pass moved the counters: %+v", again.counts)
 	}
 
-	for _, exp := range exps {
+	for _, exp := range ExperimentNames() {
 		if warm.reports[exp] != cold.reports[exp] {
 			t.Errorf("%s: store-served report differs\n--- cold ---\n%s--- warm ---\n%s", exp, cold.reports[exp], warm.reports[exp])
 		}

@@ -130,7 +130,7 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 	if o.FreshRuns {
 		res, err := o.simulateOrLoad(k, snapFn)
 		if err == nil {
-			o.note(k, "", res)
+			o.note(k, res)
 		}
 		return res, err
 	}
@@ -140,19 +140,18 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 	if err != nil {
 		return nil, err
 	}
-	o.note(k, "", res)
+	o.note(k, res)
 	return cloneResult(res), nil
 }
 
 // note records a Result a report consumed on the options' observer,
 // under its store key, for the -flamegraph and -timeline exports
-// (obs.Observer.Note). suffix tells apart runs that a harness drives
-// past what the key names (the context-switch sweep's periods).
-func (o Options) note(k runKey, suffix string, res *vmm.Result) {
+// (obs.Observer.Note).
+func (o Options) note(k runKey, res *vmm.Result) {
 	if !o.Obs.Noting() {
 		return
 	}
-	o.Obs.Note(o.obsTag(k.cfg, k.app)+suffix, k.fileKey()+suffix, res.Attrib, res.Timeline)
+	o.Obs.Note(o.obsTag(k.cfg, k.app), k.fileKey(), res.Attrib, res.Timeline)
 }
 
 // simulateOrLoad fills one cache slot: from the disk store when enabled
@@ -205,28 +204,6 @@ func (o Options) runObserved(cfg vmm.Config, prog *workload.Program, app string,
 		o.Obs.Proc.Counter("runs.done", "runs").Inc()
 	}
 	return res, err
-}
-
-// newVM builds a VM for a harness that drives one directly instead of
-// through runApp (the warm-start producer, the pressure and
-// context-switch sweeps), with a recorder minted from the options'
-// observer under tag. ranVM closes such a run.
-func (o Options) newVM(cfg vmm.Config, prog *workload.Program, tag string) *vmm.VM {
-	vm := vmm.New(cfg, prog.Memory(), prog.InitState())
-	if o.Obs != nil {
-		o.Obs.Proc.Counter("runs.started", "runs").Inc()
-		vm.SetObserver(o.Obs.NewRun(tag))
-	}
-	return vm
-}
-
-// ranVM counts a newVM run done and notes its Result under k (and
-// suffix; see note).
-func (o Options) ranVM(k runKey, suffix string, res *vmm.Result) {
-	if o.Obs != nil {
-		o.Obs.Proc.Counter("runs.done", "runs").Inc()
-	}
-	o.note(k, suffix, res)
 }
 
 // obsStore reports one disk-store lookup outcome; tag names what was

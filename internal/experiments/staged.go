@@ -44,9 +44,6 @@ type DeltaReport struct {
 // (the dual-mode decoder's "zero" is the limit).
 func DeltaBBTSweep(opt Options, app string, deltas []float64) (*DeltaReport, error) {
 	opt = opt.withDefaults()
-	if app == "" {
-		app = "Norton"
-	}
 	if len(deltas) == 0 {
 		deltas = []float64{166, 83, 40, 20, 10, 5, 1}
 	}

@@ -74,7 +74,9 @@ const (
 	//     section; the old attribution flag became a section bit set,
 	//     so a plain record is as long as at v5. Keys additionally hash
 	//     the timeline bit.
-	runSchema = 6
+	// v7: the code-cache flush counts (Result.BBTFlushes/SBTFlushes, one
+	//     word after RestoredX86) and vmm.Config.SwitchPeriod.
+	runSchema = 7
 )
 
 // storeTuning groups the lock-protocol and GC time/size constants so
@@ -800,7 +802,8 @@ func writeResult(w *bufio.Writer, r *vmm.Result) error {
 		r.XltInvocations, r.XltBusyCycles, r.Callouts,
 		r.JTLBHits, r.JTLBMisses, r.ShadowEvictions,
 		r.SBTInstrs, r.BBTInstrs, r.X86Instrs, r.InterpInstrs,
-		r.RestoredTranslations, r.RestoredX86); err != nil {
+		r.RestoredTranslations, r.RestoredX86,
+		uint64(r.BBTFlushes)<<32|uint64(r.SBTFlushes)); err != nil {
 		return err
 	}
 	if err := le(fbits(r.X86ModeCycles)...); err != nil {
@@ -978,6 +981,9 @@ func readResult(br *bufio.Reader) (*vmm.Result, error) {
 	} {
 		read64(dst)
 	}
+	var flushes uint64
+	read64(&flushes)
+	r.BBTFlushes, r.SBTFlushes = uint32(flushes>>32), uint32(flushes)
 	readf(&r.X86ModeCycles)
 	var nSamples uint64
 	read64(&nSamples)

@@ -65,7 +65,8 @@ func sampleResult() *vmm.Result {
 		XltInvocations: 19, XltBusyCycles: 20, Callouts: 21,
 		JTLBHits: 22, JTLBMisses: 23, ShadowEvictions: 24,
 		SBTInstrs: 25, BBTInstrs: 26, X86Instrs: 27, InterpInstrs: 28,
-		X86ModeCycles: 29.25,
+		X86ModeCycles: 29.25, RestoredTranslations: 30, RestoredX86: 31,
+		BBTFlushes: 1<<31 | 32, SBTFlushes: 33,
 	}
 	for i := range r.Cat {
 		r.Cat[i] = float64(i) * 1.5

@@ -90,12 +90,19 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 		return nil, err
 	}
 	k := o.key(cold, app, scale, instrs)
-	vm := o.newVM(cold, prog, o.obsTag(cold, app))
+	vm := vmm.New(cold, prog.Memory(), prog.InitState())
+	if o.Obs != nil {
+		o.Obs.Proc.Counter("runs.started", "runs").Inc()
+		vm.SetObserver(o.Obs.NewRun(o.obsTag(cold, app)))
+	}
 	res, err := vm.Run(instrs)
 	if err != nil {
 		return nil, err
 	}
-	o.ranVM(k, "", res)
+	if o.Obs != nil {
+		o.Obs.Proc.Counter("runs.done", "runs").Inc()
+	}
+	o.note(k, res)
 	var buf bytes.Buffer
 	if err := vm.SaveTranslations(&buf); err != nil {
 		return nil, err

@@ -87,6 +87,11 @@ type VM struct {
 	tl     *obs.Timeline
 	tlNext float64
 
+	// switchNext is the retirement count that triggers the next
+	// context switch (Config.SwitchPeriod); math.MaxUint64 when
+	// switching is off, so the disabled cost is one compare per block.
+	switchNext uint64
+
 	// Cycle-attribution profiler (nil when disabled — every hook below
 	// is guarded by the nil check, so the disabled cost is one
 	// predictable branch per timing site).
@@ -116,7 +121,11 @@ func New(cfg Config, mem *x86.Memory, init *x86.State) *VM {
 		arch:       *init,
 		nextSample: 1000,
 		tlNext:     math.Inf(1),
+		switchNext: math.MaxUint64,
 		res:        &Result{},
+	}
+	if cfg.SwitchPeriod > 0 {
+		v.switchNext = cfg.SwitchPeriod
 	}
 	if cfg.NoStartupSamples {
 		v.nextSample = math.Inf(1)
@@ -236,6 +245,18 @@ func (v *VM) timeSlice(end float64) obs.TimeSlice {
 	}
 }
 
+// contextSwitch is the switch Config.SwitchPeriod schedules: another
+// task evicted the cache hierarchy and polluted the predictor, while
+// the translations survive in concealed memory. A block that retires
+// past several multiples of the period switches once.
+func (v *VM) contextSwitch() {
+	v.eng.Caches.Flush()
+	v.eng.Pred.Reset()
+	for v.switchNext <= v.instrs {
+		v.switchNext += v.Cfg.SwitchPeriod
+	}
+}
+
 func (v *VM) snapshot() Sample {
 	return Sample{
 		Cycles:  v.cycles,
@@ -270,11 +291,16 @@ func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 		if v.cycles >= v.tlNext {
 			v.appendTimeline()
 		}
+		if v.instrs >= v.switchNext {
+			v.contextSwitch()
+		}
 	}
 	v.res.Cycles = v.cycles
 	v.res.Halted = v.halted
 	v.res.XltInvocations = v.xlt.Invocations
 	v.res.XltBusyCycles = v.xlt.BusyCycles
+	v.res.BBTFlushes = uint32(v.bbtCache.Stats().Flushes)
+	v.res.SBTFlushes = uint32(v.sbtCache.Stats().Flushes)
 	if v.prof != nil {
 		// Reconcile the attribution against the run total.
 		v.res.Attrib = v.prof.Finish(v.res.Cycles)

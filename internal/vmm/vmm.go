@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"codesignvm/internal/bbt"
 	"codesignvm/internal/obs"
@@ -179,6 +180,13 @@ type Config struct {
 	// the hybrid mode preloads eagerly, hottest first by saved
 	// retirement count.
 	WarmEagerFraction float64
+
+	// SwitchPeriod emulates context switches among competing tasks
+	// (§1.1 multitasking): after the block that retires each multiple
+	// of SwitchPeriod instructions, Run flushes the cache hierarchy and
+	// resets the branch predictor, as if another task had run;
+	// translations stay resident in concealed memory. 0 never switches.
+	SwitchPeriod uint64
 }
 
 // WarmStart enumerates the persistent-translation warm-start modes
@@ -282,9 +290,9 @@ func (s Sample) AggregateIPC() float64 {
 // stores miss (and re-simulate) instead of misreading old records.
 type Result struct {
 	Strategy Strategy
+	Halted   bool
 	Cycles   float64
 	Instrs   uint64
-	Halted   bool
 	Cat      [NumCategories]float64
 	Samples  []Sample
 
@@ -295,6 +303,10 @@ type Result struct {
 	// Static translation statistics.
 	BBTTranslations, SBTTranslations   uint64
 	BBTX86Translated, SBTX86Translated uint64 // static x86 instrs translated
+
+	// Code-cache flushes (capacity overflows). Flushes never exceed
+	// translations, so 32 bits hold any budget the harness runs.
+	BBTFlushes, SBTFlushes uint32
 
 	// Hardware assist statistics.
 	XltInvocations uint64
@@ -344,6 +356,10 @@ type Result struct {
 	// a plain Result stays in its allocation size class.
 	Timeline *obs.Timeline
 }
+
+// Experiments keep one Result per run for the life of the process, and
+// 320 bytes is an allocation size class: the record must not grow.
+var _ [320]byte = [unsafe.Sizeof(Result{})]byte{}
 
 // IPC returns the aggregate x86 IPC of the run.
 func (r *Result) IPC() float64 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"codesignvm/internal/interp"
+	"codesignvm/internal/workload"
 	"codesignvm/internal/x86"
 )
 
@@ -355,6 +356,54 @@ func TestVMInstructionBudget(t *testing.T) {
 	}
 	if res.Instrs < 500 || res.Instrs > 500+400 {
 		t.Errorf("instrs = %d, want ≈500 (block-granular overshoot allowed)", res.Instrs)
+	}
+}
+
+// TestSwitchPeriod: Config.SwitchPeriod reproduces, to the bit, a run
+// driven in period-long segments with the caches flushed and the
+// predictor reset between them. Switching moves timing only, so over a
+// budget the period does not divide it retires exactly what a plain
+// run of that budget retires: the budget plus the last block.
+func TestSwitchPeriod(t *testing.T) {
+	prog, err := workload.App("Word", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const period, budget = 40_000, 150_001
+	run := func(cfg Config, instrs uint64) *Result {
+		t.Helper()
+		res, err := New(cfg, prog.Memory(), prog.InitState()).Run(instrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, strat := range []Strategy{StratRef, StratSoft, StratFE} {
+		plain := DefaultConfig(strat)
+		cfg := plain
+		cfg.SwitchPeriod = period
+
+		seg := New(plain, prog.Memory(), prog.InitState())
+		var want *Result
+		for done := uint64(0); done < 4*period; done += period {
+			if want, err = seg.Run(done + period); err != nil {
+				t.Fatal(err)
+			}
+			seg.Engine().Caches.Flush()
+			seg.Engine().Pred.Reset()
+		}
+		got := run(cfg, 4*period)
+		if got.Cycles != want.Cycles || got.Instrs != want.Instrs || got.Cat != want.Cat {
+			t.Errorf("%v: switching run = %v cycles, %d instrs; segmented run = %v, %d",
+				strat, got.Cycles, got.Instrs, want.Cycles, want.Instrs)
+		}
+		if base := run(plain, 4*period); base.Cycles >= got.Cycles {
+			t.Errorf("%v: switching run took %v cycles, a plain run %v", strat, got.Cycles, base.Cycles)
+		}
+
+		if got, want := run(cfg, budget).Instrs, run(plain, budget).Instrs; got != want || got < budget {
+			t.Errorf("%v: switching run of %d retired %d instrs, a plain run %d", strat, uint64(budget), got, want)
+		}
 	}
 }
 

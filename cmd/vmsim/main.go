@@ -27,7 +27,7 @@
 //
 // Observability (see OBSERVABILITY.md):
 //
-//	vmsim -exp fig2 -metrics table           # aggregate metric table
+//	vmsim -exp fig2 -metrics                 # aggregate metric table
 //	vmsim -exp run -trace run.trace.json     # Chrome trace (Perfetto)
 //	vmsim -exp fig2 -timeline tl.csv         # interval-sampled timelines
 //	vmsim -exp sweep -http 127.0.0.1:890     # live introspection server
@@ -80,7 +80,7 @@ var (
 	memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	gotraceFile = flag.String("gotrace", "", "write a Go runtime execution trace to this file")
 
-	metricsFlag  = flag.String("metrics", "", "print aggregate observability metrics on exit: \"table\" or \"json\"")
+	metricsFlag  = flag.Bool("metrics", false, "print a table of aggregate observability metrics on exit (/metrics on -http is the machine-readable form)")
 	traceFlag    = flag.String("trace", "", "write the lifecycle-event stream as Chrome trace-event JSON to this file (view in Perfetto)")
 	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs")
 	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs")
@@ -150,13 +150,15 @@ func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 		}
 		return nil, nil, fmt.Errorf(format, args...)
 	}
+	// Flag parsing stops at the first non-flag argument: every flag
+	// after it would be dropped without a word.
+	if flag.NArg() > 0 {
+		return fail("unexpected argument %q: vmsim takes flags only, and ignores every flag after an argument", flag.Arg(0))
+	}
 	// The job spec's range: a divisor below 1 is no workload at all,
 	// and beyond the maximum the traces collapse to a few instructions.
 	if *scaleFlag < 1 || *scaleFlag > codesignvm.MaxScale {
 		return fail("-scale must be in [1, %d], got %d", codesignvm.MaxScale, *scaleFlag)
-	}
-	if *metricsFlag != "" && *metricsFlag != "table" && *metricsFlag != "json" {
-		return fail("-metrics must be \"table\" or \"json\", got %q", *metricsFlag)
 	}
 	if *progressFlag > 0 {
 		if fi, serr := os.Stderr.Stat(); serr == nil && fi.Mode()&os.ModeCharDevice == 0 {
@@ -214,7 +216,7 @@ func setupObservability() (finish func() error, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if *metricsFlag == "" && *progressFlag <= 0 && len(files) == 0 && ln == nil {
+	if !*metricsFlag && *progressFlag <= 0 && len(files) == 0 && ln == nil {
 		return func() error { return nil }, nil
 	}
 
@@ -261,11 +263,7 @@ func setupObservability() (finish func() error, err error) {
 		stopProgress()
 		// FullSnapshot: the per-run aggregate plus the process-level
 		// registry (runs.*, store.* health), matching /metrics.
-		if *metricsFlag == "json" {
-			if err := obsv.FullSnapshot().WriteJSON(os.Stdout); err != nil {
-				return err
-			}
-		} else if *metricsFlag == "table" {
+		if *metricsFlag {
 			fmt.Printf("observability metrics (aggregate over %d runs):\n", obsv.RunCount())
 			obsv.FullSnapshot().Format(os.Stdout)
 		}

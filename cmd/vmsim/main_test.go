@@ -35,6 +35,27 @@ func vmsim(t *testing.T, args ...string) (stderr string, code int) {
 	return errb.String(), 0
 }
 
+// TestPositionalArgument: flag parsing stops at the first non-flag, so
+// an argument would silently drop every flag after it (here -trace, and
+// -metrics' retired "table" value). vmsim fails with one line instead,
+// and writes nothing.
+func TestPositionalArgument(t *testing.T) {
+	trace := t.TempDir() + "/t.json"
+	for _, args := range [][]string{
+		{"-exp", "table2", "-metrics", "table", "-trace", trace},
+		{"-exp", "table2", "table1", "-trace", trace},
+	} {
+		stderr, code := vmsim(t, args...)
+		want := "vmsim: unexpected argument \"" + args[len(args)-3] + "\": vmsim takes flags only, and ignores every flag after an argument\n"
+		if code != 1 || stderr != want {
+			t.Errorf("%q: exit %d, stderr %q; want exit 1, %q", args, code, stderr, want)
+		}
+		if _, err := os.Stat(trace); !os.IsNotExist(err) {
+			t.Errorf("%q: wrote %s", args, trace)
+		}
+	}
+}
+
 // TestScaleOutOfRange: a -scale outside the job spec's range fails up
 // front with one line naming the flag — not a divide-by-zero panic
 // (-scale 0) or a silent run at another scale (-scale -3).

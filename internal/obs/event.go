@@ -377,7 +377,7 @@ func (o *Observer) Aggregate() Snapshot {
 
 // FullSnapshot is Aggregate plus the process-level registry
 // (runs.started, store.* health counters, …) in one merged view — what
-// the /metrics endpoint serves and -metrics table|json prints.
+// the /metrics endpoint serves and -metrics prints.
 func (o *Observer) FullSnapshot() Snapshot {
 	if o == nil {
 		return nil

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -353,34 +351,4 @@ func (s Snapshot) Format(w io.Writer) {
 			}
 		}
 	}
-}
-
-// jsonMetric is the stable JSON shape of one metric.
-type jsonMetric struct {
-	Name    string   `json:"name"`
-	Kind    string   `json:"kind"`
-	Unit    string   `json:"unit,omitempty"`
-	Labels  string   `json:"labels,omitempty"`
-	Value   float64  `json:"value"`
-	Count   uint64   `json:"count,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// WriteJSON renders the snapshot as one JSON array (the -metrics json
-// mode of cmd/vmsim), sorted by name for stable diffs.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	ms := make([]jsonMetric, len(s))
-	for i, m := range s {
-		ms[i] = jsonMetric{Name: m.Name, Kind: m.Kind.String(), Unit: m.Unit,
-			Labels: m.Labels, Value: m.Value, Count: m.Count, Buckets: m.Buckets}
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Name != ms[j].Name {
-			return ms[i].Name < ms[j].Name
-		}
-		return ms[i].Labels < ms[j].Labels
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ms)
 }

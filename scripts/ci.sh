@@ -110,9 +110,8 @@ go test -race -count=1 -run 'TestPersist|TestSnapshot|TestDecodeInto' ./internal
 go test -race -count=1 -run 'TestWarmModes|TestPersist|TestWarmSnapshot' \
 	./internal/vmm/ ./internal/experiments/
 
-# The report digests: the six figure reports plus the persist,
-# warmstart, ablation and phases reports, each rebuilt from cleared
-# caches and compared with testdata/reports.sha256, under race
+# The report digests: every named report experiment, each rebuilt from
+# cleared caches and compared with testdata/reports.sha256, under race
 # instrumentation on two procs so the grid really runs in parallel
 # (-count=1: GOMAXPROCS is not in the test cache key).
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestReportDigests' \
@@ -145,17 +144,21 @@ go test -race -count=1 \
 	-run 'TestAttribExactSum|TestPhasesFigInvariants|TestDefaultAttribSpec' \
 	./internal/vmm/ ./internal/experiments/
 
-# Observation from Results: -flamegraph and -timeline are written from
-# the Results the reports consumed, so a warm pass over the store the
-# cold pass filled (a second process that simulates nothing) must write
-# byte-identical files.
+# Every experiment a store client: a warm pass over the store the cold
+# pass filled is a second process that simulates nothing, for every
+# experiment. It must print the same reports (the wall-clock
+# "[… completed in …]" lines stripped), and write byte-identical
+# -flamegraph and -timeline files, which are built from the Results the
+# reports consumed.
 ci_tmp="${TMPDIR:-/tmp}/vmsim-ci.$$"
 mkdir -p "$ci_tmp/obsstore"
 go build -o "$ci_tmp/vmsim" ./cmd/vmsim
 for pass in cold warm; do
-	"$ci_tmp/vmsim" -exp fig2 -scale 200 -apps Word,Winzip -store "$ci_tmp/obsstore" \
-		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" >/dev/null
+	"$ci_tmp/vmsim" -exp all -scale 200 -apps Word,Winzip -store "$ci_tmp/obsstore" \
+		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" >"$ci_tmp/all.$pass"
+	sed '/^\[.* completed in .*\]$/d' "$ci_tmp/all.$pass" >"$ci_tmp/reports.$pass"
 done
+diff "$ci_tmp/reports.cold" "$ci_tmp/reports.warm"
 cmp "$ci_tmp/flame.cold" "$ci_tmp/flame.warm"
 cmp "$ci_tmp/tl.cold" "$ci_tmp/tl.warm"
 [ -s "$ci_tmp/flame.cold" ] && [ "$(wc -l <"$ci_tmp/tl.cold")" -gt 1 ]

@@ -46,7 +46,9 @@ type profKey struct {
 // fileKey derives the profile's disk-store key; the "prof" prefix
 // separates the namespace from run and snapshot keys.
 func (k profKey) fileKey() string {
-	return hashKey("prof v%d\n%s\n%d\n%d\n%d\n", runSchema, k.app, k.scale, k.instrs, k.hotThr)
+	var buf [keyBufLen]byte
+	b := appendString(keyStart(buf[:0], "prof"), k.app)
+	return hashKey(appendWords(b, uint64(k.scale), k.instrs, k.hotThr))
 }
 
 // profCache memoizes interpreter profiles process-wide, as runCache

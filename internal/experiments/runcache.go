@@ -62,7 +62,10 @@ type memoSlot[V any] struct {
 
 func (m *memo[K, V]) get(ctx context.Context, key K, fill func() (V, error)) (V, error) {
 	for {
-		e, _ := m.slots.LoadOrStore(key, new(memoSlot[V]))
+		e, ok := m.slots.Load(key) // a hit allocates nothing
+		if !ok {
+			e, _ = m.slots.LoadOrStore(key, new(memoSlot[V]))
+		}
 		slot := e.(*memoSlot[V])
 		filled := false
 		slot.once.Do(func() {

@@ -1,16 +1,9 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,9 +14,7 @@ import (
 
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/experiments/faultfs"
-	"codesignvm/internal/metrics"
 	"codesignvm/internal/obs"
-	"codesignvm/internal/obs/attrib"
 	"codesignvm/internal/vmm"
 )
 
@@ -56,11 +47,11 @@ import (
 
 const (
 	runMagic = "CRUN2"
-	// runSchema versions the key derivation and record encoding; bump it
-	// whenever vmm.Config, vmm.Result or the encoding change shape so
-	// stale stores miss instead of misread. The config's textual %#v
-	// form is hashed, so most Config changes invalidate keys on their
-	// own; the version covers Result/encoding changes.
+	// runSchema versions the record encoding; bump it whenever
+	// vmm.Result or the encoding change shape so stale stores miss
+	// instead of misread. Keys hash vmm.Config's field names and kinds
+	// (configShape), so a Config change invalidates keys on its own; the
+	// version covers Result/encoding changes.
 	// v2: appended observability metric snapshots (Result.Metrics).
 	// v3: CRUN2 — CRC-32C trailer + trailing-EOF verification.
 	// v4: warm-start — Result.RestoredTranslations/RestoredX86 appended
@@ -142,12 +133,13 @@ type runStore struct {
 	ctx context.Context
 }
 
-// storeGCDone gates the once-per-process-per-directory GC sweep. Keys
-// are canonical absolute paths (canonicalStoreDir), never the raw
-// Options.Store spelling: relative vs absolute (or trailing-slash)
-// spellings of one directory must share a single gate, or two
-// concurrent GC sweeps race over the same files.
-var storeGCDone sync.Map // canonical dir -> *sync.Once
+// storeGCDone gates the once-per-process-per-directory GC sweep. The
+// gates are keyed by canonical absolute path (canonicalStoreDir):
+// relative vs absolute (or trailing-slash) spellings of one directory
+// must share a single gate, or two concurrent GC sweeps race over the
+// same files. Each spelling seen is entered too, pointing at its
+// directory's gate, so a handle for a known spelling resolves nothing.
+var storeGCDone sync.Map // dir spelling or canonical dir -> *sync.Once
 
 // canonicalStoreDir resolves a store-directory spelling to the one
 // gate key all aliases of the directory share.
@@ -156,6 +148,16 @@ func canonicalStoreDir(dir string) string {
 		return abs
 	}
 	return filepath.Clean(dir)
+}
+
+// gcGate returns the GC gate of a store directory spelling.
+func gcGate(dir string) *sync.Once {
+	if once, ok := storeGCDone.Load(dir); ok {
+		return once.(*sync.Once)
+	}
+	once, _ := storeGCDone.LoadOrStore(canonicalStoreDir(dir), new(sync.Once))
+	storeGCDone.Store(dir, once)
+	return once.(*sync.Once)
 }
 
 // store builds the runStore handle for these options, or nil when
@@ -174,8 +176,7 @@ func (o Options) store() *runStore {
 	}
 	if s.fs == nil {
 		s.fs = faultfs.Disk{}
-		once, _ := storeGCDone.LoadOrStore(canonicalStoreDir(o.Store), new(sync.Once))
-		once.(*sync.Once).Do(s.gc)
+		gcGate(o.Store).Do(s.gc)
 	}
 	return s
 }
@@ -186,28 +187,6 @@ func (o Options) ctx() context.Context {
 		return o.Ctx
 	}
 	return context.Background()
-}
-
-// fileKey derives the content-hash key of one simulation's record. The
-// attribution-spec string and the timeline bit join it: neither changes
-// the simulated cycles, but an observing result carries extra payload
-// a plain request must not be served (and vice versa), so they key
-// separately.
-func (k runKey) fileKey() string {
-	observe := k.attrib // spec keys hold no newline
-	if k.timeline {
-		observe += "\ntimeline"
-	}
-	return hashKey("v%d\n%#v\n%s\n%d\n%d\n%s\n", runSchema, k.cfg, k.app, k.scale, k.instrs, observe)
-}
-
-// hashKey derives a store key: 32 hex digits of the SHA-256 of the
-// formatted identity. Every kind of key hashes runSchema behind a
-// prefix of its own (run keys: none), so the kinds cannot collide.
-func hashKey(format string, identity ...any) string {
-	h := sha256.New()
-	fmt.Fprintf(h, format, identity...)
-	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // path places one of a key's files — record, lock, sidecar — in the
@@ -652,499 +631,4 @@ func (s *runStore) gc() {
 		s.obs.Proc.Counter("store.gc_evictions", "files").Add(uint64(evicted))
 		s.obs.Emit(obs.EvStoreGC, filepath.Base(s.dir), 0, uint64(removed), uint64(evicted), 0)
 	}
-}
-
-// crcTable is the Castagnoli polynomial (same choice as iSCSI/ext4:
-// hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// seal appends the little-endian CRC-32C trailer over everything before
-// it. Any truncation, extension or bit flip of the file breaks it.
-func seal(payload []byte) []byte {
-	return binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, crcTable))
-}
-
-// unseal verifies a record's trailer and returns the payload it guards;
-// decoders read nothing before it has passed.
-func unseal(data []byte, magic string) ([]byte, error) {
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("experiments: %s record too short (%d bytes)", magic, len(data))
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("experiments: %s record checksum mismatch (got %08x, want %08x)", magic, got, want)
-	}
-	return payload, nil
-}
-
-// encodeResult renders one run record: the CRUN2 magic and payload
-// (writeResult), sealed.
-func encodeResult(r *vmm.Result) []byte {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeResult(bw, r); err == nil {
-		bw.Flush()
-	}
-	return seal(buf.Bytes())
-}
-
-// decodeResult verifies and decodes what encodeResult produced: the
-// CRC trailer must match, the payload must decode, and the decoder
-// must consume the payload exactly (one further read returns io.EOF) —
-// a record truncated at a section boundary or with appended bytes is
-// rejected even before the checksum existed.
-func decodeResult(data []byte) (*vmm.Result, error) {
-	payload, err := unseal(data, runMagic)
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(bytes.NewReader(payload))
-	res, err := readResult(br)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("experiments: trailing bytes after run record")
-	}
-	return res, nil
-}
-
-// Profile record (`CPRF1`), fixed length: the magic, the histogram's
-// eight bucket counts, its eight dynamic shares as IEEE-754 bits, Total,
-// DynTotal and the hot-instruction count — nineteen little-endian u64 —
-// sealed.
-const (
-	profMagic     = "CPRF1"
-	profBuckets   = 8
-	profRecordLen = len(profMagic) + (2*profBuckets+3)*8 + 4
-)
-
-func encodeProfile(p appProfile) []byte {
-	le := binary.LittleEndian
-	rec := append(make([]byte, 0, profRecordLen), profMagic...)
-	for _, n := range p.hist.Buckets {
-		rec = le.AppendUint64(rec, n)
-	}
-	for _, f := range p.hist.DynFrac {
-		rec = le.AppendUint64(rec, math.Float64bits(f))
-	}
-	for _, n := range []uint64{p.hist.Total, p.hist.DynTotal, p.hot} {
-		rec = le.AppendUint64(rec, n)
-	}
-	return seal(rec)
-}
-
-// decodeProfile accepts exactly what encodeProfile wrote: the length,
-// then the trailer, then the magic, and only then the fields.
-func decodeProfile(data []byte) (appProfile, error) {
-	if len(data) != profRecordLen {
-		return appProfile{}, fmt.Errorf("experiments: profile record is %d bytes, want %d", len(data), profRecordLen)
-	}
-	payload, err := unseal(data, profMagic)
-	if err != nil {
-		return appProfile{}, err
-	}
-	if string(payload[:len(profMagic)]) != profMagic {
-		return appProfile{}, fmt.Errorf("experiments: bad profile magic %q", payload[:len(profMagic)])
-	}
-	var w [2*profBuckets + 3]uint64
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(payload[len(profMagic)+8*i:])
-	}
-	hist := metrics.Histogram{
-		Buckets:  append([]uint64(nil), w[:profBuckets]...),
-		DynFrac:  make([]float64, profBuckets),
-		Total:    w[2*profBuckets],
-		DynTotal: w[2*profBuckets+1],
-	}
-	for i := range hist.DynFrac {
-		hist.DynFrac[i] = math.Float64frombits(w[profBuckets+i])
-	}
-	return appProfile{hist: hist, hot: w[2*profBuckets+2]}, nil
-}
-
-// writeResult encodes one vmm.Result. Field order is fixed; floats are
-// stored as IEEE-754 bits. Samples are the only variable-length part.
-func writeResult(w *bufio.Writer, r *vmm.Result) error {
-	if _, err := w.WriteString(runMagic); err != nil {
-		return err
-	}
-	le := func(vs ...uint64) error {
-		for _, v := range vs {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fbits := func(fs ...float64) []uint64 {
-		out := make([]uint64, len(fs))
-		for i, f := range fs {
-			out[i] = math.Float64bits(f)
-		}
-		return out
-	}
-	bool64 := uint64(0)
-	if r.Halted {
-		bool64 = 1
-	}
-	if err := le(uint64(r.Strategy), bool64, r.Instrs); err != nil {
-		return err
-	}
-	if err := le(fbits(r.Cycles)...); err != nil {
-		return err
-	}
-	if err := le(fbits(r.Cat[:]...)...); err != nil {
-		return err
-	}
-	if err := le(r.BBTUops, r.BBTEntities, r.SBTUops, r.SBTEntities,
-		r.BBTTranslations, r.SBTTranslations, r.BBTX86Translated, r.SBTX86Translated,
-		r.XltInvocations, r.XltBusyCycles, r.Callouts,
-		r.JTLBHits, r.JTLBMisses, r.ShadowEvictions,
-		r.SBTInstrs, r.BBTInstrs, r.X86Instrs, r.InterpInstrs,
-		r.RestoredTranslations, r.RestoredX86,
-		uint64(r.BBTFlushes)<<32|uint64(r.SBTFlushes)); err != nil {
-		return err
-	}
-	if err := le(fbits(r.X86ModeCycles)...); err != nil {
-		return err
-	}
-	if err := le(uint64(len(r.Samples))); err != nil {
-		return err
-	}
-	for i := range r.Samples {
-		s := &r.Samples[i]
-		if err := le(fbits(s.Cycles)...); err != nil {
-			return err
-		}
-		if err := le(s.Instrs); err != nil {
-			return err
-		}
-		if err := le(fbits(s.Cat[:]...)...); err != nil {
-			return err
-		}
-		if err := le(fbits(s.XltBusy)...); err != nil {
-			return err
-		}
-	}
-	// Observability snapshot (schema v2): count, then per metric the
-	// name/unit strings, kind, value bits, observation count and buckets.
-	wstr := func(s string) error {
-		if err := le(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := w.WriteString(s)
-		return err
-	}
-	if err := le(uint64(len(r.Metrics))); err != nil {
-		return err
-	}
-	for i := range r.Metrics {
-		m := &r.Metrics[i]
-		if err := wstr(m.Name); err != nil {
-			return err
-		}
-		if err := wstr(m.Unit); err != nil {
-			return err
-		}
-		if err := wstr(m.Labels); err != nil {
-			return err
-		}
-		if err := le(uint64(m.Kind), math.Float64bits(m.Value), m.Count, uint64(len(m.Buckets))); err != nil {
-			return err
-		}
-		for _, b := range m.Buckets {
-			if err := le(b.Le, b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	// Observation sections: a bit set saying which follow (schema v6;
-	// v5 had the attribution bit alone), then each present section.
-	// The attribution snapshot (schema v5): category cycles,
-	// reconciliation totals, region-grid geometry, the non-empty regions
-	// and the milestone phases. The timeline (schema v6): the slice
-	// count, then each slice's fields in declaration order.
-	var sections uint64
-	if r.Attrib != nil {
-		sections |= sectionAttrib
-	}
-	if r.Timeline != nil {
-		sections |= sectionTimeline
-	}
-	if err := le(sections); err != nil {
-		return err
-	}
-	if a := r.Attrib; a != nil {
-		if err := le(fbits(a.Cat[:]...)...); err != nil {
-			return err
-		}
-		if err := le(fbits(a.TotalCycles, a.Residual)...); err != nil {
-			return err
-		}
-		if err := le(uint64(a.RegionBase), uint64(a.RegionShift), uint64(len(a.Regions))); err != nil {
-			return err
-		}
-		for i := range a.Regions {
-			rg := &a.Regions[i]
-			if err := le(uint64(rg.Slot)); err != nil {
-				return err
-			}
-			if err := le(fbits(rg.Cat[:]...)...); err != nil {
-				return err
-			}
-		}
-		if err := le(uint64(len(a.Phases))); err != nil {
-			return err
-		}
-		for i := range a.Phases {
-			ph := &a.Phases[i]
-			if err := le(ph.Milestone, ph.Instrs, math.Float64bits(ph.Cycles)); err != nil {
-				return err
-			}
-			if err := le(fbits(ph.Cat[:]...)...); err != nil {
-				return err
-			}
-		}
-	}
-	if r.Timeline == nil {
-		return nil
-	}
-	slices := r.Timeline.Slices()
-	if err := le(uint64(len(slices))); err != nil {
-		return err
-	}
-	for i := range slices {
-		ts := &slices[i]
-		if err := le(math.Float64bits(ts.EndCycles), ts.Instrs, ts.InterpInstrs, ts.BBTInstrs, ts.SBTInstrs, ts.X86Instrs,
-			math.Float64bits(ts.VMMCycles), math.Float64bits(ts.XlateCycles), math.Float64bits(ts.EmuCycles),
-			uint64(ts.BBTUsed), uint64(ts.SBTUsed)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// The observation-section bits of a run record (schema v6).
-const (
-	sectionAttrib   = 1 << 0
-	sectionTimeline = 1 << 1
-)
-
-// readResult decodes what writeResult wrote.
-func readResult(br *bufio.Reader) (*vmm.Result, error) {
-	magic := make([]byte, len(runMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != runMagic {
-		return nil, fmt.Errorf("experiments: bad run-store magic %q", magic)
-	}
-	var scratch [8]byte
-	le := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	lef := func() (float64, error) {
-		v, err := le()
-		return math.Float64frombits(v), err
-	}
-	r := &vmm.Result{}
-	var err error
-	read64 := func(dst *uint64) {
-		if err == nil {
-			*dst, err = le()
-		}
-	}
-	readf := func(dst *float64) {
-		if err == nil {
-			*dst, err = lef()
-		}
-	}
-	var strat, halted uint64
-	read64(&strat)
-	read64(&halted)
-	read64(&r.Instrs)
-	readf(&r.Cycles)
-	for i := range r.Cat {
-		readf(&r.Cat[i])
-	}
-	for _, dst := range []*uint64{
-		&r.BBTUops, &r.BBTEntities, &r.SBTUops, &r.SBTEntities,
-		&r.BBTTranslations, &r.SBTTranslations, &r.BBTX86Translated, &r.SBTX86Translated,
-		&r.XltInvocations, &r.XltBusyCycles, &r.Callouts,
-		&r.JTLBHits, &r.JTLBMisses, &r.ShadowEvictions,
-		&r.SBTInstrs, &r.BBTInstrs, &r.X86Instrs, &r.InterpInstrs,
-		&r.RestoredTranslations, &r.RestoredX86,
-	} {
-		read64(dst)
-	}
-	var flushes uint64
-	read64(&flushes)
-	r.BBTFlushes, r.SBTFlushes = uint32(flushes>>32), uint32(flushes)
-	readf(&r.X86ModeCycles)
-	var nSamples uint64
-	read64(&nSamples)
-	if err != nil {
-		return nil, err
-	}
-	if nSamples > 1<<24 {
-		return nil, fmt.Errorf("experiments: implausible sample count %d", nSamples)
-	}
-	r.Strategy = vmm.Strategy(strat)
-	r.Halted = halted != 0
-	r.Samples = make([]vmm.Sample, nSamples)
-	for i := range r.Samples {
-		s := &r.Samples[i]
-		readf(&s.Cycles)
-		read64(&s.Instrs)
-		for j := range s.Cat {
-			readf(&s.Cat[j])
-		}
-		readf(&s.XltBusy)
-	}
-	rstr := func() (string, error) {
-		n, err := le()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<12 {
-			return "", fmt.Errorf("experiments: implausible metric-string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	var nMetrics uint64
-	read64(&nMetrics)
-	if err != nil {
-		return nil, err
-	}
-	if nMetrics > 1<<16 {
-		return nil, fmt.Errorf("experiments: implausible metric count %d", nMetrics)
-	}
-	// A zero count decodes to a nil snapshot, so a result persisted by an
-	// uninstrumented run round-trips to exactly the in-memory original.
-	for i := uint64(0); i < nMetrics; i++ {
-		var m obs.Metric
-		if m.Name, err = rstr(); err != nil {
-			return nil, err
-		}
-		if m.Unit, err = rstr(); err != nil {
-			return nil, err
-		}
-		if m.Labels, err = rstr(); err != nil {
-			return nil, err
-		}
-		var kind, vbits, nBuckets uint64
-		read64(&kind)
-		read64(&vbits)
-		read64(&m.Count)
-		read64(&nBuckets)
-		if err != nil {
-			return nil, err
-		}
-		if nBuckets > 1<<12 {
-			return nil, fmt.Errorf("experiments: implausible bucket count %d", nBuckets)
-		}
-		m.Kind = obs.Kind(kind)
-		m.Value = math.Float64frombits(vbits)
-		for j := uint64(0); j < nBuckets; j++ {
-			var b obs.Bucket
-			read64(&b.Le)
-			read64(&b.Count)
-			m.Buckets = append(m.Buckets, b)
-		}
-		r.Metrics = append(r.Metrics, m)
-	}
-	var sections uint64
-	read64(&sections)
-	if err != nil {
-		return nil, err
-	}
-	if sections&^(sectionAttrib|sectionTimeline) != 0 {
-		return nil, fmt.Errorf("experiments: bad section bits %#x", sections)
-	}
-	if sections&sectionAttrib != 0 {
-		a := &attrib.Snapshot{}
-		for i := range a.Cat {
-			readf(&a.Cat[i])
-		}
-		readf(&a.TotalCycles)
-		readf(&a.Residual)
-		var base, shift, nRegions uint64
-		read64(&base)
-		read64(&shift)
-		read64(&nRegions)
-		if err != nil {
-			return nil, err
-		}
-		if nRegions > 1<<20 {
-			return nil, fmt.Errorf("experiments: implausible region count %d", nRegions)
-		}
-		a.RegionBase = uint32(base)
-		a.RegionShift = uint8(shift)
-		for i := uint64(0); i < nRegions; i++ {
-			var slot uint64
-			read64(&slot)
-			rg := attrib.RegionCycles{Slot: int(slot)}
-			for c := range rg.Cat {
-				readf(&rg.Cat[c])
-			}
-			a.Regions = append(a.Regions, rg)
-		}
-		var nPhases uint64
-		read64(&nPhases)
-		if err != nil {
-			return nil, err
-		}
-		if nPhases > 1<<16 {
-			return nil, fmt.Errorf("experiments: implausible phase count %d", nPhases)
-		}
-		for i := uint64(0); i < nPhases; i++ {
-			var ph attrib.Phase
-			read64(&ph.Milestone)
-			read64(&ph.Instrs)
-			readf(&ph.Cycles)
-			for c := range ph.Cat {
-				readf(&ph.Cat[c])
-			}
-			a.Phases = append(a.Phases, ph)
-		}
-		r.Attrib = a
-	}
-	if sections&sectionTimeline != 0 {
-		var nSlices uint64
-		read64(&nSlices)
-		if err != nil {
-			return nil, err
-		}
-		if nSlices > obs.TimelineSlices {
-			return nil, fmt.Errorf("experiments: implausible timeline slice count %d", nSlices)
-		}
-		slices := make([]obs.TimeSlice, nSlices)
-		for i := range slices {
-			ts := &slices[i]
-			var bbtUsed, sbtUsed uint64
-			readf(&ts.EndCycles)
-			for _, dst := range []*uint64{&ts.Instrs, &ts.InterpInstrs, &ts.BBTInstrs, &ts.SBTInstrs, &ts.X86Instrs} {
-				read64(dst)
-			}
-			readf(&ts.VMMCycles)
-			readf(&ts.XlateCycles)
-			readf(&ts.EmuCycles)
-			read64(&bbtUsed)
-			read64(&sbtUsed)
-			ts.BBTUsed, ts.SBTUsed = uint32(bbtUsed), uint32(sbtUsed)
-		}
-		r.Timeline = obs.TimelineOf(slices)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
 }

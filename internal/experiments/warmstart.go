@@ -42,7 +42,8 @@ func resetSnapCacheForTest() { snapCache.reset() }
 // "ccvm2" prefix separates the namespace from run-result keys (the
 // two kinds share the store directory and its lock protocol).
 func snapFileKey(cfg vmm.Config, app string, scale int, instrs uint64) string {
-	return hashKey("ccvm2 v%d\n%#v\n%s\n%d\n%d\n", runSchema, cfg, app, scale, instrs)
+	var buf [keyBufLen]byte
+	return hashKey(appendRunIdentity(keyStart(buf[:0], "ccvm2"), &cfg, app, scale, instrs))
 }
 
 // snapshotFor returns the lazy snapshot source for one (cold config,

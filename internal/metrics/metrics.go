@@ -29,13 +29,22 @@ func InstrsAt(samples []vmm.Sample, cycles float64) float64 {
 	if len(samples) == 0 || cycles <= 0 {
 		return 0
 	}
-	if cycles <= samples[0].Cycles {
+	idx := 0
+	if cycles > samples[0].Cycles {
+		idx = sort.Search(len(samples), func(i int) bool { return samples[i].Cycles >= cycles })
+	}
+	return instrsAt(samples, idx, cycles)
+}
+
+// instrsAt is InstrsAt for cycles > 0 over a non-empty series, given
+// idx, the first sample at or past cycles (len(samples) when none is).
+func instrsAt(samples []vmm.Sample, idx int, cycles float64) float64 {
+	if idx == 0 {
 		if samples[0].Cycles == 0 {
 			return float64(samples[0].Instrs)
 		}
 		return float64(samples[0].Instrs) * cycles / samples[0].Cycles
 	}
-	idx := sort.Search(len(samples), func(i int) bool { return samples[i].Cycles >= cycles })
 	if idx >= len(samples) {
 		last := samples[len(samples)-1]
 		if last.Cycles == 0 {
@@ -50,6 +59,22 @@ func InstrsAt(samples []vmm.Sample, cycles float64) float64 {
 	}
 	f := (cycles - a.Cycles) / (b.Cycles - a.Cycles)
 	return float64(a.Instrs) + f*float64(b.Instrs-a.Instrs)
+}
+
+// cursor evaluates InstrsAt over one series at non-decreasing cycle
+// counts. Its index only moves forward, and at each count it stops at
+// the first sample at or past it — the index sort.Search finds over
+// cycle-ordered samples — so at returns InstrsAt's answer bit for bit.
+type cursor struct {
+	samples []vmm.Sample
+	idx     int
+}
+
+func (c *cursor) at(cycles float64) float64 {
+	for c.idx < len(c.samples) && c.samples[c.idx].Cycles < cycles {
+		c.idx++
+	}
+	return instrsAt(c.samples, c.idx, cycles)
 }
 
 // AggregateIPCCurve returns the aggregate-IPC startup curve sampled at
@@ -107,11 +132,13 @@ func Breakeven(ref, vm []vmm.Sample) (cycles float64, ok bool) {
 	// The curves may touch at the very beginning (both empty); require a
 	// minimum time so the answer is meaningful.
 	behind := func(c float64) bool { return InstrsAt(vm, c) < InstrsAt(ref, c) }
-	// Find the first grid point where vm is ahead.
+	// Find the first grid point where vm is ahead. The grid only grows,
+	// so one cursor per series walks it in a single pass.
 	prev := lo
 	found := -1.0
+	refAt, vmAt := cursor{samples: ref}, cursor{samples: vm}
 	for c := lo; c <= limit; c *= 1.05 {
-		if !behind(c) {
+		if !(vmAt.at(c) < refAt.at(c)) {
 			found = c
 			break
 		}

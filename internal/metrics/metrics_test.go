@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +119,178 @@ func TestBreakevenImmediate(t *testing.T) {
 	be, ok := Breakeven(ref, vm)
 	if !ok || be > 2 {
 		t.Errorf("faster-from-start VM: be=%v ok=%v", be, ok)
+	}
+}
+
+// searchInstrsAt and searchBreakeven are InstrsAt and Breakeven as
+// they were before Breakeven walked its grid with cursors: two fresh
+// sort.Search calls at every grid point. They are the reference the
+// cursor version must match bit for bit.
+func searchInstrsAt(samples []vmm.Sample, cycles float64) float64 {
+	if len(samples) == 0 || cycles <= 0 {
+		return 0
+	}
+	if cycles <= samples[0].Cycles {
+		if samples[0].Cycles == 0 {
+			return float64(samples[0].Instrs)
+		}
+		return float64(samples[0].Instrs) * cycles / samples[0].Cycles
+	}
+	idx := sort.Search(len(samples), func(i int) bool { return samples[i].Cycles >= cycles })
+	if idx >= len(samples) {
+		last := samples[len(samples)-1]
+		if last.Cycles == 0 {
+			return float64(last.Instrs)
+		}
+		return float64(last.Instrs) * cycles / last.Cycles
+	}
+	a, b := samples[idx-1], samples[idx]
+	if b.Cycles == a.Cycles {
+		return float64(b.Instrs)
+	}
+	f := (cycles - a.Cycles) / (b.Cycles - a.Cycles)
+	return float64(a.Instrs) + f*float64(b.Instrs-a.Instrs)
+}
+
+func searchBreakeven(ref, vm []vmm.Sample) (cycles float64, ok bool) {
+	if len(ref) == 0 || len(vm) == 0 {
+		return 0, false
+	}
+	limit := math.Min(ref[len(ref)-1].Cycles, vm[len(vm)-1].Cycles)
+	lo := 1.0
+	behind := func(c float64) bool { return searchInstrsAt(vm, c) < searchInstrsAt(ref, c) }
+	prev := lo
+	found := -1.0
+	for c := lo; c <= limit; c *= 1.05 {
+		if !behind(c) {
+			found = c
+			break
+		}
+		prev = c
+	}
+	if found < 0 {
+		return 0, false
+	}
+	if found == lo {
+		return lo, true
+	}
+	for i := 0; i < 40; i++ {
+		mid := (prev + found) / 2
+		if behind(mid) {
+			prev = mid
+		} else {
+			found = mid
+		}
+	}
+	return found, true
+}
+
+// randomSeries draws a cycle-ordered sample series of n samples from
+// start: about one step in five repeats the previous cycle count (an
+// equal-cycle run) and one in five retires nothing; ipc scales the
+// retirement rate.
+func randomSeries(rng *rand.Rand, n int, start, ipc float64) []vmm.Sample {
+	out := make([]vmm.Sample, n)
+	c, instrs := start, uint64(0)
+	for i := range out {
+		if i > 0 && rng.Intn(5) != 0 {
+			c += rng.ExpFloat64() * start
+		}
+		if rng.Intn(5) != 0 {
+			instrs += uint64(rng.ExpFloat64() * ipc * start)
+		}
+		out[i] = vmm.Sample{Cycles: c, Instrs: instrs}
+	}
+	return out
+}
+
+// TestBreakevenMatchesSearch: the cursor walk returns exactly what the
+// sort.Search version returns — the same ok and the same float bits —
+// on random cycle-ordered series, and on the shapes that exercise each
+// branch of the walk: a crossing before the first sample, a crossing
+// the series would only reach after their last sample, and none at all.
+func TestBreakevenMatchesSearch(t *testing.T) {
+	check := func(name string, ref, vm []vmm.Sample) {
+		t.Helper()
+		be, ok := Breakeven(ref, vm)
+		want, wantOK := searchBreakeven(ref, vm)
+		if ok != wantOK || math.Float64bits(be) != math.Float64bits(want) {
+			t.Fatalf("%s: Breakeven = %v, %v; sort.Search version = %v, %v\nref %v\nvm  %v",
+				name, be, ok, want, wantOK, ref, vm)
+		}
+		for _, s := range [][]vmm.Sample{ref, vm} {
+			for _, c := range []float64{0.5, 1, s[0].Cycles, s[len(s)-1].Cycles, 2 * s[len(s)-1].Cycles} {
+				if got, want := InstrsAt(s, c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: InstrsAt(%v) = %v, sort.Search version %v", name, c, got, want)
+				}
+			}
+			// The cursor on its own, over the walk's grid and past the
+			// last sample.
+			cur := cursor{samples: s}
+			for c := 1.0; c <= 2*s[len(s)-1].Cycles; c *= 1.05 {
+				if got, want := cur.at(c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: cursor at %v = %v, sort.Search version %v\nseries %v", name, c, got, want, s)
+				}
+			}
+		}
+	}
+	// Before the first sample: the VM's first sample already leads, and
+	// both series start past the grid's first point.
+	ref := []vmm.Sample{{Cycles: 5000, Instrs: 1000}, {Cycles: 9000, Instrs: 9000}}
+	vm := []vmm.Sample{{Cycles: 5000, Instrs: 2000}, {Cycles: 9000, Instrs: 2100}}
+	if _, ok := Breakeven(ref, vm); !ok {
+		t.Fatal("crossing before the first sample not found")
+	}
+	check("before first", ref, vm)
+	// After the last: the VM would catch up only past the overlap.
+	ref = linearSamples(1.0, 20, 100)
+	vm = []vmm.Sample{{Cycles: 100, Instrs: 0}, {Cycles: 1000, Instrs: 500}, {Cycles: 2000, Instrs: 1990}}
+	if _, ok := Breakeven(ref, vm); ok {
+		t.Fatal("crossing after the last sample reported")
+	}
+	check("after last", ref, vm)
+	check("never", linearSamples(1.0, 50, 100), linearSamples(0.5, 50, 100))
+	check("immediate", linearSamples(1.0, 50, 100), linearSamples(1.2, 50, 100))
+	check("equal cycles", []vmm.Sample{{Cycles: 10, Instrs: 5}, {Cycles: 10, Instrs: 9}, {Cycles: 500, Instrs: 400}},
+		[]vmm.Sample{{Cycles: 10, Instrs: 0}, {Cycles: 300, Instrs: 0}, {Cycles: 300, Instrs: 900}, {Cycles: 500, Instrs: 1000}})
+
+	// Random series; in every other case the samples sit on the walk's
+	// own grid points, where an equal-cycle run makes the choice of
+	// segment visible.
+	var grid []float64
+	for c := 1.0; c < 1e6; c *= 1.05 {
+		grid = append(grid, c)
+	}
+	rng := rand.New(rand.NewSource(1))
+	found := 0
+	const cases = 20000
+	for i := 0; i < cases; i++ {
+		start := math.Exp(rng.Float64() * 9) // 1 .. 8 000 cycles
+		ref := randomSeries(rng, 1+rng.Intn(40), start, 1)
+		vm := randomSeries(rng, 1+rng.Intn(40), start*(0.5+rng.Float64()), 0.5+rng.Float64())
+		if i%2 == 1 {
+			onGrid(rng, ref, grid)
+			onGrid(rng, vm, grid)
+		}
+		if _, ok := Breakeven(ref, vm); ok {
+			found++
+		}
+		check("random", ref, vm)
+	}
+	if found < cases/10 || found > cases*9/10 {
+		t.Fatalf("random series crossed in %d of %d cases: both outcomes must be covered", found, cases)
+	}
+}
+
+// onGrid moves a series' samples onto ascending grid points, keeping
+// its equal-cycle runs.
+func onGrid(rng *rand.Rand, s []vmm.Sample, grid []float64) {
+	k := rng.Intn(len(grid) / 2)
+	for i := range s {
+		if i > 0 && s[i].Cycles != s[i-1].Cycles {
+			k += 1 + rng.Intn(8)
+		}
+		s[i].Cycles = grid[min(k, len(grid)-1)]
 	}
 }
 

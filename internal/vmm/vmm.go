@@ -285,9 +285,10 @@ func (s Sample) AggregateIPC() float64 {
 // Results round-trip through the persistent run store (docs/runstore.md):
 // internal/experiments encodes every field below into a CRC-guarded
 // CRUN2 record and decodes it back bit-exactly. When adding, removing
-// or reordering fields here, update writeResult/readResult in
-// internal/experiments/store.go and bump runSchema there so existing
-// stores miss (and re-simulate) instead of misreading old records.
+// or reordering fields here, update appendResult/readResult in
+// internal/experiments/record.go and bump runSchema (store.go) so
+// existing stores miss (and re-simulate) instead of misreading old
+// records.
 type Result struct {
 	Strategy Strategy
 	Halted   bool

@@ -74,9 +74,11 @@ sh scripts/inlinecheck.sh
 
 # Fuzz legs: the seed corpora already ran in the suite above; these
 # spend a few seconds each looking for new inputs — to the x86 decoder,
-# and to the CCVM2 record decoder behind a re-sealed section CRC.
+# to the CCVM2 record decoder behind a re-sealed section CRC, and to the
+# CRUN2 run-record decoder behind a re-sealed record CRC.
 go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/x86/
 go test -run '^$' -fuzz 'FuzzSnapshotRecord' -fuzztime 10s ./internal/codecache/
+go test -run '^$' -fuzz 'FuzzRunRecord' -fuzztime 10s ./internal/experiments/
 
 # Perf gate. Two checks (wall-clock speed is bench/'s business):
 #   1. The steady-state dispatch paths (chained and disabled-obs) must

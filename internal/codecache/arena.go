@@ -22,9 +22,9 @@ import (
 // ChainRefs fail their generation check), clears the lookup table, and
 // evicts the flushed kind from the jump-TLB — before calling Reset.
 //
-// A zero-value Arena is not usable; construct with NewArena. maxSlabs
-// bounds each span's slab count for arenas that are never reset (the
-// VMM's shadow-block arena): once a span is full, carve requests fall
+// The zero value is an empty, unbounded arena (NewArena). An arena
+// that is never reset (the VMM's shadow-block arena) is bounded by the
+// number of translations it carves: past that, Commit and NewRef fall
 // back to the ordinary heap, so the arena's footprint stays bounded
 // while shadow eviction churn keeps allocating.
 type Arena struct {
@@ -33,43 +33,37 @@ type Arena struct {
 	exits   span[Exit]
 	meta    span[UopMeta]
 	refs    span[ChainRef]
+
+	limit  int // translations carved before falling back to the heap; 0 = unbounded
+	carved int // translations carved since the last Reset
 }
 
-// Full slab sizes, in elements. Sized so a typical basic block (tens of
-// micro-ops) costs no slab allocation and a full code cache fits in a
-// handful of slabs per span. A span's first slab is 1/firstSlabDiv of
-// the full size and each next one doubles up to it, so a VM that
-// translates a few thousand blocks and exits does not pay for (and
-// zero) slabs sized for a full cache.
+// Slab sizes, in elements: every slab of a span has its span's size.
+// One slab holds a few dozen typical basic blocks, so a VM that
+// translates a few thousand blocks and exits allocates (and zeroes)
+// about what it carves. A doubling series would take fewer slabs to
+// fill a cache but leaves up to half of its last slab idle, and a cold
+// VM never fills one.
 const (
-	uopSlab    = 16384
-	exitSlab   = 2048
-	metaSlab   = 16384
-	refSlab    = 4096
-	structSlab = 512
-
-	firstSlabDiv = 16
+	uopSlab    = 1024
+	exitSlab   = 128
+	metaSlab   = 1024
+	refSlab    = 256
+	structSlab = 32
 )
 
 // NewArena returns an empty arena with unbounded growth (the natural
 // choice for a code cache, whose capacity already bounds the live
 // translation bytes between flushes).
-func NewArena() *Arena { return newArena(0) }
+func NewArena() *Arena { return &Arena{} }
 
-// NewBoundedArena returns an arena that stops carving after maxSlabs
-// slabs per span and falls back to heap allocation. Use for arenas
+// NewBoundedArena returns an arena that carves at most maxTranslations
+// translations and then falls back to heap allocation. Use for arenas
 // that are never Reset, where unbounded carving would leak.
-func NewBoundedArena(maxSlabs int) *Arena { return newArena(maxSlabs) }
+func NewBoundedArena(maxTranslations int) *Arena { return &Arena{limit: maxTranslations} }
 
-func newArena(maxSlabs int) *Arena {
-	return &Arena{
-		structs: span[Translation]{slabSize: structSlab, maxSlabs: maxSlabs},
-		uops:    span[fisa.MicroOp]{slabSize: uopSlab, maxSlabs: maxSlabs},
-		exits:   span[Exit]{slabSize: exitSlab, maxSlabs: maxSlabs},
-		meta:    span[UopMeta]{slabSize: metaSlab, maxSlabs: maxSlabs},
-		refs:    span[ChainRef]{slabSize: refSlab, maxSlabs: maxSlabs},
-	}
-}
+// full reports whether the arena has carved its bound.
+func (a *Arena) full() bool { return a.limit > 0 && a.carved >= a.limit }
 
 // Commit copies t into arena-backed storage and returns the copy. The
 // argument is typically a translator's reusable scratch translation;
@@ -78,27 +72,33 @@ func newArena(maxSlabs int) *Arena {
 // ChainRefs recorded against a previous occupant of the slot (bumped
 // at the last flush) remain detectably stale.
 func (a *Arena) Commit(t *Translation) *Translation {
-	nt := a.structs.carveOne()
-	if nt == nil {
-		nt = &Translation{}
+	if a.full() {
+		nt := *t
+		nt.Uops = append([]fisa.MicroOp(nil), t.Uops...)
+		nt.Exits = append([]Exit(nil), t.Exits...)
+		nt.Meta = append([]UopMeta(nil), t.Meta...)
+		nt.In, nt.Gen = nil, 0
+		return &nt
 	}
+	a.carved++
+	nt := &a.structs.carve(1, structSlab)[0]
 	gen := nt.Gen
 	*nt = *t
 	nt.Gen = gen
-	nt.Uops = commitSlice(&a.uops, t.Uops)
-	nt.Exits = commitSlice(&a.exits, t.Exits)
-	nt.Meta = commitSlice(&a.meta, t.Meta)
+	nt.Uops = commitSlice(&a.uops, t.Uops, uopSlab)
+	nt.Exits = commitSlice(&a.exits, t.Exits, exitSlab)
+	nt.Meta = commitSlice(&a.meta, t.Meta, metaSlab)
 	nt.In = nil
 	return nt
 }
 
-// NewRef carves one inbound chain-edge node (heap fallback when the
-// span is capped).
+// NewRef carves one inbound chain-edge node (from the heap once the
+// arena has carved its bound).
 func (a *Arena) NewRef() *ChainRef {
-	if r := a.refs.carveOne(); r != nil {
-		return r
+	if a.full() {
+		return &ChainRef{}
 	}
-	return &ChainRef{}
+	return &a.refs.carve(1, refSlab)[0]
 }
 
 // Reset reclaims every carve at once. See the type comment for the
@@ -109,16 +109,14 @@ func (a *Arena) Reset() {
 	a.exits.reset()
 	a.meta.reset()
 	a.refs.reset()
+	a.carved = 0
 }
 
-func commitSlice[T any](s *span[T], src []T) []T {
+func commitSlice[T any](s *span[T], src []T, slab int) []T {
 	if len(src) == 0 {
 		return nil
 	}
-	dst := s.carve(len(src))
-	if dst == nil {
-		dst = make([]T, len(src))
-	}
+	dst := s.carve(len(src), slab)
 	copy(dst, src)
 	return dst
 }
@@ -128,40 +126,20 @@ func commitSlice[T any](s *span[T], src []T) []T {
 // count. Carved slices are full (three-index) slices: appending past
 // one can never scribble on a neighbouring carve.
 type span[T any] struct {
-	slabs    [][]T
-	cur      int // slab being carved
-	off      int // carve cursor within slabs[cur]
-	next     int // size of the next slab to allocate (0: slabSize/firstSlabDiv)
-	slabSize int // full slab size
-	maxSlabs int // 0 = unbounded
+	slabs [][]T
+	cur   int // slab being carved
+	off   int // carve cursor within slabs[cur]
 }
 
-// grow appends a slab of the next size in the geometric series, widened
-// to hold at least n (n <= slabSize) elements. It reports false when the
-// span is capped and full.
-func (s *span[T]) grow(n int) bool {
-	if s.maxSlabs > 0 && len(s.slabs) >= s.maxSlabs {
-		return false
-	}
-	size := max(s.next, s.slabSize/firstSlabDiv)
-	for size < n {
-		size *= 2
-	}
-	s.slabs = append(s.slabs, make([]T, size))
-	s.next = min(2*size, s.slabSize)
-	return true
-}
-
-// carve returns a length-n slice, or nil when the span is capped and
-// full. After a reset the memory retains the previous epoch's bits, so
-// callers must overwrite every element (commitSlice copies the full
-// length). Requests larger than the full slab size get a dedicated slab
-// (counted against the cap).
-func (s *span[T]) carve(n int) []T {
-	if n > s.slabSize {
-		if s.maxSlabs > 0 && len(s.slabs) >= s.maxSlabs {
-			return nil
-		}
+// carve returns a length-n slice. After a reset the memory retains the
+// previous epoch's bits, so callers must overwrite every element
+// (commitSlice copies the full length; Commit keeps only the struct
+// slot's Gen). A carve that does not fit in what is left of the current
+// slab moves on to the next one, skipping the tail; a new slab holds
+// slab elements, and a request wider than that gets a dedicated slab of
+// its own width.
+func (s *span[T]) carve(n, slab int) []T {
+	if n > slab {
 		// Dedicated slab, inserted before the carve point so the
 		// cursor's slab stays partially free.
 		big := make([]T, n)
@@ -183,31 +161,7 @@ func (s *span[T]) carve(n int) []T {
 			s.off = 0
 			continue
 		}
-		if !s.grow(n) {
-			return nil
-		}
-	}
-}
-
-// carveOne returns a pointer to one element, preserving whatever the
-// slot held before (struct recycling keeps the previous occupant's
-// Gen readable), or nil when capped and full.
-func (s *span[T]) carveOne() *T {
-	for {
-		if s.cur < len(s.slabs) {
-			sl := s.slabs[s.cur]
-			if s.off < len(sl) {
-				out := &sl[s.off]
-				s.off++
-				return out
-			}
-			s.cur++
-			s.off = 0
-			continue
-		}
-		if !s.grow(1) {
-			return nil
-		}
+		s.slabs = append(s.slabs, make([]T, slab))
 	}
 }
 

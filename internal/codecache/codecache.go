@@ -2,6 +2,7 @@ package codecache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"codesignvm/internal/fisa"
 )
@@ -50,17 +51,18 @@ func (k ExitKind) String() string {
 	return "exit?"
 }
 
-// Exit describes one way control leaves a translation.
+// Exit describes one way control leaves a translation. Fields run from
+// the widest to the narrowest, so the record has no padding.
 type Exit struct {
-	Kind      ExitKind
-	Target    uint32       // static architected target (direct exits)
-	TargetReg fisa.Reg     // register holding the target (indirect exits)
-	BranchPC  uint32       // architected PC of the terminating CTI (0 if none)
-	Call      bool         // the CTI is a call (pushes ReturnPC, trains the RAS)
-	Ret       bool         // the CTI is a return (predicted via the RAS)
-	ReturnPC  uint32       // fall-through PC of a call
 	Chained   *Translation // direct chain, nil until linked
 	Count     uint64       // taken count (profiling)
+	Target    uint32       // static architected target (direct exits)
+	BranchPC  uint32       // architected PC of the terminating CTI (0 if none)
+	ReturnPC  uint32       // fall-through PC of a call
+	Kind      ExitKind
+	TargetReg fisa.Reg // register holding the target (indirect exits)
+	Call      bool     // the CTI is a call (pushes ReturnPC, trains the RAS)
+	Ret       bool     // the CTI is a return (predicted via the RAS)
 }
 
 // ChainRef is one inbound chain edge: exit Exit of From is (or was)
@@ -78,17 +80,24 @@ type ChainRef struct {
 	Next *ChainRef
 }
 
-// Translation is one unit of translated code resident in a code cache.
-type Translation struct {
-	Kind    TransKind
-	EntryPC uint32 // architected address of the first covered instruction
-	Uops    []fisa.MicroOp
-	Exits   []Exit
+// The arena carves these records by the slab, so their sizes bound what
+// a translation costs the host: none may grow.
+var (
+	_ [32]byte  = [unsafe.Sizeof(Exit{})]byte{}
+	_ [24]byte  = [unsafe.Sizeof(ChainRef{})]byte{}
+	_ [184]byte = [unsafe.Sizeof(Translation{})]byte{}
+)
 
-	Addr    uint32 // code-cache address of the first byte
-	Size    int    // encoded size in bytes
-	NumX86  int    // architected instructions covered
-	NumUops int    // micro-ops (excluding nothing; len(Uops))
+// Translation is one unit of translated code resident in a code cache.
+// Each group puts its wider fields first, so the struct packs into 184
+// bytes: its fields' 178 rounded up to a word.
+type Translation struct {
+	Uops  []fisa.MicroOp
+	Exits []Exit
+
+	Size    int // encoded size in bytes
+	NumX86  int // architected instructions covered
+	NumUops int // micro-ops (excluding nothing; len(Uops))
 
 	// Issue-shape precomputation for the timing model.
 	Entities   int       // issue entities (fused pair = 1)
@@ -101,8 +110,12 @@ type Translation struct {
 
 	ExecCount uint64 // executions (software profiling counter)
 	Epoch     uint64 // cache epoch the translation belongs to
-	Invalid   bool   // superseded (e.g. BBT block replaced by a superblock)
-	Shadow    bool   // hardware-decode shadow block (x86-mode / interpreter), not cache-resident
+
+	EntryPC uint32 // architected address of the first covered instruction
+	Addr    uint32 // code-cache address of the first byte
+	Kind    TransKind
+	Invalid bool // superseded (e.g. BBT block replaced by a superblock)
+	Shadow  bool // hardware-decode shadow block (x86-mode / interpreter), not cache-resident
 
 	// Threaded-dispatch support. The dispatch loop follows Chained
 	// pointers without validity checks, which is sound only if every

@@ -44,6 +44,7 @@
 // one that was saved.
 //
 // Allocation inside a cache goes through the translation arena
-// (arena.go): one flat backing slice reused across flushes, so
-// steady-state translation allocates nothing on the Go heap.
+// (arena.go): slabs of one fixed size per record type, reused across
+// flushes, so steady-state translation allocates nothing on the Go heap
+// and a cold cache allocates about what it carves.
 package codecache

@@ -24,7 +24,7 @@ import (
 // 2); for a pair tail the entry describes the tail as a standalone
 // entity, which is what a replay starting mid-pair executes.
 type UopMeta struct {
-	Lat     float64     // base result latency; a load's true hierarchy latency overrides it when MetaHasLoad
+	Lat     uint16      // base result latency in whole cycles; a load's true hierarchy latency overrides it when MetaHasLoad
 	Srcs    [6]fisa.Reg // register sources, intra-pair collapsed dependences removed; RegZero past NSrc
 	FlagSrc fisa.Reg    // RegFlags when the entity reads the condition flags, else RegZero
 	Dsts    [3]fisa.Reg // head destination, tail destination, RegFlags when the flags are written; RegSink when absent
@@ -34,8 +34,10 @@ type UopMeta struct {
 }
 
 // The arena carves UopMeta by the slab and the benchmark bounds
-// alloc_kb_per_op: the record must not grow.
-var _ [24]byte = [unsafe.Sizeof(UopMeta{})]byte{}
+// alloc_kb_per_op: the record must not grow. Lat can be a 16-bit
+// whole-cycle count because every latency in timing.Params is an int,
+// and timing.NewEngine refuses one that does not fit.
+var _ [16]byte = [unsafe.Sizeof(UopMeta{})]byte{}
 
 // Pseudo-registers: slots of the timing engine's ready-time table past
 // the architected-plus-temporary register file, which a fisa.Reg can

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"runtime/metrics"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,22 +50,64 @@ func reseal(rec []byte, off int, v uint64) []byte {
 	return seal(payload)
 }
 
-// allocatedBy reports about how many bytes the heap handed out while fn
-// ran: runtime/metrics counts small objects a span at a time, so the
-// figure can be off by tens of KiB, never by a count's worth of records.
-func allocatedBy(fn func()) uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	before := s[0].Value.Uint64()
-	fn()
-	metrics.Read(s)
-	return s[0].Value.Uint64() - before
+// sizedBy decodes a sealed run record the way decodeResult does and
+// reports how many bytes the result holds, whether or not the decode
+// failed: everything the decoder sizes from the record's counts stays
+// reachable from its partial result. Unlike a heap counter, the figure
+// is exact and counts nothing another goroutine allocates meanwhile.
+func sizedBy(rec []byte) uint64 {
+	payload, err := unseal(rec, runMagic)
+	if err != nil || string(payload[:len(runMagic)]) != runMagic {
+		return 0
+	}
+	rd := recReader{b: payload[len(runMagic):]}
+	return reachable(reflect.ValueOf(readResult(&rd)))
+}
+
+// reachable returns the bytes v refers to beyond its own inline size:
+// each pointee, each slice's backing array to its capacity and each
+// string's bytes, recursively.
+func reachable(v reflect.Value) uint64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return uint64(v.Type().Elem().Size()) + reachable(v.Elem())
+	case reflect.String:
+		return uint64(v.Len())
+	case reflect.Slice:
+		n := uint64(v.Cap()) * uint64(v.Type().Elem().Size())
+		return n + reachableElems(v)
+	case reflect.Array:
+		return reachableElems(v)
+	case reflect.Struct:
+		var n uint64
+		for i := range v.NumField() {
+			n += reachable(v.Field(i))
+		}
+		return n
+	}
+	return 0
+}
+
+// reachableElems sums reachable over a slice's or array's elements,
+// skipping arrays of plain numbers.
+func reachableElems(v reflect.Value) uint64 {
+	if k := v.Type().Elem().Kind(); k >= reflect.Bool && k <= reflect.Complex128 {
+		return 0
+	}
+	var n uint64
+	for i := range v.Len() {
+		n += reachable(v.Index(i))
+	}
+	return n
 }
 
 // TestRunRecordCountCannotOutgrowRecord: a CRC-valid run record whose
 // sample, metric or timeline-slice count claims 1<<24 elements — 1.3 GiB
-// of samples — is refused before anything is sized by the count: the
-// decoder allocates about what the record itself holds.
+// of samples — is refused before anything is sized by the count: what
+// the decoder sizes is about what the record itself holds.
 func TestRunRecordCountCannotOutgrowRecord(t *testing.T) {
 	r := sampleResult()
 	rec := encodeResult(r)
@@ -85,10 +127,10 @@ func TestRunRecordCountCannotOutgrowRecord(t *testing.T) {
 			t.Fatalf("%s count at %d reads %d, want %d: the layout moved", c.what, c.off, got, c.was)
 		}
 		bomb := reseal(rec, c.off, 1<<24)
-		var err error
-		if n := allocatedBy(func() { _, err = decodeResult(bomb) }); n > 64<<10 {
-			t.Errorf("%s: decoding a %d-byte record allocated %d bytes", c.what, len(bomb), n)
+		if n := sizedBy(bomb); n > 64<<10 {
+			t.Errorf("%s: decoding a %d-byte record sized %d bytes", c.what, len(bomb), n)
 		}
+		_, err := decodeResult(bomb)
 		if err == nil || !strings.Contains(err.Error(), "cannot fit") {
 			t.Errorf("%s: claimed 1<<24, decode error %v", c.what, err)
 		}
@@ -96,11 +138,12 @@ func TestRunRecordCountCannotOutgrowRecord(t *testing.T) {
 }
 
 // FuzzRunRecord feeds arbitrary CRUN2 payloads, sealed, to the run
-// record decoder. It must never panic, never allocate much beyond the
-// payload's own size, and any record it accepts must re-encode to the
-// very same bytes. The seeds are the golden run record (sealedRecords),
-// the same record without its observation sections, and eight
-// truncations of the golden payload. (Every truncation is
+// record decoder. It must never panic, never size much beyond the
+// payload's own length (sizedBy, failed decodes included), and any
+// record it accepts must re-encode to the very same bytes. The seeds
+// are the golden run record (sealedRecords), the same record without
+// its observation sections, and eight truncations of the golden
+// payload. (Every truncation is
 // TestRunStoreCorruptionEveryTruncation's; as seeds they would leave the
 // fuzzer mutating mostly records that can only fail.)
 func FuzzRunRecord(f *testing.F) {
@@ -113,11 +156,10 @@ func FuzzRunRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec := seal(append([]byte(nil), payload...))
-		var res *vmm.Result
-		var err error
-		if n := allocatedBy(func() { res, err = decodeResult(rec) }); n > 4*uint64(len(rec))+64<<10 {
-			t.Fatalf("decoding a %d-byte record allocated %d bytes", len(rec), n)
+		if n := sizedBy(rec); n > 4*uint64(len(rec))+64<<10 {
+			t.Fatalf("decoding a %d-byte record sized %d bytes", len(rec), n)
 		}
+		res, err := decodeResult(rec)
 		if err != nil {
 			return
 		}

@@ -182,14 +182,29 @@ func Encode(buf []byte, u *MicroOp) ([]byte, error) {
 // Decode decodes one micro-op from buf, returning it and the number of
 // bytes consumed. Translation metadata fields are left zero.
 func Decode(buf []byte) (MicroOp, int, error) {
+	var u MicroOp
+	n, err := decodeTo(&u, buf)
+	if err != nil {
+		return MicroOp{}, 0, err
+	}
+	return u, n, nil
+}
+
+// decodeTo is Decode writing the micro-op through u, which DecodeAll
+// points at its slice's next element. Returned by value, the 20-byte
+// record is copied through the stack by overlapping 8- and 16-byte
+// loads that cannot be forwarded from the byte stores that built it;
+// that made the snapshot decoder 1.6× slower than with the 24-byte
+// record the layout replaced.
+func decodeTo(u *MicroOp, buf []byte) (int, error) {
 	if len(buf) < 2 {
-		return MicroOp{}, 0, ErrShortBuf
+		return 0, ErrShortBuf
 	}
 	hw := uint16(buf[0]) | uint16(buf[1])<<8
 	if hw&(1<<14) == 0 {
 		// 16-bit compact form.
 		op := compactOps[(hw>>10)&0xF]
-		u := MicroOp{Op: op, SetF: opTable[op].bits&opCompactSetF != 0, W: 4, Fused: hw&(1<<15) != 0}
+		*u = MicroOp{Op: op, SetF: opTable[op].bits&opCompactSetF != 0, W: 4, Fused: hw&(1<<15) != 0}
 		a := Reg((hw >> 5) & 31)
 		b := Reg(hw & 31)
 		switch op {
@@ -203,20 +218,20 @@ func Decode(buf []byte) (MicroOp, int, error) {
 		default: // two-address RRR
 			u.Dst, u.Src1, u.Src2 = a, a, b
 		}
-		return u, 2, nil
+		return 2, nil
 	}
 	if len(buf) < 4 {
-		return MicroOp{}, 0, ErrShortBuf
+		return 0, ErrShortBuf
 	}
 	word := uint32(hw) | uint32(buf[2])<<16 | uint32(buf[3])<<24
-	u := MicroOp{
+	*u = MicroOp{
 		Op:    Op((word >> 8) & 0x3F),
 		Fused: word&(1<<15) != 0,
 		W:     wFromBits((word >> 6) & 3),
 		SetF:  word&(1<<5) != 0,
 	}
 	if int(u.Op) >= int(numUops) {
-		return MicroOp{}, 0, ErrBadFormat
+		return 0, ErrBadFormat
 	}
 	switch layoutOf(u.Op) {
 	case layRRR:
@@ -254,7 +269,7 @@ func Decode(buf []byte) (MicroOp, int, error) {
 		u.Cond = x86.Cond(word & 0xF)
 		u.Imm = int32((word >> 16) & 0xFFFF)
 	}
-	return u, 4, nil
+	return 4, nil
 }
 
 // EncodeAll encodes a translation's micro-ops, returning the binary image
@@ -275,11 +290,11 @@ func EncodeAll(uops []MicroOp) (code []byte, offsets []int, err error) {
 // dst (which may be nil) and returning the extended slice.
 func DecodeAll(dst []MicroOp, code []byte) ([]MicroOp, error) {
 	for pos := 0; pos < len(code); {
-		u, n, err := Decode(code[pos:])
+		dst = append(dst, MicroOp{})
+		n, err := decodeTo(&dst[len(dst)-1], code[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("offset %d: %w", pos, err)
 		}
-		dst = append(dst, u)
 		pos += n
 	}
 	return dst, nil

@@ -9,6 +9,7 @@ package fisa
 
 import (
 	"fmt"
+	"unsafe"
 
 	"codesignvm/internal/x86"
 )
@@ -181,6 +182,10 @@ func (o Op) String() string {
 // MicroOp is a decoded micro-op. The Fused bit marks the head of a
 // macro-op pair: the pipeline issues this micro-op and its successor as a
 // single entity.
+//
+// The nine byte-wide fields come first and the two 32-bit fields last,
+// so the record has no padding: 20 bytes, carved by the code-cache arena
+// once per translated micro-op.
 type MicroOp struct {
 	Op    Op
 	Fused bool  // fusible bit (head of macro-op pair)
@@ -189,13 +194,17 @@ type MicroOp struct {
 	Dst   Reg
 	Src1  Reg
 	Src2  Reg
-	Imm   int32
 	Cond  x86.Cond // UBR / USETC
-
-	// Translation metadata (not part of the binary encoding).
+	// Translation metadata (not part of the binary encoding): Boundary
+	// and X86PC.
+	Boundary uint8 // architected instructions retiring at this micro-op
+	Imm      int32
 	X86PC    uint32 // architected PC of the source instruction
-	Boundary uint8  // architected instructions retiring at this micro-op
 }
+
+// The code cache stores one MicroOp per translated micro-op: the record
+// must not grow.
+var _ [20]byte = [unsafe.Sizeof(MicroOp{})]byte{}
 
 func (u MicroOp) String() string {
 	s := u.Op.String()

@@ -466,7 +466,7 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 				}
 			}
 		}
-		lat := m.Lat
+		lat := float64(m.Lat)
 		if loadLat >= 0 {
 			lat = loadLat
 		}

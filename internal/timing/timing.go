@@ -28,6 +28,9 @@
 package timing
 
 import (
+	"fmt"
+	"math"
+
 	"codesignvm/internal/bpred"
 	"codesignvm/internal/cache"
 	"codesignvm/internal/codecache"
@@ -99,8 +102,28 @@ type Engine struct {
 	brHead   int
 }
 
-// NewEngine builds a timing engine with the Table 2 memory system.
+// NewEngine builds a timing engine with the Table 2 memory system. It
+// panics, naming the parameter, on a Width below 1 (the issue step
+// divides by it) or a latency outside 0..65535 (codecache.UopMeta holds
+// latencies as uint16 whole cycles, so a wider one would wrap).
 func NewEngine(p Params) *Engine {
+	if p.Width < 1 {
+		panic(fmt.Sprintf("timing: Width %d, want at least 1", p.Width))
+	}
+	for _, l := range [...]struct {
+		name string
+		v    int
+	}{
+		{"MispredictPenalty", p.MispredictPenalty},
+		{"LoadLatency", p.LoadLatency},
+		{"MulLatency", p.MulLatency},
+		{"DivLatency", p.DivLatency},
+		{"PairLatency", p.PairLatency},
+	} {
+		if l.v < 0 || l.v > math.MaxUint16 {
+			panic(fmt.Sprintf("timing: %s %d outside 0..%d cycles", l.name, l.v, math.MaxUint16))
+		}
+	}
 	if p.Window <= 0 {
 		p.Window = DefaultParams.Window
 	}
@@ -376,7 +399,7 @@ func (e *Engine) ChargeBlock(t *codecache.Translation, lo, hi int) {
 			}
 		}
 
-		lat := m.Lat
+		lat := float64(m.Lat)
 		if m.Bits&codecache.MetaHasLoad != 0 {
 			lat = e.popLoad()
 		}
@@ -437,7 +460,7 @@ func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
 	absorbEvents(m, u)
 	if pair != nil {
 		m.Step = 2
-		m.Lat = float64(p.PairLatency)
+		m.Lat = uint16(p.PairLatency)
 		var buf [3]fisa.Reg
 		for _, s := range pair.Sources(buf[:0]) {
 			if s == u.Dst && u.HasDst() {
@@ -453,9 +476,9 @@ func fillMeta(m *codecache.UopMeta, u, pair *fisa.MicroOp, p *Params) {
 	}
 	switch u.Op.Latency() {
 	case fisa.LatMul:
-		m.Lat = float64(p.MulLatency)
+		m.Lat = uint16(p.MulLatency)
 	case fisa.LatDiv:
-		m.Lat = float64(p.DivLatency)
+		m.Lat = uint16(p.DivLatency)
 	}
 }
 

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"codesignvm/internal/codecache"
@@ -256,5 +258,48 @@ func TestDrainQueues(t *testing.T) {
 	}
 	if len(e.loadLat) != 0 {
 		t.Error("queue not drained")
+	}
+}
+
+// TestNewEngineRefusesUnrepresentableParams: a Width below 1 or a
+// latency outside 0..65535 (UopMeta's uint16) panics with the parameter
+// named, and the extremes that fit are accepted.
+func TestNewEngineRefusesUnrepresentableParams(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(p *Params, v int)
+		bad  []int
+		good []int
+	}{
+		{"Width", func(p *Params, v int) { p.Width = v }, []int{0, -1}, []int{1}},
+		{"MispredictPenalty", func(p *Params, v int) { p.MispredictPenalty = v }, []int{-1, 65536}, []int{0, 65535}},
+		{"LoadLatency", func(p *Params, v int) { p.LoadLatency = v }, []int{-1, 65536}, []int{0, 65535}},
+		{"MulLatency", func(p *Params, v int) { p.MulLatency = v }, []int{-1, 65536}, []int{0, 65535}},
+		{"DivLatency", func(p *Params, v int) { p.DivLatency = v }, []int{-1, 65536}, []int{0, 65535}},
+		{"PairLatency", func(p *Params, v int) { p.PairLatency = v }, []int{-1, 65536}, []int{0, 65535}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			build := func(v int) (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				p := DefaultParams
+				c.set(&p, v)
+				NewEngine(p)
+				return ""
+			}
+			for _, v := range c.bad {
+				if msg := build(v); !strings.Contains(msg, c.name) {
+					t.Errorf("%s = %d: panic %q, want one naming %s", c.name, v, msg, c.name)
+				}
+			}
+			for _, v := range c.good {
+				if msg := build(v); msg != "" {
+					t.Errorf("%s = %d refused: %s", c.name, v, msg)
+				}
+			}
+		})
 	}
 }

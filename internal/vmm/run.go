@@ -130,19 +130,10 @@ func New(cfg Config, mem *x86.Memory, init *x86.State) *VM {
 	if cfg.NoStartupSamples {
 		v.nextSample = math.Inf(1)
 	}
-	// Bound the shadow arena relative to the shadow table: carving
-	// stops (falling back to the heap) once roughly the table's
-	// worst-case working set has been carved, so eviction churn cannot
-	// grow the never-reset arena without bound.
-	shadowCap := cfg.ShadowCap
-	if shadowCap <= 0 {
-		shadowCap = DefaultShadowCap
-	}
-	maxSlabs := shadowCap / 256
-	if maxSlabs < 8 {
-		maxSlabs = 8
-	}
-	v.shadowArena = codecache.NewBoundedArena(maxSlabs)
+	// The never-reset shadow arena carves as many translations as the
+	// shadow table holds and then falls back to the heap, so eviction
+	// churn cannot grow it without bound.
+	v.shadowArena = codecache.NewBoundedArena(v.shadow.cap)
 	v.nst.LoadArch(init)
 	v.itp = interp.New(&v.arch, mem)
 	v.res.Strategy = cfg.Strategy

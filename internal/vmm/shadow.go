@@ -1,6 +1,10 @@
 package vmm
 
-import "codesignvm/internal/codecache"
+import (
+	"unsafe"
+
+	"codesignvm/internal/codecache"
+)
 
 // DefaultJTLBEntries sizes the dispatch jump-TLB when the configuration
 // does not.
@@ -17,11 +21,14 @@ const DefaultJTLBEntries = codecache.DefaultJTLBEntries
 const DefaultShadowCap = 1 << 15
 
 // shadowEntry is one resident shadow block with its clock reference bit.
+// The pointer comes first, so the entry packs into 16 bytes.
 type shadowEntry struct {
-	pc  uint32
 	t   *codecache.Translation
+	pc  uint32
 	ref bool
 }
+
+var _ [16]byte = [unsafe.Sizeof(shadowEntry{})]byte{}
 
 // shadowFrontSize is the size of the direct-mapped lookup front cache.
 // It memoizes pc→entry-index guesses only; every guess is validated

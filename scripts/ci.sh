@@ -8,12 +8,29 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Each leg ends in `lap NAME`, which prints the leg's wall time (whole
+# seconds since the previous lap) and keeps it for the summary the
+# script prints when every leg has passed.
+lap_start=$(date +%s)
+laps=""
+lap() {
+	lap_end=$(date +%s)
+	laps="$laps$1: $((lap_end - lap_start)) s
+"
+	echo "ci leg $1: $((lap_end - lap_start)) s"
+	lap_start=$lap_end
+}
+
 go vet ./...
+lap vet
 # Format gate: gofmt -l prints the files it would rewrite (.bench_build/
 # is bench/run.sh's build directory, not source).
 test -z "$(gofmt -l . | grep -v '^\.bench_build/')"
+lap gofmt
 go build ./...
+lap build
 go test -race -timeout 1800s ./...
+lap test-race
 
 # What is concurrent must also hold on two OS threads whatever the CI
 # host has: the experiment grid's worker pool (TestForEachTaskRunsConcurrently
@@ -27,7 +44,9 @@ go test -race -timeout 1800s ./...
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 	-run 'TestParallelReportsMatchSequential|TestParallelCurvesBitIdentical|TestForEachTaskRunsConcurrently|TestForEachTaskRecoversPanic|AcrossHostModes|RunStore' \
 	./internal/experiments/
+lap concurrency-experiments
 GOMAXPROCS=2 go test -race -count=1 ./internal/jobs/
+lap concurrency-jobs
 
 # Store-fault gate: the run store's crash-safety contract. The fault-
 # injection suite (faultfs + storefault_test.go) proves every injected
@@ -48,9 +67,11 @@ GOMAXPROCS=2 go test -race -count=1 ./internal/jobs/
 # (TestEmptyLock*). Run narrow and uncached so the gate cannot be
 # satisfied by a stale pass.
 go test -race -count=1 ./internal/experiments/faultfs/
+lap faultfs
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
 	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess|TestWarmPassComputesNothing|TestProfile|TestFig3Profiles|TestPanickingBuild|TestCancelledWait|TestCancelledFill|TestEmptyLock' \
 	./internal/experiments/
+lap store-fault
 
 # Benchmark smoke: one iteration each of the hot-path benchmarks, so a
 # build that breaks their alloc budgets or harness wiring fails here
@@ -64,6 +85,7 @@ go test -run '^$' -bench 'Decode|Crack|Analyze|ExecBlock|InterpStep' -benchtime=
 go test -run '^$' -bench 'SnapshotDecode|CacheAccess|Table2|CountersInc' -benchmem -benchtime=1x \
 	./internal/codecache/ ./internal/cache/ ./internal/profile/
 go test -run '^$' -bench 'Fig2' -benchtime=1x .
+lap bench-smoke
 
 # Inline-budget gate: the hot-path helpers (charge, sampleIfDue, the memory TLB probe, the decoder's byte fetch, the
 # micro-op descriptor-table accessors, what ExecBlock and ChargeBlock
@@ -71,14 +93,21 @@ go test -run '^$' -bench 'Fig2' -benchtime=1x .
 # event-queue pops; the counter table's probe and the cache's LRU
 # promote) must stay inlinable.
 sh scripts/inlinecheck.sh
+lap inline
 
 # Fuzz legs: the seed corpora already ran in the suite above; these
 # spend a few seconds each looking for new inputs — to the x86 decoder,
 # to the CCVM2 record decoder behind a re-sealed section CRC, and to the
-# CRUN2 run-record decoder behind a re-sealed record CRC.
-go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/x86/
-go test -run '^$' -fuzz 'FuzzSnapshotRecord' -fuzztime 10s ./internal/codecache/
-go test -run '^$' -fuzz 'FuzzRunRecord' -fuzztime 10s ./internal/experiments/
+# CRUN2 run-record decoder behind a re-sealed record CRC. Minimizing
+# each new input is bounded: unbounded (60 s per input by default), a
+# leg spends its whole 10 s minimizing its first finds and then runs no
+# execs at all.
+go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 100x ./internal/x86/
+lap fuzz-decode
+go test -run '^$' -fuzz 'FuzzSnapshotRecord' -fuzztime 10s -fuzzminimizetime 100x ./internal/codecache/
+lap fuzz-snapshot-record
+go test -run '^$' -fuzz 'FuzzRunRecord' -fuzztime 10s -fuzzminimizetime 100x ./internal/experiments/
+lap fuzz-run-record
 
 # Perf gate. Two checks (wall-clock speed is bench/'s business):
 #   1. The steady-state dispatch paths (chained and disabled-obs) must
@@ -95,6 +124,7 @@ bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x 
 	awk '/BenchmarkBBTTranslateHot/ {for (i=1; i<NF; i++) if ($(i+1) == "B/op") print $i}')"
 [ -n "$bbt_bop" ]
 [ "$bbt_bop" -le 600 ] || { echo "BBT translate $bbt_bop B/op exceeds 600 B/op ceiling"; exit 1; }
+lap perf
 
 # Warm-start gate (persistent translation caches; DESIGN.md §10).
 # Two checks:
@@ -111,6 +141,7 @@ bbt_bop="$(go test -run '^$' -bench 'BBTTranslateHot' -benchmem -benchtime 100x 
 go test -race -count=1 -run 'TestPersist|TestSnapshot|TestDecodeInto' ./internal/codecache/
 go test -race -count=1 -run 'TestWarmModes|TestPersist|TestWarmSnapshot' \
 	./internal/vmm/ ./internal/experiments/
+lap warm-start
 
 # The report digests: every named report experiment, each rebuilt from
 # cleared caches and compared with testdata/reports.sha256, under race
@@ -118,6 +149,7 @@ go test -race -count=1 -run 'TestWarmModes|TestPersist|TestWarmSnapshot' \
 # (-count=1: GOMAXPROCS is not in the test cache key).
 GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestReportDigests' \
 	./internal/experiments/
+lap digests
 
 # Observability gate: every example must build, and the disabled-mode
 # cost contract must hold — TestObsDisabledAllocFree /
@@ -133,6 +165,7 @@ go build -o "${TMPDIR:-/tmp}/curves-example.$$" ./examples/startup_curves
 rm -f "${TMPDIR:-/tmp}/obs-example.$$" "${TMPDIR:-/tmp}/curves-example.$$"
 go test -count=1 -run 'Obs|HotPathAllocFree|Timeline|Trace|OpenMetrics|Label|Note' ./internal/vmm/ ./internal/obs/
 go test -run '^$' -bench 'ObsModes' -benchtime=1x ./internal/vmm/
+lap obs
 
 # Cycle-attribution gate (DESIGN.md §11). The attrib unit suite pins
 # the exact-sum reconciliation and the collapsed-stack/merge formats;
@@ -145,6 +178,7 @@ go test -race -count=1 ./internal/obs/attrib/
 go test -race -count=1 \
 	-run 'TestAttribExactSum|TestPhasesFigInvariants|TestDefaultAttribSpec' \
 	./internal/vmm/ ./internal/experiments/
+lap attrib
 
 # Every experiment a store client: a warm pass over the store the cold
 # pass filled is a second process that simulates nothing, for every
@@ -164,6 +198,7 @@ diff "$ci_tmp/reports.cold" "$ci_tmp/reports.warm"
 cmp "$ci_tmp/flame.cold" "$ci_tmp/flame.warm"
 cmp "$ci_tmp/tl.cold" "$ci_tmp/tl.warm"
 [ -s "$ci_tmp/flame.cold" ] && [ "$(wc -l <"$ci_tmp/tl.cold")" -gt 1 ]
+lap cold-warm-store
 
 # Live-introspection smoke: start a short sweep with -http on an
 # ephemeral port, then check /healthz answers and /metrics serves
@@ -182,6 +217,7 @@ curl -fsS "http://$addr/healthz" | grep -q '^ok$'
 curl -fsS "http://$addr/metrics" | grep -q '^# EOF'
 curl -fsS "http://$addr/runs" | grep -q '"runs_started"'
 wait "$vmsim_pid"
+lap introspection
 
 # Job-service smoke (docs/api.md): boot -exp serve against a fresh run
 # store, go through the whole client lifecycle over live HTTP — submit,
@@ -222,5 +258,7 @@ curl -fsS "http://$addr/metrics" | grep -q '^codesignvm_jobs_done_total 1'
 # SIGTERM must drain gracefully (exit 0), not kill accepted work.
 kill -TERM "$serve_pid"
 wait "$serve_pid"
+lap job-service
 
 rm -rf "$ci_tmp"
+printf 'ci legs (wall time):\n%s' "$laps"

@@ -204,6 +204,29 @@ func sampleAt(samples []vmm.Sample, cycles float64, get func(vmm.Sample) float64
 	return get(a) + f*(get(b)-get(a))
 }
 
+// curveRun is one app's run on its way into a startup curve: a cursor
+// over its samples and the reference steady IPC it is normalized to.
+type curveRun struct {
+	at     metrics.Cursor
+	steady float64
+}
+
+// meanCurve is a startup curve: at each point of the ascending grid, the
+// harmonic mean over runs of aggregate IPC normalized to each run's
+// reference steady IPC. Runs keep suite order, so the sums are
+// deterministic; the grid ascends, so each cursor walks its samples once.
+func meanCurve(grid []float64, runs []curveRun) []float64 {
+	curve := make([]float64, len(grid))
+	vals := make([]float64, len(runs))
+	for gi, c := range grid {
+		for i := range runs {
+			vals[i] = runs[i].at.InstrsAt(c) / c / runs[i].steady
+		}
+		curve[gi] = metrics.HarmonicMean(vals)
+	}
+	return curve
+}
+
 // StartupCurves is the Fig. 2 / Fig. 8 result: normalized aggregate-IPC
 // startup curves (harmonic mean across benchmarks) on a log-cycle grid.
 type StartupCurves struct {
@@ -227,9 +250,11 @@ func (s *StartupCurves) Result(app string, m machine.Model) *vmm.Result {
 	return s.perApp[app][m]
 }
 
-// runStartup executes the given models across the suite and assembles
-// the startup-curve report.
-func runStartup(opt Options, models []machine.Model) (*StartupCurves, error) {
+// startupRuns runs the given models across the suite: the per-app
+// results, and the cycle grid startup curves are sampled on, up to the
+// longest Ref run. The curves, steady-state lines and breakevens are
+// runStartup's; Fig. 11 needs none of them.
+func startupRuns(opt Options, models []machine.Model) (*StartupCurves, error) {
 	opt = opt.withDefaults()
 	out := &StartupCurves{
 		Opt:        opt,
@@ -263,10 +288,6 @@ func runStartup(opt Options, models []machine.Model) (*StartupCurves, error) {
 		out.perApp[app] = results
 	}
 
-	// All reductions below iterate opt.Apps in suite order (never the
-	// perApp map) so floating-point accumulation is deterministic and
-	// reports are byte-identical regardless of scheduling.
-
 	// Grid: up to the longest Ref run.
 	maxCycles := 0.0
 	for _, app := range opt.Apps {
@@ -278,6 +299,21 @@ func runStartup(opt Options, models []machine.Model) (*StartupCurves, error) {
 		maxCycles = 1e6
 	}
 	out.Grid = metrics.LogGrid(1e3, maxCycles, 4)
+	return out, nil
+}
+
+// runStartup executes the given models across the suite and assembles
+// the startup-curve report.
+func runStartup(opt Options, models []machine.Model) (*StartupCurves, error) {
+	out, err := startupRuns(opt, models)
+	if err != nil {
+		return nil, err
+	}
+	opt = out.Opt
+
+	// All reductions below iterate opt.Apps in suite order (never the
+	// perApp map) so floating-point accumulation is deterministic and
+	// reports are byte-identical regardless of scheduling.
 
 	// Per-app reference steady IPC for normalization.
 	refSteady := map[string]float64{}
@@ -288,20 +324,13 @@ func runStartup(opt Options, models []machine.Model) (*StartupCurves, error) {
 	}
 
 	for _, m := range models {
-		curve := make([]float64, len(out.Grid))
-		for gi, c := range out.Grid {
-			vals := make([]float64, 0, len(opt.Apps))
-			for _, app := range opt.Apps {
-				res := out.perApp[app][m]
-				rs := refSteady[app]
-				if res == nil || rs <= 0 {
-					continue
-				}
-				vals = append(vals, metrics.InstrsAt(res.Samples, c)/c/rs)
+		curves := make([]curveRun, 0, len(opt.Apps))
+		for _, app := range opt.Apps {
+			if res, rs := out.perApp[app][m], refSteady[app]; res != nil && rs > 0 {
+				curves = append(curves, curveRun{metrics.NewCursor(res.Samples), rs})
 			}
-			curve[gi] = metrics.HarmonicMean(vals)
 		}
-		out.Curves[m] = curve
+		out.Curves[m] = meanCurve(out.Grid, curves)
 
 		// Steady-state line and breakeven.
 		var steadies, bes []float64

@@ -394,7 +394,7 @@ type Fig11Report struct {
 func Fig11(opt Options) (*Fig11Report, error) {
 	opt = opt.withDefaults()
 	models := []machine.Model{machine.Ref, machine.VMSoft, machine.VMBE, machine.VMFE}
-	curves, err := runStartup(opt, models)
+	curves, err := startupRuns(opt, models)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -318,6 +319,48 @@ func TestRunStorePersistsAcrossCacheReset(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, c) {
 		t.Fatal("fresh simulation differs from the stored result")
+	}
+}
+
+// TestRunStoreDiskReadsEveryRecordKind: faultfs.Disk.ReadFile, the
+// store's read path, returns os.ReadFile's bytes for every record kind a
+// populated store holds — runs, interpreter profiles and translation
+// snapshots.
+func TestRunStoreDiskReadsEveryRecordKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	opt := Options{Scale: 400, LongInstrs: 60_000, ShortInstrs: 30_000, Apps: []string{"Word"}, Store: t.TempDir()}
+	ResetRunCacheForTest()
+	for _, exp := range []string{"fig3", "warmstart"} {
+		if _, err := RunExperiment(exp, opt, ""); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+	}
+	ents, err := os.ReadDir(opt.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, e := range ents {
+		name := filepath.Join(opt.Store, e.Name())
+		got, err := faultfs.Disk{}.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Disk.ReadFile read %d bytes, os.ReadFile %d", e.Name(), len(got), len(want))
+		}
+		kinds[filepath.Ext(name)]++
+	}
+	for _, ext := range []string{".run", ".prof", ".ccvm"} {
+		if kinds[ext] == 0 {
+			t.Errorf("the store holds no %s record: %v", ext, kinds)
+		}
 	}
 }
 

@@ -249,20 +249,13 @@ func WarmStartFig(opt Options) (*WarmStartCurves, error) {
 	}
 
 	for _, arm := range warmArms {
-		curve := make([]float64, len(out.Grid))
-		for gi, c := range out.Grid {
-			vals := make([]float64, 0, len(opt.Apps))
-			for _, app := range opt.Apps {
-				res := out.perApp[app][arm.name]
-				rs := refSteady[app]
-				if res == nil || rs <= 0 {
-					continue
-				}
-				vals = append(vals, metrics.InstrsAt(res.Samples, c)/c/rs)
+		curves := make([]curveRun, 0, len(opt.Apps))
+		for _, app := range opt.Apps {
+			if res, rs := out.perApp[app][arm.name], refSteady[app]; res != nil && rs > 0 {
+				curves = append(curves, curveRun{metrics.NewCursor(res.Samples), rs})
 			}
-			curve[gi] = metrics.HarmonicMean(vals)
 		}
-		out.Curves[arm.name] = curve
+		out.Curves[arm.name] = meanCurve(out.Grid, curves)
 
 		var steadies, bes []float64
 		restored, counted := 0.0, 0

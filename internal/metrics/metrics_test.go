@@ -226,9 +226,9 @@ func TestBreakevenMatchesSearch(t *testing.T) {
 			}
 			// The cursor on its own, over the walk's grid and past the
 			// last sample.
-			cur := cursor{samples: s}
+			cur := NewCursor(s)
 			for c := 1.0; c <= 2*s[len(s)-1].Cycles; c *= 1.05 {
-				if got, want := cur.at(c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := cur.InstrsAt(c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: cursor at %v = %v, sort.Search version %v\nseries %v", name, c, got, want, s)
 				}
 			}
@@ -280,6 +280,68 @@ func TestBreakevenMatchesSearch(t *testing.T) {
 	if found < cases/10 || found > cases*9/10 {
 		t.Fatalf("random series crossed in %d of %d cases: both outcomes must be covered", found, cases)
 	}
+}
+
+// fuzzSeries decodes FuzzBreakeven's bytes into a cycle-ordered
+// series, three bytes a sample: a root r, so that the cycle count grows
+// by r²·unit/8 (0 repeats the previous count, and a first 0 is a sample
+// at cycle 0), and a signed 16-bit instruction step, scaled by unit/8
+// (a step back wraps the count, as uint64 arithmetic does).
+func fuzzSeries(b []byte, unit float64) []vmm.Sample {
+	var out []vmm.Sample
+	c, n := 0.0, uint64(0)
+	for ; len(b) >= 3; b = b[3:] {
+		c += float64(b[0]) * float64(b[0]) * unit / 8
+		n += uint64(int64(int16(uint16(b[1])|uint16(b[2])<<8)) * int64(unit) / 8)
+		out = append(out, vmm.Sample{Cycles: c, Instrs: n})
+	}
+	return out
+}
+
+// fuzzSteps encodes (root, instruction step) pairs for fuzzSeries.
+func fuzzSteps(steps ...int) []byte {
+	var b []byte
+	for i := 0; i+1 < len(steps); i += 2 {
+		d := uint16(int16(steps[i+1]))
+		b = append(b, byte(steps[i]), byte(d), byte(d>>8))
+	}
+	return b
+}
+
+// FuzzBreakeven: Breakeven returns the bits and the ok of the search
+// that evaluates every grid point, on any pair of cycle-ordered series.
+// shift sets the unit, 2^(shift%24), so one step spans 0 to ≈ 7·10^10
+// cycles. With shift 3 a root r is r² cycles and a step s instructions.
+func FuzzBreakeven(f *testing.F) {
+	steady := fuzzSteps(40, 1600, 40, 4800, 40, 8000, 40, 11200, 40, 14400)
+	for _, seed := range []struct {
+		ref, vm []byte
+		shift   uint8
+	}{
+		{steady, steady, 3}, // identical curves: caught up at lo
+		{steady, fuzzSteps(40, 3200, 40, 6400, 40, 9600), 3},                          // a crossing at lo
+		{steady, fuzzSteps(40, 800, 40, 1600, 40, 2400, 40, 3200, 40, 4000), 3},       // never crossing
+		{steady, fuzzSteps(40, 4000, 40, 100, 40, 100, 40, 100, 40, 100), 3},          // vm ahead, then behind
+		{steady, fuzzSteps(40, 100, 40, 200, 40, 16000, 40, 8000, 40, 8000), 3},       // behind, then a crossing
+		{steady, fuzzSteps(40, 0, 0, 3000, 40, 100, 0, 9000, 40, 9000), 3},            // duplicate-cycle steps
+		{fuzzSteps(0, 50, 40, 1600, 40, 3200), fuzzSteps(0, 0, 40, 900, 40, 5000), 3}, // zero-cycle first samples
+		{fuzzSteps(60, 3600), fuzzSteps(50, 1000), 3},                                 // one-sample series
+		{fuzzSteps(60, 3600), steady, 3},                                              // a one-sample ref
+		{steady, fuzzSteps(40, 800, 40, -900, 40, 30000), 3},                          // a step back wraps
+		{steady, fuzzSteps(40, 800, 40, 1600, 40, 30000), 20},                         // 2·10^8 cycles a step
+		{steady, fuzzSteps(41, 800, 43, 1600, 45, 30000), 0},                          // fractional cycles
+	} {
+		f.Add(seed.ref, seed.vm, seed.shift)
+	}
+	f.Fuzz(func(t *testing.T, refBytes, vmBytes []byte, shift uint8) {
+		unit := math.Ldexp(1, int(shift%24))
+		ref, vm := fuzzSeries(refBytes, unit), fuzzSeries(vmBytes, unit)
+		be, ok := Breakeven(ref, vm)
+		want, wantOK := searchBreakeven(ref, vm)
+		if ok != wantOK || math.Float64bits(be) != math.Float64bits(want) {
+			t.Fatalf("Breakeven = %v, %v; search = %v, %v\nref %v\nvm  %v", be, ok, want, wantOK, ref, vm)
+		}
+	})
 }
 
 // onGrid moves a series' samples onto ascending grid points, keeping

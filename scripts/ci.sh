@@ -29,33 +29,25 @@ test -z "$(gofmt -l . | grep -v '^\.bench_build/')"
 lap gofmt
 go build ./...
 lap build
-go test -race -timeout 1800s ./...
-lap test-race
-
-# What is concurrent must also hold on two OS threads whatever the CI
-# host has: the experiment grid's worker pool (TestForEachTaskRunsConcurrently
-# fails if the pool runs its tasks one at a time, and
-# TestForEachTaskRecoversPanic if a panicking task on a pool goroutine
-# ends the process; the parallel reports, warm-start snapshot rebuilds
-# and phase attributions included, must equal the sequential ones), the
-# run store's lock protocol, and the job service. (-count=1: GOMAXPROCS
-# is not part of the test cache key, so a cached pass from the full run
-# above would otherwise satisfy these lines.)
-GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestParallelReportsMatchSequential|TestParallelCurvesBitIdentical|TestForEachTaskRunsConcurrently|TestForEachTaskRecoversPanic|AcrossHostModes|RunStore' \
-	./internal/experiments/
-lap concurrency-experiments
-GOMAXPROCS=2 go test -race -count=1 ./internal/jobs/
-lap concurrency-jobs
-
-# Store-fault gate: the run store's crash-safety contract. The fault-
-# injection suite (faultfs + storefault_test.go) proves every injected
-# failure — kill-mid-write, truncation at every byte, bit flips,
-# ENOSPC, EROFS — degrades to a correct recomputation with corrupt
-# entries quarantined, for run records and interpreter profiles alike;
-# the multi-process stress tests re-exec the test binary and SIGKILL
-# lock holders to prove exactly-once simulation and no orphaned locks
-# across real process deaths. With them, what the one fetch path
+# The full suite under the race detector, uncached, on two OS threads
+# whatever the CI host has (-count=1: GOMAXPROCS is not part of the
+# test cache key, so a cached pass at another setting would otherwise
+# satisfy it). What is concurrent must hold on two threads even where
+# the host has one CPU: the experiment grid's worker pool
+# (TestForEachTaskRunsConcurrently fails if the pool runs its tasks one
+# at a time, and TestForEachTaskRecoversPanic if a panicking task on a
+# pool goroutine ends the process; the parallel reports, warm-start
+# snapshot rebuilds and phase attributions included, must equal the
+# sequential ones), the run store's lock protocol, and the job service.
+#
+# The same pass is the store-fault gate: the run store's crash-safety
+# contract. The fault-injection suite (storefault_test.go) proves every
+# injected failure — kill-mid-write, truncation at every byte, bit
+# flips, ENOSPC, EROFS — degrades to a correct recomputation with
+# corrupt entries quarantined, for run records and interpreter profiles
+# alike; the multi-process stress tests re-exec the test binary and
+# SIGKILL lock holders to prove exactly-once simulation and no orphaned
+# locks across real process deaths. With them, what the one fetch path
 # promises every artifact kind: a warm pass computes nothing
 # (TestWarmPassComputesNothing), profiles are store records like runs
 # (TestProfile*, TestFig3Profiles*), a cancelled lock wait is not
@@ -64,14 +56,18 @@ lap concurrency-jobs
 # a panicking build leaves neither its lock nor its memo slot behind
 # (TestPanickingBuild*), and an empty lock — its owner killed before
 # writing a token — is stolen after one heartbeat, exactly once
-# (TestEmptyLock*). Run narrow and uncached so the gate cannot be
-# satisfied by a stale pass.
+# (TestEmptyLock*).
+#
+# And it is the report-digest gate: TestReportDigests rebuilds every
+# named report experiment from cleared caches and compares it with
+# testdata/reports.sha256, under race instrumentation, with the grid
+# really running in parallel.
+GOMAXPROCS=2 go test -race -count=1 -timeout 1800s ./...
+lap test-race
+
+# The fault injector's own suite, at the host's GOMAXPROCS.
 go test -race -count=1 ./internal/experiments/faultfs/
 lap faultfs
-GOMAXPROCS=2 go test -race -count=1 -timeout 900s \
-	-run 'TestRunStoreCorruption|TestRunStoreSave|TestRunStoreReadOnly|TestRunStoreMkdir|TestRunStoreKill|TestRunStoreFaultsDegrade|TestRunStoreGC|TestRunStoreMultiProcess|TestWarmPassComputesNothing|TestProfile|TestFig3Profiles|TestPanickingBuild|TestCancelledWait|TestCancelledFill|TestEmptyLock' \
-	./internal/experiments/
-lap store-fault
 
 # Benchmark smoke: one iteration each of the hot-path benchmarks, so a
 # build that breaks their alloc budgets or harness wiring fails here
@@ -97,17 +93,20 @@ lap inline
 
 # Fuzz legs: the seed corpora already ran in the suite above; these
 # spend a few seconds each looking for new inputs — to the x86 decoder,
-# to the CCVM2 record decoder behind a re-sealed section CRC, and to the
-# CRUN2 run-record decoder behind a re-sealed record CRC. Minimizing
-# each new input is bounded: unbounded (60 s per input by default), a
-# leg spends its whole 10 s minimizing its first finds and then runs no
-# execs at all.
+# to the CCVM2 record decoder behind a re-sealed section CRC, to the
+# CRUN2 run-record decoder behind a re-sealed record CRC, and to
+# Breakeven, which must return the bits of the search that evaluates
+# every grid point. Minimizing each new input is bounded: unbounded
+# (60 s per input by default), a leg spends its whole 10 s minimizing
+# its first finds and then runs no execs at all.
 go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 100x ./internal/x86/
 lap fuzz-decode
 go test -run '^$' -fuzz 'FuzzSnapshotRecord' -fuzztime 10s -fuzzminimizetime 100x ./internal/codecache/
 lap fuzz-snapshot-record
 go test -run '^$' -fuzz 'FuzzRunRecord' -fuzztime 10s -fuzzminimizetime 100x ./internal/experiments/
 lap fuzz-run-record
+go test -run '^$' -fuzz 'FuzzBreakeven' -fuzztime 10s -fuzzminimizetime 100x ./internal/metrics/
+lap fuzz-breakeven
 
 # Perf gate. Two checks (wall-clock speed is bench/'s business):
 #   1. The steady-state dispatch paths (chained and disabled-obs) must
@@ -137,19 +136,11 @@ lap perf
 #      architected execution and beats cold startup (TestWarmModes*),
 #      and vmm's TestPersist* pin the zero-cost eager restore the
 #      persist report is made of. The warmstart, persist and phases
-#      reports themselves are pinned by TestReportDigests below.
+#      reports themselves are pinned by TestReportDigests (full pass).
 go test -race -count=1 -run 'TestPersist|TestSnapshot|TestDecodeInto' ./internal/codecache/
 go test -race -count=1 -run 'TestWarmModes|TestPersist|TestWarmSnapshot' \
 	./internal/vmm/ ./internal/experiments/
 lap warm-start
-
-# The report digests: every named report experiment, each rebuilt from
-# cleared caches and compared with testdata/reports.sha256, under race
-# instrumentation on two procs so the grid really runs in parallel
-# (-count=1: GOMAXPROCS is not in the test cache key).
-GOMAXPROCS=2 go test -race -count=1 -timeout 900s -run 'TestReportDigests' \
-	./internal/experiments/
-lap digests
 
 # Observability gate: every example must build, and the disabled-mode
 # cost contract must hold — TestObsDisabledAllocFree /
@@ -171,7 +162,7 @@ lap obs
 # the exact-sum reconciliation and the collapsed-stack/merge formats;
 # the vmm tests pin the invariant end-to-end (every strategy and warm
 # mode sums bit-for-bit to the run's cycles); the phases figure's
-# invariants are checked here and its report digest above. The
+# invariants are checked here and its report digest in the full pass. The
 # disabled-cost alloc half (TestAttribDisabledZeroAlloc) already rides
 # the ZeroAlloc gate above.
 go test -race -count=1 ./internal/obs/attrib/

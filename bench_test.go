@@ -1,5 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (DESIGN.md §4 maps IDs to harnesses). Each
+// paper's evaluation (DESIGN.md §4 maps IDs to harnesses), through the
+// facade where it returns the report's data and through
+// internal/experiments where only RunExperiment's text does. Each
 // benchmark regenerates its experiment at a reduced scale and reports
 // the headline quantities via b.ReportMetric, so
 //
@@ -14,6 +16,7 @@ import (
 	"testing"
 
 	codesignvm "codesignvm"
+	"codesignvm/internal/experiments"
 )
 
 // benchOpt is the common benchmark scale: three representative apps
@@ -53,7 +56,7 @@ func BenchmarkFig2StartupSoftware(b *testing.B) {
 // frequency profile and the MBBT/MSBT statistics feeding Eq. 1.
 func BenchmarkFig3FrequencyProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.Figure3(benchOpt())
+		rep, err := experiments.Fig3(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +71,7 @@ func BenchmarkFig3FrequencyProfile(b *testing.B) {
 // paper's 15.75M vs 5.02M native instructions at full scale).
 func BenchmarkSec32OverheadModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.MeasureOverhead(benchOpt())
+		rep, err := experiments.Sec32Overhead(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +85,7 @@ func BenchmarkSec32OverheadModel(b *testing.B) {
 // statistics: µop bytes, complex-fallback rate.
 func BenchmarkTable1XLTx86(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.XLTCharacterization(20000, 2006)
+		rep, err := experiments.Table1(20000, 2006)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +118,7 @@ func BenchmarkFig8StartupAssists(b *testing.B) {
 // earliest VM.fe breakeven.
 func BenchmarkFig9Breakeven(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.Figure9(benchOpt())
+		rep, err := experiments.Fig9(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +144,7 @@ func BenchmarkFig9Breakeven(b *testing.B) {
 // overhead under VM.be vs VM.soft, BBT-emulation share, coverage).
 func BenchmarkFig10BBTOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.Figure10(benchOpt())
+		rep, err := experiments.Fig10(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +161,7 @@ func BenchmarkFig10BBTOverhead(b *testing.B) {
 // each configuration (Ref stays at 100%, VM.be decays to ~0).
 func BenchmarkFig11DecoderActivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.Figure11(benchOpt())
+		rep, err := experiments.Fig11(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +176,7 @@ func BenchmarkFig11DecoderActivity(b *testing.B) {
 // (DESIGN.md §5): macro-op fusion and the optional cleanup passes.
 func BenchmarkAblationOptimizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := codesignvm.OptimizerAblation(benchOpt())
+		rep, err := experiments.Ablation(benchOpt())
 		if err != nil {
 			b.Fatal(err)
 		}

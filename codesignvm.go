@@ -28,10 +28,10 @@
 //	    res.IPC(), 100*res.HotspotCoverage())
 //
 // The five machine models of the paper are Ref (a conventional
-// superscalar), VMSoft, VMBE, VMFE and VMInterp. Experiment harnesses
-// (Figure2 … Figure11, Overhead, OptimizerAblation, XLTCharacterization)
-// regenerate the paper's tables and figures; see EXPERIMENTS.md for
-// measured-versus-paper results.
+// superscalar), VMSoft, VMBE, VMFE and VMInterp. RunExperiment
+// regenerates any of the paper's tables and figures by name, as
+// formatted text; Figure2 and Figure8 return the startup-curve data
+// itself. See EXPERIMENTS.md for measured-versus-paper results.
 package codesignvm
 
 import (
@@ -71,8 +71,6 @@ type (
 	VM = vmm.VM
 	// Options scopes an experiment (scale, trace lengths, apps).
 	Options = experiments.Options
-	// Histogram is the Fig. 3 execution-frequency profile.
-	Histogram = metrics.Histogram
 	// Overhead is the Eq. 1 translation-overhead decomposition.
 	Overhead = model.Overhead
 	// Scenario is one of the §3.1 startup scenarios.
@@ -112,23 +110,11 @@ const (
 	SteadyState   = model.SteadyState
 )
 
-// Models lists the five machine configurations.
-func Models() []Model {
-	out := make([]Model, 0, machine.NumModels)
-	for m := machine.Model(0); m < machine.NumModels; m++ {
-		out = append(out, m)
-	}
-	return out
-}
-
 // ModelByName resolves "Ref", "VM.soft", "VM.be", "VM.fe" or "VM.interp".
 func ModelByName(name string) (Model, error) { return machine.ByName(name) }
 
 // DefaultConfig returns a model's baseline configuration.
 func DefaultConfig(m Model) Config { return machine.Config(m) }
-
-// Workloads lists the ten Winstone2004-like application names.
-func Workloads() []string { return workload.Names() }
 
 // WorkloadParameters returns the calibrated parameters of a named
 // application.
@@ -164,9 +150,6 @@ type (
 	// Recorder is one run's observability handle (per-run metrics plus
 	// event emission); mint one per run with Observer.NewRun.
 	Recorder = obs.Recorder
-	// MetricsSnapshot is a point-in-time copy of a metric registry; the
-	// Result.Metrics field carries one per instrumented run.
-	MetricsSnapshot = obs.Snapshot
 	// Event is one typed VM lifecycle record.
 	Event = obs.Event
 	// EventKind discriminates lifecycle events (BBT translate, SBT
@@ -266,10 +249,6 @@ type (
 	// per-category cycles sum exactly to the run's simulated total
 	// (Result.Attrib).
 	AttribSnapshot = attrib.Snapshot
-	// AttribPhase is one cumulative milestone row of a snapshot.
-	AttribPhase = attrib.Phase
-	// AttribRegion is one non-empty x86 region of a snapshot.
-	AttribRegion = attrib.RegionCycles
 )
 
 // NumAttribCategories is the size of the attribution taxonomy.
@@ -290,9 +269,6 @@ func SteadyIPC(samples []Sample, frac float64) float64 { return metrics.SteadyIP
 // Breakeven returns the cycle count at which vm catches ref (Fig. 9).
 func Breakeven(ref, vm []Sample) (float64, bool) { return metrics.Breakeven(ref, vm) }
 
-// InstrsAt interpolates cumulative retired instructions at a cycle count.
-func InstrsAt(samples []Sample, cycles float64) float64 { return metrics.InstrsAt(samples, cycles) }
-
 // HotThreshold evaluates Eq. 2: N = ΔSBT / (p − 1).
 func HotThreshold(deltaSBT, speedup float64) float64 { return model.HotThreshold(deltaSBT, speedup) }
 
@@ -307,7 +283,8 @@ type ScenarioParams = model.ScenarioParams
 // PaperOverhead returns the §3.2 Eq. 1 constants.
 func PaperOverhead() Overhead { return model.PaperOverhead() }
 
-// Experiment harnesses (one per table/figure; see DESIGN.md §4).
+// Startup-curve harnesses. Every other table and figure is reached by
+// name through RunExperiment (DESIGN.md §4 maps IDs to experiments).
 
 // StartupCurves is the Fig. 2 / Fig. 8 report type.
 type StartupCurves = experiments.StartupCurves
@@ -315,36 +292,8 @@ type StartupCurves = experiments.StartupCurves
 // Figure2 reproduces Fig. 2 (software staged VMs vs the reference).
 func Figure2(opt Options) (*StartupCurves, error) { return experiments.Fig2(opt) }
 
-// Figure3 reproduces Fig. 3 (execution-frequency profile).
-func Figure3(opt Options) (*experiments.Fig3Report, error) { return experiments.Fig3(opt) }
-
 // Figure8 reproduces Fig. 8 (startup with hardware assists).
 func Figure8(opt Options) (*StartupCurves, error) { return experiments.Fig8(opt) }
-
-// Figure9 reproduces Fig. 9 (per-benchmark breakeven points).
-func Figure9(opt Options) (*experiments.Fig9Report, error) { return experiments.Fig9(opt) }
-
-// Figure10 reproduces Fig. 10 (VM.be cycle breakdown).
-func Figure10(opt Options) (*experiments.Fig10Report, error) { return experiments.Fig10(opt) }
-
-// Figure11 reproduces Fig. 11 (x86-decode hardware activity).
-func Figure11(opt Options) (*experiments.Fig11Report, error) { return experiments.Fig11(opt) }
-
-// MeasureOverhead reproduces the §3.2 Eq. 1 measurement.
-func MeasureOverhead(opt Options) (*experiments.OverheadReport, error) {
-	return experiments.Sec32Overhead(opt)
-}
-
-// OptimizerAblation quantifies each SBT optimization pass.
-func OptimizerAblation(opt Options) (*experiments.AblationReport, error) {
-	return experiments.Ablation(opt)
-}
-
-// XLTCharacterization exercises the Table 1 instruction on a random
-// stream.
-func XLTCharacterization(n int, seed int64) (*experiments.Table1Report, error) {
-	return experiments.Table1(n, seed)
-}
 
 // DumpTranslations renders the hottest translations of a short run as
 // annotated x86→micro-op listings (inspection tooling).
@@ -374,9 +323,6 @@ type (
 	// JobSpec is one submitted workload: experiment name plus grid
 	// parameters (apps, scale, budget, hot threshold).
 	JobSpec = jobs.Spec
-	// JobState is a job's lifecycle state (queued, running, done,
-	// failed, cancelled).
-	JobState = jobs.State
 	// Job is one submitted workload moving through the manager.
 	Job = jobs.Job
 	// JobStatus is a job's externally visible snapshot (the
@@ -409,19 +355,6 @@ func NewJobAPI(m *JobManager, rate, burst float64) *JobAPI { return jobs.NewAPI(
 // text table; RunExperiment returns every report already formatted.
 var FormatStartup = experiments.FormatStartup
 
-// Low-level access for tooling: the architected ISA package types needed
-// to construct custom programs.
-type (
-	// Asm is the IA-32 subset assembler.
-	Asm = x86.Asm
-	// ArchState is the architected register state.
-	ArchState = x86.State
-	// ArchMemory is the sparse 32-bit address space.
-	ArchMemory = x86.Memory
-)
-
-// NewAsm returns an assembler emitting at the given base address.
-func NewAsm(base uint32) *Asm { return x86.NewAsm(base) }
-
-// NewMemory returns an empty architected address space.
-func NewMemory() *ArchMemory { return x86.NewMemory() }
+// ArchMemory is the sparse 32-bit architected address space
+// (Program.Memory, VM.Mem).
+type ArchMemory = x86.Memory

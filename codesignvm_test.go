@@ -7,11 +7,8 @@ import (
 )
 
 func TestPublicModels(t *testing.T) {
-	models := codesignvm.Models()
-	if len(models) != 6 { // the paper's five plus the 3-stage extension
-		t.Fatalf("models = %d, want 6", len(models))
-	}
-	for _, m := range models {
+	for _, m := range []codesignvm.Model{codesignvm.Ref, codesignvm.VMSoft, codesignvm.VMBE,
+		codesignvm.VMFE, codesignvm.VMInterp, codesignvm.VMStaged3} {
 		back, err := codesignvm.ModelByName(m.String())
 		if err != nil || back != m {
 			t.Errorf("round trip %v failed: %v", m, err)
@@ -23,10 +20,6 @@ func TestPublicModels(t *testing.T) {
 }
 
 func TestPublicWorkloads(t *testing.T) {
-	names := codesignvm.Workloads()
-	if len(names) != 10 {
-		t.Fatalf("suite size = %d", len(names))
-	}
 	p, err := codesignvm.WorkloadParameters("Project")
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +46,6 @@ func TestPublicRunEndToEnd(t *testing.T) {
 	}
 	if len(res.Samples) == 0 {
 		t.Error("no samples")
-	}
-	if got := codesignvm.InstrsAt(res.Samples, res.Cycles); got < float64(res.Instrs)*0.99 {
-		t.Errorf("InstrsAt(end) = %f, want ≈ %d", got, res.Instrs)
 	}
 }
 
@@ -92,22 +82,6 @@ func TestPublicScenarios(t *testing.T) {
 	warm := codesignvm.EstimateScenarioCycles(codesignvm.CodeCacheWarm, p)
 	if mem <= warm {
 		t.Errorf("memory startup (%v) must exceed warm (%v)", mem, warm)
-	}
-}
-
-func TestPublicAssembler(t *testing.T) {
-	a := codesignvm.NewAsm(0x400000)
-	a.Label("top")
-	a.Nop()
-	a.Jmp("top")
-	code, err := a.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := codesignvm.NewMemory()
-	mem.WriteBytes(0x400000, code)
-	if mem.Read8(0x400000) != 0x90 {
-		t.Error("nop not written")
 	}
 }
 

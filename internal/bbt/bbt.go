@@ -19,25 +19,6 @@ type Config struct {
 // DefaultConfig matches the baseline VM.
 var DefaultConfig = Config{MaxInsts: 128}
 
-// Translate builds the basic-block translation starting at pc. The block
-// extends to the first control-transfer instruction (inclusive) or to
-// cfg.MaxInsts. Complex-class instructions are embedded as VMM callouts
-// and do not terminate the block.
-func Translate(mem *x86.Memory, pc uint32, cfg Config) (*codecache.Translation, error) {
-	t := &codecache.Translation{Kind: codecache.KindBBT, EntryPC: pc}
-	// Preallocate for the common block shape (a handful of instructions
-	// at 2-4 micro-ops each, one or two exits): the append chains in the
-	// crack loop and the terminator then run allocation-free, leaving
-	// three allocations per translation (the Translation itself and the
-	// two backing arrays). Oversized blocks fall back to append growth.
-	t.Uops = make([]fisa.MicroOp, 0, 48)
-	t.Exits = make([]codecache.Exit, 0, 2)
-	if err := translateInto(t, mem, pc, cfg); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Scratch is a reusable translation buffer. Its Translate builds each
 // block into retained backing arrays, so steady-state translation is
 // allocation-free; the returned translation (including its slices) is
@@ -47,7 +28,11 @@ type Scratch struct {
 	t codecache.Translation
 }
 
-// Translate is Translate into the scratch's reusable storage.
+// Translate builds the basic-block translation starting at pc into the
+// scratch's reusable storage. The block extends to the first
+// control-transfer instruction (inclusive) or to cfg.MaxInsts.
+// Complex-class instructions are embedded as VMM callouts and do not
+// terminate the block.
 func (s *Scratch) Translate(mem *x86.Memory, pc uint32, cfg Config) (*codecache.Translation, error) {
 	uops, exits := s.t.Uops[:0], s.t.Exits[:0]
 	s.t = codecache.Translation{Kind: codecache.KindBBT, EntryPC: pc, Uops: uops, Exits: exits}

@@ -41,7 +41,7 @@ func TestCondBranchBlock(t *testing.T) {
 		a.Label("top")
 		a.Jcc(x86.CondE, "top")
 	})
-	tr, err := Translate(mem, base, DefaultConfig)
+	tr, err := new(Scratch).Translate(mem, base, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCallBlock(t *testing.T) {
 		a.Label("f")
 		a.Call("f")
 	})
-	tr, err := Translate(mem, base, DefaultConfig)
+	tr, err := new(Scratch).Translate(mem, base, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRetBlock(t *testing.T) {
 		a.Pop(x86.EAX)
 		a.Ret()
 	})
-	tr, err := Translate(mem, base, DefaultConfig)
+	tr, err := new(Scratch).Translate(mem, base, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRetBlock(t *testing.T) {
 
 func TestHaltBlock(t *testing.T) {
 	mem := assemble(t, func(a *x86.Asm) { a.Hlt() })
-	tr, err := Translate(mem, base, DefaultConfig)
+	tr, err := new(Scratch).Translate(mem, base, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestComplexEmbedded(t *testing.T) {
 		a.Inc(x86.EAX)
 		a.Ret()
 	})
-	tr, err := Translate(mem, base, DefaultConfig)
+	tr, err := new(Scratch).Translate(mem, base, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMaxInstsCap(t *testing.T) {
 		}
 		a.Ret()
 	})
-	tr, err := Translate(mem, base, Config{MaxInsts: 10})
+	tr, err := new(Scratch).Translate(mem, base, Config{MaxInsts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMaxInstsCap(t *testing.T) {
 func TestDecodeErrorPropagates(t *testing.T) {
 	mem := x86.NewMemory()
 	mem.Write8(base, 0xF1) // invalid opcode
-	if _, err := Translate(mem, base, DefaultConfig); err == nil {
+	if _, err := new(Scratch).Translate(mem, base, DefaultConfig); err == nil {
 		t.Error("expected decode error")
 	}
 }

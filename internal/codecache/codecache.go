@@ -90,7 +90,7 @@ var (
 
 // Translation is one unit of translated code resident in a code cache.
 // Each group puts its wider fields first, so the struct packs into 184
-// bytes: its fields' 178 rounded up to a word.
+// bytes: its fields' 177 rounded up to a word.
 type Translation struct {
 	Uops  []fisa.MicroOp
 	Exits []Exit
@@ -136,14 +136,6 @@ type Translation struct {
 	// strategy.
 	DispCat  uint8
 	Profiled bool
-
-	// FastExec marks the translation as eligible for the fused
-	// execute+timing pass (timing.Engine.ExecBlock): Meta is complete
-	// and the micro-op sequence is strictly linear-with-trampolines (no
-	// UJMP), so the executed micro-ops equal the charged ranges exactly.
-	// Set by timing.AnalyzeWith; zero value (false) selects the split
-	// execute-then-replay path.
-	FastExec bool
 }
 
 // Unchain severs every inbound chain into t: each recorded source exit
@@ -216,13 +208,6 @@ func (c *Cache) Lookup(pc uint32) *Translation {
 		c.stats.Hits++
 	}
 	return t
-}
-
-// Contains reports whether a translation for pc exists without touching
-// the lookup statistics (used by assists and tests).
-func (c *Cache) Contains(pc uint32) bool {
-	_, ok := c.table[pc]
-	return ok
 }
 
 // Insert allocates space for the translation, assigns its code-cache
@@ -320,14 +305,4 @@ func (c *Cache) Chain(from *Translation, exitIdx int, to *Translation) {
 	r.Next = to.In
 	to.In = r
 	c.stats.Chains++
-}
-
-// ValidChain returns the chained translation for an exit if the chain is
-// still valid in the current epoch, else nil.
-func (c *Cache) ValidChain(e *Exit) *Translation {
-	t := e.Chained
-	if t == nil || t.Epoch != c.epoch {
-		return nil
-	}
-	return t
 }

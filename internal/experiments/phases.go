@@ -70,13 +70,6 @@ func (p *PhasesCurves) Result(app, arm string) *vmm.Result {
 	return p.perApp[app][arm]
 }
 
-// Flame returns the snapshot the flamegraph export renders: the cold
-// arm's suite-merged attribution (the startup transient the paper is
-// about). Nil only if the figure has no cold arm.
-func (p *PhasesCurves) Flame() *attrib.Snapshot {
-	return p.Merged["cold"]
-}
-
 // PhasesFig runs the phase-attribution figure. Attribution is an
 // input of this figure: when opt.Obs already has it enabled, that
 // spec is used (and the runs share cache identity with the caller's

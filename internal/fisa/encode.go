@@ -179,23 +179,13 @@ func Encode(buf []byte, u *MicroOp) ([]byte, error) {
 	return append(buf, byte(word), byte(word>>8), byte(word>>16), byte(word>>24)), nil
 }
 
-// Decode decodes one micro-op from buf, returning it and the number of
-// bytes consumed. Translation metadata fields are left zero.
-func Decode(buf []byte) (MicroOp, int, error) {
-	var u MicroOp
-	n, err := decodeTo(&u, buf)
-	if err != nil {
-		return MicroOp{}, 0, err
-	}
-	return u, n, nil
-}
-
-// decodeTo is Decode writing the micro-op through u, which DecodeAll
-// points at its slice's next element. Returned by value, the 20-byte
-// record is copied through the stack by overlapping 8- and 16-byte
-// loads that cannot be forwarded from the byte stores that built it;
-// that made the snapshot decoder 1.6× slower than with the 24-byte
-// record the layout replaced.
+// decodeTo decodes one micro-op from buf into u, which DecodeAll points
+// at its slice's next element, and returns the number of bytes
+// consumed; translation metadata fields are left zero. Returned by
+// value, the 20-byte record is copied through the stack by overlapping
+// 8- and 16-byte loads that cannot be forwarded from the byte stores
+// that built it; that made the snapshot decoder 1.6× slower than with
+// the 24-byte record the layout replaced.
 func decodeTo(u *MicroOp, buf []byte) (int, error) {
 	if len(buf) < 2 {
 		return 0, ErrShortBuf

@@ -40,10 +40,11 @@ type MemProbe interface {
 	OnStore(addr uint32, size uint8)
 }
 
-// BranchProbe observes conditional-branch outcomes inside translations
-// (UBR micro-ops); the timing model implements it to train the direction
-// predictor and charge misprediction stalls. The same ordering and cost
-// contract as MemProbe applies.
+// BranchProbe observes conditional-branch outcomes (UBR micro-ops). The
+// timing tests' split reference path implements it to train the
+// direction predictor and queue misprediction bubbles for the replay;
+// the VM sets none, since interpreted blocks train no predictor. The
+// same ordering and cost contract as MemProbe applies.
 type BranchProbe interface {
 	OnBranch(pc uint32, taken bool)
 }
@@ -96,11 +97,12 @@ func WriteMerged(st *NativeState, dst Reg, v uint32, w uint8) {
 // of the stopping micro-op, and fills *out with execution statistics
 // (out is reset at entry; the caller owns accumulation across legs).
 // The out-parameter shape keeps the 56-byte stats struct off the return
-// path of the hottest call in the simulator.
+// path.
 //
 // Branch targets (UBR/UJMP immediates) are absolute micro-op indices
-// within uops. The function is the single functional-semantics engine for
-// all translated-code execution in the VM.
+// within uops. In the VM it executes interpreted blocks; translated
+// code runs through timing.Engine.ExecBlock, which computes the same
+// semantics and is tested against this function.
 func Exec(env *Env, uops []MicroOp, start int, out *ExecStats) (StopKind, int, error) {
 	st := env.St
 	mem := env.Mem

@@ -95,7 +95,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(enc) != EncodedLen(&u) {
 			t.Fatalf("iter %d: EncodedLen=%d, actual=%d for %v", i, EncodedLen(&u), len(enc), u)
 		}
-		dec, n, err := Decode(enc)
+		dec, n, err := decodeOne(enc)
 		if err != nil {
 			t.Fatalf("iter %d: decode %v (% x): %v", i, u, enc, err)
 		}
@@ -401,4 +401,12 @@ func TestCanFuseRules(t *testing.T) {
 	if !CanFuse(&cmp, &br) {
 		t.Error("cmp + br should fuse")
 	}
+}
+
+// decodeOne decodes one micro-op from buf the way DecodeAll decodes
+// each: it returns the micro-op and the bytes consumed.
+func decodeOne(buf []byte) (MicroOp, int, error) {
+	var u MicroOp
+	n, err := decodeTo(&u, buf)
+	return u, n, err
 }

@@ -18,7 +18,7 @@ func TestDecodeArbitraryBytes(t *testing.T) {
 		for j := range buf {
 			buf[j] = byte(rng.Uint32())
 		}
-		u, n, err := Decode(buf)
+		u, n, err := decodeOne(buf)
 		if err != nil {
 			continue
 		}

@@ -64,7 +64,7 @@ func BenchmarkJobSubmission(b *testing.B) {
 				b.Fatal(err)
 			}
 			sr.Body.Close()
-			if cur.State.Terminal() {
+			if cur.State >= StateDone {
 				break
 			}
 		}

@@ -59,7 +59,7 @@ func pollDone(t *testing.T, srv *httptest.Server, id string) Status {
 		if err != nil {
 			t.Fatalf("decode status: %v", err)
 		}
-		if st.State.Terminal() {
+		if st.State >= StateDone {
 			return st
 		}
 		select {

@@ -33,9 +33,6 @@ func (s State) String() string {
 	return "state?"
 }
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool { return s >= StateDone }
-
 // MarshalJSON renders the state as its lowercase name.
 func (s State) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil

@@ -56,15 +56,6 @@ func ByName(name string) (Model, error) {
 	return 0, fmt.Errorf("machine: unknown model %q", name)
 }
 
-// Names lists the model names.
-func Names() []string {
-	out := make([]string, NumModels)
-	for i := range out {
-		out[i] = modelNames[i]
-	}
-	return out
-}
-
 // Config returns the vmm configuration of a model (Table 2 plus the
 // §3.2 translation-cost constants).
 func Config(m Model) vmm.Config {

@@ -52,11 +52,11 @@ func TestStartupOrdering(t *testing.T) {
 	// total, the software VM must be clearly behind Ref, and VM.fe must
 	// be close to Ref.
 	probe := results[Ref].Cycles / 10
-	refI := metrics.InstrsAt(results[Ref].Samples, probe)
-	softI := metrics.InstrsAt(results[VMSoft].Samples, probe)
-	feI := metrics.InstrsAt(results[VMFE].Samples, probe)
-	interpI := metrics.InstrsAt(results[VMInterp].Samples, probe)
-	beI := metrics.InstrsAt(results[VMBE].Samples, probe)
+	at := func(m Model) float64 {
+		cur := metrics.NewCursor(results[m].Samples)
+		return cur.InstrsAt(probe)
+	}
+	refI, softI, feI, interpI, beI := at(Ref), at(VMSoft), at(VMFE), at(VMInterp), at(VMBE)
 	t.Logf("at %.2e cycles: ref=%.0f soft=%.0f be=%.0f fe=%.0f interp=%.0f",
 		probe, refI, softI, beI, feI, interpI)
 	if softI >= refI {

@@ -12,32 +12,11 @@ import (
 	"codesignvm/internal/vmm"
 )
 
-// Point is one point of a startup curve.
-type Point struct {
-	Cycles float64
-	Value  float64
-}
-
-// Curve is a startup curve (monotone in Cycles).
-type Curve []Point
-
-// InstrsAt linearly interpolates cumulative instructions at the given
-// cycle count from a sample series. Before the first sample it
+// instrsAt linearly interpolates cumulative instructions at cycles > 0
+// from a non-empty sample series, given idx, the first sample at or
+// past cycles (len(samples) when none is). Before the first sample it
 // interpolates from the origin; past the last it extrapolates flat at
 // the final aggregate IPC.
-func InstrsAt(samples []vmm.Sample, cycles float64) float64 {
-	if len(samples) == 0 || cycles <= 0 {
-		return 0
-	}
-	idx := 0
-	if cycles > samples[0].Cycles {
-		idx = sort.Search(len(samples), func(i int) bool { return samples[i].Cycles >= cycles })
-	}
-	return instrsAt(samples, idx, cycles)
-}
-
-// instrsAt is InstrsAt for cycles > 0 over a non-empty series, given
-// idx, the first sample at or past cycles (len(samples) when none is).
 func instrsAt(samples []vmm.Sample, idx int, cycles float64) float64 {
 	if idx == 0 {
 		if samples[0].Cycles == 0 {
@@ -61,11 +40,11 @@ func instrsAt(samples []vmm.Sample, idx int, cycles float64) float64 {
 	return float64(a.Instrs) + f*float64(b.Instrs-a.Instrs)
 }
 
-// Cursor evaluates InstrsAt over one series at non-decreasing cycle
-// counts. Its index only moves forward, and at each count it stops at
-// the first sample at or past it — the index sort.Search finds over
-// cycle-ordered samples — so InstrsAt returns the function's answer bit
-// for bit, in time linear in the series and the counts together.
+// Cursor interpolates cumulative instructions over one series at
+// non-decreasing cycle counts. Its index only moves forward, and at
+// each count it stops at the first sample at or past it — the index
+// sort.Search finds over cycle-ordered samples — in time linear in the
+// series and the counts together.
 type Cursor struct {
 	samples []vmm.Sample
 	idx     int
@@ -74,8 +53,9 @@ type Cursor struct {
 // NewCursor returns a Cursor at the start of a cycle-ordered series.
 func NewCursor(samples []vmm.Sample) Cursor { return Cursor{samples: samples} }
 
-// InstrsAt is the package function InstrsAt at cycles, which must not
-// be below any count the cursor was asked before.
+// InstrsAt returns the cumulative instructions at cycles, which must
+// not be below any count the cursor was asked before: 0 at or before
+// cycle 0 or over an empty series.
 func (c *Cursor) InstrsAt(cycles float64) float64 {
 	if len(c.samples) == 0 || cycles <= 0 {
 		return 0
@@ -84,19 +64,6 @@ func (c *Cursor) InstrsAt(cycles float64) float64 {
 		c.idx++
 	}
 	return instrsAt(c.samples, c.idx, cycles)
-}
-
-// AggregateIPCCurve returns the aggregate-IPC startup curve sampled at
-// the given cycle grid, normalized by refIPC (pass 1 for unnormalized).
-// The grid must be ascending.
-func AggregateIPCCurve(samples []vmm.Sample, grid []float64, refIPC float64) Curve {
-	out := make(Curve, 0, len(grid))
-	cur := NewCursor(samples)
-	for _, c := range grid {
-		instr := cur.InstrsAt(c)
-		out = append(out, Point{Cycles: c, Value: instr / c / refIPC})
-	}
-	return out
 }
 
 // LogGrid returns an exponentially spaced cycle grid from lo to hi with

@@ -19,6 +19,12 @@ func linearSamples(ipc float64, n int, step float64) []vmm.Sample {
 	return out
 }
 
+// cursorAt evaluates a series at one cycle count through a fresh Cursor.
+func cursorAt(s []vmm.Sample, c float64) float64 {
+	cur := NewCursor(s)
+	return cur.InstrsAt(c)
+}
+
 func TestInstrsAtInterpolation(t *testing.T) {
 	s := []vmm.Sample{
 		{Cycles: 100, Instrs: 50},
@@ -36,11 +42,11 @@ func TestInstrsAtInterpolation(t *testing.T) {
 		{800, 700}, // flat-rate extrapolation
 	}
 	for _, tc := range cases {
-		if got := InstrsAt(s, tc.c); math.Abs(got-tc.want) > 1e-9 {
+		if got := cursorAt(s, tc.c); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("InstrsAt(%v) = %v, want %v", tc.c, got, tc.want)
 		}
 	}
-	if InstrsAt(nil, 100) != 0 || InstrsAt(s, 0) != 0 {
+	if cursorAt(nil, 100) != 0 || cursorAt(s, 0) != 0 {
 		t.Error("edge cases should return 0")
 	}
 }
@@ -54,7 +60,7 @@ func TestInstrsAtMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return InstrsAt(s, a) <= InstrsAt(s, b)+1e-9
+		return cursorAt(s, a) <= cursorAt(s, b)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -220,8 +226,8 @@ func TestBreakevenMatchesSearch(t *testing.T) {
 		}
 		for _, s := range [][]vmm.Sample{ref, vm} {
 			for _, c := range []float64{0.5, 1, s[0].Cycles, s[len(s)-1].Cycles, 2 * s[len(s)-1].Cycles} {
-				if got, want := InstrsAt(s, c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: InstrsAt(%v) = %v, sort.Search version %v", name, c, got, want)
+				if got, want := cursorAt(s, c), searchInstrsAt(s, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: a fresh cursor at %v = %v, sort.Search version %v", name, c, got, want)
 				}
 			}
 			// The cursor on its own, over the walk's grid and past the
@@ -384,17 +390,6 @@ func TestLogGrid(t *testing.T) {
 	}
 	if LogGrid(0, 100, 1) != nil || LogGrid(100, 10, 1) != nil {
 		t.Error("invalid grids should be nil")
-	}
-}
-
-func TestAggregateIPCCurve(t *testing.T) {
-	s := linearSamples(2.0, 50, 100)
-	grid := LogGrid(100, 1000, 3)
-	curve := AggregateIPCCurve(s, grid, 2.0)
-	for _, p := range curve {
-		if math.Abs(p.Value-1.0) > 0.02 {
-			t.Errorf("normalized IPC at %v = %v, want 1", p.Cycles, p.Value)
-		}
 	}
 }
 

@@ -23,14 +23,6 @@ func HotThreshold(deltaSBT, speedup float64) float64 {
 	return deltaSBT / (speedup - 1)
 }
 
-// PaperHotThreshold reproduces the paper's computation: ΔSBT ≈ 1200 x86
-// instructions and p = 1.15 give N = 8000.
-func PaperHotThreshold() float64 { return HotThreshold(1200, 1.15) }
-
-// PaperInterpThreshold reproduces the interpreted-mode threshold: with an
-// interpreter ~47x slower than translated code, N ≈ 25.
-func PaperInterpThreshold() float64 { return HotThreshold(1200, 48) }
-
 // Overhead is Eq. 1 with the paper's measurement conventions.
 type Overhead struct {
 	MBBT     float64 // static instructions touched (translated by BBT)
@@ -117,10 +109,4 @@ func EstimateCycles(s Scenario, p ScenarioParams) float64 {
 		return exec
 	}
 	return exec
-}
-
-// RelativeSlowdown returns the scenario's cycles divided by the
-// steady-state cycles for the same work.
-func RelativeSlowdown(s Scenario, p ScenarioParams) float64 {
-	return EstimateCycles(s, p) / EstimateCycles(SteadyState, p)
 }

@@ -101,16 +101,6 @@ func (c Category) String() string {
 	return "attrib?"
 }
 
-// ParseCategory maps a category name back to its value.
-func ParseCategory(s string) (Category, bool) {
-	for i, n := range catNames {
-		if n == s {
-			return Category(i), true
-		}
-	}
-	return 0, false
-}
-
 // Spec configures one profiler: the region grid (bucketed entry-PC
 // ranges) and the retired-instruction milestones at which cumulative
 // per-category snapshots are taken for the phases figure.

@@ -205,10 +205,6 @@ func NewObserver(sink Sink) *Observer {
 	return &Observer{sink: sink, Proc: NewRegistry()}
 }
 
-// Enabled reports whether the observer exists (convenience for
-// `if o.Enabled()` call sites holding a possibly-nil pointer).
-func (o *Observer) Enabled() bool { return o != nil }
-
 // EventsEmitted returns the number of events issued so far.
 func (o *Observer) EventsEmitted() uint64 {
 	if o == nil {

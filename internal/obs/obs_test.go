@@ -127,7 +127,7 @@ func TestCollectSinkAndAggregate(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var o *Observer
-	if o.Enabled() || o.RunCount() != 0 || o.Aggregate() != nil || o.EventsEmitted() != 0 {
+	if o.RunCount() != 0 || o.Aggregate() != nil || o.EventsEmitted() != 0 {
 		t.Fatal("nil observer accessors not inert")
 	}
 	o.Emit(EvStoreHit, "x", 0, 0, 0, 0) // must not panic

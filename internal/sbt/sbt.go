@@ -56,12 +56,6 @@ func (f *former) addExit(e codecache.Exit) int32 {
 	return int32(len(f.exits) - 1)
 }
 
-// Form builds and optimizes the superblock starting at entry.
-func Form(mem *x86.Memory, entry uint32, edges *profile.EdgeProfile, cfg Config) (*codecache.Translation, error) {
-	var fo Former
-	return fo.Form(mem, entry, edges, cfg)
-}
-
 // Former is a reusable superblock builder. Its Form builds each
 // superblock into retained backing storage, so repeated formation is
 // (nearly) allocation-free; the returned translation and its slices
@@ -71,7 +65,8 @@ type Former struct {
 	f former
 }
 
-// Form is the package-level Form into the Former's reusable storage.
+// Form builds and optimizes the superblock starting at entry into the
+// Former's reusable storage.
 func (fo *Former) Form(mem *x86.Memory, entry uint32, edges *profile.EdgeProfile, cfg Config) (*codecache.Translation, error) {
 	if cfg.MaxInsts <= 0 {
 		cfg = DefaultConfig

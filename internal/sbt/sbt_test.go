@@ -97,7 +97,7 @@ func decodePCs(t *testing.T, mem *x86.Memory) map[string]uint32 {
 
 func TestSuperblockFormation(t *testing.T) {
 	mem, edges := loopProgram(t)
-	tr, err := Form(mem, base, edges, DefaultConfig)
+	tr, err := new(Former).Form(mem, base, edges, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSuperblockFormation(t *testing.T) {
 // interpreter over one hot-path iteration (including the side exit path).
 func TestSuperblockDifferential(t *testing.T) {
 	mem, edges := loopProgram(t)
-	tr, err := Form(mem, base, edges, DefaultConfig)
+	tr, err := new(Former).Form(mem, base, edges, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestFusionHappens(t *testing.T) {
 		a.Jcc(x86.CondE, "self")
 	})
 	edges := profile.NewEdgeProfile()
-	tr, err := Form(mem, base, edges, DefaultConfig)
+	tr, err := new(Former).Form(mem, base, edges, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestDCEReducesCode(t *testing.T) {
 	full.EnableDCE = true
 	bare := DefaultConfig
 	bare.EnableFusion = false
-	opt, err := Form(mem, base, edges, full)
+	opt, err := new(Former).Form(mem, base, edges, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Form(mem, base, edges, bare)
+	raw, err := new(Former).Form(mem, base, edges, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestJumpStraightening(t *testing.T) {
 		a.Ret()
 	})
 	edges := profile.NewEdgeProfile()
-	tr, err := Form(mem, base, edges, DefaultConfig)
+	tr, err := new(Former).Form(mem, base, edges, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func staticBlocks(tb testing.TB) ([]*codecache.Translation, *x86.Memory) {
 	mem := prog.Memory()
 	var blocks []*codecache.Translation
 	for off := 0; off < len(prog.Code); {
-		t, err := bbt.Translate(mem, workload.CodeBase+uint32(off), bbt.DefaultConfig)
+		t, err := new(bbt.Scratch).Translate(mem, workload.CodeBase+uint32(off), bbt.DefaultConfig)
 		if err != nil {
 			tb.Fatalf("block at +%#x: %v", off, err)
 		}

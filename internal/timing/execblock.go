@@ -8,42 +8,41 @@ import (
 	"codesignvm/internal/x86"
 )
 
-// ExecBlock is the fused execute+timing pass: one walk over t.Uops does
-// both the functional work of fisa.Exec and the per-entity dataflow
-// charge of ChargeBlock, eliminating the second walk, the probe
-// interface calls and the load-latency/branch-bubble queues of the
-// split execute-then-replay path.
+// ExecBlock is the executor of translated code: one walk over t.Uops
+// does both the functional work and the per-entity dataflow charge.
+// Every BBT block, SBT superblock and x86-mode shadow block runs through
+// it, and fisa.Exec runs only interpreted blocks. fisa.Exec with the
+// engine as its probe, followed by ChargeBlock, is the split reference
+// the lockstep tests hold this function to.
 //
-// It is bit-identical to running fisa.Exec followed by ChargeBlock over
-// the executed ranges, because
+// It is bit-identical to running fisa.Exec followed by ChargeRange over
+// each linear run of micro-ops that actually executed, because
 //
 //   - cache and predictor accesses happen in the same program order
-//     (functional order) in both modes, and the issue arithmetic never
+//     (functional order) in both, and the issue arithmetic never
 //     touches either, so the hierarchies observe identical sequences;
 //   - the issue step below is the arithmetic of ChargeBlock (which is
 //     itself pinned to ChargeRange by TestChargeBlockMatchesChargeRange),
 //     fed the same source-ready times, latencies and bubbles — a load's
-//     latency computed inline equals the value the split path queues and
-//     pops, since the queues are empty at leg boundaries in both modes;
-//   - eligibility (Translation.FastExec) requires an analyzed
-//     translation with no internal UJMP, so the executed micro-ops are
-//     exactly the charged linear ranges: the entities issued here are
-//     the entities ChargeBlock would walk, in the same order.
+//     latency computed inline equals the value the split reference
+//     queues and pops, since the queues are empty at leg boundaries in
+//     both;
+//   - the charge is per executed entity: a micro-op that an internal
+//     UJMP or a taken UBR revisits is charged again, as a replay of the
+//     executed sequence would charge it.
 //
 // The callers' contract matches fisa.Exec: execution starts at start,
-// stops at UEXIT or UCALLOUT (whose entity is issued before returning,
-// as the split path's range charge includes it), *out is filled with
-// the leg's statistics. On an error the engine state reflects the
-// entities issued so far (the split path charges nothing for a faulted
-// leg; errors abort the whole run, so the difference is unobservable).
-// A load, branch or stop heading a fused pair, which fisa.CanFuse never
-// forms, is an error here.
+// stops at UEXIT or UCALLOUT (whose entity is issued before returning),
+// and *out is filled with the leg's statistics. On an error the engine
+// state reflects the entities issued so far (errors abort the whole
+// run). A load, branch or stop heading a fused pair, which
+// fisa.CanFuse never forms, is an error here.
 //
 // The functional switch computes what fisa.Exec computes, with the
 // micro-ops that dominate execution resolved to their 32-bit form; the
 // two are pinned together by the figure-level golden tests and the
 // lockstep tests in execblock_test.go (real BBT and SBT translations,
-// and every opcode at every width).
+// every opcode at every width, and hand-built internal jumps).
 func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.Translation, start int, out *fisa.ExecStats) (fisa.StopKind, int, error) {
 	uops := t.Uops
 	meta := t.Meta
@@ -77,7 +76,7 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 		// the entity issues in the iteration that sets these.
 		loadLat := -1.0 // a load's true hierarchy latency
 		brPen := 0.0    // misprediction bubble of a UBR (0 = predicted)
-		target := -1    // taken UBR: the micro-op to continue at
+		target := -1    // taken UBR, UJMP: the micro-op to continue at
 		stop := -1      // UEXIT, UCALLOUT: the fisa.StopKind
 
 		switch u.Op {
@@ -341,8 +340,8 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 		case fisa.ULD, fisa.ULD8Z, fisa.ULD8S, fisa.ULD16Z, fisa.ULD16S:
 			addr := st.R[u.Src1] + uint32(u.Imm)
 			stats.Loads++
-			// The split path queues this exact value (Engine.OnLoad) and
-			// pops it when the entity is charged.
+			// fisa.Exec's probe queues this exact value (Engine.OnLoad)
+			// and ChargeBlock pops it when the entity is charged.
 			loadLat = float64(e.P.LoadLatency + e.Caches.DataPenalty(addr, false))
 			switch u.Op {
 			case fisa.ULD:
@@ -409,9 +408,8 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 
 		case fisa.UBR:
 			taken := u.Cond.Holds(st.Flags)
-			// The split path's branch probe (VM.OnBranch), inlined: the
-			// predictor trains at functional-execution order, the bubble
-			// is applied when the entity is charged below.
+			// The predictor trains at functional-execution order; the
+			// bubble is applied when the entity is charged below.
 			if e.Pred.Cond(u.X86PC, taken) {
 				brPen = float64(e.P.MispredictPenalty)
 			}
@@ -419,6 +417,9 @@ func (e *Engine) ExecBlock(st *fisa.NativeState, mem *x86.Memory, t *codecache.T
 				stats.TakenBranchIdx = i
 				target = int(u.Imm)
 			}
+
+		case fisa.UJMP:
+			target = int(u.Imm)
 
 		case fisa.UEXIT:
 			stop = int(fisa.StopExit)

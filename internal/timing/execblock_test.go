@@ -15,9 +15,9 @@ import (
 	"codesignvm/internal/x86"
 )
 
-// splitBranchProbe is the VM's sequential-mode branch probe
-// (vmm.VM.OnBranch), reproduced here: train the predictor at
-// functional order, queue the bubble for the replay.
+// splitBranchProbe is the branch probe of the split reference path:
+// train the predictor at functional order, queue the bubble for the
+// replay.
 type splitBranchProbe struct{ e *timing.Engine }
 
 func (p splitBranchProbe) OnBranch(pc uint32, taken bool) {
@@ -29,10 +29,10 @@ func (p splitBranchProbe) OnBranch(pc uint32, taken bool) {
 }
 
 // lockstep is the two arms of the comparison: the fused pass
-// (Engine.ExecBlock) and the split path it replaces (fisa.Exec with the
-// engine probes, then ChargeBlock over the executed ranges exactly as
-// vmm.VM.execute segments them), each with its own engine, memory and
-// native state. The engines live across legs and translations, so
+// (Engine.ExecBlock) and the split reference path (fisa.Exec with the
+// engine probes, then ChargeBlock over the executed linear ranges:
+// [start..taken branch] and the trampoline it reached), each with its
+// own engine, memory and native state. The engines live across legs and translations, so
 // their cache, predictor and ready-time state is whatever the sequence
 // so far left, identically on both sides.
 type lockstep struct {
@@ -164,7 +164,7 @@ func hotTranslations(tb testing.TB, prog *workload.Program, p timing.Params) (su
 var lockstepApps = []string{"Word", "Winzip", "Project"}
 
 // TestExecBlockLockstep pins the fused execute+timing pass to the
-// split path it replaces (see ExecBlock's equivalence argument) over
+// split reference path (see ExecBlock's equivalence argument) over
 // real translations of three applications: the basic blocks a BFS of
 // the static CFG reaches, and the SBT superblocks (fused pairs,
 // side-exit trampolines, callout legs) and BBT blocks a VM.soft run
@@ -181,15 +181,15 @@ func TestExecBlockLockstep(t *testing.T) {
 		mem := prog.Memory()
 		seen := map[uint32]bool{}
 		queue := []uint32{prog.Entry}
-		eligible := 0
-		for len(queue) > 0 && eligible < 60 {
+		reached := 0
+		for len(queue) > 0 && reached < 60 {
 			pc := queue[0]
 			queue = queue[1:]
 			if seen[pc] {
 				continue
 			}
 			seen[pc] = true
-			tr, err := bbt.Translate(mem, pc, bbt.DefaultConfig)
+			tr, err := new(bbt.Scratch).Translate(mem, pc, bbt.DefaultConfig)
 			if err != nil {
 				continue
 			}
@@ -199,24 +199,18 @@ func TestExecBlockLockstep(t *testing.T) {
 					queue = append(queue, e.Target)
 				}
 			}
-			if !tr.FastExec {
-				continue
-			}
-			eligible++
+			reached++
 			for i := range inits {
 				l.run(t, tr, &inits[i])
 			}
 		}
-		if eligible < 10 {
-			t.Fatalf("%s: only %d FastExec-eligible blocks reached", app, eligible)
+		if reached < 10 {
+			t.Fatalf("%s: only %d blocks reached", app, reached)
 		}
 
 		supers, blocks, _ := hotTranslations(t, prog, timing.DefaultParams)
 		fused := 0
 		for _, tr := range append(supers, blocks...) {
-			if !tr.FastExec {
-				t.Fatalf("%s: translation at %#x is not FastExec", app, tr.EntryPC)
-			}
 			fused += tr.FusedPairs
 			for i := range inits {
 				l.run(t, tr, &inits[i])
@@ -227,7 +221,137 @@ func TestExecBlockLockstep(t *testing.T) {
 				app, len(supers), fused, l.pairs, l.taken, l.callouts)
 		}
 		t.Logf("%s: %d BFS blocks, %d superblocks, %d cache blocks; %d legs, %d executed pairs, %d taken exits, %d callout legs",
-			app, eligible, len(supers), len(blocks), l.legs, l.pairs, l.taken, l.callouts)
+			app, reached, len(supers), len(blocks), l.legs, l.pairs, l.taken, l.callouts)
+	}
+}
+
+// replayJumps is the reference for a translation with internal UJMPs,
+// which the split path's two ranges per leg cannot describe: fisa.Exec
+// runs over a copy in which every UJMP stops execution, and each linear
+// run of micro-ops that executed — up to a jump or a taken branch, and
+// from the branch's target to the stop — is charged through ChargeRange
+// on the original micro-ops, a revisited micro-op once per visit. It
+// returns what one ExecBlock leg from start returns.
+func replayJumps(t *testing.T, eng *timing.Engine, st *fisa.NativeState, mem *x86.Memory, uops []fisa.MicroOp, start int) (fisa.StopKind, int, fisa.ExecStats) {
+	t.Helper()
+	cut := append([]fisa.MicroOp(nil), uops...)
+	for i := range cut {
+		if cut[i].Op == fisa.UJMP {
+			cut[i].Op = fisa.UEXIT
+		}
+	}
+	env := fisa.Env{St: st, Mem: mem, Probe: eng, Branch: splitBranchProbe{eng}}
+	total := fisa.ExecStats{TakenBranchIdx: -1}
+	for {
+		var out fisa.ExecStats
+		kind, idx, err := fisa.Exec(&env, cut, start, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb := out.TakenBranchIdx; tb >= 0 {
+			eng.ChargeRange(uops, start, tb)
+			eng.ChargeRange(uops, int(uops[tb].Imm), idx)
+			total.TakenBranchIdx = tb
+		} else {
+			eng.ChargeRange(uops, start, idx)
+		}
+		total.Uops += out.Uops
+		total.Entities += out.Entities
+		total.Loads += out.Loads
+		total.Stores += out.Stores
+		total.Boundaries += out.Boundaries
+		if uops[idx].Op != fisa.UJMP {
+			return kind, idx, total
+		}
+		start = int(uops[idx].Imm)
+	}
+}
+
+// TestExecBlockInternalJumps holds ExecBlock's UJMP to the reference on
+// two hand-built translations, a forward jump over micro-ops and a
+// backward loop bounded by a counter register, whose body loads,
+// stores and ends in a fused decrement-and-branch pair: the stop, the
+// statistics, the native state and the stored memory must equal plain
+// fisa.Exec's, and the engine state must equal replayJumps'.
+func TestExecBlockInternalJumps(t *testing.T) {
+	const dataBase = 0x40000000
+	const cnt, acc, ptr = fisa.RECX, fisa.REAX, fisa.RESI
+	forward := []fisa.MicroOp{
+		{Op: fisa.UMOVI, W: 4, Dst: acc, Imm: 5},
+		{Op: fisa.UJMP, W: 4, Imm: 4, Boundary: 1},
+		{Op: fisa.UMOVI, W: 4, Dst: acc, Imm: 99},
+		{Op: fisa.UST, W: 4, Src1: ptr, Src2: acc, Boundary: 1},
+		{Op: fisa.UADDI, W: 4, SetF: true, Dst: acc, Src1: acc, Imm: 1},
+		{Op: fisa.UST, W: 4, Src1: ptr, Src2: acc, Imm: 4, Boundary: 1},
+		{Op: fisa.UEXIT, W: 4, Imm: 0},
+	}
+	loop := []fisa.MicroOp{
+		{Op: fisa.ULD, W: 4, Dst: acc, Src1: ptr},
+		{Op: fisa.UADDI, W: 4, SetF: true, Dst: acc, Src1: acc, Imm: 3, Boundary: 1},
+		{Op: fisa.UST, W: 4, Src1: ptr, Src2: acc, Boundary: 1},
+		{Op: fisa.UADDI, W: 4, Dst: ptr, Src1: ptr, Imm: 4, Boundary: 1},
+		{Op: fisa.USUBI, W: 4, SetF: true, Fused: true, Dst: cnt, Src1: cnt, Imm: 1, Boundary: 1},
+		{Op: fisa.UBR, W: 4, Cond: x86.CondE, Imm: 7, X86PC: 0x1010, Boundary: 1},
+		{Op: fisa.UJMP, W: 4, Imm: 0},
+		{Op: fisa.UEXIT, W: 4, Imm: 0},
+	}
+	newMem := func() *x86.Memory {
+		m := x86.NewMemory()
+		for a := uint32(0); a < 0x400; a += 4 {
+			m.Write32(dataBase+a, a*2654435761)
+		}
+		return m
+	}
+	engF, engR := timing.NewEngine(timing.DefaultParams), timing.NewEngine(timing.DefaultParams)
+	memF, memR, memE := newMem(), newMem(), newMem()
+	type jumpCase struct {
+		name  string
+		uops  []fisa.MicroOp
+		count uint32 // loop iterations; 0 for the forward jump
+	}
+	cases := []jumpCase{{"forward", forward, 0}}
+	for _, n := range []uint32{1, 2, 3, 17, 64, 5} {
+		cases = append(cases, jumpCase{fmt.Sprintf("loop%d", n), loop, n})
+	}
+	for _, c := range cases {
+		tr := &codecache.Translation{EntryPC: 0x1000, Uops: c.uops}
+		timing.AnalyzeWith(tr, timing.DefaultParams)
+		var init fisa.NativeState
+		init.R[cnt], init.R[ptr] = c.count, dataBase+0x40
+
+		stF, stR, stE := init, init, init
+		var outF fisa.ExecStats
+		kindF, idxF, err := engF.ExecBlock(&stF, memF, tr, 0, &outF)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		kindR, idxR, outR := replayJumps(t, engR, &stR, memR, tr.Uops, 0)
+		var outE fisa.ExecStats
+		kindE, idxE, err := fisa.Exec(&fisa.Env{St: &stE, Mem: memE}, tr.Uops, 0, &outE)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+
+		if kindF != kindE || idxF != idxE || kindR != kindE || idxR != idxE {
+			t.Fatalf("%s: stop: ExecBlock (%v,%d), replay (%v,%d), fisa.Exec (%v,%d)", c.name, kindF, idxF, kindR, idxR, kindE, idxE)
+		}
+		if outF != outE || outR != outE {
+			t.Fatalf("%s: stats:\nExecBlock = %+v\nreplay    = %+v\nfisa.Exec = %+v", c.name, outF, outR, outE)
+		}
+		if stF != stE || stR != stE {
+			t.Fatalf("%s: native state:\nExecBlock = %+v\nreplay    = %+v\nfisa.Exec = %+v", c.name, stF, stR, stE)
+		}
+		for a := uint32(0); a < 0x400; a += 4 {
+			if f, e := memF.Read32(dataBase+a), memE.Read32(dataBase+a); f != e {
+				t.Fatalf("%s: memory at %#x: ExecBlock %#x, fisa.Exec %#x", c.name, dataBase+a, f, e)
+			}
+		}
+		if sf, sr := timing.Snapshot(engF), timing.Snapshot(engR); sf != sr || engF.BranchStalls() != engR.BranchStalls() {
+			t.Fatalf("%s: engine state:\nExecBlock = %+v (%v stalled)\nreplay    = %+v (%v stalled)", c.name, sf, engF.BranchStalls(), sr, engR.BranchStalls())
+		}
+		if want := 6 * int(c.count); c.count > 0 && outF.Entities != want {
+			t.Fatalf("%s: %d entities issued, want %d (the loop body once per iteration)", c.name, outF.Entities, want)
+		}
 	}
 }
 
@@ -267,7 +391,9 @@ func TestExecBlockOpcodeMatrix(t *testing.T) {
 	n := 0
 	for op := fisa.UNOP; op <= fisa.UCALLOUT; op++ {
 		if op == fisa.UJMP {
-			continue // withheld from the fused pass by FastExec
+			// A jump to a random index escapes the translation; the
+			// internal jumps are TestExecBlockInternalJumps'.
+			continue
 		}
 		probe := fisa.MicroOp{Op: op}
 		memOp := probe.IsLoad() || probe.IsStore()

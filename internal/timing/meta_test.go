@@ -126,7 +126,7 @@ func TestChargeBlockMatchesChargeRangeRealBlocks(t *testing.T) {
 			continue
 		}
 		seen[pc] = true
-		tr, err := bbt.Translate(mem, pc, bbt.DefaultConfig)
+		tr, err := new(bbt.Scratch).Translate(mem, pc, bbt.DefaultConfig)
 		if err != nil {
 			continue
 		}

@@ -152,10 +152,6 @@ func (e *Engine) AdvanceClock(c float64) {
 	}
 }
 
-// Analyze precomputes the issue shape of a translation (entities, fused
-// pairs, static dependence depth) for statistics and reporting.
-func (e *Engine) Analyze(t *codecache.Translation) { AnalyzeWith(t, e.P) }
-
 // OnLoad implements fisa.MemProbe: the load's true latency through the
 // hierarchy is queued for the timing replay.
 func (e *Engine) OnLoad(addr uint32, size uint8) {
@@ -530,18 +526,10 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 	var regLevel [fisa.NumRegs]int
 	flagLevel := 0
 	depth, entities, pairs := 0, 0, 0
-	fast := true
 	head := 0 // index of the next entity head; pair tails are skipped
 
 	for i := range uops {
 		u := &uops[i]
-		if u.Op == fisa.UJMP {
-			// An internal jump would let execution revisit micro-ops, so
-			// the executed set would no longer equal the charged linear
-			// ranges; such translations take the split execute-then-replay
-			// path. Translators emit none today.
-			fast = false
-		}
 		// Every index gets an entry — pair tails too, describing the tail
 		// as a standalone entity, which is what a replay entering
 		// mid-pair runs.
@@ -595,8 +583,6 @@ func AnalyzeWith(t *codecache.Translation, p Params) {
 			flagLevel = done
 		}
 	}
-	t.FastExec = fast
-
 	t.Entities = entities
 	t.FusedPairs = pairs
 	t.Depth = depth
@@ -683,10 +669,4 @@ func (e *Engine) BranchCycles(kind CTIKind, pc, target, returnPC uint32, taken b
 		}
 	}
 	return pen
-}
-
-// SerializeCycles is the bubble of a pipeline drain (mode switches,
-// complex-instruction callouts).
-func (e *Engine) SerializeCycles() float64 {
-	return float64(e.P.MispredictPenalty)
 }

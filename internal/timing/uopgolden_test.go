@@ -174,8 +174,8 @@ func uopSemanticsTable(dump *bytes.Buffer) string {
 		}
 		t := &codecache.Translation{Uops: uops}
 		goldenAnalyze(t)
-		fmt.Fprintf(&b, "n=%d ent=%d pairs=%d depth=%d cpe=%v fast=%v meta=",
-			len(uops), t.Entities, t.FusedPairs, t.Depth, t.CPE, t.FastExec)
+		fmt.Fprintf(&b, "n=%d ent=%d pairs=%d depth=%d cpe=%v meta=",
+			len(uops), t.Entities, t.FusedPairs, t.Depth, t.CPE)
 		for i := range t.Meta {
 			b.WriteString(metaSemantics(&t.Meta[i]))
 		}

@@ -23,13 +23,12 @@
 // §4.1), and the software jump TLB sit on this path.
 //
 // A run is one goroutine. Each dispatched translation executes and is
-// charged in one step: translations whose micro-ops the fused executor
-// accepts (codecache.Translation.FastExec) run through
-// timing.Engine.ExecBlock, which does the functional work and the
-// dataflow charge in a single walk; the rest run through fisa.Exec with
-// the timing engine as its memory and branch probe, then
-// timing.Engine.ChargeBlock (timing.go holds the VM's side of the
-// charge).
+// charged in one step: every translated block (BBT, SBT or x86-mode
+// shadow) runs through timing.Engine.ExecBlock, which does the
+// functional work and the dataflow charge in a single walk; interpreted
+// blocks run through fisa.Exec with the timing engine as their memory
+// probe and are charged per architected instruction (timing.go holds
+// the VM's side of the charge).
 //
 // # Observability
 //

@@ -83,14 +83,6 @@ func (v *VM) SetObserver(rec *obs.Recorder) {
 	}
 }
 
-// Observer returns the attached recorder (nil when disabled).
-func (v *VM) Observer() *obs.Recorder {
-	if v.obs == nil {
-		return nil
-	}
-	return v.obs.rec
-}
-
 func (v *VM) obsRunStart(budget uint64) {
 	v.obs.rec.EmitAt(obs.EvRunStart, 0, v.instrs, budget, 0, 0)
 }

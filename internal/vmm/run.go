@@ -156,17 +156,6 @@ func (v *VM) SaveTranslations(w io.Writer) error {
 // Caches exposes the code caches for inspection.
 func (v *VM) Caches() (bbtC, sbtC *codecache.Cache) { return v.bbtCache, v.sbtCache }
 
-// OnBranch implements fisa.BranchProbe: conditional branches inside
-// translations train the predictor; misprediction bubbles are queued
-// for the dataflow charge in program order.
-func (v *VM) OnBranch(pc uint32, taken bool) {
-	pen := 0.0
-	if v.eng.Pred.Cond(pc, taken) {
-		pen = float64(v.eng.P.MispredictPenalty)
-	}
-	v.eng.NoteBranch(pen)
-}
-
 func (v *VM) setMode(x86mode bool) {
 	if x86mode {
 		v.eng.P.MispredictPenalty = v.Cfg.MispredictPenaltyX86
@@ -275,7 +264,12 @@ func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 		if err != nil {
 			return v.res, err
 		}
-		if err := v.execute(t, cat); err != nil {
+		if cat == CatInterp {
+			err = v.interpret(t)
+		} else {
+			err = v.execute(t, cat)
+		}
+		if err != nil {
 			return v.res, err
 		}
 		v.sampleIfDue()
@@ -711,76 +705,12 @@ func (v *VM) onSBTFlush() {
 	}
 }
 
-// execute runs one translation functionally and charges its timing:
-// block start (mode + fetch), the executed micro-op ranges with their
-// memory and branch events, callout serializations, and the closing
-// attribution and statistics.
+// execute runs one translated block (BBT, SBT or x86-mode shadow) and
+// charges its timing: block start (mode + fetch), the legs between
+// callouts through timing.Engine.ExecBlock, which does the functional
+// work and the dataflow charge in one walk, the callout serializations,
+// and the closing attribution and statistics.
 func (v *VM) execute(t *codecache.Translation, cat Category) error {
-	if cat != CatInterp && t.FastExec {
-		// Eligible translations run through the fused execute+timing
-		// pass: one walk does the functional work and the dataflow
-		// charge (timing.Engine.ExecBlock), which is bit-identical to
-		// the split path below — see ExecBlock's equivalence argument.
-		// Interpreted blocks keep the split path: their timing is
-		// per-instruction software cost, not a dataflow charge.
-		return v.executeFused(t, cat)
-	}
-	// The probes feed the timing engine as fisa.Exec runs. Interpreted
-	// blocks train no predictor (the interpreter models none).
-	env := fisa.Env{St: &v.nst, Mem: v.Mem, Probe: v.eng}
-	if cat != CatInterp {
-		env.Branch = v
-	}
-
-	v.blockStart(t, cat)
-
-	var total, st fisa.ExecStats
-	start := 0
-	var exitIdx int
-	for {
-		kind, idx, err := fisa.Exec(&env, t.Uops, start, &st)
-		if err != nil {
-			return fmt.Errorf("vmm: executing %v block at %#x: %w", t.Kind, t.EntryPC, err)
-		}
-		total.Uops += st.Uops
-		total.Entities += st.Entities
-		total.Boundaries += st.Boundaries
-
-		// Dataflow charge over the executed (linear) ranges.
-		if cat == CatInterp {
-			v.segInterp(st.Boundaries)
-		} else if st.TakenBranchIdx >= 0 {
-			v.eng.ChargeBlock(t, start, st.TakenBranchIdx)
-			v.eng.ChargeBlock(t, idx, idx)
-		} else {
-			v.eng.ChargeBlock(t, start, idx)
-		}
-
-		if kind == fisa.StopCallout {
-			if err := v.calloutExec(t.Uops[idx].X86PC); err != nil {
-				return err
-			}
-			v.callout(cat != CatInterp && cat != CatX86Emu)
-			start = idx + 1
-			continue
-		}
-		exitIdx = int(t.Uops[idx].Imm)
-		break
-	}
-
-	v.blockEnd(cat, total.Boundaries, total.Uops, uint64(total.Entities))
-	v.instrs += uint64(total.Boundaries)
-	t.ExecCount++
-
-	return v.resolveExit(t, exitIdx, cat)
-}
-
-// executeFused runs one translation through the fused execute+timing
-// pass: the same block-start fetch, leg loop, callout handling,
-// block-end attribution and exit resolution as the split path of
-// execute, with fisa.Exec + ChargeBlock replaced by the single-walk
-// timing.Engine.ExecBlock.
-func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 	v.blockStart(t, cat)
 
 	var total, st fisa.ExecStats
@@ -799,7 +729,7 @@ func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 			if err := v.calloutExec(t.Uops[idx].X86PC); err != nil {
 				return err
 			}
-			v.callout(cat != CatX86Emu) // cat != CatInterp by the fast-path gate
+			v.callout(cat != CatX86Emu)
 			start = idx + 1
 			continue
 		}
@@ -812,6 +742,47 @@ func (v *VM) executeFused(t *codecache.Translation, cat Category) error {
 	t.ExecCount++
 
 	return v.resolveExit(t, exitIdx, cat)
+}
+
+// interpret runs one interpreted block: fisa.Exec does the functional
+// work with the timing engine as its memory probe, and each leg is
+// charged as per-instruction software cost plus its queued load stalls.
+// The interpreter models no predictor, so its branches train none.
+func (v *VM) interpret(t *codecache.Translation) error {
+	env := fisa.Env{St: &v.nst, Mem: v.Mem, Probe: v.eng}
+
+	v.blockStart(t, CatInterp)
+
+	var total, st fisa.ExecStats
+	start := 0
+	var exitIdx int
+	for {
+		kind, idx, err := fisa.Exec(&env, t.Uops, start, &st)
+		if err != nil {
+			return fmt.Errorf("vmm: executing %v block at %#x: %w", t.Kind, t.EntryPC, err)
+		}
+		total.Uops += st.Uops
+		total.Entities += st.Entities
+		total.Boundaries += st.Boundaries
+		v.segInterp(st.Boundaries)
+
+		if kind == fisa.StopCallout {
+			if err := v.calloutExec(t.Uops[idx].X86PC); err != nil {
+				return err
+			}
+			v.callout(false)
+			start = idx + 1
+			continue
+		}
+		exitIdx = int(t.Uops[idx].Imm)
+		break
+	}
+
+	v.blockEnd(CatInterp, total.Boundaries, total.Uops, uint64(total.Entities))
+	v.instrs += uint64(total.Boundaries)
+	t.ExecCount++
+
+	return v.resolveExit(t, exitIdx, CatInterp)
 }
 
 // calloutExec executes one complex architected instruction via the

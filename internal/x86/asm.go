@@ -51,12 +51,6 @@ func (a *Asm) Label(name string) {
 	a.labels[name] = a.PC()
 }
 
-// LabelAddr returns the address of a defined label.
-func (a *Asm) LabelAddr(name string) (uint32, bool) {
-	v, ok := a.labels[name]
-	return v, ok
-}
-
 // Finalize resolves all pending label fixups and returns the machine
 // code. The assembler must not be used afterwards.
 func (a *Asm) Finalize() ([]byte, error) {

@@ -224,7 +224,7 @@ func TestBranchTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	endAddr, _ := a.LabelAddr("end")
+	endAddr := a.labels["end"]
 	if in2.Op != JMP || in2.BranchTarget(pc) != endAddr {
 		t.Errorf("jmp target = %#x, want %#x", in2.BranchTarget(pc), endAddr)
 	}

@@ -404,15 +404,3 @@ func (in *Inst) BranchTarget(pc uint32) uint32 {
 	}
 	panic("x86: BranchTarget on non-branch " + in.Op.String())
 }
-
-// IsIndirectCTI reports whether the instruction is an indirect jump or
-// call (or a RET).
-func (in *Inst) IsIndirectCTI() bool {
-	switch in.Op {
-	case RET:
-		return true
-	case JMP, CALL:
-		return in.Src.Kind != KindNone
-	}
-	return false
-}

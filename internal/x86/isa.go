@@ -332,14 +332,3 @@ func (in Inst) String() string {
 	}
 	return s
 }
-
-// MemOperand returns the memory operand of the instruction, if any.
-func (in *Inst) MemOperand() (Operand, bool) {
-	if in.Dst.Kind == KindMem {
-		return in.Dst, true
-	}
-	if in.Src.Kind == KindMem {
-		return in.Src, true
-	}
-	return Operand{}, false
-}

@@ -29,6 +29,11 @@ test -z "$(gofmt -l . | grep -v '^\.bench_build/')"
 lap gofmt
 go build ./...
 lap build
+# The benchmark is a module of its own (bench/go.mod), so the root
+# build above skips it: vet it here, so a deleted or changed export
+# that bench/*.go uses fails CI rather than the next benchmark run.
+(cd bench && go vet ./...)
+lap bench-vet
 # The full suite under the race detector, uncached, on two OS threads
 # whatever the CI host has (-count=1: GOMAXPROCS is not part of the
 # test cache key, so a cached pass at another setting would otherwise

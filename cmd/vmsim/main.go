@@ -9,10 +9,16 @@
 //	vmsim -exp all                       # every experiment, in order
 //	vmsim -exp run -model VM.be -app Word -instrs 20000000
 //
-// Experiments: fig2 fig3 fig8 fig9 fig10 fig11 overhead threshold
-// ablation table1 table2 run sweep all. "sweep" runs the paper's
-// figures (2, 3, 8–11) in one process so they share simulation
-// results; "all" adds the extension experiments.
+// -exp names a report experiment, a composite or a mode. "sweep" runs
+// the paper's figures (2, 3, 8–11) in one process so they share
+// simulation results; "all" runs every report, the extension
+// experiments included; "run", "dump" and "serve" are the modes. An
+// unknown name fails with the list of report names.
+//
+// Reports go to stdout, each followed by one blank line: the stream is
+// byte-identical to a job's result for the same spec (docs/api.md).
+// The wall-clock "[exp completed in …]" line after each report goes to
+// stderr.
 //
 // Cycle attribution (see OBSERVABILITY.md):
 //
@@ -31,7 +37,6 @@
 //	vmsim -exp run -trace run.trace.json     # Chrome trace (Perfetto)
 //	vmsim -exp fig2 -timeline tl.csv         # interval-sampled timelines
 //	vmsim -exp sweep -http 127.0.0.1:890     # live introspection server
-//	vmsim -exp sweep -progress 10s           # periodic progress line
 //
 // Job service (async sweep-as-a-service API; see docs/api.md):
 //
@@ -49,6 +54,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -56,7 +62,6 @@ import (
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -64,13 +69,12 @@ import (
 )
 
 var (
-	expFlag    = flag.String("exp", "fig8", "experiment: fig2 fig3 fig8 fig9 fig10 fig11 overhead threshold ablation table1 table2 persist warmstart pressure coldstart ctxswitch staged deltasweep phases dump run sweep all serve")
+	expFlag    = flag.String("exp", "fig8", "a report experiment, sweep (the paper's figures), all (every report), or the mode run, dump or serve; an unknown name lists the reports")
 	scaleFlag  = flag.Int("scale", 25, "workload scale divisor (1 = paper-sized)")
 	appsFlag   = flag.String("apps", "", "comma-separated subset of benchmarks (default: all ten)")
 	modelFlag  = flag.String("model", "VM.soft", "machine model for -exp run")
-	appFlag    = flag.String("app", "Word", "benchmark for -exp run")
-	instrsFlag = flag.Uint64("instrs", 0, "instruction budget (default 500M/scale)")
-	seqFlag    = flag.Bool("seq", false, "run the experiment grid sequentially")
+	appFlag    = flag.String("app", "Word", "benchmark for -exp run and dump and the app-scoped reports (pressure, ctxswitch, deltasweep)")
+	instrsFlag = flag.Uint64("instrs", 0, "instruction budget, at most 500M (default 500M/scale)")
 	freshFlag  = flag.Bool("fresh", false, "disable the simulation-result caches (in-process memoization and -store reads)")
 	storeFlag  = flag.String("store", "", "directory for the persistent cross-process run store (empty: disabled; see docs/runstore.md)")
 	storeMax   = flag.Int64("store-max", 0, "cap on total -store record bytes; least-recently-used records are evicted at startup (0: uncapped)")
@@ -85,7 +89,6 @@ var (
 	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs")
 	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs")
 	httpFlag     = flag.String("http", "", "serve live introspection on this address (/metrics /runs /healthz /debug/pprof; -exp serve adds /jobs)")
-	progressFlag = flag.Duration("progress", 0, "print a progress line to stderr at this interval during sweeps (0: disabled; requires a terminal on stderr)")
 
 	jobsWorkers  = flag.Int("jobs-workers", 2, "worker-pool size of the -exp serve job service")
 	jobsQueue    = flag.Int("jobs-queue", 16, "bounded queue depth of the job service (full queue: 429 + Retry-After)")
@@ -93,6 +96,11 @@ var (
 	jobsBurst    = flag.Float64("jobs-burst", 10, "per-client submission burst size")
 	drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long -exp serve waits for accepted jobs before cancelling them")
 )
+
+// spec is the request the -exp, -apps, -app, -scale and -instrs flags
+// describe, as Validate returned it: the reports render it through the
+// job path, and run and dump read the same fields.
+var spec codesignvm.JobSpec
 
 // obsv is the process observer, non-nil when any observability flag is
 // set. All experiment and single runs report into it.
@@ -136,10 +144,12 @@ func main() {
 }
 
 // validateFlags checks the flag set up front, so a bad value or
-// combination fails with one clear line before any simulation starts,
-// never mid-sweep. Output files are created here (catching unwritable
-// paths), and the -http listener is bound here (catching occupied
-// ports).
+// combination fails with one clear line before any output file is
+// created or any simulation starts, never mid-sweep. The spec fields
+// are checked by JobSpec.Validate, the job service's validator; this
+// function checks only what is about the flags themselves. Output
+// files are created here (catching unwritable paths), and the -http
+// listener is bound here (catching occupied ports).
 func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 	fail := func(format string, args ...any) (map[string]*os.File, net.Listener, error) {
 		for _, f := range files {
@@ -155,14 +165,18 @@ func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 	if flag.NArg() > 0 {
 		return fail("unexpected argument %q: vmsim takes flags only, and ignores every flag after an argument", flag.Arg(0))
 	}
-	// The job spec's range: a divisor below 1 is no workload at all,
-	// and beyond the maximum the traces collapse to a few instructions.
-	if *scaleFlag < 1 || *scaleFlag > codesignvm.MaxScale {
-		return fail("-scale must be in [1, %d], got %d", codesignvm.MaxScale, *scaleFlag)
+	// A spec's scale 0 means the default; a flag is never absent, so
+	// -scale 0 is a divisor of zero, not a request for the default.
+	if *scaleFlag == 0 {
+		return fail("-scale must be at least 1, got 0")
 	}
-	if *progressFlag > 0 {
-		if fi, serr := os.Stderr.Stat(); serr == nil && fi.Mode()&os.ModeCharDevice == 0 {
-			return fail("-progress needs a terminal on stderr (it rewrites a status line); use -http %s for live introspection instead", "ADDR")
+	spec = codesignvm.JobSpec{Exp: *expFlag, App: *appFlag, Scale: *scaleFlag, Instrs: *instrsFlag}
+	if *appsFlag != "" {
+		spec.Apps = strings.Split(*appsFlag, ",")
+	}
+	if *expFlag != "serve" {
+		if spec, err = spec.Validate(); err != nil {
+			return fail("%v", err)
 		}
 	}
 	// The job service needs both a front door and the run store: jobs
@@ -207,16 +221,16 @@ func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 }
 
 // setupObservability builds the process observer from the -metrics,
-// -trace, -timeline, -flamegraph, -http and -progress flags. The
-// returned finish function stops the progress printer, prints the
-// aggregate metrics, flushes the trace and writes the timeline and
-// flamegraph exports; it must run after the experiments complete.
+// -trace, -timeline, -flamegraph and -http flags. The returned finish
+// function prints the aggregate metrics, flushes the trace and writes
+// the timeline and flamegraph exports; it must run after the
+// experiments complete.
 func setupObservability() (finish func() error, err error) {
 	files, ln, err := validateFlags()
 	if err != nil {
 		return nil, err
 	}
-	if !*metricsFlag && *progressFlag <= 0 && len(files) == 0 && ln == nil {
+	if !*metricsFlag && len(files) == 0 && ln == nil {
 		return func() error { return nil }, nil
 	}
 
@@ -229,7 +243,7 @@ func setupObservability() (finish func() error, err error) {
 	obsv = codesignvm.NewObserver(sink)
 	if *flameFlag != "" {
 		// Attribution milestones follow the effective instruction budget,
-		// matching the options() / withDefaults derivation.
+		// matching the withDefaults derivation.
 		obsv.EnableAttrib(codesignvm.DefaultAttribSpec(longBudget()))
 	}
 	if *timelineFlag != "" {
@@ -255,12 +269,7 @@ func setupObservability() (finish func() error, err error) {
 	if ln != nil {
 		stopHTTP = startIntrospection(ln, obsv)
 	}
-	stopProgress := func() {}
-	if *progressFlag > 0 {
-		stopProgress = startProgress(obsv, *progressFlag)
-	}
 	return func() error {
-		stopProgress()
 		// FullSnapshot: the per-run aggregate plus the process-level
 		// registry (runs.*, store.* health), matching /metrics.
 		if *metricsFlag {
@@ -295,46 +304,6 @@ func setupObservability() (finish func() error, err error) {
 		keep(stopHTTP())
 		return firstErr
 	}, nil
-}
-
-// startProgress prints a periodic sweep-progress line to stderr. It
-// reads only atomic process counters, the global event sequence and the
-// (mutex-guarded) timeline tails, so it is safe against the
-// concurrently running experiment grid.
-func startProgress(o *codesignvm.Observer, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		start := time.Now()
-		lastEvents := uint64(0)
-		lastTick := start
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				events := o.EventsEmitted()
-				rate := float64(events-lastEvents) / now.Sub(lastTick).Seconds()
-				lastEvents, lastTick = events, now
-				line := fmt.Sprintf("[vmsim +%s] runs %d/%d done, store %d hit / %d miss, %d events (%.0f ev/s)",
-					time.Since(start).Round(time.Second),
-					o.Proc.Counter("runs.done", "runs").Value(),
-					o.Proc.Counter("runs.started", "runs").Value(),
-					o.Proc.Counter("store.hits", "loads").Value(),
-					o.Proc.Counter("store.misses", "loads").Value(),
-					events, rate)
-				if ipc, ok := o.LiveIntervalIPC(); ok {
-					line += fmt.Sprintf(", interval IPC %.3f", ipc)
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }
 
 // startProfiling wires the standard pprof/trace outputs around the run.
@@ -395,79 +364,44 @@ func startProfiling() (stop func(), err error) {
 	return stop, nil
 }
 
-func options() codesignvm.Options {
-	opt := codesignvm.Options{
-		Scale:         *scaleFlag,
-		Sequential:    *seqFlag,
-		FreshRuns:     *freshFlag,
-		Store:         *storeFlag,
-		StoreMaxBytes: *storeMax,
-		Obs:           obsv,
-		Ctx:           runCtx,
-	}
-	if *appsFlag != "" {
-		opt.Apps = strings.Split(*appsFlag, ",")
-	}
-	if *instrsFlag > 0 {
-		opt.LongInstrs = *instrsFlag
-		opt.ShortInstrs = *instrsFlag / 5
-	}
-	return opt
-}
-
 // longBudget is the long-trace instruction budget: -instrs, or 500M/scale.
 func longBudget() uint64 {
-	if *instrsFlag > 0 {
-		return *instrsFlag
+	if spec.Instrs > 0 {
+		return spec.Instrs
 	}
-	return 500_000_000 / uint64(*scaleFlag)
+	return 500_000_000 / uint64(spec.Scale)
 }
 
 func run() error {
-	if *expFlag == "serve" {
+	switch spec.Exp {
+	case "serve":
 		return serveJobs()
-	}
-	// "sweep" and "all" expand through the shared registry ("sweep":
-	// the paper's figures in one process — fig8/fig9/fig11 share
-	// their long-trace runs and fig10's VM.soft run seeds the
-	// ablation-style short traces through the result cache).
-	exps := codesignvm.ExpandExperiment(*expFlag)
-	for _, exp := range exps {
-		start := time.Now()
-		if err := runOne(exp); err != nil {
-			return fmt.Errorf("%s: %w", exp, err)
-		}
-		fmt.Printf("[%s completed in %v]\n\n", exp, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-func runOne(exp string) error {
-	opt := options()
-	switch exp {
+	case "run":
+		return runSingle()
 	case "dump":
 		m, err := codesignvm.ModelByName(*modelFlag)
 		if err != nil {
 			return err
 		}
-		txt, err := codesignvm.DumpTranslations(*appFlag, m, *scaleFlag, *instrsFlag, 3)
+		txt, err := codesignvm.DumpTranslations(spec.App, m, spec.Scale, spec.Instrs, 3)
 		if err != nil {
 			return err
 		}
-		fmt.Print(txt)
-		return nil
-	case "run":
-		return runSingle(opt)
-	}
-	// Every report experiment dispatches through the shared registry —
-	// the same code path the job service executes, so a report fetched
-	// from GET /jobs/{id}/result is byte-identical to this output.
-	txt, err := codesignvm.RunExperiment(exp, opt, *appFlag)
-	if err != nil {
+		_, err = io.WriteString(os.Stdout, txt)
 		return err
 	}
-	fmt.Print(txt)
-	return nil
+	// The reports render through the job path: stdout is the result a
+	// job with this spec returns, byte for byte.
+	env := codesignvm.Options{FreshRuns: *freshFlag, Store: *storeFlag, StoreMaxBytes: *storeMax, Obs: obsv, Ctx: runCtx}
+	start := time.Now()
+	return codesignvm.RunSpec(spec, env, func(exp, section string) error {
+		if _, err := io.WriteString(os.Stdout, section); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", exp, time.Since(start).Round(time.Millisecond))
+		start = time.Now()
+		return nil
+	})
 }
 
 // serveJobs is -exp serve: the process becomes a long-running job
@@ -489,12 +423,12 @@ func serveJobs() error {
 	return nil
 }
 
-func runSingle(opt codesignvm.Options) error {
+func runSingle() error {
 	m, err := codesignvm.ModelByName(*modelFlag)
 	if err != nil {
 		return err
 	}
-	prog, err := codesignvm.LoadWorkload(*appFlag, *scaleFlag)
+	prog, err := codesignvm.LoadWorkload(spec.App, spec.Scale)
 	if err != nil {
 		return err
 	}
@@ -503,11 +437,11 @@ func runSingle(opt codesignvm.Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s on %v: %d static instrs, budget %d\n", *appFlag, m, prog.StaticInstrs, budget)
+	fmt.Printf("%s on %v: %d static instrs, budget %d\n", spec.App, m, prog.StaticInstrs, budget)
 	cfg := codesignvm.DefaultConfig(m)
 	start := time.Now()
 	// NewRun on a nil observer returns a nil recorder: observability off.
-	tag := fmt.Sprintf("%v/%s", m, *appFlag)
+	tag := fmt.Sprintf("%v/%s", m, spec.App)
 	vm := codesignvm.NewConfiguredVM(cfg, prog)
 	vm.SetObserver(obsv.NewRun(tag))
 	res, err := vm.Run(budget)

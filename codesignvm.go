@@ -301,13 +301,9 @@ func DumpTranslations(app string, m Model, scale int, instrs uint64, top int) (s
 	return experiments.DumpTranslations(app, m, scale, instrs, top)
 }
 
-// Named experiment registry: the dispatch table shared by cmd/vmsim's
-// -exp flag and the async job service, so both produce byte-identical
+// Named experiment registry: every report vmsim prints and every job
+// returns renders through it (RunSpec), so both produce byte-identical
 // reports for the same request.
-
-// ExpandExperiment resolves the composites: "sweep" → the six paper
-// figures, "all" → every report experiment; other names pass through.
-func ExpandExperiment(name string) []string { return experiments.ExpandExperiment(name) }
 
 // RunExperiment executes one named report experiment and returns its
 // formatted report text — exactly what vmsim prints for the same
@@ -342,9 +338,12 @@ type (
 // return; stop it with Manager.Drain.
 func NewJobManager(cfg JobManagerConfig) (*JobManager, error) { return jobs.NewManager(cfg) }
 
-// MaxScale bounds the workload scale divisor of a job spec (and of
-// vmsim -scale).
-const MaxScale = jobs.MaxScale
+// RunSpec renders a validated job spec's reports in order under the run
+// environment env, each with its trailing blank line handed to emit:
+// a job's result and vmsim's stdout are both this stream.
+func RunSpec(spec JobSpec, env Options, emit func(exp, section string) error) error {
+	return jobs.Run(spec, env, emit)
+}
 
 // NewJobAPI wraps a job manager with the HTTP surface (POST/GET/DELETE
 // /jobs…; docs/api.md). rate/burst configure per-client submission

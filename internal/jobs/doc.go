@@ -6,8 +6,8 @@
 // submit a Spec — a named report experiment plus its grid parameters
 // (apps, scale, instruction budget, hot threshold) — and poll the job
 // asynchronously; finished jobs stream the report text, byte-identical
-// to the same experiment run through cmd/vmsim, because both sides
-// dispatch through the one experiments.RunExperiment registry.
+// to cmd/vmsim's stdout for the same spec, because both render it
+// through Run and both check it with Spec.Validate.
 //
 // The execution path is deliberately thin: every job runs through
 // internal/experiments with Options.Store set to the manager's

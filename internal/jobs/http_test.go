@@ -84,12 +84,12 @@ func getResult(t *testing.T, srv *httptest.Server, id string) (string, *http.Res
 
 // TestAPIByteIdentity proves the core contract: the report streamed
 // from /jobs/{id}/result is byte-identical to running the same spec
-// directly through the experiments registry (which is what the vmsim
-// CLI prints, minus the wall-clock "[… completed in …]" lines).
+// directly through the experiments registry, each report followed by
+// one blank line (which is what the vmsim CLI prints).
 func TestAPIByteIdentity(t *testing.T) {
 	store := t.TempDir()
 	experiments.ResetRunCacheForTest()
-	m := newTestManager(t, Config{Workers: 1, Store: store, Sequential: true, Runner: nil})
+	m := newTestManager(t, Config{Workers: 1, Store: store})
 	srv := newTestServer(t, m, 0, 0)
 
 	spec := `{"exp":"fig2","scale":800,"apps":["Word"],"instrs":200000}`
@@ -114,20 +114,15 @@ func TestAPIByteIdentity(t *testing.T) {
 	opt := experiments.Options{
 		Scale: 800, Apps: []string{"Word"},
 		LongInstrs: 200000, ShortInstrs: 40000,
-		Sequential: true, Store: store, Ctx: context.Background(),
+		Store: store, Ctx: context.Background(),
 	}
-	var want strings.Builder
-	for _, exp := range experiments.ExpandExperiment("fig2") {
-		txt, err := experiments.RunExperiment(exp, opt, "")
-		if err != nil {
-			t.Fatalf("direct RunExperiment(%s): %v", exp, err)
-		}
-		want.WriteString(txt)
-		want.WriteByte('\n')
+	txt, err := experiments.RunExperiment("fig2", opt, "")
+	if err != nil {
+		t.Fatalf("direct RunExperiment(fig2): %v", err)
 	}
-	if got != want.String() {
+	if want := txt + "\n"; got != want {
 		t.Fatalf("job result differs from direct run:\n--- job (%d bytes)\n%s\n--- direct (%d bytes)\n%s",
-			len(got), got, want.Len(), want.String())
+			len(got), got, len(want), want)
 	}
 	if final.ResultBytes != len(got) {
 		t.Fatalf("status result_bytes = %d, body = %d", final.ResultBytes, len(got))
@@ -155,7 +150,7 @@ func TestAPIByteIdentity(t *testing.T) {
 func TestAPIStoreDedupe(t *testing.T) {
 	store := t.TempDir()
 	experiments.ResetRunCacheForTest()
-	m := newTestManager(t, Config{Workers: 1, Store: store, Sequential: true})
+	m := newTestManager(t, Config{Workers: 1, Store: store})
 	srv := newTestServer(t, m, 0, 0)
 
 	spec := `{"exp":"fig2","scale":600,"apps":["Word"],"instrs":150000}`
@@ -197,7 +192,7 @@ func TestAPIStoreDedupe(t *testing.T) {
 func TestAPIConcurrentDuplicatesExactlyOnce(t *testing.T) {
 	// Phase 1: learn how many runs one cold execution starts.
 	experiments.ResetRunCacheForTest()
-	m0 := newTestManager(t, Config{Workers: 1, Store: t.TempDir(), Sequential: true})
+	m0 := newTestManager(t, Config{Workers: 1, Store: t.TempDir()})
 	srv0 := newTestServer(t, m0, 0, 0)
 	spec := `{"exp":"fig2","scale":500,"apps":["Word"],"instrs":100000,"force":true}`
 	st0, _ := postSpec(t, srv0, spec)
@@ -209,7 +204,7 @@ func TestAPIConcurrentDuplicatesExactlyOnce(t *testing.T) {
 
 	// Phase 2: fresh store + cache, N concurrent duplicates.
 	experiments.ResetRunCacheForTest()
-	m := newTestManager(t, Config{Workers: 4, QueueDepth: 16, Store: t.TempDir(), Sequential: true})
+	m := newTestManager(t, Config{Workers: 4, QueueDepth: 16, Store: t.TempDir()})
 	srv := newTestServer(t, m, 0, 0)
 	const n = 6
 	ids := make([]string, n)

@@ -79,10 +79,10 @@ func TestSpecValidate(t *testing.T) {
 		{"app-scoped", Spec{Exp: "pressure", App: "Excel"}, true, ""},
 		{"missing exp", Spec{}, false, "missing \"exp\""},
 		{"unknown exp", Spec{Exp: "fig99"}, false, "unknown experiment"},
-		{"run rejected", Spec{Exp: "run"}, false, "interactive CLI mode"},
-		{"dump rejected", Spec{Exp: "dump"}, false, "interactive CLI mode"},
+		{"run mode", Spec{Exp: "run"}, true, ""},
+		{"dump mode", Spec{Exp: "dump"}, true, ""},
 		{"bad scale", Spec{Exp: "fig2", Scale: -3}, false, "scale"},
-		{"huge scale", Spec{Exp: "fig2", Scale: MaxScale + 1}, false, "scale"},
+		{"huge scale", Spec{Exp: "fig2", Scale: maxScale + 1}, false, "scale"},
 		{"huge instrs", Spec{Exp: "fig2", Instrs: maxInstrs + 1}, false, "instrs"},
 		{"bad app", Spec{Exp: "pressure", App: "NotAnApp"}, false, "app"},
 		{"bad apps", Spec{Exp: "fig2", Apps: []string{"Word", "Nope"}}, false, "apps"},
@@ -105,6 +105,20 @@ func TestSpecValidate(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.frag) {
 				t.Fatalf("Validate(%+v) error %q does not contain %q", c.spec, err, c.frag)
+			}
+		})
+	}
+}
+
+// TestSubmitRejectsCLIModes: "run" and "dump" are valid specs for vmsim,
+// but their output embeds wall-clock timings, so no job may run them.
+func TestSubmitRejectsCLIModes(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	for _, exp := range []string{"run", "dump"} {
+		t.Run(exp+"_rejected", func(t *testing.T) {
+			j, _, err := m.Submit(Spec{Exp: exp})
+			if err == nil || !strings.Contains(err.Error(), "interactive CLI mode") {
+				t.Fatalf("Submit(%q) = %v, %v; want an \"interactive CLI mode\" error", exp, j, err)
 			}
 		})
 	}
@@ -481,7 +495,7 @@ func TestFinishedJobsRetainNoMachines(t *testing.T) {
 	)
 	experiments.ResetRunCacheForTest()
 	t.Cleanup(experiments.ResetRunCacheForTest)
-	m := newTestManager(t, Config{Workers: 1, Store: t.TempDir(), Sequential: true})
+	m := newTestManager(t, Config{Workers: 1, Store: t.TempDir()})
 	run := func(instrs uint64) {
 		t.Helper()
 		j, _, err := m.Submit(Spec{Exp: "fig8", Apps: []string{"Winzip"}, Scale: 400, Instrs: instrs})

@@ -13,10 +13,10 @@ import (
 )
 
 // Runner executes one validated spec and returns its report text. The
-// production runner dispatches through experiments.RunExperiment with
-// the manager's run store attached; tests substitute stubs. ctx is the
-// job's cancellation context (DELETE /jobs/{id} and drain deadlines
-// cancel it); jobObs is the job's private observer for progress.
+// production runner is Run against the manager's run store; tests
+// substitute stubs. ctx is the job's cancellation context (DELETE
+// /jobs/{id} and drain deadlines cancel it); jobObs is the job's
+// private observer for progress.
 type Runner func(ctx context.Context, spec Spec, jobObs *obs.Observer) (string, error)
 
 // Config parameterizes a Manager.
@@ -38,9 +38,6 @@ type Config struct {
 	Store string
 	// StoreMaxBytes caps the store (experiments.Options.StoreMaxBytes).
 	StoreMaxBytes int64
-	// Sequential forces each job's experiment grid to run inline
-	// (experiments.Options.Sequential); used by tests.
-	Sequential bool
 	// Obs is the process observer the manager reports service metrics
 	// and lifecycle events into (jobs.* — see OBSERVABILITY.md); nil
 	// disables service observability. Per-job run progress always
@@ -142,47 +139,50 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// runExperiments is the production runner: the spec's experiment list
-// through the shared registry, against the manager's run store, under
-// the job's context and private observer. Each report is followed by
-// one blank line — exactly the vmsim output stream with the
-// wall-clock "[exp completed in …]" lines removed (docs/api.md).
-func (m *Manager) runExperiments(ctx context.Context, spec Spec, jobObs *obs.Observer) (string, error) {
-	opt := experiments.Options{
-		Scale:         spec.Scale,
-		Apps:          spec.Apps,
-		HotThreshold:  spec.HotThreshold,
-		Sequential:    m.cfg.Sequential,
-		Store:         m.cfg.Store,
-		StoreMaxBytes: m.cfg.StoreMaxBytes,
-		Ctx:           ctx,
-		Obs:           jobObs,
-	}
-	if spec.Instrs > 0 {
-		opt.LongInstrs = spec.Instrs
-		opt.ShortInstrs = spec.Instrs / 5
-	}
-	var out strings.Builder
+// Run renders a validated spec: each report experiment the spec expands
+// to, run under env (store, fresh runs, context, observer) with the
+// spec's grid parameters, goes to emit followed by one blank line. Jobs
+// and vmsim both render through it, so a job result is vmsim's stdout
+// byte for byte (docs/api.md).
+func Run(spec Spec, env experiments.Options, emit func(exp, section string) error) error {
+	env.Scale, env.Apps, env.HotThreshold = spec.Scale, spec.Apps, spec.HotThreshold
+	env.LongInstrs, env.ShortInstrs = spec.Instrs, spec.Instrs/5
 	for _, exp := range experiments.ExpandExperiment(spec.Exp) {
-		txt, err := experiments.RunExperiment(exp, opt, spec.App)
+		txt, err := experiments.RunExperiment(exp, env, spec.App)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", exp, err)
+			return fmt.Errorf("%s: %w", exp, err)
 		}
-		out.WriteString(txt)
-		out.WriteByte('\n')
+		if err := emit(exp, txt+"\n"); err != nil {
+			return err
+		}
 	}
-	return out.String(), nil
+	return nil
+}
+
+// runExperiments is the production runner: Run against the manager's
+// run store, under the job's context and private observer.
+func (m *Manager) runExperiments(ctx context.Context, spec Spec, jobObs *obs.Observer) (string, error) {
+	var out strings.Builder
+	env := experiments.Options{Store: m.cfg.Store, StoreMaxBytes: m.cfg.StoreMaxBytes, Ctx: ctx, Obs: jobObs}
+	err := Run(spec, env, func(_, section string) error {
+		_, err := out.WriteString(section)
+		return err
+	})
+	return out.String(), err
 }
 
 // Submit validates and enqueues one spec. When an identical spec
 // (same Spec.Key) is already queued or running and spec.Force is
 // unset, the existing job is returned with existing=true — idempotent
 // submission. Rejections return ErrQueueFull / ErrDraining; invalid
-// specs return the validation error.
+// specs and the CLI modes "run" and "dump" return a spec error.
 func (m *Manager) Submit(spec Spec) (j *Job, existing bool, err error) {
 	spec, err = spec.Validate()
 	if err != nil {
 		return nil, false, err
+	}
+	if isCLIMode(spec.Exp) {
+		return nil, false, fmt.Errorf("spec: %q is an interactive CLI mode, not a submittable experiment (its output embeds wall-clock timings); use the report experiments", spec.Exp)
 	}
 	key := spec.Key()
 	m.mu.Lock()

@@ -16,10 +16,9 @@ import (
 // just {"exp":"fig2"}.
 type Spec struct {
 	// Exp names the experiment: any single report experiment
-	// (experiments.ExperimentNames) or the composites "sweep" (the six
-	// paper figures) and "all". The interactive CLI modes "run" and
-	// "dump" are not submittable — their output embeds wall-clock
-	// timings and is not deterministic.
+	// (experiments.ExperimentNames), the composites "sweep" (the six
+	// paper figures) and "all", or the vmsim modes "run" and "dump",
+	// which Manager.Submit refuses: their output embeds wall clock.
 	Exp string `json:"exp"`
 	// Apps restricts the benchmark suite (vmsim -apps). Order matters:
 	// reports iterate apps in the given order. Empty means all ten.
@@ -44,10 +43,9 @@ type Spec struct {
 	Force bool `json:"force,omitempty"`
 }
 
-// MaxScale bounds the scale divisor (here and in vmsim -scale): beyond
-// this the traces collapse to a handful of instructions and the reports
-// are meaningless.
-const MaxScale = 100000
+// maxScale bounds the scale divisor: beyond it the traces collapse to a
+// handful of instructions and the reports are meaningless.
+const maxScale = 100000
 
 // maxInstrs bounds the instruction budget at the paper-sized trace
 // length: one job may not ask for more simulation than -scale 1 does.
@@ -56,25 +54,23 @@ const maxInstrs = 500_000_000
 // Validate checks the spec against the experiment grid — known
 // experiment names, known benchmark apps, sane scale and budget — and
 // returns it with defaults filled in (scale 25, app "Word"). It is
-// called on every submission so an invalid spec fails at POST time
-// with a one-line error, never mid-job.
+// the one validator of these fields: every submission and every vmsim
+// invocation calls it, so an invalid spec fails with a one-line error
+// before any simulation starts, never mid-job.
 func (s Spec) Validate() (Spec, error) {
-	switch s.Exp {
-	case "":
+	switch {
+	case s.Exp == "":
 		return s, fmt.Errorf("spec: missing \"exp\" (one of: %s, sweep, all)",
 			strings.Join(experiments.ExperimentNames(), ", "))
-	case "run", "dump":
-		return s, fmt.Errorf("spec: %q is an interactive CLI mode, not a submittable experiment (its output embeds wall-clock timings); use the report experiments", s.Exp)
-	}
-	if !experiments.IsExperiment(s.Exp) {
+	case !experiments.IsExperiment(s.Exp) && !isCLIMode(s.Exp):
 		return s, fmt.Errorf("spec: unknown experiment %q (one of: %s, sweep, all)",
 			s.Exp, strings.Join(experiments.ExperimentNames(), ", "))
 	}
 	if s.Scale == 0 {
 		s.Scale = 25
 	}
-	if s.Scale < 1 || s.Scale > MaxScale {
-		return s, fmt.Errorf("spec: scale %d out of range [1, %d]", s.Scale, MaxScale)
+	if s.Scale < 1 || s.Scale > maxScale {
+		return s, fmt.Errorf("spec: scale %d out of range [1, %d]", s.Scale, maxScale)
 	}
 	if s.Instrs > maxInstrs {
 		return s, fmt.Errorf("spec: instrs %d exceeds the paper-sized budget %d", s.Instrs, maxInstrs)
@@ -95,6 +91,9 @@ func (s Spec) Validate() (Spec, error) {
 	}
 	return s, nil
 }
+
+// isCLIMode reports the vmsim modes that read a spec but render no report.
+func isCLIMode(exp string) bool { return exp == "run" || exp == "dump" }
 
 // Key is the spec's canonical content hash: identical specs (after
 // Validate's default-filling, excluding Force) share a key, which is

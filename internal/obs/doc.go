@@ -14,7 +14,7 @@
 // the simulator a uniform way to report that activity:
 //
 //   - Registry / Counter / Gauge / Histogram — typed metrics with
-//     atomic operations (safe to read live from a progress printer
+//     atomic operations (safe to read live from the /runs endpoint
 //     while the owning run mutates them). Registration allocates;
 //     operations on registered metrics do not.
 //   - Event / EventKind / Sink — typed lifecycle records (BBT
@@ -42,5 +42,5 @@
 // OBSERVABILITY.md at the repository root documents every metric and
 // event kind — name, unit, emission site, and cost when enabled and
 // disabled — and the cmd/vmsim flags (-metrics, -trace, -timeline,
-// -flamegraph, -progress, -http) that drive this package from the CLI.
+// -flamegraph, -http) that drive this package from the CLI.
 package obs

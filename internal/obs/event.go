@@ -185,8 +185,8 @@ type Observer struct {
 	seq  atomic.Uint64
 
 	// Proc holds process-level counters (runs started/done, run-store
-	// hits/misses). Live-readable: the cmd/vmsim progress line prints
-	// them while a sweep runs.
+	// hits/misses). Live-readable: /runs serves them while a sweep
+	// runs.
 	Proc *Registry
 
 	mu       sync.Mutex
@@ -332,27 +332,6 @@ func (o *Observer) Runs() []*Recorder {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return append([]*Recorder(nil), o.runs...)
-}
-
-// LiveIntervalIPC returns the most recently completed interval's IPC
-// across all sampling runs — the newest run with two timeline slices
-// wins. Used by live reporting (progress heartbeat, /runs); returns
-// false when no run has sampled two slices yet.
-func (o *Observer) LiveIntervalIPC() (float64, bool) {
-	if o == nil {
-		return 0, false
-	}
-	o.mu.Lock()
-	runs := append([]*Recorder(nil), o.runs...)
-	o.mu.Unlock()
-	for i := len(runs) - 1; i >= 0; i-- {
-		if tl := runs[i].Timeline(); tl != nil {
-			if ipc, ok := tl.LastIntervalIPC(); ok {
-				return ipc, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // Aggregate merges the snapshots of every run recorder minted so far

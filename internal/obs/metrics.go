@@ -31,8 +31,8 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing count. Operations are atomic so
-// a progress printer may read a counter while the owning run increments
-// it; increments are wait-free and allocation-free.
+// the /runs endpoint may read a counter while the owning run
+// increments it; increments are wait-free and allocation-free.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.

@@ -54,8 +54,8 @@ type TimeSlice struct {
 }
 
 // Timeline is the allocation-bounded slice store. Appends come from
-// the simulating goroutine; reads (progress heartbeat, /runs endpoint)
-// may come from others, so access is mutex-guarded — appends are rare
+// the simulating goroutine; reads (the /runs endpoint) may come
+// from others, so access is mutex-guarded — appends are rare
 // (once per interval boundary), never per instruction.
 type Timeline struct {
 	mu       sync.Mutex
@@ -149,7 +149,7 @@ func (t *Timeline) Slices() []TimeSlice {
 // LastIntervalIPC returns the x86 IPC of the most recent completed
 // interval (instructions retired in it over its cycle width), or false
 // before two slices exist. Safe to call while the run is in flight —
-// the progress heartbeat and the /runs endpoint poll it live.
+// the /runs endpoint polls it live.
 func (t *Timeline) LastIntervalIPC() (float64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -171,8 +171,8 @@ func TestWriteTimelines(t *testing.T) {
 }
 
 // TestObserverTimelinePlumbing: EnableTimeline affects only recorders
-// minted afterwards, and LiveIntervalIPC surfaces the newest sampling
-// run.
+// minted afterwards, and each run's timeline reports its own newest
+// interval IPC (what /runs serves as interval_ipc).
 func TestObserverTimelinePlumbing(t *testing.T) {
 	o := NewObserver(nil)
 	before := o.NewRun("before")
@@ -186,24 +186,24 @@ func TestObserverTimelinePlumbing(t *testing.T) {
 	if before.Timeline() != nil {
 		t.Fatal("pre-enable recorder grew a timeline")
 	}
-	if _, ok := o.LiveIntervalIPC(); ok {
-		t.Fatal("live IPC with no samples")
-	}
 	a := o.NewRun("a")
+	if _, ok := a.Timeline().LastIntervalIPC(); ok {
+		t.Fatal("interval IPC with no samples")
+	}
 	b := o.NewRun("b")
 	a.Timeline().Append(slice(100, 100))
 	a.Timeline().Append(slice(200, 200))
 	b.Timeline().Append(slice(100, 300))
 	b.Timeline().Append(slice(200, 700))
-	if ipc, ok := o.LiveIntervalIPC(); !ok || ipc != 4.0 {
-		t.Fatalf("live IPC = %g,%v, want newest run's 4,true", ipc, ok)
+	if ipc, ok := a.Timeline().LastIntervalIPC(); !ok || ipc != 1.0 {
+		t.Fatalf("run a interval IPC = %g,%v, want 1,true", ipc, ok)
+	}
+	if ipc, ok := b.Timeline().LastIntervalIPC(); !ok || ipc != 4.0 {
+		t.Fatalf("run b interval IPC = %g,%v, want 4,true", ipc, ok)
 	}
 	var nilObs *Observer
 	if nilObs.TimelineEnabled() {
 		t.Fatal("nil observer reports timeline enabled")
-	}
-	if _, ok := nilObs.LiveIntervalIPC(); ok {
-		t.Fatal("nil observer reports live IPC")
 	}
 	nilObs.EnableTimeline() // must not panic
 }

@@ -178,19 +178,18 @@ lap attrib
 
 # Every experiment a store client: a warm pass over the store the cold
 # pass filled is a second process that simulates nothing, for every
-# experiment. It must print the same reports (the wall-clock
-# "[… completed in …]" lines stripped), and write byte-identical
-# -flamegraph and -timeline files, which are built from the Results the
-# reports consumed.
+# experiment. It must print the same stdout, byte for byte (the
+# wall-clock "[… completed in …]" lines are on stderr), and write
+# byte-identical -flamegraph and -timeline files, which are built from
+# the Results the reports consumed.
 ci_tmp="${TMPDIR:-/tmp}/vmsim-ci.$$"
 mkdir -p "$ci_tmp/obsstore"
 go build -o "$ci_tmp/vmsim" ./cmd/vmsim
 for pass in cold warm; do
 	"$ci_tmp/vmsim" -exp all -scale 200 -apps Word,Winzip -store "$ci_tmp/obsstore" \
 		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" >"$ci_tmp/all.$pass"
-	sed '/^\[.* completed in .*\]$/d' "$ci_tmp/all.$pass" >"$ci_tmp/reports.$pass"
 done
-diff "$ci_tmp/reports.cold" "$ci_tmp/reports.warm"
+diff "$ci_tmp/all.cold" "$ci_tmp/all.warm"
 cmp "$ci_tmp/flame.cold" "$ci_tmp/flame.warm"
 cmp "$ci_tmp/tl.cold" "$ci_tmp/tl.warm"
 [ -s "$ci_tmp/flame.cold" ] && [ "$(wc -l <"$ci_tmp/tl.cold")" -gt 1 ]
@@ -218,9 +217,8 @@ lap introspection
 # Job-service smoke (docs/api.md): boot -exp serve against a fresh run
 # store, go through the whole client lifecycle over live HTTP — submit,
 # poll to completion, stream the result — then diff the streamed report
-# against the CLI's stdout for the same spec with the wall-clock
-# "[… completed in …]" progress lines stripped: the byte-identity
-# contract, checked end to end on a real server. Unit-test coverage of
+# against the CLI's stdout for the same spec, byte for byte: the
+# byte-identity contract, checked end to end on a real server. Unit-test coverage of
 # the same flow is in internal/jobs; this proves the vmsim wiring
 # (flags, signal-driven drain, shared mux) works from outside.
 mkdir -p "$ci_tmp/store"
@@ -247,8 +245,7 @@ for _ in $(seq 1 300); do
 done
 [ "$state" = done ] || { echo "job $job_id ended in state '$state'"; curl -fsS "http://$addr/jobs/$job_id"; exit 1; }
 curl -fsS "http://$addr/jobs/$job_id/result" > "$ci_tmp/job.txt"
-"$ci_tmp/vmsim" -exp fig2 -scale 500 -apps Word -instrs 200000 2>/dev/null |
-	sed '/^\[.* completed in .*\]$/d' > "$ci_tmp/cli.txt"
+"$ci_tmp/vmsim" -exp fig2 -scale 500 -apps Word -instrs 200000 >"$ci_tmp/cli.txt" 2>/dev/null
 diff "$ci_tmp/job.txt" "$ci_tmp/cli.txt"
 curl -fsS "http://$addr/metrics" | grep -q '^codesignvm_jobs_done_total 1'
 # SIGTERM must drain gracefully (exit 0), not kill accepted work.

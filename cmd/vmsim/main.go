@@ -17,8 +17,13 @@
 //
 // Reports go to stdout, each followed by one blank line: the stream is
 // byte-identical to a job's result for the same spec (docs/api.md).
-// The wall-clock "[exp completed in …]" line after each report goes to
-// stderr.
+// The wall-clock "[exp completed in …]" line after each report and the
+// -metrics table go to stderr.
+//
+// A flag that does nothing in the chosen mode fails with one line: a
+// spec flag (-apps, -app, -scale, -instrs) under serve, -model outside
+// run and dump, -warm-cache outside run, and the -jobs-* flags and
+// -drain-timeout outside serve.
 //
 // Cycle attribution (see OBSERVABILITY.md):
 //
@@ -33,8 +38,8 @@
 //
 // Observability (see OBSERVABILITY.md):
 //
-//	vmsim -exp fig2 -metrics                 # aggregate metric table
-//	vmsim -exp run -trace run.trace.json     # Chrome trace (Perfetto)
+//	vmsim -exp fig2 -metrics                 # aggregate metric table (stderr)
+//	vmsim -exp fig2 -trace run.trace.json    # host-time Chrome trace (Perfetto)
 //	vmsim -exp fig2 -timeline tl.csv         # interval-sampled timelines
 //	vmsim -exp sweep -http 127.0.0.1:890     # live introspection server
 //
@@ -84,8 +89,8 @@ var (
 	memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	gotraceFile = flag.String("gotrace", "", "write a Go runtime execution trace to this file")
 
-	metricsFlag  = flag.Bool("metrics", false, "print a table of aggregate observability metrics on exit (/metrics on -http is the machine-readable form)")
-	traceFlag    = flag.String("trace", "", "write the lifecycle-event stream as Chrome trace-event JSON to this file (view in Perfetto)")
+	metricsFlag  = flag.Bool("metrics", false, "print a table of aggregate observability metrics to stderr on exit (/metrics on -http is the machine-readable form)")
+	traceFlag    = flag.String("trace", "", "write where this process spent its wall time — each run's and job's span, run-store and job events — as Chrome trace-event JSON to this file (view in Perfetto)")
 	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs")
 	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs")
 	httpFlag     = flag.String("http", "", "serve live introspection on this address (/metrics /runs /healthz /debug/pprof; -exp serve adds /jobs)")
@@ -165,6 +170,9 @@ func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 	if flag.NArg() > 0 {
 		return fail("unexpected argument %q: vmsim takes flags only, and ignores every flag after an argument", flag.Arg(0))
 	}
+	if msg := unusedFlag(*expFlag); msg != "" {
+		return fail("%s", msg)
+	}
 	// A spec's scale 0 means the default; a flag is never absent, so
 	// -scale 0 is a divisor of zero, not a request for the default.
 	if *scaleFlag == 0 {
@@ -220,6 +228,27 @@ func validateFlags() (files map[string]*os.File, ln net.Listener, err error) {
 	return files, ln, nil
 }
 
+// unusedFlag describes the first flag set on the command line that
+// does nothing under -exp exp, or returns "" when every set flag
+// applies: a flag that is silently ignored reads as if it took effect.
+func unusedFlag(exp string) (msg string) {
+	flag.Visit(func(f *flag.Flag) {
+		name := f.Name
+		switch {
+		case msg != "":
+		case exp == "serve" && (name == "apps" || name == "app" || name == "instrs" || name == "scale"):
+			msg = "-" + name + " does nothing with -exp serve: each job brings its own spec"
+		case name == "model" && exp != "run" && exp != "dump":
+			msg = "-model applies only to -exp run and dump"
+		case name == "warm-cache" && exp != "run":
+			msg = "-warm-cache applies only to -exp run"
+		case (strings.HasPrefix(name, "jobs-") || name == "drain-timeout") && exp != "serve":
+			msg = "-" + name + " applies only to -exp serve"
+		}
+	})
+	return msg
+}
+
 // setupObservability builds the process observer from the -metrics,
 // -trace, -timeline, -flamegraph and -http flags. The returned finish
 // function prints the aggregate metrics, flushes the trace and writes
@@ -271,10 +300,11 @@ func setupObservability() (finish func() error, err error) {
 	}
 	return func() error {
 		// FullSnapshot: the per-run aggregate plus the process-level
-		// registry (runs.*, store.* health), matching /metrics.
+		// registry (runs.*, store.* health), matching /metrics. On
+		// stderr: stdout is the job result.
 		if *metricsFlag {
-			fmt.Printf("observability metrics (aggregate over %d runs):\n", obsv.RunCount())
-			obsv.FullSnapshot().Format(os.Stdout)
+			fmt.Fprintf(os.Stderr, "observability metrics (aggregate over %d runs):\n", obsv.RunCount())
+			obsv.FullSnapshot().Format(os.Stderr)
 		}
 		var firstErr error
 		keep := func(err error) {

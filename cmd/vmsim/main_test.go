@@ -2,10 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	codesignvm "codesignvm"
 )
@@ -22,10 +26,13 @@ func TestMain(m *testing.M) {
 }
 
 // vmsim runs the command with args and returns its stdout, stderr and
-// exit code.
+// exit code. A run that has not exited after two minutes is killed, so
+// a mode that starts serving by mistake fails instead of hanging.
 func vmsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "VMSIM_TEST_MAIN=1")
 	var outb, errb strings.Builder
 	cmd.Stdout, cmd.Stderr = &outb, &errb
@@ -100,16 +107,27 @@ func TestBadSpecFailsBeforeOutput(t *testing.T) {
 }
 
 // TestStdoutIsJobResult: vmsim's stdout is the result of a job with the
-// same spec, byte for byte — the wall-clock lines are on stderr — for a
-// single report and for a composite.
+// same spec, byte for byte — the wall-clock lines and the -metrics
+// table are on stderr — for a single report, for a composite, and with
+// every observability output on.
 func TestStdoutIsJobResult(t *testing.T) {
 	m, err := codesignvm.NewJobManager(codesignvm.JobManagerConfig{Workers: 1, Store: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Drain(context.Background())
-	for _, exp := range []string{"fig2", "all"} {
-		stdout, stderr, code := vmsim(t, "-exp", exp, "-scale", "500", "-apps", "Word", "-instrs", "200000")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		exp string
+		obs []string
+	}{
+		{"fig2", nil},
+		{"all", nil},
+		{"fig2", []string{"-metrics", "-trace", dir + "/F", "-timeline", dir + "/T", "-flamegraph", dir + "/G"}},
+	} {
+		exp := c.exp
+		args := append([]string{"-exp", exp, "-scale", "500", "-apps", "Word", "-instrs", "200000"}, c.obs...)
+		stdout, stderr, code := vmsim(t, args...)
 		if code != 0 {
 			t.Fatalf("-exp %s: exit %d, stderr %q", exp, code, stderr)
 		}
@@ -126,8 +144,94 @@ func TestStdoutIsJobResult(t *testing.T) {
 			t.Fatalf("job %s ended %v: %s", exp, state, errText)
 		}
 		if stdout != report {
-			t.Errorf("-exp %s: stdout (%d bytes) differs from the job result (%d bytes):\n--- stdout\n%s\n--- job\n%s",
-				exp, len(stdout), len(report), stdout, report)
+			t.Errorf("%q: stdout (%d bytes) differs from the job result (%d bytes):\n--- stdout\n%s\n--- job\n%s",
+				args, len(stdout), len(report), stdout, report)
+		}
+	}
+}
+
+// TestUnusedFlagFails: a flag set in a mode that ignores it fails with
+// one line before any output file is created, instead of reading as if
+// it took effect.
+func TestUnusedFlagFails(t *testing.T) {
+	dir := t.TempDir()
+	trace := dir + "/t.json"
+	serve := []string{"-exp", "serve", "-http", "127.0.0.1:0", "-store", dir + "/store"}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{append(serve, "-scale", "-3", "-apps", "Nope"), "-apps does nothing with -exp serve: each job brings its own spec"},
+		{append(serve, "-app", "Word"), "-app does nothing with -exp serve: each job brings its own spec"},
+		{append(serve, "-instrs", "1000"), "-instrs does nothing with -exp serve: each job brings its own spec"},
+		{append(serve, "-scale", "25"), "-scale does nothing with -exp serve: each job brings its own spec"},
+		{[]string{"-exp", "fig2", "-model", "VM.be"}, "-model applies only to -exp run and dump"},
+		{[]string{"-exp", "dump", "-warm-cache", "lazy"}, "-warm-cache applies only to -exp run"},
+		{[]string{"-exp", "run", "-jobs-workers", "4"}, "-jobs-workers applies only to -exp serve"},
+		{[]string{"-exp", "fig2", "-drain-timeout", "1s"}, "-drain-timeout applies only to -exp serve"},
+	} {
+		stdout, stderr, code := vmsim(t, append(c.args, "-trace", trace)...)
+		if want := "vmsim: " + c.want + "\n"; code != 1 || stdout != "" || stderr != want {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 1, no stdout, %q", c.args, code, stdout, stderr, want)
+		}
+		if _, err := os.Stat(trace); !os.IsNotExist(err) {
+			t.Errorf("%q: wrote %s", c.args, trace)
+		}
+	}
+}
+
+// TestTraceIsHostView: -trace holds host time only. A cold pass over an
+// empty store traces one run span per simulation it started; a warm
+// pass over the same store starts none and traces its store hits, at
+// their real times. Neither trace holds a simulated-machine event.
+func TestTraceIsHostView(t *testing.T) {
+	dir := t.TempDir()
+	simulated := map[string]bool{"bbt-translate": true, "sbt-promote": true, "chain": true, "unchain": true,
+		"cache-flush": true, "shadow-evict": true, "jtlb": true, "jtlb-epoch": true, "restore": true, "restore-fault": true}
+	started := regexp.MustCompile(`(?m)^runs\.started +(\d+) `)
+	for _, pass := range []string{"cold", "warm"} {
+		trace := dir + "/" + pass + ".json"
+		_, stderr, code := vmsim(t, "-exp", "fig2", "-scale", "500", "-apps", "Word", "-store", dir+"/store", "-trace", trace, "-metrics")
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", pass, code, stderr)
+		}
+		raw, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string  `json:"name"`
+				Ph   string  `json:"ph"`
+				Ts   float64 `json:"ts"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: trace is not JSON: %v", pass, err)
+		}
+		runs, hits := 0, 0
+		for _, e := range doc.TraceEvents {
+			switch {
+			case simulated[e.Name]:
+				t.Fatalf("%s: simulated-machine event %q in the trace", pass, e.Name)
+			case e.Name == "run" && e.Ph == "B":
+				runs++
+			case e.Name == "store-hit":
+				hits++
+				if e.Ts <= 0 {
+					t.Errorf("%s: store-hit at ts %v, not host time", pass, e.Ts)
+				}
+			}
+		}
+		want := 0
+		if m := started.FindStringSubmatch(stderr); m != nil {
+			want, _ = strconv.Atoi(m[1])
+		}
+		if pass == "cold" && (runs == 0 || runs != want) {
+			t.Errorf("cold: %d run spans, %d runs started (stderr %q)", runs, want, stderr)
+		}
+		if pass == "warm" && (runs != 0 || hits == 0) {
+			t.Errorf("warm: %d run spans and %d store hits; want none and some", runs, hits)
 		}
 	}
 }

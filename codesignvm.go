@@ -150,15 +150,15 @@ type (
 	// Recorder is one run's observability handle (per-run metrics plus
 	// event emission); mint one per run with Observer.NewRun.
 	Recorder = obs.Recorder
-	// Event is one typed VM lifecycle record.
+	// Event is one typed host-side lifecycle record.
 	Event = obs.Event
-	// EventKind discriminates lifecycle events (BBT translate, SBT
-	// promotion, cache flush, …).
+	// EventKind discriminates lifecycle events (run span, store
+	// hit/miss, job transitions, …).
 	EventKind = obs.EventKind
 	// EventSink receives emitted events.
 	EventSink = obs.Sink
-	// TraceSink renders the event stream as Chrome trace-event JSON
-	// viewable in Perfetto; call Flush when done.
+	// TraceSink renders the event stream as Chrome trace-event JSON on
+	// the host clock, viewable in Perfetto; call Flush when done.
 	TraceSink = obs.TraceSink
 	// Timeline is one run's allocation-bounded sequence of interval
 	// snapshots (Recorder.Timeline).
@@ -185,7 +185,7 @@ func NewIntrospectionHandler(o *Observer, info map[string]string) http.Handler {
 }
 
 // RunConfigObserved simulates with an observability recorder attached:
-// events flow to the recorder's sink during the run and the Result
+// the run's host span goes to the recorder's sink and the Result
 // carries the metric snapshot. A nil recorder behaves like RunConfig.
 func RunConfigObserved(cfg Config, prog *Program, maxInstrs uint64, rec *Recorder) (*Result, error) {
 	return machine.RunConfigObserved(cfg, prog, maxInstrs, rec)

@@ -1,7 +1,7 @@
 // Observability: attach a metrics recorder and a Chrome trace sink to a
 // simulation, print the per-run metric snapshot, aggregate across runs,
-// and show the structured lifecycle-event stream. OBSERVABILITY.md
-// documents every metric and event kind shown here.
+// and show the host-time trace of the runs. OBSERVABILITY.md documents
+// every metric and event kind shown here.
 package main
 
 import (
@@ -15,9 +15,9 @@ import (
 
 func main() {
 	// One process-wide observer; its sink receives every lifecycle
-	// event from every run, tagged with the run's identity. A trace
-	// sink streams them to disk as Chrome trace-event JSON (open it in
-	// ui.perfetto.dev), each run on its own pair of lanes.
+	// event, tagged with what emitted it and stamped with host time. A
+	// trace sink streams them to disk as Chrome trace-event JSON (open
+	// it in ui.perfetto.dev), each run's span on its tag's lane.
 	f, err := os.CreateTemp("", "codesignvm-trace-*.json")
 	if err != nil {
 		log.Fatal(err)
@@ -44,9 +44,9 @@ func main() {
 		last = res
 	}
 
-	// Per-run metrics ride on the Result. Counters like
-	// vm.bbt.translations are maintained live at their emission sites;
-	// vm.run.* and vm.cache.* are mirrored from the run's final stats.
+	// Per-run metrics ride on the Result. Most, vm.bbt.translations
+	// included, are mirrored from the run's final stats; the block-size
+	// histograms are kept at their sites.
 	fmt.Println("== per-run metrics (VM.be/Word) ==")
 	last.Metrics.Format(os.Stdout)
 
@@ -62,18 +62,17 @@ func main() {
 	}
 
 	// The event stream: flush the sink (which closes the JSON document)
-	// and show the first few lines. Each line is one event on its run's
-	// lane, stamped with the run's retired-instruction clock, with the
-	// kind's payload fields as args (see OBSERVABILITY.md).
+	// and show it. Each run is a "run" span, B to E, on its tag's lane;
+	// ts is host microseconds since the observer was created.
 	if err := sink.Flush(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := f.Seek(0, 0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n== first lifecycle events (of %d) ==\n", obsv.EventsEmitted())
+	fmt.Printf("\n== trace (%d events) ==\n", obsv.EventsEmitted())
 	sc := bufio.NewScanner(f)
-	for i := 0; i < 6 && sc.Scan(); i++ {
+	for sc.Scan() {
 		fmt.Println(sc.Text())
 	}
 }

@@ -32,7 +32,7 @@
 // Options.Sequential is set; reports are byte-identical either way.
 //
 // Attaching an obs.Observer (Options.Obs) mints one metrics recorder per
-// simulated run, streams lifecycle events to the observer's sink, and
-// counts store hits/misses on the observer's process-wide registry —
-// without changing any report (see OBSERVABILITY.md).
+// simulated run, streams run spans and store events to the observer's
+// sink, and counts store hits/misses on the observer's process-wide
+// registry — without changing any report (see OBSERVABILITY.md).
 package experiments

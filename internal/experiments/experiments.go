@@ -62,9 +62,9 @@ type Options struct {
 	// Obs attaches the observability layer (internal/obs): every fresh
 	// simulation gets a per-run recorder minted from this observer (its
 	// metric snapshot rides on the Result and is persisted with it),
-	// lifecycle events flow to the observer's sink, and process-level
-	// counters (runs.started/done, store.hits/misses) update live for
-	// progress reporting. Nil disables observability entirely —
+	// run spans and store events flow to the observer's sink, and
+	// process-level counters (runs.started/done, store.hits/misses)
+	// update live for progress reporting. Nil disables it entirely —
 	// instrumented and uninstrumented sweeps produce byte-identical
 	// reports either way.
 	Obs *obs.Observer

@@ -76,8 +76,8 @@ func RunConfig(cfg vmm.Config, prog *workload.Program, maxInstrs uint64) (*vmm.R
 }
 
 // RunConfigObserved simulates with an observability recorder attached:
-// lifecycle events flow to the recorder's sink during the run and the
-// Result carries the recorder's metric snapshot. A nil recorder behaves
+// the run's host span goes to the recorder's sink and the Result
+// carries the recorder's metric snapshot. A nil recorder behaves
 // exactly like RunConfig. The recorder rides on the VM, not the
 // configuration, so cfg remains a comparable cache/store key.
 func RunConfigObserved(cfg vmm.Config, prog *workload.Program, maxInstrs uint64, rec *obs.Recorder) (*vmm.Result, error) {

@@ -3,48 +3,26 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"codesignvm/internal/obs/attrib"
 )
 
-// EventKind enumerates the VM lifecycle events. OBSERVABILITY.md
+// EventKind enumerates the host-side lifecycle events: run spans,
+// run-store outcomes and job-service transitions. OBSERVABILITY.md
 // documents each kind's emission site and payload semantics; the
 // payload field names in kindInfo are the args keys the trace sink
-// writes, so traces are self-describing.
+// writes, so traces are self-describing. No kind carries a simulated
+// quantity: what the simulated machine did is the Result-built
+// timeline and flamegraph.
 type EventKind uint8
 
 // Lifecycle event kinds.
 const (
-	// EvRunStart opens one VM.Run call: a = instruction budget.
+	// EvRunStart opens the host span of one VM.Run call.
 	EvRunStart EventKind = iota
-	// EvRunEnd closes it: a = retired instructions, b = simulated
-	// cycles (rounded).
+	// EvRunEnd closes it.
 	EvRunEnd
-	// EvBBTTranslate is one basic-block translation into the BBT code
-	// cache: pc = entry, a = x86 instructions, b = micro-ops,
-	// c = encoded bytes.
-	EvBBTTranslate
-	// EvSBTPromote is one hotspot promotion — superblock formation at
-	// the Eq. 2 threshold: pc = entry, a = x86 instructions,
-	// b = micro-ops, c = encoded bytes.
-	EvSBTPromote
-	// EvChain is one translation-exit chain creation (dispatch bypass):
-	// pc = dispatched target, a = source entry PC, b = target entry PC.
-	EvChain
-	// EvUnchain is a translation being superseded (a BBT block
-	// invalidated by the superblock covering it): pc = entry PC,
-	// a = cache epoch.
-	EvUnchain
-	// EvCacheFlush is a code-cache flush: a = cache id (0 BBT, 1 SBT),
-	// b = the new epoch, c = cumulative flushes of that cache.
-	EvCacheFlush
-	// EvShadowEvict is a clock eviction from the bounded shadow table:
-	// pc = evicted entry, a = resident blocks after eviction.
-	EvShadowEvict
-	// EvJTLBEpoch is a periodic jump-TLB summary, emitted every
-	// jtlbEpochInterval slow-path dispatch lookups: a = cumulative
-	// hits, b = cumulative misses.
-	EvJTLBEpoch
 	// EvStoreHit / EvStoreMiss are persistent run-store lookups in the
 	// experiment harnesses (process-level events, tagged with the run).
 	EvStoreHit
@@ -60,22 +38,13 @@ const (
 	// something: tag = store dir, a = debris files removed (tmp, stale
 	// locks, steal markers), b = records evicted by the size cap.
 	EvStoreGC
-	// EvRestore closes one VM.Restore call (warm-start snapshot
-	// attachment): a = restorable snapshot entries, b = translations
-	// eagerly preloaded (0 for the fully lazy mode), c = x86
-	// instructions covered by the preload.
-	EvRestore
-	// EvRestoreFault is one lazy warm-start fault-in — a dispatch miss
-	// materializing a snapshot translation instead of translating cold:
-	// pc = entry, a = x86 instructions, b = encoded bytes.
-	EvRestoreFault
 	// EvJobSubmit is one async job accepted by the job service
 	// (internal/jobs): tag = "id exp", a = queue depth after enqueue.
 	EvJobSubmit
-	// EvJobStart is a queued job picked up by a worker: tag = "id exp",
-	// a = queue depth after dequeue.
+	// EvJobStart opens the host span of a queued job picked up by a
+	// worker: tag = "id exp", a = queue depth after dequeue.
 	EvJobStart
-	// EvJobDone closes one job: tag = "id exp", a = terminal state
+	// EvJobDone closes it: tag = "id exp", a = terminal state
 	// (0 done, 1 failed, 2 cancelled), b = result bytes, c = execution
 	// wall time in ns.
 	EvJobDone
@@ -94,22 +63,13 @@ const (
 var kindInfo = [NumEventKinds]struct {
 	name, pc, a, b, c string
 }{
-	EvRunStart:     {"run-start", "", "budget", "", ""},
-	EvRunEnd:       {"run-end", "", "instrs", "cycles", ""},
-	EvBBTTranslate: {"bbt-translate", "pc", "x86", "uops", "bytes"},
-	EvSBTPromote:   {"sbt-promote", "pc", "x86", "uops", "bytes"},
-	EvChain:        {"chain", "pc", "from", "to", ""},
-	EvUnchain:      {"unchain", "pc", "epoch", "", ""},
-	EvCacheFlush:   {"cache-flush", "", "cache", "epoch", "flushes"},
-	EvShadowEvict:  {"shadow-evict", "pc", "resident", "", ""},
-	EvJTLBEpoch:    {"jtlb-epoch", "", "hits", "misses", ""},
+	EvRunStart:     {"run-start", "", "", "", ""},
+	EvRunEnd:       {"run-end", "", "", "", ""},
 	EvStoreHit:     {"store-hit", "", "", "", ""},
 	EvStoreMiss:    {"store-miss", "", "", "", ""},
 	EvStoreCorrupt: {"store-corrupt", "", "bytes", "", ""},
 	EvStoreSteal:   {"store-steal", "", "stale_ns", "", ""},
 	EvStoreGC:      {"store-gc", "", "debris", "evicted", ""},
-	EvRestore:      {"restore", "", "entries", "preloaded", "x86"},
-	EvRestoreFault: {"restore-fault", "pc", "x86", "bytes", ""},
 	EvJobSubmit:    {"job-submit", "", "queued", "", ""},
 	EvJobStart:     {"job-start", "", "queued", "", ""},
 	EvJobDone:      {"job-done", "", "state", "bytes", "wall_ns"},
@@ -125,18 +85,19 @@ func (k EventKind) String() string {
 }
 
 // Event is one typed lifecycle record. PC/A/B/C are kind-specific (see
-// the kind constants); Tag identifies the emitting run ("model/app").
-// Events are plain values — sinks receive them by value and emission
-// allocates nothing beyond what the sink itself does.
+// the kind constants); Tag identifies what emitted it ("model/app" for
+// a run, "id exp" for a job). Run is the emitting recorder's number
+// (1 for the first NewRun of its observer, 0 for process-level
+// events): it pairs a run's start with its end. Events are plain
+// values — sinks receive them by value and emission allocates nothing
+// beyond what the sink itself does.
 //
-// T is the emitting run's own clock: its retired-x86-instruction count
-// at emission. Instructions, not cycles, because every VM emission site
-// is functional (dispatch, translators, flush and eviction handlers),
-// and the instruction count is what a functional step advances.
-// Process-level events (store hits/misses) carry T = 0.
+// T is host time: monotonic nanoseconds since the emitting observer
+// was created. Every kind is stamped on this one clock.
 type Event struct {
 	Seq  uint64
 	T    uint64
+	Run  uint64
 	Kind EventKind
 	Tag  string
 	PC   uint32
@@ -145,9 +106,10 @@ type Event struct {
 	C    uint64
 }
 
-// Sink receives emitted events. Implementations must be safe for
-// concurrent Emit calls: one Observer's sink is shared by every run in
-// the process (the experiment grid runs (app × model) in parallel).
+// Sink receives emitted events. One Observer's sink is shared by every
+// run in the process (the experiment grid runs (app × model) in
+// parallel); the observer hands it one event at a time, in timestamp
+// order.
 type Sink interface {
 	Emit(Event)
 }
@@ -181,8 +143,10 @@ func (s *CollectSink) Events() []Event {
 // aggregate. A nil *Observer is valid everywhere and means "disabled";
 // all methods are nil-receiver-safe.
 type Observer struct {
-	sink Sink
-	seq  atomic.Uint64
+	sink   Sink
+	emitMu sync.Mutex // one event at a time: stamps reach the sink in order
+	seq    atomic.Uint64
+	start  time.Time // zero of the event clock (Event.T)
 
 	// Proc holds process-level counters (runs started/done, run-store
 	// hits/misses). Live-readable: /runs serves them while a sweep
@@ -202,7 +166,7 @@ type Observer struct {
 // NewObserver returns an observer emitting to sink (nil: metrics only,
 // no event stream).
 func NewObserver(sink Sink) *Observer {
-	return &Observer{sink: sink, Proc: NewRegistry()}
+	return &Observer{sink: sink, start: time.Now(), Proc: NewRegistry()}
 }
 
 // EventsEmitted returns the number of events issued so far.
@@ -213,13 +177,25 @@ func (o *Observer) EventsEmitted() uint64 {
 	return o.seq.Load()
 }
 
-// Emit issues one process-level event (run-store hits and misses).
-// No-op on a nil observer or when no sink is configured.
+// Emit issues one process-level event (run store, job service),
+// stamped with the observer's host clock. No-op on a nil observer or
+// when no sink is configured.
 func (o *Observer) Emit(k EventKind, tag string, pc uint32, a, b, c uint64) {
+	o.emit(Event{Kind: k, Tag: tag, PC: pc, A: a, B: b, C: c})
+}
+
+// emit stamps e with the next sequence number and the host clock and
+// hands it to the sink, one event at a time, so the sink receives
+// events in timestamp order. The clock is read only when a sink exists.
+func (o *Observer) emit(e Event) {
 	if o == nil || o.sink == nil {
 		return
 	}
-	o.sink.Emit(Event{Seq: o.seq.Add(1), Kind: k, Tag: tag, PC: pc, A: a, B: b, C: c})
+	o.emitMu.Lock()
+	e.Seq = o.seq.Add(1)
+	e.T = uint64(time.Since(o.start))
+	o.sink.Emit(e)
+	o.emitMu.Unlock()
 }
 
 // EnableTimeline turns on interval sampling: every Recorder minted by
@@ -312,6 +288,7 @@ func (o *Observer) NewRun(tag string) *Recorder {
 	}
 	r := &Recorder{Reg: NewRegistry(), obs: o, tag: tag}
 	o.mu.Lock()
+	r.id = uint64(len(o.runs)) + 1
 	if o.tlOn {
 		r.timeline = newTimeline(TimelineInterval, TimelineSlices)
 	}
@@ -381,6 +358,7 @@ type Recorder struct {
 
 	obs      *Observer
 	tag      string
+	id       uint64          // 1-based minting order (Event.Run)
 	timeline *Timeline       // nil unless the observer enabled sampling
 	attrib   *attrib.Profile // nil unless the observer enabled attribution
 
@@ -444,22 +422,12 @@ func (r *Recorder) AttribSnapshot() *attrib.Snapshot {
 	return r.snap
 }
 
-// Emit issues one lifecycle event for this run with no timestamp.
-// No-op on a nil recorder or when the observer has no sink.
+// Emit issues one lifecycle event for this run, stamped with the
+// observer's host clock. No-op on a nil recorder or when the observer
+// has no sink.
 func (r *Recorder) Emit(k EventKind, pc uint32, a, b, c uint64) {
-	r.EmitAt(k, pc, 0, a, b, c)
-}
-
-// EmitAt issues one lifecycle event stamped with the run's own clock t
-// (retired x86 instructions at emission; see Event.T). No-op on a nil
-// recorder or when the observer has no sink.
-func (r *Recorder) EmitAt(k EventKind, pc uint32, t, a, b, c uint64) {
 	if r == nil {
 		return
 	}
-	o := r.obs
-	if o == nil || o.sink == nil {
-		return
-	}
-	o.sink.Emit(Event{Seq: o.seq.Add(1), T: t, Kind: k, Tag: r.tag, PC: pc, A: a, B: b, C: c})
+	r.obs.emit(Event{Run: r.id, Kind: k, Tag: r.tag, PC: pc, A: a, B: b, C: c})
 }

@@ -151,12 +151,16 @@ func TestHotPathAllocFree(t *testing.T) {
 	sink := NewTraceSink(&discard{})
 	o := NewObserver(sink)
 	rec := o.NewRun("t")
-	rec.Emit(EvBBTTranslate, 1, 2, 3, 4) // assign the tag's lanes, warm the scratch buffer
+	runSpan := func() {
+		rec.Emit(EvRunStart, 0, 0, 0, 0)
+		rec.Emit(EvRunEnd, 0, 0, 0, 0)
+	}
+	runSpan() // assign the tag's lane, warm the scratch buffer
 	for name, fn := range map[string]func(){
 		"counter-inc":       func() { c.Inc() },
 		"histogram-observe": func() { h.Observe(37) },
-		"nil-recorder-emit": func() { nilRec.Emit(EvBBTTranslate, 1, 2, 3, 4) },
-		"trace-emit":        func() { rec.Emit(EvBBTTranslate, 1, 2, 3, 4) },
+		"nil-recorder-emit": func() { nilRec.Emit(EvRunStart, 0, 0, 0, 0) },
+		"trace-run-span":    runSpan,
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
@@ -182,6 +186,7 @@ func BenchmarkTraceEmit(b *testing.B) {
 	rec := NewRecorder("bench", NewTraceSink(&discard{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.Emit(EvBBTTranslate, 0x401000, 9, 17, 58)
+		rec.Emit(EvRunStart, 0, 0, 0, 0)
+		rec.Emit(EvRunEnd, 0, 0, 0, 0)
 	}
 }

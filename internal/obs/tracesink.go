@@ -11,42 +11,40 @@ import (
 // JSON (the "JSON Array Format" with a traceEvents wrapper), loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
-// The trace clock is the emitting run's own time base, Event.T: one
-// trace "microsecond" is one retired x86 instruction (see Event). The
-// export of a run is byte-identical from one run of the same program
-// to the next (tested in internal/vmm).
+// The trace clock is Event.T, host time since the observer was
+// created, written in the format's microseconds with nanosecond
+// decimals. Every event is on that one clock.
 //
-// Layout: one process (pid 1); each run tag gets two lanes in
-// first-seen order — a main lane carrying the run span (run-start/
-// run-end as B/E), lifecycle instants (chain, unchain, cache-flush,
-// shadow-evict, store-hit/miss) and the jtlb counter track, and an
-// "xlate" lane carrying translation episodes (bbt-translate,
-// sbt-promote) as complete "X" spans whose duration is the episode's
-// x86 instruction count. Emission happens after the episode at one
-// instant, so episode spans are laid back-to-back from a per-lane
-// cursor when their nominal times would overlap.
+// Layout: one process (pid 1); each tag gets a lane, named after it, in
+// first-seen order. A run (run-start to run-end) and a job (job-start
+// to job-done) are "run" and "job" B/E spans; every other kind is a
+// thread-scoped instant with its payload fields as args, on the tag's
+// first lane. Runs sharing a tag may overlap (the experiment grid runs
+// in parallel), so a span opens on the tag's first idle lane, adding a
+// lane "tag (2)", "tag (3)", … when none is, and closes on the lane it
+// opened on (matched by Event.Run). Every lane therefore holds
+// well-formed spans, its events in timestamp order.
 //
-// Concurrent runs (the experiment grid) share the sink; events
-// interleave in arrival order but land on their own tag's lanes.
-// Duplicate tags share lanes, so their episode spans interleave.
-// Call Flush (or Close) when done: it appends the thread-name metadata
-// and the closing brackets — an unflushed trace is not valid JSON.
+// Call Flush when done: it appends the lane-name metadata and the
+// closing brackets (an unflushed trace is not valid JSON), and the sink
+// drops every event emitted after it.
 type TraceSink struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	buf    []byte
 	any    bool // an event has been written (comma management)
 	closed bool
-	tags   []string
-	lanes  map[string]*traceLanes
+	lanes  map[string][]*traceLane // per tag, in creation order
+	all    []*traceLane            // every lane, in tid order
 	err    error
 }
 
-// traceLanes is one tag's pair of lanes.
-type traceLanes struct {
-	main   uint64
-	xlate  uint64
-	cursor uint64 // next free instant on the xlate lane
+// traceLane is one row of the trace.
+type traceLane struct {
+	tid  uint64
+	name string
+	open bool   // a span is open on the lane
+	run  uint64 // the open span's Event.Run
 }
 
 // NewTraceSink returns a sink writing one Chrome trace to w.
@@ -54,24 +52,45 @@ func NewTraceSink(w io.Writer) *TraceSink {
 	return &TraceSink{
 		w:     bufio.NewWriterSize(w, 1<<16),
 		buf:   make([]byte, 0, 256),
-		lanes: map[string]*traceLanes{},
+		lanes: map[string][]*traceLane{},
 	}
 }
 
-// lanesFor resolves (or assigns) the tag's lanes. Called with mu held.
-func (s *TraceSink) lanesFor(tag string) *traceLanes {
-	if l, ok := s.lanes[tag]; ok {
-		return l
+// laneFor picks e's lane: the one its span opened on for a span end, an
+// idle one for a span start, the tag's first lane for an instant, and a
+// new lane when none fits. Called with mu held.
+func (s *TraceSink) laneFor(e Event) *traceLane {
+	ls := s.lanes[e.Tag]
+	switch e.Kind {
+	case EvRunEnd, EvJobDone:
+		for _, l := range ls {
+			if l.open && l.run == e.Run {
+				return l
+			}
+		}
+	case EvRunStart, EvJobStart:
+		for _, l := range ls {
+			if !l.open {
+				return l
+			}
+		}
+		ls = nil // every lane is busy: add one
 	}
-	n := uint64(len(s.tags))
-	l := &traceLanes{main: 2*n + 1, xlate: 2*n + 2}
-	s.lanes[tag] = l
-	s.tags = append(s.tags, tag)
+	if len(ls) > 0 {
+		return ls[0]
+	}
+	l := &traceLane{tid: uint64(len(s.all)) + 1, name: e.Tag}
+	if n := len(s.lanes[e.Tag]); n > 0 {
+		l.name += " (" + strconv.Itoa(n+1) + ")"
+	}
+	s.lanes[e.Tag] = append(s.lanes[e.Tag], l)
+	s.all = append(s.all, l)
 	return l
 }
 
 // head opens one trace event object through the shared fields. Returns
-// the scratch buffer positioned after `"ts":<ts>`.
+// the scratch buffer positioned after `"ts":<ts>`, ts given in ns and
+// written in µs.
 func (s *TraceSink) head(name string, ph byte, tid, ts uint64) []byte {
 	b := s.buf[:0]
 	if !s.any {
@@ -88,8 +107,9 @@ func (s *TraceSink) head(name string, ph byte, tid, ts uint64) []byte {
 	b = append(b, `","pid":1,"tid":`...)
 	b = strconv.AppendUint(b, tid, 10)
 	b = append(b, `,"ts":`...)
-	b = strconv.AppendUint(b, ts, 10)
-	return b
+	b = strconv.AppendUint(b, ts/1000, 10)
+	ns := ts % 1000
+	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
 }
 
 // kv is one trace-event args field.
@@ -131,52 +151,38 @@ func (s *TraceSink) Emit(e Event) {
 	if s.err != nil || s.closed {
 		return
 	}
-	l := s.lanesFor(e.Tag)
+	l := s.laneFor(e)
 	var b []byte
 	switch e.Kind {
-	case EvRunStart:
-		b = s.head("run", 'B', l.main, e.T)
-		b = argsUint(b, kv{"budget", e.A})
-	case EvRunEnd:
-		b = s.head("run", 'E', l.main, e.T)
-		b = argsUint(b, kv{"instrs", e.A}, kv{"cycles", e.B})
-	case EvBBTTranslate, EvSBTPromote:
-		// Complete span on the xlate lane: duration = the episode's
-		// x86 instruction count, placed at the cursor so back-to-back
-		// episodes emitted at one instant do not overlap.
-		ts := e.T
-		if ts < l.cursor {
-			ts = l.cursor
-		}
-		dur := e.A
-		if dur == 0 {
-			dur = 1
-		}
-		l.cursor = ts + dur
-		b = s.head(info.name, 'X', l.xlate, ts)
-		b = append(b, `,"dur":`...)
-		b = strconv.AppendUint(b, dur, 10)
-		b = argsUint(b, kv{info.pc, uint64(e.PC)}, kv{info.a, e.A},
-			kv{info.b, e.B}, kv{info.c, e.C})
-	case EvJTLBEpoch:
-		b = s.head("jtlb", 'C', l.main, e.T)
-		b = argsUint(b, kv{info.a, e.A}, kv{info.b, e.B})
+	case EvRunStart, EvJobStart:
+		l.open, l.run = true, e.Run
+		b = s.head(spanName(e.Kind), 'B', l.tid, e.T)
+	case EvRunEnd, EvJobDone:
+		l.open = false
+		b = s.head(spanName(e.Kind), 'E', l.tid, e.T)
 	default:
-		// Everything else is a thread-scoped instant on the main lane
-		// with the kind's self-describing payload fields as args.
-		b = s.head(info.name, 'i', l.main, e.T)
+		b = s.head(info.name, 'i', l.tid, e.T)
 		b = append(b, `,"s":"t"`...)
-		b = argsUint(b, kv{info.pc, uint64(e.PC)}, kv{info.a, e.A},
-			kv{info.b, e.B}, kv{info.c, e.C})
 	}
+	b = argsUint(b, kv{info.pc, uint64(e.PC)}, kv{info.a, e.A},
+		kv{info.b, e.B}, kv{info.c, e.C})
 	b = append(b, '}')
 	_, s.err = s.w.Write(b)
 	s.buf = b[:0]
 }
 
+// spanName names the span a start or end kind delimits.
+func spanName(k EventKind) string {
+	if k == EvRunStart || k == EvRunEnd {
+		return "run"
+	}
+	return "job"
+}
+
 // Flush appends the lane-name metadata and the closing brackets, then
 // drains the buffered writer. The output is valid JSON only after
-// Flush; events emitted afterwards corrupt the trace.
+// Flush; the sink drops events emitted afterwards, and a second Flush
+// does nothing.
 func (s *TraceSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,21 +190,15 @@ func (s *TraceSink) Flush() error {
 		return s.err
 	}
 	s.closed = true
-	for _, tag := range s.tags {
-		l := s.lanes[tag]
-		for _, lane := range []struct {
-			tid  uint64
-			name string
-		}{{l.main, tag}, {l.xlate, tag + " xlate"}} {
-			b := s.head("thread_name", 'M', lane.tid, 0)
-			b = append(b, `,"args":{"name":`...)
-			b = strconv.AppendQuote(b, lane.name)
-			b = append(b, `}}`...)
-			if _, s.err = s.w.Write(b); s.err != nil {
-				return s.err
-			}
-			s.buf = b[:0]
+	for _, l := range s.all {
+		b := s.head("thread_name", 'M', l.tid, 0)
+		b = append(b, `,"args":{"name":`...)
+		b = strconv.AppendQuote(b, l.name)
+		b = append(b, `}}`...)
+		if _, s.err = s.w.Write(b); s.err != nil {
+			return s.err
 		}
+		s.buf = b[:0]
 	}
 	if !s.any {
 		if _, s.err = s.w.WriteString(`{"traceEvents":[`); s.err != nil {

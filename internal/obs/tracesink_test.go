@@ -4,20 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // traceEvent is the decoded shape of one Chrome trace event.
 type traceEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Tid  uint64            `json:"tid"`
-	Ts   uint64            `json:"ts"`
-	Dur  uint64            `json:"dur"`
-	S    string            `json:"s"`
-	Args map[string]any    `json:"args"`
-	X    map[string]string `json:"-"`
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  uint64         `json:"tid"`
+	Ts   float64        `json:"ts"`
+	S    string         `json:"s"`
+	Args map[string]any `json:"args"`
 }
 
 // decodeTrace parses a flushed sink's output and fails the test if it
@@ -33,6 +33,54 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []traceEvent {
 	return doc.TraceEvents
 }
 
+// laneNames maps each lane to its thread_name metadata.
+func laneNames(evs []traceEvent) map[uint64]string {
+	names := map[uint64]string{}
+	for _, e := range evs {
+		if e.Ph == "M" {
+			names[e.Tid] = e.Args["name"].(string)
+		}
+	}
+	return names
+}
+
+// checkLanes fails the test unless every lane holds well-formed spans —
+// each B closed by an E before the next B, none left open — with
+// timestamps non-decreasing in emission order, and returns the number
+// of spans of each name.
+func checkLanes(t *testing.T, evs []traceEvent) map[string]int {
+	t.Helper()
+	open := map[uint64]string{}
+	last := map[uint64]float64{}
+	spans := map[string]int{}
+	for _, e := range evs {
+		if e.Ph == "M" {
+			continue
+		}
+		if e.Ts < last[e.Tid] {
+			t.Fatalf("lane %d: %s at ts %v after ts %v", e.Tid, e.Name, e.Ts, last[e.Tid])
+		}
+		last[e.Tid] = e.Ts
+		switch e.Ph {
+		case "B":
+			if name, ok := open[e.Tid]; ok {
+				t.Fatalf("lane %d: %s span opens inside an open %s span", e.Tid, e.Name, name)
+			}
+			open[e.Tid] = e.Name
+		case "E":
+			if open[e.Tid] != e.Name {
+				t.Fatalf("lane %d: %s span ends, but %q is open", e.Tid, e.Name, open[e.Tid])
+			}
+			delete(open, e.Tid)
+			spans[e.Name]++
+		}
+	}
+	if len(open) != 0 {
+		t.Fatalf("spans left open: %v", open)
+	}
+	return spans
+}
+
 func TestTraceSinkEmptyFlushIsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)
@@ -44,64 +92,50 @@ func TestTraceSinkEmptyFlushIsValidJSON(t *testing.T) {
 	}
 }
 
+// TestTraceSinkShapes: runs and jobs are B/E spans, everything else an
+// instant, all on the host clock; two runs of one tag that overlap get
+// a lane each, and a later run reuses the first idle lane.
 func TestTraceSinkShapes(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)
 	o := NewObserver(s)
-	r := o.NewRun("VM.soft/Word")
-	r.EmitAt(EvRunStart, 0, 0, 1000, 0, 0)
-	r.EmitAt(EvBBTTranslate, 0x1000, 10, 5, 9, 34)
-	// Second episode emitted at the same instant: must be laid
-	// back-to-back after the first, not overlapping.
-	r.EmitAt(EvBBTTranslate, 0x2000, 10, 7, 12, 50)
-	r.EmitAt(EvSBTPromote, 0x1000, 40, 20, 35, 120)
-	r.EmitAt(EvChain, 0x2000, 60, 0x1000, 0x2000, 0)
-	r.EmitAt(EvJTLBEpoch, 0, 80, 900, 100, 0)
-	r.EmitAt(EvRunEnd, 0, 100, 100, 250, 0)
+	a, b, c := o.NewRun("VM.soft/Word"), o.NewRun("VM.soft/Word"), o.NewRun("VM.soft/Word")
+	o.Emit(EvStoreMiss, "VM.soft/Word", 0, 0, 0, 0)
+	a.Emit(EvRunStart, 0, 0, 0, 0)
+	b.Emit(EvRunStart, 0, 0, 0, 0)
+	a.Emit(EvRunEnd, 0, 0, 0, 0)
+	c.Emit(EvRunStart, 0, 0, 0, 0)
+	b.Emit(EvRunEnd, 0, 0, 0, 0)
+	c.Emit(EvRunEnd, 0, 0, 0, 0)
+	o.Emit(EvJobStart, "j1 fig2", 0, 3, 0, 0)
+	o.Emit(EvJobDone, "j1 fig2", 0, 0, 120, 5000)
+	elapsed := time.Since(o.start)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeTrace(t, &buf)
-
-	byPhase := map[string][]traceEvent{}
+	if spans := checkLanes(t, evs); spans["run"] != 3 || spans["job"] != 1 {
+		t.Fatalf("spans %v, want 3 run and 1 job", spans)
+	}
+	names := laneNames(evs)
+	var runLanes []uint64 // lane of each run-start, in emission order
 	for _, e := range evs {
-		byPhase[e.Ph] = append(byPhase[e.Ph], e)
+		if e.Ph != "M" && (e.Ts <= 0 || e.Ts > float64(elapsed.Nanoseconds())/1e3) {
+			t.Fatalf("%s at ts %v µs: not host time since the observer was created (%v)", e.Name, e.Ts, elapsed)
+		}
+		switch {
+		case e.Ph == "B" && e.Name == "run":
+			runLanes = append(runLanes, e.Tid)
+		case e.Ph == "i" && (e.Name != "store-miss" || e.S != "t" || names[e.Tid] != "VM.soft/Word"):
+			t.Fatalf("instant wrong: %+v on %q", e, names[e.Tid])
+		case e.Ph == "E" && e.Name == "job" && (e.Args["state"] != 0.0 || e.Args["bytes"] != 120.0 || e.Args["wall_ns"] != 5000.0):
+			t.Fatalf("job-done args wrong: %v", e.Args)
+		}
 	}
-	if len(byPhase["B"]) != 1 || len(byPhase["E"]) != 1 {
-		t.Fatalf("want one B/E run span, got %d/%d", len(byPhase["B"]), len(byPhase["E"]))
+	if len(runLanes) != 3 || runLanes[0] == runLanes[1] || runLanes[2] != runLanes[0] {
+		t.Fatalf("run lanes %v: want overlapping runs apart and the third on the first idle lane", runLanes)
 	}
-	if b := byPhase["B"][0]; b.Name != "run" || b.Ts != 0 || b.Args["budget"] != float64(1000) {
-		t.Fatalf("run-start span wrong: %+v", b)
-	}
-	xs := byPhase["X"]
-	if len(xs) != 3 {
-		t.Fatalf("want 3 translation spans, got %d", len(xs))
-	}
-	// Same-instant episodes laid back-to-back from the lane cursor.
-	if xs[0].Ts != 10 || xs[0].Dur != 5 {
-		t.Fatalf("first episode at %d+%d, want 10+5", xs[0].Ts, xs[0].Dur)
-	}
-	if xs[1].Ts != 15 || xs[1].Dur != 7 {
-		t.Fatalf("second same-instant episode at %d+%d, want 15+7", xs[1].Ts, xs[1].Dur)
-	}
-	if xs[2].Name != "sbt-promote" || xs[2].Ts != 40 {
-		t.Fatalf("promotion span wrong: %+v", xs[2])
-	}
-	if xs[0].Tid == byPhase["B"][0].Tid {
-		t.Fatal("translation episodes share the main lane")
-	}
-	if len(byPhase["C"]) != 1 || byPhase["C"][0].Name != "jtlb" {
-		t.Fatalf("jtlb counter track wrong: %+v", byPhase["C"])
-	}
-	if len(byPhase["i"]) != 1 || byPhase["i"][0].Name != "chain" || byPhase["i"][0].S != "t" {
-		t.Fatalf("instant event wrong: %+v", byPhase["i"])
-	}
-	// Lane metadata names both lanes after the tag.
-	names := map[uint64]string{}
-	for _, e := range byPhase["M"] {
-		names[e.Tid] = e.Args["name"].(string)
-	}
-	if names[byPhase["B"][0].Tid] != "VM.soft/Word" || names[xs[0].Tid] != "VM.soft/Word xlate" {
+	if names[runLanes[0]] != "VM.soft/Word" || names[runLanes[1]] != "VM.soft/Word (2)" {
 		t.Fatalf("lane names wrong: %v", names)
 	}
 }
@@ -113,12 +147,14 @@ func TestTraceSinkClosedIsInert(t *testing.T) {
 	s := NewTraceSink(&buf)
 	o := NewObserver(s)
 	r := o.NewRun("m/a")
-	r.EmitAt(EvRunStart, 0, 0, 10, 0, 0)
+	r.Emit(EvRunStart, 0, 0, 0, 0)
+	r.Emit(EvRunEnd, 0, 0, 0, 0)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	before := buf.String()
-	r.EmitAt(EvRunEnd, 0, 9, 9, 12, 0)
+	r.Emit(EvRunStart, 0, 0, 0, 0)
+	o.Emit(EvStoreHit, "m/a", 0, 0, 0, 0)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,64 +164,65 @@ func TestTraceSinkClosedIsInert(t *testing.T) {
 	decodeTrace(t, &buf)
 }
 
-// TestTraceSinkConcurrentTags: two runs sharing the sink keep their own
-// lane pairs.
+// TestTraceSinkConcurrentTags: runs emitting concurrently, several of
+// them under one tag, each keep one well-formed span on a lane named
+// after their tag, whatever order their events reach the sink in.
 func TestTraceSinkConcurrentTags(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)
 	o := NewObserver(s)
-	a, b := o.NewRun("m/a"), o.NewRun("m/b")
-	a.EmitAt(EvRunStart, 0, 0, 10, 0, 0)
-	b.EmitAt(EvRunStart, 0, 0, 10, 0, 0)
-	a.EmitAt(EvBBTTranslate, 0x1, 1, 2, 3, 4)
-	b.EmitAt(EvBBTTranslate, 0x2, 1, 2, 3, 4)
+	tags := []string{"m/a", "m/a", "m/a", "m/b", "m/b", "m/c"}
+	const rounds = 50
+	var wg sync.WaitGroup
+	for _, tag := range tags {
+		r := o.NewRun(tag)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r.Emit(EvRunStart, 0, 0, 0, 0)
+				o.Emit(EvStoreHit, r.Tag(), 0, 0, 0, 0)
+				r.Emit(EvRunEnd, 0, 0, 0, 0)
+			}
+		}()
+	}
+	wg.Wait()
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tids := map[uint64]bool{}
-	for _, e := range decodeTrace(t, &buf) {
-		if e.Ph != "M" {
-			tids[e.Tid] = true
-		}
+	evs := decodeTrace(t, &buf)
+	if spans := checkLanes(t, evs); spans["run"] != len(tags)*rounds {
+		t.Fatalf("%d run spans, want %d", spans["run"], len(tags)*rounds)
 	}
-	if len(tids) != 4 {
-		t.Fatalf("want 4 distinct lanes (2 runs × main+xlate), got %v", tids)
+	for _, n := range laneNames(evs) {
+		if tag, _, _ := strings.Cut(n, " ("); tag != "m/a" && tag != "m/b" && tag != "m/c" {
+			t.Fatalf("lane %q is named after no tag", n)
+		}
 	}
 }
 
 // TestTraceSinkEventPayloads sends every event kind through the sink
-// and finds it in the trace under its name and phase, on its run's
-// lane, at its run clock, with every payload field (pc/a/b/c) as a
-// named arg — one golden row per kind, so the trace carries everything
-// an event does except the host-global Seq, which only records arrival
-// order. A new kind needs a row here; renaming a kind or an arg is a
-// consumer-visible schema change (OBSERVABILITY.md).
+// and finds it in the trace under its name and phase, on its tag's
+// lane, with every payload field the kind names as an arg and no
+// other — one golden row per kind. A new kind needs a row here;
+// renaming a kind or an arg is a consumer-visible schema change
+// (OBSERVABILITY.md).
 func TestTraceSinkEventPayloads(t *testing.T) {
-	const pc = 0x401000
 	golden := []struct {
 		kind     EventKind
 		name, ph string
 		args     map[string]float64
 	}{
-		{EvRunStart, "run", "B", map[string]float64{"budget": 1}},
-		{EvRunEnd, "run", "E", map[string]float64{"instrs": 1, "cycles": 2}},
-		{EvBBTTranslate, "bbt-translate", "X", map[string]float64{"pc": pc, "x86": 1, "uops": 2, "bytes": 3}},
-		{EvSBTPromote, "sbt-promote", "X", map[string]float64{"pc": pc, "x86": 1, "uops": 2, "bytes": 3}},
-		{EvChain, "chain", "i", map[string]float64{"pc": pc, "from": 1, "to": 2}},
-		{EvUnchain, "unchain", "i", map[string]float64{"pc": pc, "epoch": 1}},
-		{EvCacheFlush, "cache-flush", "i", map[string]float64{"cache": 1, "epoch": 2, "flushes": 3}},
-		{EvShadowEvict, "shadow-evict", "i", map[string]float64{"pc": pc, "resident": 1}},
-		{EvJTLBEpoch, "jtlb", "C", map[string]float64{"hits": 1, "misses": 2}},
+		{EvRunStart, "run", "B", nil},
+		{EvRunEnd, "run", "E", nil},
 		{EvStoreHit, "store-hit", "i", nil},
 		{EvStoreMiss, "store-miss", "i", nil},
 		{EvStoreCorrupt, "store-corrupt", "i", map[string]float64{"bytes": 1}},
 		{EvStoreSteal, "store-steal", "i", map[string]float64{"stale_ns": 1}},
 		{EvStoreGC, "store-gc", "i", map[string]float64{"debris": 1, "evicted": 2}},
-		{EvRestore, "restore", "i", map[string]float64{"entries": 1, "preloaded": 2, "x86": 3}},
-		{EvRestoreFault, "restore-fault", "i", map[string]float64{"pc": pc, "x86": 1, "bytes": 2}},
 		{EvJobSubmit, "job-submit", "i", map[string]float64{"queued": 1}},
-		{EvJobStart, "job-start", "i", map[string]float64{"queued": 1}},
-		{EvJobDone, "job-done", "i", map[string]float64{"state": 1, "bytes": 2, "wall_ns": 3}},
+		{EvJobStart, "job", "B", map[string]float64{"queued": 1}},
+		{EvJobDone, "job", "E", map[string]float64{"state": 1, "bytes": 2, "wall_ns": 3}},
 		{EvJobReject, "job-reject", "i", map[string]float64{"reason": 1}},
 		{EvJobCancel, "job-cancel", "i", map[string]float64{"state": 1}},
 	}
@@ -195,37 +232,29 @@ func TestTraceSinkEventPayloads(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)
 	o := NewObserver(s)
-	// One run per kind, so each event has lanes of its own; the clock
-	// is distinct per kind and increasing, so no episode span is pushed
-	// off its instant by the lane cursor.
-	for i, g := range golden {
-		o.NewRun(g.kind.String()).EmitAt(g.kind, pc, uint64(100*(i+1)), 1, 2, 3)
+	// One tag per kind, so each event has a lane of its own.
+	for _, g := range golden {
+		o.Emit(g.kind, g.kind.String(), 0x401000, 1, 2, 3)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeTrace(t, &buf)
-	lane := map[uint64]string{}
-	for _, e := range evs {
-		if e.Ph == "M" {
-			lane[e.Tid] = e.Args["name"].(string)
-		}
-	}
-	for i, g := range golden {
+	lane := laneNames(evs)
+	for _, g := range golden {
 		var got *traceEvent
 		for j := range evs {
-			e := &evs[j]
-			if e.Ph != "M" && strings.TrimSuffix(lane[e.Tid], " xlate") == g.kind.String() {
+			if e := &evs[j]; e.Ph != "M" && lane[e.Tid] == g.kind.String() {
 				got = e
 				break
 			}
 		}
 		if got == nil {
-			t.Errorf("%v: no event on its run's lanes", g.kind)
+			t.Errorf("%v: no event on its tag's lane", g.kind)
 			continue
 		}
-		if got.Name != g.name || got.Ph != g.ph || got.Ts != uint64(100*(i+1)) {
-			t.Errorf("%v: got %s/%s at %d, want %s/%s at %d", g.kind, got.Name, got.Ph, got.Ts, g.name, g.ph, 100*(i+1))
+		if got.Name != g.name || got.Ph != g.ph {
+			t.Errorf("%v: got %s/%s, want %s/%s", g.kind, got.Name, got.Ph, g.name, g.ph)
 		}
 		if len(got.Args) != len(g.args) {
 			t.Errorf("%v: args %v, want %v", g.kind, got.Args, g.args)

@@ -33,9 +33,10 @@
 // # Observability
 //
 // A VM optionally carries an obs.Recorder (SetObserver). When attached,
-// the dispatch loop emits structured lifecycle events (translations,
-// promotions, chaining, flushes, evictions) and maintains a metrics
-// registry snapshot returned in Result.Metrics. When absent the hooks
-// cost one nil check; results are identical either way. OBSERVABILITY.md
-// documents every metric and event.
+// each Run emits its host span (run-start, run-end) and returns a
+// metrics registry snapshot in Result.Metrics: the few metrics nothing
+// else counts (block sizes, unlinks, restore faults) are kept at their
+// sites, and the rest is mirrored from the VM's own statistics at run
+// end. When absent the hooks cost one nil check; results are identical
+// either way. OBSERVABILITY.md documents every metric and event.
 package vmm

@@ -9,33 +9,29 @@ import (
 )
 
 // Observability wiring. The VM carries an optional *vmObs holding the
-// run's recorder plus pre-registered metric handles, so every emission
-// site costs one nil check when observability is disabled and no
-// registry lookups when it is enabled. All sites are functional
-// (dispatch, translators, flush/eviction handlers), so event order is
-// the functional execution order. Nothing here is read back by the
-// simulation: observability is purely observational (see internal/obs).
-
-// jtlbEpochInterval is the slow-path dispatch-lookup count between
-// EvJTLBEpoch summaries. Per-lookup events would swamp a trace (the
-// JTLB fronts every non-chained dispatch), so hit/miss behaviour is
-// reported as periodic cumulative snapshots.
-const jtlbEpochInterval = 1 << 16
+// run's recorder plus the handles of the metrics that have no source
+// but their site, so every such site costs one nil check when
+// observability is disabled and no registry lookups when it is enabled.
+// Everything else is mirrored from the statistics the VM already keeps,
+// once, at run end. The only events are the host span of each Run.
+// Nothing here is read back by the simulation: observability is purely
+// observational (see internal/obs).
 
 // vmObs caches the metric handles of one run's recorder.
 type vmObs struct {
 	rec *obs.Recorder
 
-	// Live-updated at their (rare) emission sites.
+	// Mirrored at run end from the VM's own statistics (obsRunEnd).
 	bbtTranslations *obs.Counter
 	sbtPromotions   *obs.Counter
 	chains          *obs.Counter
-	unchains        *obs.Counter
 	bbtFlushes      *obs.Counter
 	sbtFlushes      *obs.Counter
 	shadowEvicts    *obs.Counter
 	jtlbEpochs      *obs.Counter
 
+	// Updated at their (rare) sites: nothing else counts them.
+	unchains    *obs.Counter
 	bbtBlockX86 *obs.Histogram
 	sbtBlockX86 *obs.Histogram
 
@@ -83,17 +79,26 @@ func (v *VM) SetObserver(rec *obs.Recorder) {
 	}
 }
 
-func (v *VM) obsRunStart(budget uint64) {
-	v.obs.rec.EmitAt(obs.EvRunStart, 0, v.instrs, budget, 0, 0)
+// obsRunStart opens the run's host span.
+func (v *VM) obsRunStart() {
+	v.obs.rec.Emit(obs.EvRunStart, 0, 0, 0, 0)
 }
 
 // obsRunEnd mirrors the statistics the simulator already keeps (Result
 // fields, code-cache stats) into the registry — mirrored once here
-// instead of double-counted on the hot path — emits the closing event,
-// and attaches the snapshot to the Result.
+// instead of double-counted on the hot path — closes the run's host
+// span, and attaches the snapshot to the Result.
 func (v *VM) obsRunEnd() {
 	o := v.obs
 	reg := o.rec.Reg
+	bbt, sbt := v.bbtCache.Stats(), v.sbtCache.Stats()
+	o.bbtTranslations.Store(v.res.BBTTranslations)
+	o.sbtPromotions.Store(v.res.SBTTranslations)
+	o.chains.Store(bbt.Chains + sbt.Chains)
+	o.bbtFlushes.Store(bbt.Flushes)
+	o.sbtFlushes.Store(sbt.Flushes)
+	o.shadowEvicts.Store(v.res.ShadowEvictions)
+	o.jtlbEpochs.Store((v.res.JTLBHits + v.res.JTLBMisses) >> 16) // one per 65536 slow-path lookups
 	reg.Counter("vm.run.instrs", "instrs").Store(v.res.Instrs)
 	reg.Gauge("vm.run.cycles", "cycles").Set(v.res.Cycles)
 	reg.Counter("vm.run.callouts", "callouts").Store(v.res.Callouts)
@@ -128,7 +133,7 @@ func (v *VM) obsRunEnd() {
 		}
 		o.rec.SetAttrib(s)
 	}
-	o.rec.EmitAt(obs.EvRunEnd, 0, v.instrs, v.res.Instrs, uint64(v.res.Cycles), 0)
+	o.rec.Emit(obs.EvRunEnd, 0, 0, 0, 0)
 	v.res.Metrics = reg.Snapshot()
 }
 
@@ -138,74 +143,4 @@ func (v *VM) obsRunEnd() {
 func (v *VM) obsRestoreInit() {
 	o := v.obs
 	o.restoreFaults = o.rec.Reg.Counter("vm.restore.faults", "faults")
-}
-
-// obsRestore closes the Restore call: how much of the snapshot is
-// restorable and what the mode preloaded eagerly.
-func (v *VM) obsRestore(preloaded, preloadedX86 uint64) {
-	o := v.obs
-	o.rec.EmitAt(obs.EvRestore, 0, v.instrs,
-		uint64(v.warm.snap.Len()), preloaded, preloadedX86)
-}
-
-// obsRestoreFault reports one lazy fault-in.
-func (v *VM) obsRestoreFault(t *codecache.Translation) {
-	o := v.obs
-	o.restoreFaults.Inc()
-	o.rec.EmitAt(obs.EvRestoreFault, t.EntryPC, v.instrs, uint64(t.NumX86), uint64(t.Size), 0)
-}
-
-func (v *VM) obsBBTTranslate(t *codecache.Translation) {
-	o := v.obs
-	o.bbtTranslations.Inc()
-	o.bbtBlockX86.Observe(uint64(t.NumX86))
-	o.rec.EmitAt(obs.EvBBTTranslate, t.EntryPC, v.instrs, uint64(t.NumX86), uint64(t.NumUops), uint64(t.Size))
-}
-
-func (v *VM) obsSBTPromote(t *codecache.Translation) {
-	o := v.obs
-	o.sbtPromotions.Inc()
-	o.sbtBlockX86.Observe(uint64(t.NumX86))
-	o.rec.EmitAt(obs.EvSBTPromote, t.EntryPC, v.instrs, uint64(t.NumX86), uint64(t.NumUops), uint64(t.Size))
-}
-
-func (v *VM) obsChain(from, to *codecache.Translation) {
-	o := v.obs
-	o.chains.Inc()
-	o.rec.EmitAt(obs.EvChain, v.pc, v.instrs, uint64(from.EntryPC), uint64(to.EntryPC), 0)
-}
-
-func (v *VM) obsUnchain(old *codecache.Translation) {
-	o := v.obs
-	o.unchains.Inc()
-	o.rec.EmitAt(obs.EvUnchain, old.EntryPC, v.instrs, v.bbtCache.Epoch(), 0, 0)
-}
-
-// obsFlush reports a code-cache flush; id is 0 for BBT, 1 for SBT.
-func (v *VM) obsFlush(c *codecache.Cache, id uint64) {
-	o := v.obs
-	if id == 0 {
-		o.bbtFlushes.Inc()
-	} else {
-		o.sbtFlushes.Inc()
-	}
-	o.rec.EmitAt(obs.EvCacheFlush, 0, v.instrs, id, c.Epoch(), c.Stats().Flushes)
-}
-
-func (v *VM) obsShadowEvict(evictedPC uint32) {
-	o := v.obs
-	o.shadowEvicts.Inc()
-	o.rec.EmitAt(obs.EvShadowEvict, evictedPC, v.instrs, uint64(v.shadow.len()), 0, 0)
-}
-
-// obsJTLB emits a periodic cumulative hit/miss summary; call after each
-// slow-path lookup has been counted in res.
-func (v *VM) obsJTLB() {
-	total := v.res.JTLBHits + v.res.JTLBMisses
-	if total%jtlbEpochInterval != 0 {
-		return
-	}
-	o := v.obs
-	o.jtlbEpochs.Inc()
-	o.rec.EmitAt(obs.EvJTLBEpoch, 0, v.instrs, v.res.JTLBHits, v.res.JTLBMisses, 0)
 }

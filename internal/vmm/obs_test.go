@@ -8,24 +8,6 @@ import (
 	"codesignvm/internal/obs/attrib"
 )
 
-// eventKey is the identity of one lifecycle event. Seq is excluded: it
-// is a host-global counter also advanced by other observers.
-type eventKey struct {
-	kind    obs.EventKind
-	pc      uint32
-	t       uint64
-	a, b, c uint64
-}
-
-// lifecycleEvents projects a captured event stream onto eventKeys.
-func lifecycleEvents(evs []obs.Event) []eventKey {
-	out := make([]eventKey, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, eventKey{e.Kind, e.PC, e.T, e.A, e.B, e.C})
-	}
-	return out
-}
-
 // observedRun simulates one run under a recorder minted from o and
 // returns the result and the recorder.
 func observedRun(t *testing.T, cfg Config, seed int64, budget uint64, o *obs.Observer) (*Result, *obs.Recorder) {
@@ -51,53 +33,54 @@ func armAll(o *obs.Observer, budget uint64) *obs.Observer {
 	return o
 }
 
-// runWithSink simulates one run with an event sink attached — and, with
-// full, under armAll — and returns the result plus the captured events.
-func runWithSink(t *testing.T, cfg Config, seed int64, budget uint64, full bool) (*Result, []obs.Event) {
-	t.Helper()
-	sink := obs.NewCollectSink()
-	o := obs.NewObserver(sink)
-	if full {
-		armAll(o, budget)
-	}
-	res, _ := observedRun(t, cfg, seed, budget, o)
-	return res, sink.Events()
-}
+// tracing returns an observer streaming events to a Chrome trace that
+// is thrown away.
+func tracing() *obs.Observer { return obs.NewObserver(obs.NewTraceSink(discardWriter{})) }
 
-// countKind tallies one event kind in a stream.
-func countKind(evs []obs.Event, k obs.EventKind) int {
-	n := 0
-	for _, e := range evs {
-		if e.Kind == k {
-			n++
+// metricsAcrossModes simulates one run metrics-only and once more
+// streaming a trace under armAll, fails the test unless both report the
+// same metrics, and returns them. The attributing run alone carries the
+// cycles{category=…} family, which the comparison leaves out.
+func metricsAcrossModes(t *testing.T, cfg Config, seed int64, budget uint64) obs.Snapshot {
+	t.Helper()
+	plain, _ := observedRun(t, cfg, seed, budget, obs.NewObserver(nil))
+	full, _ := observedRun(t, cfg, seed, budget, armAll(tracing(), budget))
+	var fullVM obs.Snapshot
+	for _, m := range full.Metrics {
+		if m.Name != "cycles" {
+			fullVM = append(fullVM, m)
 		}
 	}
-	return n
+	if !reflect.DeepEqual(plain.Metrics, fullVM) {
+		t.Fatalf("seed %d: metrics differ between observation modes\nplain: %+v\nfull:  %+v", seed, plain.Metrics, fullVM)
+	}
+	return plain.Metrics
 }
 
-// TestObsEventOrderAcrossModes drives the rare lifecycle paths — SBT
-// promotion, BBT/SBT cache flushes, shadow eviction — and asserts a run
-// with only an event sink and a run that also samples a timeline and
-// attributes its cycles emit identical event sequences, payloads and
-// instruction timestamps included: every emission site is functional,
-// and neither the sampler nor the profiler may perturb it.
-func TestObsEventOrderAcrossModes(t *testing.T) {
+// metric reads one metric's value from a snapshot.
+func metric(s obs.Snapshot, name string) float64 {
+	m, _ := s.Get(name)
+	return m.Value
+}
+
+// TestObsMetricsAcrossModes drives the rare paths — SBT promotion,
+// BBT/SBT cache flushes, shadow eviction — and asserts a metrics-only
+// run and a run that also streams a trace, samples a timeline and
+// attributes its cycles report identical metrics: neither the sink,
+// the sampler nor the profiler may perturb what is counted.
+func TestObsMetricsAcrossModes(t *testing.T) {
 	t.Run("cache-flushes", func(t *testing.T) {
-		flushes := 0
+		flushes := 0.0
 		for seed := int64(1); seed <= 4; seed++ {
 			cfg := DefaultConfig(StratSoft)
 			cfg.HotThreshold = 12
 			cfg.BBTCacheSize = 256
 			cfg.SBTCacheSize = 512
-			_, plain := runWithSink(t, cfg, seed, 4_000_000, false)
-			_, full := runWithSink(t, cfg, seed, 4_000_000, true)
-			if !reflect.DeepEqual(lifecycleEvents(plain), lifecycleEvents(full)) {
-				t.Fatalf("seed %d: lifecycle event sequences differ between observation modes", seed)
-			}
-			if countKind(plain, obs.EvSBTPromote) == 0 {
+			m := metricsAcrossModes(t, cfg, seed, 4_000_000)
+			if metric(m, "vm.sbt.promotions") == 0 {
 				t.Fatalf("seed %d: no SBT promotion exercised", seed)
 			}
-			flushes += countKind(plain, obs.EvCacheFlush)
+			flushes += metric(m, "vm.cache.bbt.flushes") + metric(m, "vm.cache.sbt.flushes")
 		}
 		if flushes == 0 {
 			t.Fatal("no cache flush exercised across the seed set")
@@ -107,12 +90,7 @@ func TestObsEventOrderAcrossModes(t *testing.T) {
 		cfg := DefaultConfig(StratInterp)
 		cfg.HotThreshold = 5
 		cfg.ShadowCap = 8
-		_, plain := runWithSink(t, cfg, 2, 4_000_000, false)
-		_, full := runWithSink(t, cfg, 2, 4_000_000, true)
-		if !reflect.DeepEqual(lifecycleEvents(plain), lifecycleEvents(full)) {
-			t.Fatal("lifecycle event sequences differ between observation modes")
-		}
-		if countKind(plain, obs.EvShadowEvict) == 0 {
+		if metric(metricsAcrossModes(t, cfg, 2, 4_000_000), "vm.shadow.evictions") == 0 {
 			t.Fatal("no shadow eviction exercised")
 		}
 	})
@@ -137,7 +115,7 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 			}
 			return res
 		}()
-		observed, _ := runWithSink(t, cfg, 5, 4_000_000, false)
+		observed, _ := observedRun(t, cfg, 5, 4_000_000, tracing())
 		if plain.Metrics != nil {
 			t.Fatal("uninstrumented run grew a metrics snapshot")
 		}

@@ -257,7 +257,7 @@ func (v *VM) snapshot() Sample {
 // the machine alive.
 func (v *VM) Run(maxInstrs uint64) (*Result, error) {
 	if v.obs != nil {
-		v.obsRunStart(maxInstrs)
+		v.obsRunStart()
 	}
 	for !v.halted && v.instrs < maxInstrs {
 		t, cat, err := v.dispatch()
@@ -375,17 +375,11 @@ func (v *VM) dispatchSlow() (*codecache.Translation, Category, error) {
 		v.jtlb.Insert(v.pc, t)
 	}
 	v.adopt(t)
-	if v.obs != nil {
-		v.obsJTLB()
-	}
 	// Chain the previous direct exit to the found translation.
 	if v.prevT != nil && !v.prevT.Shadow && !t.Shadow {
 		e := &v.prevT.Exits[v.prevExit]
 		if e.Kind == codecache.ExitFall || e.Kind == codecache.ExitTaken || e.Kind == codecache.ExitSide {
 			v.cacheOf(t).Chain(v.prevT, v.prevExit, t)
-			if v.obs != nil {
-				v.obsChain(v.prevT, t)
-			}
 		}
 	}
 
@@ -478,9 +472,6 @@ func (v *VM) shadowPut(pc uint32, t *codecache.Translation) {
 	if epc, evicted := v.shadow.put(pc, t); evicted {
 		v.res.ShadowEvictions++
 		v.jtlb.Evict(epc)
-		if v.obs != nil {
-			v.obsShadowEvict(epc)
-		}
 	}
 }
 
@@ -611,7 +602,7 @@ func (v *VM) translateBBT() (*codecache.Translation, error) {
 	v.res.BBTTranslations++
 	v.res.BBTX86Translated += uint64(t.NumX86)
 	if v.obs != nil {
-		v.obsBBTTranslate(t)
+		v.obs.bbtBlockX86.Observe(uint64(t.NumX86))
 	}
 	return t, nil
 }
@@ -638,7 +629,7 @@ func (v *VM) formSuperblock(pc uint32) error {
 	}
 	v.eng.Caches.Touch(t.Addr, t.Size, true)
 	if v.obs != nil {
-		v.obsSBTPromote(t)
+		v.obs.sbtBlockX86.Observe(uint64(t.NumX86))
 	}
 
 	// Retire the BBT block (or shadow profile state) it supersedes.
@@ -650,7 +641,7 @@ func (v *VM) formSuperblock(pc uint32) error {
 		old.Unchain()
 		v.invalidated = append(v.invalidated, old)
 		if v.obs != nil {
-			v.obsUnchain(old)
+			v.obs.unchains.Inc()
 		}
 	}
 	// Supersede the jump-TLB mapping: the next dispatch of pc must land
@@ -682,9 +673,6 @@ func (v *VM) onBBTFlush() {
 	if v.prevT != nil && !v.prevT.Shadow && v.prevT.Kind != codecache.KindSBT {
 		v.prevT = nil
 	}
-	if v.obs != nil {
-		v.obsFlush(v.bbtCache, 0)
-	}
 }
 
 // onSBTFlush handles a superblock cache flush: superseded BBT blocks
@@ -699,9 +687,6 @@ func (v *VM) onSBTFlush() {
 	v.det.Clear()
 	if v.prevT != nil && v.prevT.Kind == codecache.KindSBT {
 		v.prevT = nil // see onBBTFlush
-	}
-	if v.obs != nil {
-		v.obsFlush(v.sbtCache, 1)
 	}
 }
 

@@ -96,24 +96,17 @@ func (v *VM) Restore(snap *codecache.Snapshot) (int, error) {
 	case WarmHybrid:
 		order = hottestEntries(snap, v.Cfg.WarmEagerFraction)
 	}
-	preloaded := uint64(0)
-	preloadedX86 := uint64(0)
 	total := 0.0
 	for _, i := range order {
-		t, cost, err := v.materialize(i)
+		_, cost, err := v.materialize(i)
 		if err != nil {
 			return snap.Len(), err
 		}
 		total += cost
-		preloaded++
-		preloadedX86 += uint64(t.NumX86)
 	}
 	if total > 0 {
 		// The bulk restore cost is charged as VMM work before Run.
 		v.chargeAt(CatVMM, attrib.RestorePreload, 0, total)
-	}
-	if v.obs != nil {
-		v.obsRestore(preloaded, preloadedX86)
 	}
 	return snap.Len(), nil
 }
@@ -209,7 +202,7 @@ func (v *VM) warmFault(kind codecache.TransKind, pc uint32) *codecache.Translati
 	}
 	v.chargeAt(CatVMM, attrib.RestoreFault, pc, v.Cfg.RestoreFaultCycles+cost)
 	if v.obs != nil {
-		v.obsRestoreFault(t)
+		v.obs.restoreFaults.Inc()
 	}
 	return t
 }

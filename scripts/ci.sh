@@ -152,14 +152,16 @@ lap warm-start
 # TestHotPathAllocFree assert zero hot-path allocations with no recorder
 # attached and with the sampler unarmed (the deterministic half of the
 # <2% overhead budget; the timing half is the A/B record in
-# EXPERIMENTS.md). The Timeline/Trace tests are the determinism
-# goldens for the interval sampler and the Chrome trace export (the
-# export of a run is byte-identical with the rest of the layer armed). The 1x ObsModes smoke keeps the
+# EXPERIMENTS.md). TestObsMetricsAcrossModes and
+# TestTimelineIdenticalAcrossModes are the goldens across observation
+# modes (a run's metrics and timeline are the same with a trace, a
+# timeline and attribution armed); the TraceSink tests pin the host-time
+# trace's lanes, spans and payloads. The 1x ObsModes smoke keeps the
 # disabled/metrics/trace benchmark harness itself from bit-rotting.
 go build -o "${TMPDIR:-/tmp}/obs-example.$$" ./examples/observability
 go build -o "${TMPDIR:-/tmp}/curves-example.$$" ./examples/startup_curves
 rm -f "${TMPDIR:-/tmp}/obs-example.$$" "${TMPDIR:-/tmp}/curves-example.$$"
-go test -count=1 -run 'Obs|HotPathAllocFree|Timeline|Trace|OpenMetrics|Label|Note' ./internal/vmm/ ./internal/obs/
+go test -count=1 -run 'Obs|HotPathAllocFree|Timeline|TraceSink|OpenMetrics|Label|Note' ./internal/vmm/ ./internal/obs/
 go test -run '^$' -bench 'ObsModes' -benchtime=1x ./internal/vmm/
 lap obs
 
@@ -181,18 +183,26 @@ lap attrib
 # experiment. It must print the same stdout, byte for byte (the
 # wall-clock "[… completed in …]" lines are on stderr), and write
 # byte-identical -flamegraph and -timeline files, which are built from
-# the Results the reports consumed.
+# the Results the reports consumed. -trace is the host view, so the two
+# traces differ; neither may hold a simulated-machine event, and the
+# warm one holds the store hits that served it.
 ci_tmp="${TMPDIR:-/tmp}/vmsim-ci.$$"
 mkdir -p "$ci_tmp/obsstore"
 go build -o "$ci_tmp/vmsim" ./cmd/vmsim
 for pass in cold warm; do
 	"$ci_tmp/vmsim" -exp all -scale 200 -apps Word,Winzip -store "$ci_tmp/obsstore" \
-		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" >"$ci_tmp/all.$pass"
+		-flamegraph "$ci_tmp/flame.$pass" -timeline "$ci_tmp/tl.$pass" \
+		-trace "$ci_tmp/trace.$pass" >"$ci_tmp/all.$pass"
 done
 diff "$ci_tmp/all.cold" "$ci_tmp/all.warm"
 cmp "$ci_tmp/flame.cold" "$ci_tmp/flame.warm"
 cmp "$ci_tmp/tl.cold" "$ci_tmp/tl.warm"
 [ -s "$ci_tmp/flame.cold" ] && [ "$(wc -l <"$ci_tmp/tl.cold")" -gt 1 ]
+if grep -q 'bbt-translate' "$ci_tmp/trace.cold" "$ci_tmp/trace.warm"; then
+	echo "-trace holds a simulated-machine event"
+	exit 1
+fi
+grep -q '"store-hit"' "$ci_tmp/trace.warm"
 lap cold-warm-store
 
 # Live-introspection smoke: start a short sweep with -http on an

@@ -2,6 +2,8 @@ package codecache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -418,5 +420,39 @@ func TestPersistBadInput(t *testing.T) {
 		if n, err := restoreAll(dst, []byte(tc.in)); err == nil || n != 0 || dst.Len() != 0 {
 			t.Errorf("%s accepted: restored %d, err %v", tc.name, n, err)
 		}
+	}
+}
+
+// TestSnapshotBytesPinned pins the bytes Save writes for a fixed
+// two-section stream — a BBT cache then an SBT cache of seeded random
+// translations, the shape vmm.SaveTranslations writes: .ccvm records in
+// a populated store read back only if the encoding, the section framing
+// and the CRC-32C trailer stay byte-identical. A mismatch means the
+// CCVM2 format moved.
+func TestSnapshotBytesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var buf bytes.Buffer
+	for _, name := range []string{"bbt", "sbt"} {
+		c := New(name, 0, 1<<20)
+		for i := 0; i < 24; i++ {
+			if _, _, err := c.Insert(randTranslation(rng, uint32(0x400000+i*64))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := ParseSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Sections != 2 || snap.Len() != 48 {
+		t.Fatalf("pinned stream: %d sections, %d entries; want 2 and 48", snap.Sections, snap.Len())
+	}
+	const want = "fb8d3f017cca414a8be9abf3b59c52b8af09106e7e034ca15cad247f0a605ca8"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("CCVM2 stream (%d bytes): SHA-256 %s, want %s", buf.Len(), got, want)
 	}
 }

@@ -21,9 +21,12 @@
 // -metrics table go to stderr.
 //
 // A flag that does nothing in the chosen mode fails with one line: a
-// spec flag (-apps, -app, -scale, -instrs) under serve, -model outside
-// run and dump, -warm-cache outside run, and the -jobs-* flags and
-// -drain-timeout outside serve.
+// spec flag (-apps, -app, -scale, -instrs) under serve, -apps under run
+// and dump (they simulate the one app -app names), -app outside run,
+// dump, the app-scoped reports (pressure, ctxswitch, deltasweep) and
+// all, -flamegraph and -timeline under dump and serve (nothing they
+// write is observed), -model outside run and dump, -warm-cache outside
+// run, and the -jobs-* flags and -drain-timeout outside serve.
 //
 // Cycle attribution (see OBSERVABILITY.md):
 //
@@ -91,8 +94,8 @@ var (
 
 	metricsFlag  = flag.Bool("metrics", false, "print a table of aggregate observability metrics to stderr on exit (/metrics on -http is the machine-readable form)")
 	traceFlag    = flag.String("trace", "", "write where this process spent its wall time — each run's and job's span, run-store and job events — as Chrome trace-event JSON to this file (view in Perfetto)")
-	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs")
-	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs")
+	timelineFlag = flag.String("timeline", "", "write the startup timelines of every run the reports consumed to this CSV file on exit; enables timeline sampling on all runs (not with -exp dump or serve)")
+	flameFlag    = flag.String("flamegraph", "", "write a collapsed-stack cycle-attribution profile (category;region count) merged over every run the reports consumed to this file on exit; enables attribution on all runs (not with -exp dump or serve)")
 	httpFlag     = flag.String("http", "", "serve live introspection on this address (/metrics /runs /healthz /debug/pprof; -exp serve adds /jobs)")
 
 	jobsWorkers  = flag.Int("jobs-workers", 2, "worker-pool size of the -exp serve job service")
@@ -238,6 +241,14 @@ func unusedFlag(exp string) (msg string) {
 		case msg != "":
 		case exp == "serve" && (name == "apps" || name == "app" || name == "instrs" || name == "scale"):
 			msg = "-" + name + " does nothing with -exp serve: each job brings its own spec"
+		case name == "apps" && (exp == "run" || exp == "dump"):
+			msg = "-apps does nothing with -exp " + exp + ": it simulates the one app -app names"
+		case name == "app" && exp != "run" && exp != "dump" && exp != "pressure" && exp != "ctxswitch" && exp != "deltasweep" && exp != "all":
+			msg = "-app applies only to -exp run, dump, pressure, ctxswitch, deltasweep and all"
+		case (name == "flamegraph" || name == "timeline") && exp == "dump":
+			msg = "-" + name + " writes nothing with -exp dump: its VM runs unobserved"
+		case (name == "flamegraph" || name == "timeline") && exp == "serve":
+			msg = "-" + name + " writes nothing with -exp serve: each job runs under an observer of its own"
 		case name == "model" && exp != "run" && exp != "dump":
 			msg = "-model applies only to -exp run and dump"
 		case name == "warm-cache" && exp != "run":

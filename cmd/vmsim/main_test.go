@@ -165,6 +165,14 @@ func TestUnusedFlagFails(t *testing.T) {
 		{append(serve, "-app", "Word"), "-app does nothing with -exp serve: each job brings its own spec"},
 		{append(serve, "-instrs", "1000"), "-instrs does nothing with -exp serve: each job brings its own spec"},
 		{append(serve, "-scale", "25"), "-scale does nothing with -exp serve: each job brings its own spec"},
+		{[]string{"-exp", "run", "-apps", "Excel", "-scale", "500"}, "-apps does nothing with -exp run: it simulates the one app -app names"},
+		{[]string{"-exp", "dump", "-apps", "Excel", "-scale", "500"}, "-apps does nothing with -exp dump: it simulates the one app -app names"},
+		{[]string{"-exp", "fig2", "-app", "Excel", "-scale", "500"}, "-app applies only to -exp run, dump, pressure, ctxswitch, deltasweep and all"},
+		{[]string{"-exp", "sweep", "-app", "Excel", "-scale", "500"}, "-app applies only to -exp run, dump, pressure, ctxswitch, deltasweep and all"},
+		{[]string{"-exp", "dump", "-flamegraph", dir + "/G", "-scale", "500"}, "-flamegraph writes nothing with -exp dump: its VM runs unobserved"},
+		{[]string{"-exp", "dump", "-timeline", dir + "/T", "-scale", "500"}, "-timeline writes nothing with -exp dump: its VM runs unobserved"},
+		{append(serve, "-flamegraph", dir+"/G"), "-flamegraph writes nothing with -exp serve: each job runs under an observer of its own"},
+		{append(serve, "-timeline", dir+"/T"), "-timeline writes nothing with -exp serve: each job runs under an observer of its own"},
 		{[]string{"-exp", "fig2", "-model", "VM.be"}, "-model applies only to -exp run and dump"},
 		{[]string{"-exp", "dump", "-warm-cache", "lazy"}, "-warm-cache applies only to -exp run"},
 		{[]string{"-exp", "run", "-jobs-workers", "4"}, "-jobs-workers applies only to -exp serve"},
@@ -174,8 +182,10 @@ func TestUnusedFlagFails(t *testing.T) {
 		if want := "vmsim: " + c.want + "\n"; code != 1 || stdout != "" || stderr != want {
 			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 1, no stdout, %q", c.args, code, stdout, stderr, want)
 		}
-		if _, err := os.Stat(trace); !os.IsNotExist(err) {
-			t.Errorf("%q: wrote %s", c.args, trace)
+		for _, out := range []string{trace, dir + "/G", dir + "/T"} {
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%q: wrote %s", c.args, out)
+			}
 		}
 	}
 }

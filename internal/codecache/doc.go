@@ -35,7 +35,8 @@
 // # Persistence
 //
 // persist.go serializes a cache's translations to the CCVM2 binary
-// format (CRC-32C-guarded, versioned) and reads them back through a
+// format (versioned; each section sealed with store.Seal's CRC-32C
+// trailer, the run store's framing) and reads them back through a
 // restore index (ParseSnapshot) whose records the VM monitor decodes
 // and inserts up front or faults in on dispatch misses — the warm-start
 // machinery of DESIGN.md §10 (the lazy/hybrid/eager policy itself

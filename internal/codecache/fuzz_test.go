@@ -3,8 +3,9 @@ package codecache
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"codesignvm/internal/store"
 )
 
 // sealRecord wraps rec as the only record of a one-entry CCVM2 section
@@ -20,7 +21,7 @@ func sealRecord(e SnapEntry, rec []byte) []byte {
 	sec = le.AppendUint64(sec, e.Exec)
 	sec = le.AppendUint32(sec, uint32(len(rec)))
 	sec = append(sec, rec...)
-	return le.AppendUint32(sec, crc32.Checksum(sec, persistCRC))
+	return store.Seal(sec)
 }
 
 // FuzzSnapshotRecord: the record decoder indexes the record's bytes

@@ -5,11 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
 	"codesignvm/internal/fisa"
+	"codesignvm/internal/store"
 )
 
 // Translation persistence: serialize a code cache's live translations so
@@ -27,7 +27,7 @@ import (
 //	        u32 entry PC, u32 kind, u32 x86 instrs,
 //	        u64 saved retirement count, u32 record length
 //	count translation records, back to back in index order
-//	u32   CRC-32C (Castagnoli) over everything above
+//	u32   CRC-32C (Castagnoli) over everything above (store.Seal)
 //
 // The index is the warm-start contract: a restorer maps entry PC to a
 // record's (offset, length) without decoding any record, so restored
@@ -50,10 +50,6 @@ const (
 	maxPersistRecord = 1 << 26
 	minPersistRecord = 28 // the 7×u32 record header alone
 )
-
-// persistCRC is the Castagnoli polynomial (same choice as the run
-// store's CRUN2 records: hardware-accelerated on amd64/arm64).
-var persistCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Save writes every live translation to w as one CCVM2 section, in
 // ascending-EntryPC order. Invalidated translations (superseded BBT
@@ -105,8 +101,7 @@ func (c *Cache) Save(w io.Writer) error {
 		u32(uint32(lens[i]))
 	}
 	sec.Write(body.Bytes())
-	u32(crc32.Checksum(sec.Bytes(), persistCRC))
-	_, err := w.Write(sec.Bytes())
+	_, err := w.Write(store.Seal(sec.Bytes()))
 	return err
 }
 
@@ -216,9 +211,8 @@ func parseSection(sec []byte, base int) ([]SnapEntry, int, error) {
 	if len(sec) < off+4 {
 		return nil, 0, fmt.Errorf("truncated checksum trailer")
 	}
-	sum := binary.LittleEndian.Uint32(sec[off:])
-	if got := crc32.Checksum(sec[:off], persistCRC); got != sum {
-		return nil, 0, fmt.Errorf("checksum mismatch (got %08x, want %08x)", got, sum)
+	if _, err := store.Unseal(sec[:off+4], persistMagic); err != nil {
+		return nil, 0, err
 	}
 	return entries, off + 4, nil
 }

@@ -26,10 +26,11 @@
 // Every simulated (config, app, trace length) triple is deterministic,
 // so results are shared aggressively (runcache.go): an in-process
 // memoization serves repeated requests within a sweep, and an optional
-// persistent run store (store.go; DESIGN.md §8) shares results across
-// processes via content-addressed CRUN2 records with single-flight
-// locking. The (app × model) grid runs on a worker pool unless
-// Options.Sequential is set; reports are byte-identical either way.
+// persistent run store (internal/store; DESIGN.md §8) shares results
+// across processes via content-addressed CRUN2 records with
+// single-flight locking. The (app × model) grid runs on a worker pool
+// unless Options.Sequential is set; reports are byte-identical either
+// way.
 //
 // Attaching an obs.Observer (Options.Obs) mints one metrics recorder per
 // simulated run, streams run spans and store events to the observer's

@@ -8,10 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/obs"
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
 )
@@ -69,12 +69,10 @@ type Options struct {
 	// reports either way.
 	Obs *obs.Observer
 
-	// storeFS substitutes the run store's filesystem (fault-injection
-	// tests); nil uses the real disk. storeTun overrides the lock and
-	// GC time constants; nil keeps production values. Both are test
-	// seams, deliberately unexported.
-	storeFS  faultfs.FS
-	storeTun *storeTuning
+	// storeTest edits the run store's handle before use — fault-
+	// injection tests swap its filesystem, lock tests shrink its tuning
+	// — and skips its GC sweep. A test seam, deliberately unexported.
+	storeTest func(*store.Store)
 }
 
 // configFor builds the vmm configuration for a model under these

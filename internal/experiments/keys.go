@@ -2,33 +2,25 @@ package experiments
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
 
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 )
 
-// A store key is 32 hex digits of the SHA-256 of its record's identity
-// bytes: the kind's name and runSchema, then the identity's fields —
-// every number one little-endian word, floats as their IEEE-754 bits,
-// every string behind its length — so no two kinds or field splits
-// share an encoding. keyBufLen covers a run key's identity without
+// A store key is store.HashKey of its record's identity bytes: the
+// kind's name and runSchema, then the identity's fields — every number
+// one little-endian word, floats as their IEEE-754 bits, every string
+// behind its length — so no two kinds or field splits share an
+// encoding. keyBufLen covers a run key's identity without
 // growing it.
 const keyBufLen = 512
 
 // keyStart begins an identity of the given kind in buf.
 func keyStart(buf []byte, kind string) []byte {
 	return appendWords(appendString(buf, kind), runSchema)
-}
-
-// hashKey derives a store key from a finished identity.
-func hashKey(identity []byte) string {
-	sum := sha256.Sum256(identity)
-	var key [32]byte
-	hex.Encode(key[:], sum[:16])
-	return string(key[:])
 }
 
 // configShape is the SHA-256 of vmm.Config's leaf fields — name and
@@ -106,5 +98,5 @@ func (k runKey) fileKey() string {
 	if k.timeline {
 		timeline = 1
 	}
-	return hashKey(appendWords(appendString(b, k.attrib), timeline))
+	return store.HashKey(appendWords(appendString(b, k.attrib), timeline))
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"codesignvm/internal/machine"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 	"codesignvm/internal/vmm"
 )
 
@@ -90,7 +92,7 @@ func TestRunKeyCoversEveryConfigField(t *testing.T) {
 
 // TestMemoHitAllocatesNothing: a process-wide table hit — the run
 // cache's, keyed by a whole vmm.Config — allocates nothing, and neither
-// does finding the GC gate of a store directory already seen.
+// does passing the GC gate of a store directory already swept.
 func TestMemoHitAllocatesNothing(t *testing.T) {
 	var m memo[runKey, *vmm.Result]
 	ctx := context.Background()
@@ -109,13 +111,9 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 		t.Errorf("memo hit: %v allocations, want 0", allocs)
 	}
 
-	dir := t.TempDir()
-	gate := gcGate(dir)
-	allocs = testing.AllocsPerRun(100, func() {
-		if gcGate(dir) != gate {
-			t.Fatal("gate changed")
-		}
-	})
+	s := &store.Store{Dir: t.TempDir(), FS: faultfs.Disk{}, Tuning: store.DefaultTuning, Ctx: ctx}
+	s.GCOnce()
+	allocs = testing.AllocsPerRun(100, s.GCOnce)
 	if allocs != 0 {
 		t.Errorf("GC gate of a known directory: %v allocations, want 0", allocs)
 	}

@@ -9,9 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/obs"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 )
 
 // sampleProfile builds a profile with a distinct value in every encoded
@@ -136,7 +137,7 @@ func TestProfileStoreReuse(t *testing.T) {
 		t.Fatalf("cold lookup interpreted %d instructions, want %d", interpreted.Value(), opt.ShortInstrs)
 	}
 	key := profKey{"Word", opt.Scale, opt.ShortInstrs, 8000}.fileKey()
-	if fi, err := os.Stat(opt.store().profPath(key)); err != nil || fi.Size() != int64(profRecordLen) {
+	if fi, err := os.Stat(profPath(opt.store(), key)); err != nil || fi.Size() != int64(profRecordLen) {
 		t.Fatalf("profile not published as a %d-byte record: %v", profRecordLen, err)
 	}
 	if other := (profKey{"Word", opt.Scale, opt.ShortInstrs, 4000}).fileKey(); other == key {
@@ -145,12 +146,12 @@ func TestProfileStoreReuse(t *testing.T) {
 
 	// A "new process": only the disk store remains.
 	ResetRunCacheForTest()
-	hits := storeHits.Load()
+	hits := counter(o, "store.hits")
 	b, err := opt.profile("Word", 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeHits.Load() != hits+1 || interpreted.Value() != opt.ShortInstrs {
+	if counter(o, "store.hits") != hits+1 || interpreted.Value() != opt.ShortInstrs {
 		t.Fatal("second process interpreted the profile instead of loading it")
 	}
 	if !reflect.DeepEqual(a, b) {
@@ -160,12 +161,12 @@ func TestProfileStoreReuse(t *testing.T) {
 	// FreshRuns skips the memo and the store read: it interprets.
 	fresh := opt
 	fresh.FreshRuns = true
-	hits = storeHits.Load()
+	hits = counter(o, "store.hits")
 	c, err := fresh.profile("Word", 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeHits.Load() != hits || interpreted.Value() != 2*opt.ShortInstrs {
+	if counter(o, "store.hits") != hits || interpreted.Value() != 2*opt.ShortInstrs {
 		t.Fatal("FreshRuns did not recompute the profile")
 	}
 	if !reflect.DeepEqual(a, c) {
@@ -203,7 +204,7 @@ func TestWarmPassComputesNothing(t *testing.T) {
 	opt := detOpt()
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
-	opt.storeFS = fs
+	opt.storeTest = func(s *store.Store) { s.FS = fs }
 	type counts struct{ runs, instrs, hits, misses uint64 }
 	type passOut struct {
 		reports         map[string]string

@@ -4,46 +4,50 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/obs"
 	"codesignvm/internal/obs/attrib"
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 )
 
-// The store's own record formats: run results (`CRUN2`) and interpreter
-// profiles (`CPRF1`). Translation snapshots are codecache's CCVM2, which
-// carries its own checksums (decodeSnapshot).
+// The harness's record formats in the store (internal/store): run
+// results (`CRUN2`) and interpreter profiles (`CPRF1`), each sealed with
+// the store's CRC-32C trailer (store.Seal) — as codecache seals each
+// section of the translation snapshots (CCVM2, decodeSnapshot) the
+// store holds beside them.
 
-// crcTable is the Castagnoli polynomial (same choice as iSCSI/ext4:
-// hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// seal appends the little-endian CRC-32C trailer over everything before
-// it. Any truncation, extension or bit flip of the file breaks it.
-func seal(payload []byte) []byte {
-	return binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, crcTable))
-}
-
-// unseal verifies a record's trailer and returns the payload it guards;
-// decoders read nothing before it has passed.
-func unseal(data []byte, magic string) ([]byte, error) {
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("experiments: %s record too short (%d bytes)", magic, len(data))
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("experiments: %s record checksum mismatch (got %08x, want %08x)", magic, got, want)
-	}
-	return payload, nil
-}
+const (
+	runMagic = "CRUN2"
+	// runSchema versions the record encoding; bump it whenever
+	// vmm.Result or the encoding change shape so stale stores miss
+	// instead of misread. Keys hash vmm.Config's field names and kinds
+	// (configShape), so a Config change invalidates keys on its own; the
+	// version covers Result/encoding changes.
+	// v2: appended observability metric snapshots (Result.Metrics).
+	// v3: CRUN2 — CRC-32C trailer + trailing-EOF verification.
+	// v4: warm-start — Result.RestoredTranslations/RestoredX86 appended
+	//     and vmm.Config gained the WarmStart/Restore* fields (which
+	//     change the hashed %#v form on their own).
+	// v5: labeled metrics (Metric.Labels after Unit) and the trailing
+	//     cycle-attribution section (Result.Attrib); keys additionally
+	//     hash the attribution-spec string, so attributing and plain
+	//     runs occupy distinct entries.
+	// v6: the timeline section (Result.Timeline) after the attribution
+	//     section; the old attribution flag became a section bit set,
+	//     so a plain record is as long as at v5. Keys additionally hash
+	//     the timeline bit.
+	// v7: the code-cache flush counts (Result.BBTFlushes/SBTFlushes, one
+	//     word after RestoredX86) and vmm.Config.SwitchPeriod.
+	runSchema = 7
+)
 
 // encodeResult renders one run record: the CRUN2 magic and payload
 // (appendResult), sealed.
 func encodeResult(r *vmm.Result) []byte {
-	return seal(appendResult(make([]byte, 0, 1024+len(r.Samples)*sampleBytes), r))
+	return store.Seal(appendResult(make([]byte, 0, 1024+len(r.Samples)*sampleBytes), r))
 }
 
 // decodeResult verifies and decodes what encodeResult produced: the
@@ -53,7 +57,7 @@ func encodeResult(r *vmm.Result) []byte {
 // existed. The payload is read in place; a count is refused before
 // anything is sized by it unless its records fit in the bytes left.
 func decodeResult(data []byte) (*vmm.Result, error) {
-	payload, err := unseal(data, runMagic)
+	payload, err := store.Unseal(data, runMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +97,7 @@ func encodeProfile(p appProfile) []byte {
 	for _, n := range []uint64{p.hist.Total, p.hist.DynTotal, p.hot} {
 		rec = le.AppendUint64(rec, n)
 	}
-	return seal(rec)
+	return store.Seal(rec)
 }
 
 // decodeProfile accepts exactly what encodeProfile wrote: the length,
@@ -102,7 +106,7 @@ func decodeProfile(data []byte) (appProfile, error) {
 	if len(data) != profRecordLen {
 		return appProfile{}, fmt.Errorf("experiments: profile record is %d bytes, want %d", len(data), profRecordLen)
 	}
-	payload, err := unseal(data, profMagic)
+	payload, err := store.Unseal(data, profMagic)
 	if err != nil {
 		return appProfile{}, err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 )
 
@@ -47,7 +48,7 @@ func bareResult() *vmm.Result {
 func reseal(rec []byte, off int, v uint64) []byte {
 	payload := append([]byte(nil), rec[:len(rec)-4]...)
 	binary.LittleEndian.PutUint64(payload[off:], v)
-	return seal(payload)
+	return store.Seal(payload)
 }
 
 // sizedBy decodes a sealed run record the way decodeResult does and
@@ -56,7 +57,7 @@ func reseal(rec []byte, off int, v uint64) []byte {
 // reachable from its partial result. Unlike a heap counter, the figure
 // is exact and counts nothing another goroutine allocates meanwhile.
 func sizedBy(rec []byte) uint64 {
-	payload, err := unseal(rec, runMagic)
+	payload, err := store.Unseal(rec, runMagic)
 	if err != nil || string(payload[:len(runMagic)]) != runMagic {
 		return 0
 	}
@@ -155,7 +156,7 @@ func FuzzRunRecord(f *testing.F) {
 		f.Add(payload[:len(payload)*k/8])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec := seal(append([]byte(nil), payload...))
+		rec := store.Seal(append([]byte(nil), payload...))
 		if n := sizedBy(rec); n > 4*uint64(len(rec))+64<<10 {
 			t.Fatalf("decoding a %d-byte record sized %d bytes", len(rec), n)
 		}

@@ -9,6 +9,7 @@ import (
 	"codesignvm/internal/metrics"
 	"codesignvm/internal/model"
 	"codesignvm/internal/profile"
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
 )
@@ -29,7 +30,7 @@ type Fig3Report struct {
 // frequency histogram of its short trace and how many static
 // instructions reached the hot threshold. It depends on the workload
 // alone — no machine configuration enters — and is the store's third
-// cached artifact (<key>.prof, store.go).
+// cached artifact (<key>.prof).
 type appProfile struct {
 	hist metrics.Histogram
 	hot  uint64
@@ -48,7 +49,7 @@ type profKey struct {
 func (k profKey) fileKey() string {
 	var buf [keyBufLen]byte
 	b := appendString(keyStart(buf[:0], "prof"), k.app)
-	return hashKey(appendWords(b, uint64(k.scale), k.instrs, k.hotThr))
+	return store.HashKey(appendWords(b, uint64(k.scale), k.instrs, k.hotThr))
 }
 
 // profCache memoizes interpreter profiles process-wide, as runCache
@@ -63,13 +64,13 @@ var profCache memo[profKey, appProfile]
 func (o Options) profile(app string, hotThr uint64) (appProfile, error) {
 	key := profKey{app, o.Scale, o.ShortInstrs, hotThr}
 	fill := func() (appProfile, error) {
-		return fetch(o, artifact[appProfile]{
-			key:    key.fileKey,
-			ext:    ".prof",
-			tag:    func() string { return "profile/" + app },
-			decode: decodeProfile,
-			encode: encodeProfile,
-			build:  func() (appProfile, error) { return o.interpretProfile(app, hotThr) },
+		return fetch(o, store.Artifact[appProfile]{
+			Key:    key.fileKey,
+			Ext:    ".prof",
+			Tag:    func() string { return "profile/" + app },
+			Decode: decodeProfile,
+			Encode: encodeProfile,
+			Build:  func() (appProfile, error) { return o.interpretProfile(app, hotThr) },
 		})
 	}
 	if o.FreshRuns {

@@ -9,6 +9,8 @@ import (
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/obs"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
 )
@@ -100,7 +102,7 @@ func (m *memo[K, V]) reset() {
 // Fig. 11 repeats Fig. 8's grid exactly, Fig. 9 shares its long-trace
 // runs, and the ablation baseline is Fig. 10's VM.soft run. In a sweep
 // that removes whole figures from the critical path. Options.Store
-// extends the cache across processes via the disk store (store.go).
+// extends the cache across processes via the disk store (fetch).
 var runCache memo[runKey, *vmm.Result]
 
 // resetRunCacheForTest clears the in-process memoization so tests can
@@ -131,14 +133,14 @@ func (o Options) runAppWarm(cfg vmm.Config, app string, instrs uint64, snapFn sn
 	}
 	k := o.key(cfg, app, scale, instrs)
 	if o.FreshRuns {
-		res, err := o.simulateOrLoad(k, snapFn)
+		res, err := fetch(o, o.runArtifact(k, snapFn))
 		if err == nil {
 			o.note(k, res)
 		}
 		return res, err
 	}
 	res, err := runCache.get(o.ctx(), k, func() (*vmm.Result, error) {
-		return o.simulateOrLoad(k, snapFn)
+		return fetch(o, o.runArtifact(k, snapFn))
 	})
 	if err != nil {
 		return nil, err
@@ -157,25 +159,67 @@ func (o Options) note(k runKey, res *vmm.Result) {
 	o.Obs.Note(o.obsTag(k.cfg, k.app), k.fileKey(), res.Attrib, res.Timeline)
 }
 
-// simulateOrLoad fills one cache slot: from the disk store when enabled
-// and warm, otherwise by simulating, single-flighted across processes
-// and published back (fetch). Only workload errors and context
-// cancellation propagate.
-func (o Options) simulateOrLoad(k runKey, snapFn snapFunc) (*vmm.Result, error) {
-	return fetch(o, artifact[*vmm.Result]{
-		key:    k.fileKey,
-		ext:    ".run",
-		tag:    func() string { return o.obsTag(k.cfg, k.app) },
-		decode: decodeResult,
-		encode: encodeResult,
-		build: func() (*vmm.Result, error) {
+// runArtifact is a run result as the store sees it: a CRUN2 record
+// under the run's key, built by simulating. Through fetch it fills one
+// run-cache slot: from the disk store when enabled and warm, otherwise
+// by simulating, single-flighted across processes and published back.
+func (o Options) runArtifact(k runKey, snapFn snapFunc) store.Artifact[*vmm.Result] {
+	return store.Artifact[*vmm.Result]{
+		Key:    k.fileKey,
+		Ext:    ".run",
+		Tag:    func() string { return o.obsTag(k.cfg, k.app) },
+		Decode: decodeResult,
+		Encode: encodeResult,
+		Build: func() (*vmm.Result, error) {
 			prog, err := workload.App(k.app, k.scale)
 			if err != nil {
 				return nil, err
 			}
 			return o.runObserved(k.cfg, prog, k.app, k.instrs, snapFn)
 		},
-	})
+	}
+}
+
+// store returns the options' handle on their run store, or nil when
+// persistence is disabled. The first handle per directory runs one GC
+// sweep, unless storeTest edited the handle.
+func (o Options) store() *store.Store {
+	if o.Store == "" {
+		return nil
+	}
+	s := &store.Store{Dir: o.Store, FS: faultfs.Disk{}, Tuning: store.DefaultTuning, Obs: o.Obs, Ctx: o.ctx()}
+	if o.storeTest != nil {
+		o.storeTest(s)
+	}
+	if o.StoreMaxBytes > 0 {
+		s.Tuning.MaxBytes = o.StoreMaxBytes
+	}
+	if o.storeTest == nil {
+		s.GCOnce()
+	}
+	return s
+}
+
+// fetch returns an artifact's value through the options' store
+// (store.Fetch). FreshRuns skips the reads and the lock but still
+// publishes: a later process can reuse the work.
+func fetch[T any](o Options, a store.Artifact[T]) (T, error) {
+	if !o.FreshRuns {
+		return store.Fetch(o.store(), a)
+	}
+	v, err := a.Build()
+	if err == nil {
+		store.Put(o.store(), a, v) // best-effort
+	}
+	return v, err
+}
+
+// ctx returns the options' cancellation context (Background when unset).
+func (o Options) ctx() context.Context {
+	if o.Ctx != nil {
+		return o.Ctx
+	}
+	return context.Background()
 }
 
 // obsTag labels a run's events and recorder: "model/app".
@@ -207,21 +251,6 @@ func (o Options) runObserved(cfg vmm.Config, prog *workload.Program, app string,
 		o.Obs.Proc.Counter("runs.done", "runs").Inc()
 	}
 	return res, err
-}
-
-// obsStore reports one disk-store lookup outcome; tag names what was
-// looked up and is evaluated only with an observer attached.
-func (o Options) obsStore(hit bool, tag func() string) {
-	if o.Obs == nil {
-		return
-	}
-	if hit {
-		o.Obs.Proc.Counter("store.hits", "loads").Inc()
-		o.Obs.Emit(obs.EvStoreHit, tag(), 0, 0, 0, 0)
-	} else {
-		o.Obs.Proc.Counter("store.misses", "loads").Inc()
-		o.Obs.Emit(obs.EvStoreMiss, tag(), 0, 0, 0, 0)
-	}
 }
 
 // cloneResult copies a result deeply enough to hand out: Samples and

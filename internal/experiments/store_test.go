@@ -10,46 +10,80 @@ import (
 	"testing"
 	"time"
 
-	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/obs"
 	"codesignvm/internal/obs/attrib"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 	"codesignvm/internal/vmm"
 )
 
 // testTuning shrinks the lock-protocol timescales so steal/backoff
 // paths run in milliseconds under test.
-func testTuning() storeTuning {
-	return storeTuning{
-		lockStale: 250 * time.Millisecond,
-		heartbeat: 50 * time.Millisecond,
-		pollMin:   2 * time.Millisecond,
-		pollMax:   20 * time.Millisecond,
-		waitMax:   20 * time.Second,
-		gcTmpAge:  250 * time.Millisecond,
+func testTuning() store.Tuning {
+	return store.Tuning{
+		LockStale: 250 * time.Millisecond,
+		Heartbeat: 50 * time.Millisecond,
+		PollMin:   2 * time.Millisecond,
+		PollMax:   20 * time.Millisecond,
+		WaitMax:   20 * time.Second,
+		GCTmpAge:  250 * time.Millisecond,
 	}
 }
 
-// testStore builds a runStore over a temp dir with test tuning.
-func testStore(t *testing.T) *runStore {
+// testStore builds a store handle over a temp dir with test tuning and
+// an observer of its own, whose store.* counters the test reads
+// (counter).
+func testStore(t *testing.T) *store.Store {
 	t.Helper()
-	return &runStore{
-		dir: t.TempDir(),
-		fs:  faultfs.Disk{},
-		tun: testTuning(),
-		ctx: context.Background(),
+	return &store.Store{Dir: t.TempDir(), FS: faultfs.Disk{}, Tuning: testTuning(), Obs: obs.NewObserver(nil), Ctx: context.Background()}
+}
+
+// counter reads one process counter of an observer: the store's health
+// counts (store.hits, store.corrupt, store.lock_steals, …) as a test
+// watching a store handle sees them.
+func counter(o *obs.Observer, name string) uint64 {
+	m, _ := o.Proc.Snapshot().Get(name)
+	return uint64(m.Value)
+}
+
+// watchStore makes the options' store handles report to a fresh
+// observer of their own, leaving the runs unobserved, and returns it.
+// It keeps any handle edit the options already make.
+func watchStore(opt *Options) *obs.Observer {
+	w := obs.NewObserver(nil)
+	edit := opt.storeTest
+	opt.storeTest = func(s *store.Store) {
+		if edit != nil {
+			edit(s)
+		}
+		s.Obs = w
 	}
+	return w
+}
+
+// withTuning makes the options' store use the real disk at tuning tun,
+// without the GC sweep.
+func withTuning(tun store.Tuning) func(*store.Store) {
+	return func(s *store.Store) { s.Tuning = tun }
 }
 
 // load reads one run record through the store's read path, (nil, nil)
-// on any miss; snapPath and profPath place the other two record kinds.
-// Production code reaches all three only through fetch.
-func (s *runStore) load(key string) (*vmm.Result, error) {
-	res, _ := readRecord(s, key, s.runPath(key), decodeResult)
+// on any miss; save publishes one. Production code reaches the store
+// only through fetch.
+func load(s *store.Store, key string) (*vmm.Result, error) {
+	res, _ := store.Read(s, key, runPath(s, key), decodeResult)
 	return res, nil
 }
-func (s *runStore) snapPath(key string) string { return s.path(key, ".ccvm") }
-func (s *runStore) profPath(key string) string { return s.path(key, ".prof") }
+func save(s *store.Store, key string, res *vmm.Result) error {
+	return s.Publish(runPath(s, key), encodeResult(res))
+}
+
+// runPath, lockPath, snapPath and profPath place a key's files.
+func runPath(s *store.Store, key string) string  { return s.Path(key, ".run") }
+func lockPath(s *store.Store, key string) string { return s.Path(key, ".lock") }
+func snapPath(s *store.Store, key string) string { return s.Path(key, ".ccvm") }
+func profPath(s *store.Store, key string) string { return s.Path(key, ".prof") }
 
 // sampleResult builds a fully populated Result so the round-trip test
 // covers every encoded field with a distinct value.
@@ -222,31 +256,31 @@ func TestRunStoreRejectsTrailingGarbage(t *testing.T) {
 func TestRunStoreLoadQuarantinesCorruption(t *testing.T) {
 	s := testStore(t)
 	key := "deadbeef"
-	if err := os.WriteFile(s.runPath(key), []byte("not a run record"), 0o644); err != nil {
+	if err := os.WriteFile(runPath(s, key), []byte("not a run record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := storeCorrupt.Load()
-	if res, err := s.load(key); res != nil || err != nil {
+	before := counter(s.Obs, "store.corrupt")
+	if res, err := load(s, key); res != nil || err != nil {
 		t.Fatalf("corrupt entry: want (nil, nil), got (%v, %v)", res, err)
 	}
-	if storeCorrupt.Load() != before+1 {
+	if counter(s.Obs, "store.corrupt") != before+1 {
 		t.Fatal("corrupt load did not count")
 	}
-	if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(runPath(s, key)); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry still in place after quarantine")
 	}
-	if _, err := os.Stat(filepath.Join(s.dir, key+".bad")); err != nil {
+	if _, err := os.Stat(filepath.Join(s.Dir, key+".bad")); err != nil {
 		t.Fatalf("no .bad sidecar after quarantine: %v", err)
 	}
 
-	// A valid record loads, is NOT quarantined, and counts a hit.
-	if err := s.save(key, sampleResult()); err != nil {
+	// A valid record loads and is NOT quarantined.
+	if err := save(s, key, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.load(key); res == nil || err != nil {
+	if res, err := load(s, key); res == nil || err != nil {
 		t.Fatalf("valid entry: want result, got (%v, %v)", res, err)
 	}
-	if _, err := os.Stat(s.runPath(key)); err != nil {
+	if _, err := os.Stat(runPath(s, key)); err != nil {
 		t.Fatal("valid entry vanished after load")
 	}
 }
@@ -282,6 +316,7 @@ func TestRunStorePersistsAcrossCacheReset(t *testing.T) {
 	opt := detOpt().withDefaults()
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
+	w := watchStore(&opt)
 	cfg := opt.configFor(machine.VMSoft)
 
 	resetRunCacheForTest()
@@ -293,13 +328,13 @@ func TestRunStorePersistsAcrossCacheReset(t *testing.T) {
 	// A "new process": the sync.Map memoization is gone, only the disk
 	// store remains.
 	resetRunCacheForTest()
-	before := storeHits.Load()
+	before := counter(w, "store.hits")
 	b, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeHits.Load() != before+1 {
-		t.Fatalf("expected exactly one store hit, got %d", storeHits.Load()-before)
+	if counter(w, "store.hits") != before+1 {
+		t.Fatalf("expected exactly one store hit, got %d", counter(w, "store.hits")-before)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("store-loaded result differs from the original simulation")
@@ -309,12 +344,12 @@ func TestRunStorePersistsAcrossCacheReset(t *testing.T) {
 	resetRunCacheForTest()
 	fresh := opt
 	fresh.FreshRuns = true
-	before = storeHits.Load()
+	before = counter(w, "store.hits")
 	c, err := fresh.runApp(cfg, "Word", opt.ShortInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeHits.Load() != before {
+	if counter(w, "store.hits") != before {
 		t.Fatal("FreshRuns read from the store")
 	}
 	if !reflect.DeepEqual(a, c) {
@@ -371,7 +406,7 @@ func TestRunStoreLockSingleFlight(t *testing.T) {
 	s := testStore(t)
 	key := "cafef00d"
 
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatalf("first contender did not win the lock (won=%v err=%v)", won, err)
 	}
@@ -382,7 +417,7 @@ func TestRunStoreLockSingleFlight(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		_, w, e := s.acquire(key, s.runPath(key))
+		_, w, e := s.Acquire(key, runPath(s, key))
 		done <- outcome{w, e}
 	}()
 
@@ -393,7 +428,7 @@ func TestRunStoreLockSingleFlight(t *testing.T) {
 	}
 
 	// Winner publishes its result; the waiter must observe it and lose.
-	if err := s.save(key, sampleResult()); err != nil {
+	if err := save(s, key, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -405,13 +440,13 @@ func TestRunStoreLockSingleFlight(t *testing.T) {
 		t.Fatal("contender never observed the published result")
 	}
 	release()
-	if _, err := os.Stat(s.lockPath(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(lockPath(s, key)); !os.IsNotExist(err) {
 		t.Fatal("release left the lock file behind")
 	}
 
 	// With the lock released and a result on disk the next acquire
 	// still wins (callers check the store before locking).
-	release2, won2, err := s.acquire(key, s.runPath(key))
+	release2, won2, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won2 {
 		t.Fatal("post-release contender did not win the freed lock")
 	}
@@ -425,7 +460,7 @@ func TestRunStoreHeartbeatPreventsSteal(t *testing.T) {
 	s := testStore(t)
 	key := "11febeef"
 
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatal("owner did not win the lock")
 	}
@@ -433,22 +468,22 @@ func TestRunStoreHeartbeatPreventsSteal(t *testing.T) {
 
 	// Hold well past lockStale; a waiter in the background must neither
 	// win nor steal while the heartbeat keeps the lock fresh.
-	stealsBefore := storeSteals.Load()
+	stealsBefore := counter(s.Obs, "store.lock_steals")
 	done := make(chan bool, 1)
 	go func() {
-		_, w, _ := s.acquire(key, s.runPath(key))
+		_, w, _ := s.Acquire(key, runPath(s, key))
 		done <- w
 	}()
 	select {
 	case w := <-done:
 		t.Fatalf("waiter returned (won=%v) while a heartbeating owner held the lock", w)
-	case <-time.After(3 * s.tun.lockStale):
+	case <-time.After(3 * s.Tuning.LockStale):
 	}
-	if storeSteals.Load() != stealsBefore {
+	if counter(s.Obs, "store.lock_steals") != stealsBefore {
 		t.Fatal("a live, heartbeating lock was stolen")
 	}
 	// Publish so the waiter exits cleanly.
-	if err := s.save(key, sampleResult()); err != nil {
+	if err := save(s, key, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
 	if w := <-done; w {
@@ -464,20 +499,20 @@ func TestRunStoreStaleSteal(t *testing.T) {
 	key := "0ddba11"
 
 	// A corpse: lock file with an old mtime and no owner refreshing it.
-	if err := os.WriteFile(s.lockPath(key), []byte("pid 0 seq 0 t 0\n"), 0o644); err != nil {
+	if err := os.WriteFile(lockPath(s, key), []byte("pid 0 seq 0 t 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-10 * s.tun.lockStale)
-	if err := os.Chtimes(s.lockPath(key), old, old); err != nil {
+	old := time.Now().Add(-10 * s.Tuning.LockStale)
+	if err := os.Chtimes(lockPath(s, key), old, old); err != nil {
 		t.Fatal(err)
 	}
 
-	stealsBefore := storeSteals.Load()
+	stealsBefore := counter(s.Obs, "store.lock_steals")
 	const waiters = 8
 	wins := make(chan bool, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			release, won, err := s.acquire(key, s.runPath(key))
+			release, won, err := s.Acquire(key, runPath(s, key))
 			if err != nil {
 				t.Error(err)
 				wins <- false
@@ -486,7 +521,7 @@ func TestRunStoreStaleSteal(t *testing.T) {
 			if won {
 				// The winner "simulates" briefly, publishes, releases.
 				time.Sleep(20 * time.Millisecond)
-				if err := s.save(key, sampleResult()); err != nil {
+				if err := save(s, key, sampleResult()); err != nil {
 					t.Error(err)
 				}
 				release()
@@ -503,10 +538,10 @@ func TestRunStoreStaleSteal(t *testing.T) {
 	if winners != 1 {
 		t.Fatalf("want exactly 1 winner after stale steal, got %d", winners)
 	}
-	if got := storeSteals.Load() - stealsBefore; got != 1 {
+	if got := counter(s.Obs, "store.lock_steals") - stealsBefore; got != 1 {
 		t.Fatalf("want exactly 1 steal, got %d", got)
 	}
-	if _, err := os.Stat(s.lockPath(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(lockPath(s, key)); !os.IsNotExist(err) {
 		t.Fatal("lock file left behind after steal + release")
 	}
 }
@@ -518,13 +553,13 @@ func TestRunStoreStaleSteal(t *testing.T) {
 func TestRunStoreStealRaceExactlyOneWinner(t *testing.T) {
 	s := testStore(t)
 	key := "57ea1ace"
-	lock := s.lockPath(key)
+	lock := lockPath(s, key)
 
 	for round := 0; round < 20; round++ {
 		if err := os.WriteFile(lock, []byte("corpse\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		old := time.Now().Add(-10 * s.tun.lockStale)
+		old := time.Now().Add(-10 * s.Tuning.LockStale)
 		if err := os.Chtimes(lock, old, old); err != nil {
 			t.Fatal(err)
 		}
@@ -532,14 +567,14 @@ func TestRunStoreStealRaceExactlyOneWinner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := storeSteals.Load()
+		before := counter(s.Obs, "store.lock_steals")
 		const thieves = 8
 		results := make(chan bool, thieves)
 		start := make(chan struct{})
 		for i := 0; i < thieves; i++ {
 			go func() {
 				<-start
-				results <- s.steal(lock, key, st)
+				results <- s.Steal(lock, key, st)
 			}()
 		}
 		close(start)
@@ -552,7 +587,7 @@ func TestRunStoreStealRaceExactlyOneWinner(t *testing.T) {
 		if cleared < 1 {
 			t.Fatalf("round %d: no thief cleared the corpse", round)
 		}
-		if got := storeSteals.Load() - before; got != 1 {
+		if got := counter(s.Obs, "store.lock_steals") - before; got != 1 {
 			t.Fatalf("round %d: want exactly 1 steal, got %d", round, got)
 		}
 		if _, err := os.Stat(lock); !os.IsNotExist(err) {
@@ -567,13 +602,13 @@ func TestRunStoreStealRaceExactlyOneWinner(t *testing.T) {
 func TestRunStoreStealRespectsFreshLock(t *testing.T) {
 	s := testStore(t)
 	key := "f4e5b10c"
-	lock := s.lockPath(key)
+	lock := lockPath(s, key)
 
 	// The stale stat the would-be thief holds.
 	if err := os.WriteFile(lock, []byte("corpse\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-10 * s.tun.lockStale)
+	old := time.Now().Add(-10 * s.Tuning.LockStale)
 	if err := os.Chtimes(lock, old, old); err != nil {
 		t.Fatal(err)
 	}
@@ -586,13 +621,13 @@ func TestRunStoreStealRespectsFreshLock(t *testing.T) {
 	if err := os.Remove(lock); err != nil {
 		t.Fatal(err)
 	}
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatal("fresh owner did not win")
 	}
 	defer release()
 
-	if s.steal(lock, key, staleInfo) {
+	if s.Steal(lock, key, staleInfo) {
 		t.Fatal("steal succeeded against a fresh lock using a stale stat")
 	}
 	if _, err := os.Stat(lock); err != nil {
@@ -607,25 +642,25 @@ func TestRunStoreReleaseAfterStealDoesNotRemoveNewLock(t *testing.T) {
 	s := testStore(t)
 	key := "ab5c0nd"
 
-	release1, won, err := s.acquire(key, s.runPath(key))
+	release1, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatal("first owner did not win")
 	}
 	// Simulate the first owner being presumed dead: its lock is
 	// replaced by a second owner's.
-	if err := os.Remove(s.lockPath(key)); err != nil {
+	if err := os.Remove(lockPath(s, key)); err != nil {
 		t.Fatal(err)
 	}
-	release2, won2, err := s.acquire(key, s.runPath(key))
+	release2, won2, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won2 {
 		t.Fatal("second owner did not win")
 	}
 	release1() // must NOT remove the second owner's lock
-	if _, err := os.Stat(s.lockPath(key)); err != nil {
+	if _, err := os.Stat(lockPath(s, key)); err != nil {
 		t.Fatal("first owner's release removed the second owner's lock")
 	}
 	release2()
-	if _, err := os.Stat(s.lockPath(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(lockPath(s, key)); !os.IsNotExist(err) {
 		t.Fatal("second owner's release left its lock behind")
 	}
 }
@@ -635,18 +670,18 @@ func TestRunStoreReleaseAfterStealDoesNotRemoveNewLock(t *testing.T) {
 // degrades to simulating without the lock.
 func TestRunStoreLockWaitDeadline(t *testing.T) {
 	s := testStore(t)
-	s.tun.waitMax = 300 * time.Millisecond
+	s.Tuning.WaitMax = 300 * time.Millisecond
 	key := "dead11ne"
 
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatal("owner did not win")
 	}
 	defer release() // owner "hangs": never publishes, heartbeat keeps running
 
-	before := storeTimeouts.Load()
+	before := counter(s.Obs, "store.lock_timeouts")
 	start := time.Now()
-	rel2, won2, err := s.acquire(key, s.runPath(key))
+	rel2, won2, err := s.Acquire(key, runPath(s, key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,14 +689,14 @@ func TestRunStoreLockWaitDeadline(t *testing.T) {
 		t.Fatal("waiter neither timed out nor won")
 	}
 	rel2()
-	if el := time.Since(start); el < s.tun.waitMax {
-		t.Fatalf("waiter degraded after %v, before the %v deadline", el, s.tun.waitMax)
+	if el := time.Since(start); el < s.Tuning.WaitMax {
+		t.Fatalf("waiter degraded after %v, before the %v deadline", el, s.Tuning.WaitMax)
 	}
-	if storeTimeouts.Load() != before+1 {
+	if counter(s.Obs, "store.lock_timeouts") != before+1 {
 		t.Fatal("degraded wait did not count a timeout")
 	}
 	// The owner still holds its lock: degradation must not remove it.
-	if _, err := os.Stat(s.lockPath(key)); err != nil {
+	if _, err := os.Stat(lockPath(s, key)); err != nil {
 		t.Fatal("degraded waiter removed the owner's lock")
 	}
 }
@@ -672,7 +707,7 @@ func TestRunStoreLockWaitCancellation(t *testing.T) {
 	s := testStore(t)
 	key := "cance1ed"
 
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatal("owner did not win")
 	}
@@ -680,10 +715,10 @@ func TestRunStoreLockWaitCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s2 := *s
-	s2.ctx = ctx
+	s2.Ctx = ctx
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s2.acquire(key, s2.runPath(key))
+		_, _, err := s2.Acquire(key, runPath(&s2, key))
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -711,16 +746,15 @@ func TestCancelledWaitIsNotMemoized(t *testing.T) {
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
 	tun := testTuning()
-	tun.lockStale = time.Minute // the held lock must outlive the wait, not be stolen
-	opt.storeTun = &tun
-	opt.storeFS = faultfs.Disk{}
+	tun.LockStale = time.Minute // the held lock must outlive the wait, not be stolen
+	opt.storeTest = withTuning(tun)
 	cfg := opt.configFor(machine.VMSoft)
 	ResetRunCacheForTest()
 
 	// A peer process holds the run's lock.
 	s := opt.store()
 	key := (runKey{cfg, "Word", opt.Scale, opt.ShortInstrs, "", false}).fileKey()
-	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(lockPath(s, key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -742,12 +776,12 @@ func TestCancelledWaitIsNotMemoized(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled waiter did not return")
 	}
-	if _, err := os.Stat(s.runPath(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(runPath(s, key)); !os.IsNotExist(err) {
 		t.Fatal("the cancelled request published a record")
 	}
 
 	// The peer goes away without publishing; the same process asks again.
-	if err := os.Remove(s.lockPath(key)); err != nil {
+	if err := os.Remove(lockPath(s, key)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := opt.runApp(cfg, "Word", opt.ShortInstrs)
@@ -757,7 +791,7 @@ func TestCancelledWaitIsNotMemoized(t *testing.T) {
 	if res == nil || res.Instrs == 0 {
 		t.Fatalf("request after the cancelled one returned %+v", res)
 	}
-	if _, err := os.Stat(s.runPath(key)); err != nil {
+	if _, err := os.Stat(runPath(s, key)); err != nil {
 		t.Fatalf("request after the cancelled one did not simulate and publish: %v", err)
 	}
 }
@@ -775,15 +809,14 @@ func TestCancelledFillWaitersRetry(t *testing.T) {
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
 	tun := testTuning()
-	tun.lockStale = time.Minute
-	opt.storeTun = &tun
-	opt.storeFS = faultfs.Disk{}
+	tun.LockStale = time.Minute
+	opt.storeTest = withTuning(tun)
 	cfg := opt.configFor(machine.VMSoft)
 	ResetRunCacheForTest()
 
 	s := opt.store()
 	key := (runKey{cfg, "Word", opt.Scale, opt.ShortInstrs, "", false}).fileKey()
-	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(lockPath(s, key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -815,7 +848,7 @@ func TestCancelledFillWaitersRetry(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled request did not return")
 	}
-	if err := os.Remove(s.lockPath(key)); err != nil {
+	if err := os.Remove(lockPath(s, key)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -829,7 +862,7 @@ func TestCancelledFillWaitersRetry(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("live request did not return")
 	}
-	if _, err := os.Stat(s.runPath(key)); err != nil {
+	if _, err := os.Stat(runPath(s, key)); err != nil {
 		t.Fatalf("live request did not simulate and publish: %v", err)
 	}
 }
@@ -844,15 +877,14 @@ func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
 	opt.FreshRuns = false
 	opt.Store = t.TempDir()
 	tun := testTuning()
-	tun.lockStale = time.Minute
-	opt.storeTun = &tun
-	opt.storeFS = faultfs.Disk{}
+	tun.LockStale = time.Minute
+	opt.storeTest = withTuning(tun)
 	cold := opt.configFor(machine.VMSoft)
 	ResetRunCacheForTest()
 
 	s := opt.store()
 	key := snapFileKey(cold, "Word", opt.Scale, opt.ShortInstrs)
-	if err := os.WriteFile(s.lockPath(key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(lockPath(s, key), []byte("pid 1 seq 1 t 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -862,7 +894,7 @@ func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
 	if _, err := first.snapshot(cold, "Word", opt.ShortInstrs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
 	}
-	if err := os.Remove(s.lockPath(key)); err != nil {
+	if err := os.Remove(lockPath(s, key)); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := opt.snapshot(cold, "Word", opt.ShortInstrs)
@@ -878,17 +910,17 @@ func TestCancelledWaitSnapshotNotMemoized(t *testing.T) {
 // serving, so the next request for the key must build afresh.
 func TestPanickingBuildLeavesNoTrace(t *testing.T) {
 	tun := testTuning()
-	opt := Options{Store: t.TempDir(), storeFS: faultfs.Disk{}, storeTun: &tun}
+	opt := Options{Store: t.TempDir(), storeTest: withTuning(tun)}
 	var m memo[string, []byte]
 	get := func(build func() ([]byte, error)) ([]byte, error) {
 		return m.get(context.Background(), "k", func() ([]byte, error) {
-			return fetch(opt, artifact[[]byte]{
-				key:    func() string { return "feedface" },
-				ext:    ".run",
-				tag:    func() string { return "panic" },
-				decode: func(b []byte) ([]byte, error) { return b, nil },
-				encode: func(b []byte) []byte { return b },
-				build:  build,
+			return fetch(opt, store.Artifact[[]byte]{
+				Key:    func() string { return "feedface" },
+				Ext:    ".run",
+				Tag:    func() string { return "panic" },
+				Decode: func(b []byte) ([]byte, error) { return b, nil },
+				Encode: func(b []byte) []byte { return b },
+				Build:  build,
 			})
 		})
 	}
@@ -905,109 +937,6 @@ func TestPanickingBuildLeavesNoTrace(t *testing.T) {
 	}
 	if v, err := get(func() ([]byte, error) { return []byte("ok"), nil }); err != nil || string(v) != "ok" {
 		t.Fatalf("request after the panic = %q, %v; want a fresh build", v, err)
-	}
-}
-
-// emptyLock plants a 0-byte lock file of the given age: what a process
-// SIGKILLed between creating its lock and writing its token leaves.
-func emptyLock(t *testing.T, s *runStore, key string, age time.Duration) {
-	t.Helper()
-	if err := os.WriteFile(s.lockPath(key), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mtime := time.Now().Add(-age)
-	if err := os.Chtimes(s.lockPath(key), mtime, mtime); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEmptyLockStolenOnce: an empty lock older than one heartbeat is a
-// dead owner's — no live owner leaves its token unwritten that long —
-// and goes through the normal steal arbitration well inside lockStale:
-// of N waiters exactly one steals, exactly one builds.
-func TestEmptyLockStolenOnce(t *testing.T) {
-	s := testStore(t)
-	s.tun.lockStale = time.Minute // only the empty-lock rule can fire
-	key := "e0e0e0"
-	emptyLock(t, s, key, 4*s.tun.heartbeat)
-
-	stealsBefore := storeSteals.Load()
-	const waiters = 8
-	wins := make(chan bool, waiters)
-	for i := 0; i < waiters; i++ {
-		go func() {
-			release, won, err := s.acquire(key, s.runPath(key))
-			if err != nil {
-				t.Error(err)
-				wins <- false
-				return
-			}
-			if won {
-				time.Sleep(20 * time.Millisecond)
-				if err := s.save(key, sampleResult()); err != nil {
-					t.Error(err)
-				}
-				release()
-			}
-			wins <- won
-		}()
-	}
-	winners := 0
-	for i := 0; i < waiters; i++ {
-		select {
-		case won := <-wins:
-			if won {
-				winners++
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("waiters sat out an empty lock")
-		}
-	}
-	if winners != 1 {
-		t.Fatalf("want exactly 1 winner after the empty-lock steal, got %d", winners)
-	}
-	if got := storeSteals.Load() - stealsBefore; got != 1 {
-		t.Fatalf("want exactly 1 steal, got %d", got)
-	}
-	if _, err := os.Stat(s.lockPath(key)); !os.IsNotExist(err) {
-		t.Fatal("lock file left behind after steal + release")
-	}
-
-	// GC applies the same rule.
-	emptyLock(t, s, "e1e1e1", 4*s.tun.heartbeat)
-	s.gc()
-	if _, err := os.Stat(s.lockPath("e1e1e1")); !os.IsNotExist(err) {
-		t.Fatal("GC left an empty lock older than a heartbeat")
-	}
-}
-
-// TestEmptyLockFreshUntouched: an empty lock younger than a heartbeat
-// may be a live owner about to write its token. Waiters wait on it —
-// here until their deadline — and neither they nor GC remove it.
-func TestEmptyLockFreshUntouched(t *testing.T) {
-	s := testStore(t)
-	s.tun.heartbeat = time.Minute
-	s.tun.lockStale = 10 * time.Minute
-	s.tun.waitMax = 200 * time.Millisecond
-	key := "f2e5f2e5"
-	emptyLock(t, s, key, 0)
-
-	stealsBefore := storeSteals.Load()
-	timeoutsBefore := storeTimeouts.Load()
-	s.gc()
-	release, won, err := s.acquire(key, s.runPath(key))
-	if err != nil || !won {
-		t.Fatalf("waiter on a fresh empty lock: won=%v err=%v, want the deadline's degraded win", won, err)
-	}
-	release()
-	if storeTimeouts.Load() != timeoutsBefore+1 {
-		t.Error("waiter did not wait out its deadline")
-	}
-	if storeSteals.Load() != stealsBefore {
-		t.Error("a fresh empty lock was stolen")
-	}
-	if fi, err := os.Stat(s.lockPath(key)); err != nil || fi.Size() != 0 {
-		t.Fatalf("fresh empty lock disturbed: %v", err)
 	}
 }
 
@@ -1028,5 +957,5 @@ func TestSweepCancellation(t *testing.T) {
 // encodeTrailer appends a valid CRC-32C trailer to an arbitrary
 // payload (test helper for trailing-garbage cases).
 func encodeTrailer(payload []byte) []byte {
-	return seal(append(make([]byte, 0, len(payload)+4), payload...))
+	return store.Seal(append(make([]byte, 0, len(payload)+4), payload...))
 }

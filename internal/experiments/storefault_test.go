@@ -11,22 +11,20 @@ import (
 	"testing"
 	"time"
 
-	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 	"codesignvm/internal/vmm"
 )
 
-// faultStore builds a runStore over a temp dir whose filesystem is an
-// injector with the given fault table.
-func faultStore(t *testing.T, faults ...*faultfs.Fault) (*runStore, *faultfs.Injector) {
+// faultStore builds a test store handle (testStore) whose filesystem is
+// an injector with the given fault table.
+func faultStore(t *testing.T, faults ...*faultfs.Fault) (*store.Store, *faultfs.Injector) {
 	t.Helper()
-	in := faultfs.NewInjector(faultfs.Disk{}, faults...)
-	return &runStore{
-		dir: t.TempDir(),
-		fs:  in,
-		tun: testTuning(),
-		ctx: context.Background(),
-	}, in
+	s := testStore(t)
+	in := faultfs.NewInjector(s.FS, faults...)
+	s.FS = in
+	return s, in
 }
 
 // sealedRecords are the store's two CRC-sealed record formats as the
@@ -35,16 +33,16 @@ func faultStore(t *testing.T, faults ...*faultfs.Fault) (*runStore, *faultfs.Inj
 var sealedRecords = []struct {
 	name, ext string
 	golden    func() []byte
-	served    func(s *runStore, key string) bool
+	served    func(s *store.Store, key string) bool
 }{
 	{"run", ".run", func() []byte { return encodeResult(sampleResult()) },
-		func(s *runStore, key string) bool {
-			res, err := s.load(key)
+		func(s *store.Store, key string) bool {
+			res, err := load(s, key)
 			return res != nil || err != nil
 		}},
 	{"prof", ".prof", func() []byte { return encodeProfile(sampleProfile()) },
-		func(s *runStore, key string) bool {
-			_, ok := readRecord(s, key, s.profPath(key), decodeProfile)
+		func(s *store.Store, key string) bool {
+			_, ok := store.Read(s, key, profPath(s, key), decodeProfile)
 			return ok
 		}},
 }
@@ -57,7 +55,7 @@ func TestRunStoreCorruptionEveryTruncation(t *testing.T) {
 		t.Run(rec.name, func(t *testing.T) {
 			s := testStore(t)
 			key := "truncate"
-			path := s.path(key, rec.ext)
+			path := s.Path(key, rec.ext)
 			golden := rec.golden()
 
 			for n := 0; n < len(golden); n++ {
@@ -72,7 +70,7 @@ func TestRunStoreCorruptionEveryTruncation(t *testing.T) {
 				}
 				// Quarantine leaves a .bad sidecar; clear it so the next
 				// iteration's rename target is free.
-				os.Remove(filepath.Join(s.dir, key+".bad"))
+				os.Remove(filepath.Join(s.Dir, key+".bad"))
 			}
 
 			// The untruncated record still decodes (the loop did not damage
@@ -101,13 +99,13 @@ func TestRunStoreCorruptionEveryBitFlipStride(t *testing.T) {
 			for bit := int64(0); bit < bits; bit += 7 {
 				flipped := append([]byte(nil), golden...)
 				flipped[bit/8] ^= 1 << (bit % 8)
-				if err := os.WriteFile(s.path(key, rec.ext), flipped, 0o644); err != nil {
+				if err := os.WriteFile(s.Path(key, rec.ext), flipped, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				if rec.served(s, key) {
 					t.Fatalf("bit flip at %d was served", bit)
 				}
-				os.Remove(filepath.Join(s.dir, key+".bad"))
+				os.Remove(filepath.Join(s.Dir, key+".bad"))
 			}
 		})
 	}
@@ -120,23 +118,23 @@ func TestRunStoreCorruptionEveryBitFlipStride(t *testing.T) {
 func TestRunStoreBitFlipViaInjector(t *testing.T) {
 	s, _ := faultStore(t, &faultfs.Fault{Op: faultfs.OpRead, Path: ".run", FlipBit: 130})
 	key := "f11pread"
-	if err := s.save(key, sampleResult()); err != nil {
+	if err := save(s, key, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
-	before := storeCorrupt.Load()
-	if res, err := s.load(key); res != nil || err != nil {
+	before := counter(s.Obs, "store.corrupt")
+	if res, err := load(s, key); res != nil || err != nil {
 		t.Fatalf("flipped read: want (nil, nil), got (%v, %v)", res, err)
 	}
-	if storeCorrupt.Load() != before+1 {
+	if counter(s.Obs, "store.corrupt") != before+1 {
 		t.Fatal("flipped read did not count as corrupt")
 	}
 	// The record was quarantined (the on-disk bytes are fine, but the
 	// store cannot tell a bad read from a bad record: either way the
 	// entry must stop serving). A re-save hits cleanly.
-	if err := s.save(key, sampleResult()); err != nil {
+	if err := save(s, key, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.load(key); res == nil || err != nil {
+	if res, err := load(s, key); res == nil || err != nil {
 		t.Fatalf("clean re-read: want result, got (%v, %v)", res, err)
 	}
 }
@@ -150,13 +148,13 @@ func TestRunStoreSaveENOSPC(t *testing.T) {
 				Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 64, Err: syscall.ENOSPC,
 			})
 			key := "n05pace"
-			if err := s.publish(key, s.path(key, rec.ext), rec.golden()); !errors.Is(err, syscall.ENOSPC) {
+			if err := s.Publish(s.Path(key, rec.ext), rec.golden()); !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("want ENOSPC from publish, got %v", err)
 			}
-			if _, err := os.Stat(s.path(key, rec.ext)); !os.IsNotExist(err) {
+			if _, err := os.Stat(s.Path(key, rec.ext)); !os.IsNotExist(err) {
 				t.Fatal("a failed publish left a record")
 			}
-			ents, err := os.ReadDir(s.dir)
+			ents, err := os.ReadDir(s.Dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,15 +176,15 @@ func TestRunStoreReadOnlyStore(t *testing.T) {
 		&faultfs.Fault{Op: faultfs.OpCreate, N: 1, Err: syscall.EROFS}, // second create too
 	)
 	key := "r0f5"
-	if err := s.save(key, sampleResult()); !errors.Is(err, syscall.EROFS) {
+	if err := save(s, key, sampleResult()); !errors.Is(err, syscall.EROFS) {
 		t.Fatalf("want EROFS from save, got %v", err)
 	}
-	release, won, err := s.acquire(key, s.runPath(key))
+	release, won, err := s.Acquire(key, runPath(s, key))
 	if err != nil || !won {
 		t.Fatalf("read-only store must degrade to simulating, got (won=%v err=%v)", won, err)
 	}
 	release() // no-op; must not panic
-	if _, serr := os.Stat(s.lockPath(key)); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(lockPath(s, key)); !os.IsNotExist(serr) {
 		t.Fatal("degraded acquire created a lock file on a read-only store")
 	}
 }
@@ -198,10 +196,10 @@ func TestRunStoreMkdirFailure(t *testing.T) {
 		&faultfs.Fault{Op: faultfs.OpMkdir, Err: syscall.EROFS},
 		&faultfs.Fault{Op: faultfs.OpMkdir, N: 1, Err: syscall.EROFS},
 	)
-	if err := s.save("mkd1r", sampleResult()); !errors.Is(err, syscall.EROFS) {
+	if err := save(s, "mkd1r", sampleResult()); !errors.Is(err, syscall.EROFS) {
 		t.Fatalf("want EROFS from save, got %v", err)
 	}
-	release, won, err := s.acquire("mkd1r", s.runPath("mkd1r"))
+	release, won, err := s.Acquire("mkd1r", runPath(s, "mkd1r"))
 	if err != nil || !won {
 		t.Fatalf("unwritable dir must degrade to simulating, got (won=%v err=%v)", won, err)
 	}
@@ -218,23 +216,23 @@ func TestRunStoreKillMidWrite(t *testing.T) {
 				Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true,
 			})
 			key := "k9mid"
-			if err := s.publish(key, s.path(key, rec.ext), rec.golden()); !errors.Is(err, faultfs.ErrKilled) {
+			if err := s.Publish(s.Path(key, rec.ext), rec.golden()); !errors.Is(err, faultfs.ErrKilled) {
 				t.Fatalf("want ErrKilled from publish, got %v", err)
 			}
 			if !in.Dead() {
 				t.Fatal("injector should be dead after the kill")
 			}
-			if _, err := os.Stat(s.path(key, rec.ext)); !os.IsNotExist(err) {
+			if _, err := os.Stat(s.Path(key, rec.ext)); !os.IsNotExist(err) {
 				t.Fatal("killed writer published a record")
 			}
 			var orphan string
-			ents, err := os.ReadDir(s.dir)
+			ents, err := os.ReadDir(s.Dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range ents {
 				if strings.Contains(e.Name(), ".tmp") {
-					orphan = filepath.Join(s.dir, e.Name())
+					orphan = filepath.Join(s.Dir, e.Name())
 				}
 			}
 			if orphan == "" {
@@ -243,16 +241,16 @@ func TestRunStoreKillMidWrite(t *testing.T) {
 
 			// A later, healthy process never reads the orphan (it was never
 			// renamed into place)…
-			s2 := &runStore{dir: s.dir, fs: faultfs.Disk{}, tun: testTuning(), ctx: context.Background()}
+			s2 := &store.Store{Dir: s.Dir, FS: faultfs.Disk{}, Tuning: testTuning(), Ctx: context.Background()}
 			if rec.served(s2, key) {
 				t.Fatal("partial temp file served a value")
 			}
 			// …and its GC collects the debris once it is old enough.
-			old := time.Now().Add(-2 * s2.tun.gcTmpAge)
+			old := time.Now().Add(-2 * s2.Tuning.GCTmpAge)
 			if err := os.Chtimes(orphan, old, old); err != nil {
 				t.Fatal(err)
 			}
-			s2.gc()
+			s2.GC()
 			if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 				t.Fatal("GC left the aged orphan temp file")
 			}
@@ -299,9 +297,9 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 		name   string
 		faults func(ext string) []*faultfs.Fault
 	}{
-		{"enospc-on-save", func(string) []*faultfs.Fault {
+		{"enospc-on-save", func(ext string) []*faultfs.Fault {
 			return []*faultfs.Fault{
-				{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 32, Err: syscall.ENOSPC}}
+				{Op: faultfs.OpWrite, Path: ext + ".tmp", AfterBytes: 32, Err: syscall.ENOSPC}}
 		}},
 		{"readonly-store", func(string) []*faultfs.Fault {
 			return []*faultfs.Fault{
@@ -310,9 +308,9 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 				{Op: faultfs.OpCreate, Err: syscall.EROFS},
 				{Op: faultfs.OpCreate, Err: syscall.EROFS}}
 		}},
-		{"kill-mid-write", func(string) []*faultfs.Fault {
+		{"kill-mid-write", func(ext string) []*faultfs.Fault {
 			return []*faultfs.Fault{
-				{Op: faultfs.OpWrite, Path: ".tmp", AfterBytes: 100, Kill: true}}
+				{Op: faultfs.OpWrite, Path: ext + ".tmp", AfterBytes: 100, Kill: true}}
 		}},
 		{"corrupt-read", func(ext string) []*faultfs.Fault {
 			return []*faultfs.Fault{
@@ -331,18 +329,18 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 				ResetRunCacheForTest()
 				fopt := opt
 				fopt.Store = t.TempDir()
-				fopt.storeFS = faultfs.NewInjector(faultfs.Disk{}, tc.faults(kind.ext)...)
-				fopt.storeTun = &tun
-				corrupt := storeCorrupt.Load()
+				in := faultfs.NewInjector(faultfs.Disk{}, tc.faults(kind.ext)...)
+				fopt.storeTest = func(s *store.Store) { s.FS, s.Tuning = in, tun }
+				w := watchStore(&fopt)
 				var key string
 				if tc.name == "corrupt-read" {
 					// Pre-populate a valid record so the faulted read has
 					// something to corrupt.
 					pre := fopt
-					pre.storeFS = faultfs.Disk{}
+					pre.storeTest = withTuning(tun)
 					var data []byte
 					key, data = kind.record(fopt, want)
-					if err := pre.store().publish(key, pre.store().path(key, kind.ext), data); err != nil {
+					if err := pre.store().Publish(pre.store().Path(key, kind.ext), data); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -358,7 +356,7 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 				}
 				// The damaged record was never read as a value: it was
 				// quarantined, and the recomputed one republished over it.
-				if n := storeCorrupt.Load() - corrupt; n != 1 {
+				if n := counter(w, "store.corrupt"); n != 1 {
 					t.Errorf("want exactly 1 quarantined record, got %d", n)
 				}
 				if _, err := os.Stat(filepath.Join(fopt.Store, key+".bad")); err != nil {
@@ -379,12 +377,12 @@ func TestRunStoreFaultsDegradeToSimulation(t *testing.T) {
 func TestRunStoreGCSweep(t *testing.T) {
 	s := testStore(t)
 	rec := encodeResult(sampleResult())
-	old := time.Now().Add(-10 * s.tun.gcTmpAge)
-	older := time.Now().Add(-20 * s.tun.gcTmpAge)
+	old := time.Now().Add(-10 * s.Tuning.GCTmpAge)
+	older := time.Now().Add(-20 * s.Tuning.GCTmpAge)
 
 	mk := func(name string, mtime time.Time, data []byte) string {
 		t.Helper()
-		path := filepath.Join(s.dir, name)
+		path := filepath.Join(s.Dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -404,9 +402,8 @@ func TestRunStoreGCSweep(t *testing.T) {
 	hotRun := mk("keep.run", time.Now(), rec)
 
 	// Cap so only one record fits.
-	s.tun.maxBytes = int64(len(rec)) + 16
-	evBefore := storeGCEvictions.Load()
-	s.gc()
+	s.Tuning.MaxBytes = int64(len(rec)) + 16
+	s.GC()
 
 	for _, gone := range []string{oldTmp, oldMarker, staleLock, lruRun, midRun, lruProf} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
@@ -418,7 +415,7 @@ func TestRunStoreGCSweep(t *testing.T) {
 			t.Errorf("GC removed %s (should keep): %v", filepath.Base(kept), err)
 		}
 	}
-	if got := storeGCEvictions.Load() - evBefore; got != 3 {
+	if got := counter(s.Obs, "store.gc_evictions"); got != 3 {
 		t.Errorf("want 3 evictions counted, got %d", got)
 	}
 }
@@ -430,11 +427,11 @@ func TestRunStoreGCSweep(t *testing.T) {
 func TestRunStoreGCPairedEviction(t *testing.T) {
 	s := testStore(t)
 	rec := encodeResult(sampleResult())
-	older := time.Now().Add(-20 * s.tun.gcTmpAge)
+	older := time.Now().Add(-20 * s.Tuning.GCTmpAge)
 
 	mk := func(name string, mtime time.Time, data []byte) string {
 		t.Helper()
-		path := filepath.Join(s.dir, name)
+		path := filepath.Join(s.Dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -459,8 +456,8 @@ func TestRunStoreGCPairedEviction(t *testing.T) {
 	hotProf := mk("warm.prof", time.Now(), encodeProfile(sampleProfile()))
 
 	// Cap fits the two hot groups only.
-	s.tun.maxBytes = int64(len(rec) + 32 + profRecordLen + 32)
-	s.gc()
+	s.Tuning.MaxBytes = int64(len(rec) + 32 + profRecordLen + 32)
+	s.GC()
 
 	for _, gone := range []string{coldRun, coldSnap, coldProf} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
@@ -481,12 +478,12 @@ func TestRunStoreGCPairedEviction(t *testing.T) {
 func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 	s := testStore(t)
 	rec := encodeResult(sampleResult())
-	older := time.Now().Add(-20 * s.tun.gcTmpAge)
+	older := time.Now().Add(-20 * s.Tuning.GCTmpAge)
 
-	run := filepath.Join(s.dir, "busy.run")
-	snap := filepath.Join(s.dir, "busy.ccvm")
-	prof := filepath.Join(s.dir, "busy.prof")
-	lock := filepath.Join(s.dir, "busy.lock")
+	run := filepath.Join(s.Dir, "busy.run")
+	snap := filepath.Join(s.Dir, "busy.ccvm")
+	prof := filepath.Join(s.Dir, "busy.prof")
+	lock := filepath.Join(s.Dir, "busy.lock")
 	for _, f := range []struct {
 		path string
 		data []byte
@@ -503,8 +500,8 @@ func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.tun.maxBytes = 1 // everything is over budget
-	s.gc()
+	s.Tuning.MaxBytes = 1 // everything is over budget
+	s.GC()
 	for _, kept := range []string{run, snap, prof} {
 		if _, err := os.Stat(kept); err != nil {
 			t.Fatalf("GC evicted %s out from under a live lock: %v", filepath.Base(kept), err)
@@ -513,11 +510,11 @@ func TestRunStoreGCSkipsLockedKeys(t *testing.T) {
 
 	// The owner dies: its heartbeat stops and the lock ages out. Now
 	// the sweep reclaims everything — lock and group.
-	stale := time.Now().Add(-2 * s.tun.lockStale)
+	stale := time.Now().Add(-2 * s.Tuning.LockStale)
 	if err := os.Chtimes(lock, stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	s.gc()
+	s.GC()
 	for _, gone := range []string{run, snap, prof, lock} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Errorf("GC left %s after the lock went stale", filepath.Base(gone))
@@ -536,7 +533,7 @@ func TestRunStoreGCGateAliases(t *testing.T) {
 		if err := os.WriteFile(debris, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		old := time.Now().Add(-2 * defaultTuning.gcTmpAge)
+		old := time.Now().Add(-2 * store.DefaultTuning.GCTmpAge)
 		if err := os.Chtimes(debris, old, old); err != nil {
 			t.Fatal(err)
 		}
@@ -561,7 +558,7 @@ func TestRunStoreGCGateAliases(t *testing.T) {
 }
 
 // TestRunStoreGCRunsOncePerDir: Options.store() triggers exactly one GC
-// sweep per directory per process (via storeGCDone), and only with the
+// sweep per directory per process (store.Store.GCOnce), and only with the
 // default filesystem seam.
 func TestRunStoreGCRunsOncePerDir(t *testing.T) {
 	dir := t.TempDir()
@@ -570,7 +567,7 @@ func TestRunStoreGCRunsOncePerDir(t *testing.T) {
 	if err := os.WriteFile(debris, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-2 * defaultTuning.gcTmpAge)
+	old := time.Now().Add(-2 * store.DefaultTuning.GCTmpAge)
 	if err := os.Chtimes(debris, old, old); err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +598,7 @@ func TestRunStoreGCRunsOncePerDir(t *testing.T) {
 func TestRunStoreStoreMaxBytesOption(t *testing.T) {
 	opt := Options{Store: t.TempDir(), StoreMaxBytes: 4096}
 	s := opt.store()
-	if s == nil || s.tun.maxBytes != 4096 {
+	if s == nil || s.Tuning.MaxBytes != 4096 {
 		t.Fatalf("StoreMaxBytes not plumbed into tuning: %+v", s)
 	}
 }

@@ -21,20 +21,21 @@ import (
 	"testing"
 	"time"
 
-	"codesignvm/internal/experiments/faultfs"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 )
 
 // stressTuning is the child-side protocol tuning: small enough that a
 // stale steal happens in under a second, large enough that heartbeats
 // are never mistaken for death under CI scheduling jitter.
-func stressTuning() storeTuning {
-	return storeTuning{
-		lockStale: 400 * time.Millisecond,
-		heartbeat: 80 * time.Millisecond,
-		pollMin:   5 * time.Millisecond,
-		pollMax:   40 * time.Millisecond,
-		waitMax:   60 * time.Second,
-		gcTmpAge:  time.Hour,
+func stressTuning() store.Tuning {
+	return store.Tuning{
+		LockStale: 400 * time.Millisecond,
+		Heartbeat: 80 * time.Millisecond,
+		PollMin:   5 * time.Millisecond,
+		PollMax:   40 * time.Millisecond,
+		WaitMax:   60 * time.Second,
+		GCTmpAge:  time.Hour,
 	}
 }
 
@@ -44,17 +45,12 @@ func TestRunStoreStressChild(t *testing.T) {
 	if os.Getenv("RUNSTORE_CHILD") == "" {
 		t.Skip("re-exec helper for the multi-process stress tests")
 	}
-	s := &runStore{
-		dir: os.Getenv("RUNSTORE_DIR"),
-		fs:  faultfs.Disk{},
-		tun: stressTuning(),
-		ctx: context.Background(),
-	}
+	s := &store.Store{Dir: os.Getenv("RUNSTORE_DIR"), FS: faultfs.Disk{}, Tuning: stressTuning(), Ctx: context.Background()}
 	key := os.Getenv("RUNSTORE_KEY")
 	holdMS, _ := strconv.Atoi(os.Getenv("RUNSTORE_HOLD_MS"))
 
-	// Mirror simulateOrLoad's store path exactly: load, then contend.
-	if res, _ := s.load(key); res != nil {
+	// Mirror store.Fetch's path exactly: load, then contend.
+	if res, _ := load(s, key); res != nil {
 		fmt.Println("OUTCOME: LOADED")
 		return
 	}
@@ -62,18 +58,18 @@ func TestRunStoreStressChild(t *testing.T) {
 		if attempt > 10 {
 			t.Fatal("child livelocked on the store key")
 		}
-		release, won, err := s.acquire(key, s.runPath(key))
+		release, won, err := s.Acquire(key, runPath(s, key))
 		if err != nil {
 			t.Fatalf("acquire: %v", err)
 		}
 		if !won {
-			if res, _ := s.load(key); res != nil {
+			if res, _ := load(s, key); res != nil {
 				fmt.Println("OUTCOME: LOADED")
 				return
 			}
 			continue
 		}
-		if res, _ := s.load(key); res != nil { // double-check under the lock
+		if res, _ := load(s, key); res != nil { // double-check under the lock
 			release()
 			fmt.Println("OUTCOME: LOADED")
 			return
@@ -89,10 +85,10 @@ func TestRunStoreStressChild(t *testing.T) {
 		// which the parent hammers GC to prove a live-locked key's
 		// artifacts are never evicted.
 		if os.Getenv("RUNSTORE_HOLD_AFTER_SAVE") != "" {
-			if err := s.save(key, sampleResult()); err != nil {
+			if err := save(s, key, sampleResult()); err != nil {
 				t.Fatalf("save: %v", err)
 			}
-			if err := s.publish(key, s.snapPath(key), []byte("stress sibling snapshot payload")); err != nil {
+			if err := s.Publish(snapPath(s, key), []byte("stress sibling snapshot payload")); err != nil {
 				t.Fatalf("publish snapshot: %v", err)
 			}
 			if owner := os.Getenv("RUNSTORE_OWNER_FILE"); owner != "" {
@@ -120,7 +116,7 @@ func TestRunStoreStressChild(t *testing.T) {
 			}
 		}
 		time.Sleep(time.Duration(holdMS) * time.Millisecond)
-		if err := s.save(key, sampleResult()); err != nil {
+		if err := save(s, key, sampleResult()); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 		release()
@@ -205,8 +201,8 @@ func TestRunStoreMultiProcessSingleFlight(t *testing.T) {
 	assertStoreClean(t, dir)
 
 	// The published record is valid.
-	s := &runStore{dir: dir, fs: faultfs.Disk{}, tun: stressTuning(), ctx: context.Background()}
-	if res, err := s.load(key); res == nil || err != nil {
+	s := &store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: stressTuning(), Ctx: context.Background()}
+	if res, err := load(s, key); res == nil || err != nil {
 		t.Fatalf("published record unreadable: (%v, %v)", res, err)
 	}
 }
@@ -271,8 +267,8 @@ func TestRunStoreMultiProcessKillSteal(t *testing.T) {
 			contenders-1, simulated, loaded, strings.Join(outs, "\n---\n"))
 	}
 	assertStoreClean(t, dir)
-	s := &runStore{dir: dir, fs: faultfs.Disk{}, tun: stressTuning(), ctx: context.Background()}
-	if res, err := s.load(key); res == nil || err != nil {
+	s := &store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: stressTuning(), Ctx: context.Background()}
+	if res, err := load(s, key); res == nil || err != nil {
 		t.Fatalf("published record unreadable after steal: (%v, %v)", res, err)
 	}
 }
@@ -337,19 +333,19 @@ func TestRunStoreGCRacesLiveActivity(t *testing.T) {
 	// over budget, so only the live-lock skip stands between the
 	// holder's artifacts and eviction.
 	tun := stressTuning()
-	tun.maxBytes = 1
-	gcs := &runStore{dir: dir, fs: faultfs.Disk{}, tun: tun, ctx: context.Background()}
+	tun.MaxBytes = 1
+	gcs := &store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: tun, Ctx: context.Background()}
 	for i := 0; i < 20; i++ {
-		gcs.gc()
-		if _, err := os.Stat(gcs.runPath(key)); err != nil {
+		gcs.GC()
+		if _, err := os.Stat(runPath(gcs, key)); err != nil {
 			t.Fatalf("GC sweep %d evicted the live-locked record: %v", i, err)
 		}
-		if _, err := os.Stat(gcs.snapPath(key)); err != nil {
+		if _, err := os.Stat(snapPath(gcs, key)); err != nil {
 			t.Fatalf("GC sweep %d evicted the live-locked snapshot: %v", i, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	before, err := os.ReadFile(gcs.runPath(key))
+	before, err := os.ReadFile(runPath(gcs, key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,26 +371,26 @@ func TestRunStoreGCRacesLiveActivity(t *testing.T) {
 
 	// Final sweep with no size pressure: nothing to evict, record bytes
 	// unchanged.
-	tun.maxBytes = 0
-	(&runStore{dir: dir, fs: faultfs.Disk{}, tun: tun, ctx: context.Background()}).gc()
-	after, err := os.ReadFile(gcs.runPath(key))
+	tun.MaxBytes = 0
+	(&store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: tun, Ctx: context.Background()}).GC()
+	after, err := os.ReadFile(runPath(gcs, key))
 	if err != nil {
 		t.Fatalf("record gone after final sweep: %v", err)
 	}
 	if string(before) != string(after) {
 		t.Fatal("record bytes changed across the final GC sweep")
 	}
-	s := &runStore{dir: dir, fs: faultfs.Disk{}, tun: stressTuning(), ctx: context.Background()}
-	if res, err := s.load(key); res == nil || err != nil {
+	s := &store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: stressTuning(), Ctx: context.Background()}
+	if res, err := load(s, key); res == nil || err != nil {
 		t.Fatalf("published record unreadable after GC racing: (%v, %v)", res, err)
 	}
 
 	// Once the lock is gone, the same cap evicts the whole key group —
 	// record and snapshot leave together, never one without the other.
-	tun.maxBytes = 1
-	(&runStore{dir: dir, fs: faultfs.Disk{}, tun: tun, ctx: context.Background()}).gc()
-	_, runErr := os.Stat(gcs.runPath(key))
-	_, snapErr := os.Stat(gcs.snapPath(key))
+	tun.MaxBytes = 1
+	(&store.Store{Dir: dir, FS: faultfs.Disk{}, Tuning: tun, Ctx: context.Background()}).GC()
+	_, runErr := os.Stat(runPath(gcs, key))
+	_, snapErr := os.Stat(snapPath(gcs, key))
 	if runErr == nil || snapErr == nil {
 		t.Fatalf("unlocked over-budget key not fully evicted: run=%v snap=%v", runErr, snapErr)
 	}

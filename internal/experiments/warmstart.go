@@ -7,6 +7,7 @@ import (
 	"codesignvm/internal/codecache"
 	"codesignvm/internal/machine"
 	"codesignvm/internal/metrics"
+	"codesignvm/internal/store"
 	"codesignvm/internal/vmm"
 	"codesignvm/internal/workload"
 )
@@ -43,7 +44,7 @@ func resetSnapCacheForTest() { snapCache.reset() }
 // two kinds share the store directory and its lock protocol).
 func snapFileKey(cfg vmm.Config, app string, scale int, instrs uint64) string {
 	var buf [keyBufLen]byte
-	return hashKey(appendRunIdentity(keyStart(buf[:0], "ccvm2"), &cfg, app, scale, instrs))
+	return store.HashKey(appendRunIdentity(keyStart(buf[:0], "ccvm2"), &cfg, app, scale, instrs))
 }
 
 // snapshotFor returns the lazy snapshot source for one (cold config,
@@ -67,17 +68,32 @@ func (o Options) snapshot(cold vmm.Config, app string, instrs uint64) (*codecach
 		scale = 1
 	}
 	return snapCache.get(o.ctx(), runKey{cold, app, scale, instrs, "", false}, func() (*codecache.Snapshot, error) {
-		return fetch(o, artifact[*codecache.Snapshot]{
-			key:    func() string { return snapFileKey(cold, app, scale, instrs) },
-			ext:    ".ccvm",
-			tag:    func() string { return o.obsTag(cold, app) + " snapshot" },
-			decode: decodeSnapshot,
-			encode: (*codecache.Snapshot).Bytes,
-			build: func() (*codecache.Snapshot, error) {
+		return fetch(o, store.Artifact[*codecache.Snapshot]{
+			Key:    func() string { return snapFileKey(cold, app, scale, instrs) },
+			Ext:    ".ccvm",
+			Tag:    func() string { return o.obsTag(cold, app) + " snapshot" },
+			Decode: decodeSnapshot,
+			Encode: (*codecache.Snapshot).Bytes,
+			Build: func() (*codecache.Snapshot, error) {
 				return o.buildSnapshot(cold, app, scale, instrs)
 			},
 		})
 	})
+}
+
+// decodeSnapshot is the .ccvm record check. The snapshot's own sealed
+// sections are the integrity check; a stream that does not hold exactly
+// the two sections vmm.SaveTranslations writes is rejected too (one
+// truncated at a section boundary is section-wise valid).
+func decodeSnapshot(data []byte) (*codecache.Snapshot, error) {
+	snap, err := codecache.ParseSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Sections != 2 {
+		return nil, fmt.Errorf("experiments: snapshot has %d sections, want 2", snap.Sections)
+	}
+	return snap, nil
 }
 
 // buildSnapshot runs the cold producer and serializes its translation
@@ -112,9 +128,7 @@ func (o Options) buildSnapshot(cold vmm.Config, app string, scale int, instrs ui
 	if err != nil {
 		return nil, err
 	}
-	if s := o.store(); s != nil {
-		s.save(k.fileKey(), res) // best-effort
-	}
+	store.Put(o.store(), o.runArtifact(k, nil), res) // best-effort
 	if !o.FreshRuns {
 		// Seed under the same observation key the runs above used: the
 		// producer's recorder came from the same observer, so its result

@@ -7,8 +7,9 @@ import (
 	"testing"
 
 	"codesignvm/internal/codecache"
-	"codesignvm/internal/experiments/faultfs"
 	"codesignvm/internal/machine"
+	"codesignvm/internal/store"
+	"codesignvm/internal/store/faultfs"
 	"codesignvm/internal/vmm"
 )
 
@@ -48,9 +49,8 @@ func TestWarmSnapshotStoreReuse(t *testing.T) {
 	opt.FreshRuns = false
 	opt.Apps = []string{"Word"}
 	opt.Store = t.TempDir()
-	tun := testTuning()
-	opt.storeTun = &tun
-	opt.storeFS = faultfs.Disk{}
+	opt.storeTest = withTuning(testTuning())
+	w := watchStore(&opt)
 	cold := opt.configFor(machine.VMSoft)
 
 	resetSnapCacheForTest()
@@ -63,19 +63,19 @@ func TestWarmSnapshotStoreReuse(t *testing.T) {
 		t.Fatal("cold producer yielded an empty snapshot")
 	}
 	key := snapFileKey(cold, "Word", opt.Scale, opt.ShortInstrs)
-	if _, err := os.Stat(opt.store().snapPath(key)); err != nil {
+	if _, err := os.Stat(snapPath(opt.store(), key)); err != nil {
 		t.Fatalf("snapshot not published to the store: %v", err)
 	}
 
 	// Second process: cleared caches, warm store.
 	resetSnapCacheForTest()
 	resetRunCacheForTest()
-	hits := storeHits.Load()
+	hits := counter(w, "store.hits")
 	snap2, err := opt.snapshot(cold, "Word", opt.ShortInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeHits.Load() != hits+1 {
+	if counter(w, "store.hits") != hits+1 {
 		t.Fatal("second process rebuilt the snapshot instead of loading it")
 	}
 	if snap1.Len() != snap2.Len() || snap1.Size() != snap2.Size() {
@@ -134,26 +134,25 @@ func TestWarmSnapshotCorruptionDegrades(t *testing.T) {
 	tun := testTuning()
 	pre := opt
 	pre.Store = dir
-	pre.storeTun = &tun
-	pre.storeFS = faultfs.Disk{}
+	pre.storeTest = withTuning(tun)
 	resetSnapCacheForTest()
 	resetRunCacheForTest()
 	if _, err := pre.snapshot(cold, "Word", pre.ShortInstrs); err != nil {
 		t.Fatal(err)
 	}
 	key := snapFileKey(cold, "Word", opt.Scale, opt.ShortInstrs)
-	if _, err := os.Stat(pre.store().snapPath(key)); err != nil {
+	if _, err := os.Stat(snapPath(pre.store(), key)); err != nil {
 		t.Fatalf("snapshot not published: %v", err)
 	}
 
 	fopt := opt
 	fopt.Store = dir
-	fopt.storeTun = &tun
-	fopt.storeFS = faultfs.NewInjector(faultfs.Disk{},
+	in := faultfs.NewInjector(faultfs.Disk{},
 		&faultfs.Fault{Op: faultfs.OpRead, Path: ".ccvm", FlipBit: 200})
+	fopt.storeTest = func(s *store.Store) { s.FS, s.Tuning = in, tun }
+	w := watchStore(&fopt)
 	resetSnapCacheForTest()
 	resetRunCacheForTest()
-	corrupt := storeCorrupt.Load()
 	got, err := fopt.runAppWarm(wcfg, "Word", fopt.ShortInstrs,
 		fopt.snapshotFor(cold, "Word", fopt.ShortInstrs))
 	if err != nil {
@@ -162,7 +161,7 @@ func TestWarmSnapshotCorruptionDegrades(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("warm result under snapshot corruption differs from the storeless run")
 	}
-	if storeCorrupt.Load() != corrupt+1 {
+	if counter(w, "store.corrupt") != 1 {
 		t.Error("corrupted snapshot read was not counted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, key+".bad")); err != nil {
@@ -183,8 +182,7 @@ func TestWarmSnapshotTruncationAtSectionBoundary(t *testing.T) {
 	opt.Apps = []string{"Word"}
 	opt.Store = t.TempDir()
 	tun := testTuning()
-	opt.storeTun = &tun
-	opt.storeFS = faultfs.Disk{}
+	opt.storeTest = withTuning(tun)
 	cold := opt.configFor(machine.VMSoft)
 
 	resetSnapCacheForTest()
@@ -198,7 +196,7 @@ func TestWarmSnapshotTruncationAtSectionBoundary(t *testing.T) {
 	}
 	s := opt.store()
 	key := snapFileKey(cold, "Word", opt.Scale, opt.ShortInstrs)
-	data, err := os.ReadFile(s.snapPath(key))
+	data, err := os.ReadFile(snapPath(s, key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +213,13 @@ func TestWarmSnapshotTruncationAtSectionBoundary(t *testing.T) {
 	if cut < 0 {
 		t.Fatal("could not locate the section boundary")
 	}
-	if err := os.WriteFile(s.snapPath(key), data[:cut], 0o644); err != nil {
+	if err := os.WriteFile(snapPath(s, key), data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := readRecord(s, key, s.snapPath(key), decodeSnapshot); ok || got != nil {
+	if got, ok := store.Read(s, key, snapPath(s, key), decodeSnapshot); ok || got != nil {
 		t.Fatal("section-boundary truncation served a snapshot")
 	}
-	if _, err := os.Stat(filepath.Join(s.dir, key+".bad")); err != nil {
+	if _, err := os.Stat(filepath.Join(s.Dir, key+".bad")); err != nil {
 		t.Errorf("truncated snapshot not quarantined: %v", err)
 	}
 }

@@ -286,7 +286,7 @@ func (s Sample) AggregateIPC() float64 {
 // internal/experiments encodes every field below into a CRC-guarded
 // CRUN2 record and decodes it back bit-exactly. When adding, removing
 // or reordering fields here, update appendResult/readResult in
-// internal/experiments/record.go and bump runSchema (store.go) so
+// internal/experiments/record.go and bump runSchema (record.go) so
 // existing stores miss (and re-simulate) instead of misreading old
 // records.
 type Result struct {

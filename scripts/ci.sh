@@ -45,23 +45,27 @@ lap bench-vet
 # snapshot rebuilds and phase attributions included, must equal the
 # sequential ones), the run store's lock protocol, and the job service.
 #
-# The same pass is the store-fault gate: the run store's crash-safety
-# contract. The fault-injection suite (storefault_test.go) proves every
-# injected failure — kill-mid-write, truncation at every byte, bit
-# flips, ENOSPC, EROFS — degrades to a correct recomputation with
-# corrupt entries quarantined, for run records and interpreter profiles
-# alike; the multi-process stress tests re-exec the test binary and
-# SIGKILL lock holders to prove exactly-once simulation and no orphaned
-# locks across real process deaths. With them, what the one fetch path
-# promises every artifact kind: a warm pass computes nothing
+# The same pass is the store-fault gate: the store's crash-safety
+# contract. The store (framing, publish, lock, GC) is internal/store,
+# whose own suite kills a process between writing its lock token and
+# linking it into place and finds no lock left, only temp debris that GC
+# collects (TestLockKilledBeforeLink); its fault injector and filesystem
+# seam are internal/store/faultfs. The suites that drive the store
+# through the experiment harness stay in internal/experiments. The
+# fault-injection suite (storefault_test.go) proves every injected
+# failure — kill-mid-write, truncation at every byte, bit flips, ENOSPC,
+# EROFS — degrades to a correct recomputation with corrupt entries
+# quarantined, for run records and interpreter profiles alike; the
+# multi-process stress tests (storestress_test.go) re-exec the test
+# binary and SIGKILL lock holders to prove exactly-once simulation and
+# no orphaned locks across real process deaths. With them, what the one
+# fetch path promises every artifact kind: a warm pass computes nothing
 # (TestWarmPassComputesNothing), profiles are store records like runs
 # (TestProfile*, TestFig3Profiles*), a cancelled lock wait is not
 # memoized (TestCancelledWait*) nor handed to a request sharing the
 # fill, which fills again under its own context (TestCancelledFill*),
-# a panicking build leaves neither its lock nor its memo slot behind
-# (TestPanickingBuild*), and an empty lock — its owner killed before
-# writing a token — is stolen after one heartbeat, exactly once
-# (TestEmptyLock*).
+# and a panicking build leaves neither its lock nor its memo slot behind
+# (TestPanickingBuild*).
 #
 # And it is the report-digest gate: TestReportDigests rebuilds every
 # named report experiment from cleared caches and compares it with
@@ -71,7 +75,7 @@ GOMAXPROCS=2 go test -race -count=1 -timeout 1800s ./...
 lap test-race
 
 # The fault injector's own suite, at the host's GOMAXPROCS.
-go test -race -count=1 ./internal/experiments/faultfs/
+go test -race -count=1 ./internal/store/faultfs/
 lap faultfs
 
 # Benchmark smoke: one iteration each of the hot-path benchmarks, so a
